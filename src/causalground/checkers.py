@@ -18,12 +18,22 @@ from .core import (
     FiniteSet,
     TotalMap,
     Word,
+    _outcome_pair,
+    _Projector,
     outcome_map,
 )
 
 
 class BaseDeterminationError(CausalGroundError):
     """The determination a check builds on does not actually hold."""
+
+
+class PreconditionError(CausalGroundError, ValueError):
+    """A checker was called with arguments it cannot decide anything about.
+
+    It subclasses ``ValueError`` too, so callers that catch ``ValueError``
+    keep working.
+    """
 
 
 @dataclass(frozen=True)
@@ -116,8 +126,7 @@ def _determination_violation(
     witness: TotalMap,
 ) -> Optional[tuple[str, str, str]]:
     """First state where outcome_J != witness . outcome_I, or None."""
-    oi = outcome_map(model, word, vars_i)
-    oj = outcome_map(model, word, vars_j)
+    oi, oj = _outcome_pair(model, word, vars_i, vars_j)
     for x in model.states.elements:
         expected = witness.table[oi.table[x]]
         actual = oj.table[x]
@@ -162,8 +171,7 @@ def check_determination(
     conflicting state pair.  Uniqueness of the witness is equivalent to
     outcome_I being surjective.
     """
-    oi = outcome_map(model, word, vars_i)
-    oj = outcome_map(model, word, vars_j)
+    oi, oj = _outcome_pair(model, word, vars_i, vars_j)
     return _scan_determination(
         model.states.elements, oi.table, oj.table, oi.codomain, oj.codomain
     )
@@ -210,9 +218,13 @@ def check_invariance(
     ids_i = space.normalize_vars(vars_i)
     ids_j = space.normalize_vars(vars_j)
     if witness.domain != space.subspace(ids_i).total:
-        raise ValueError("witness domain does not match the I-variable subspace")
+        raise PreconditionError(
+            "witness domain does not match the I-variable subspace"
+        )
     if witness.codomain != space.subspace(ids_j).total:
-        raise ValueError("witness codomain does not match the J-variable subspace")
+        raise PreconditionError(
+            "witness codomain does not match the J-variable subspace"
+        )
     base = _determination_violation(model, base_word, ids_i, ids_j, witness)
     if base is not None:
         state, expected, actual = base
@@ -315,13 +327,13 @@ def _minimal_unique_determination(
     space = model.outcomes
     others = [v for v in space.var_ids if v != target]
     states = model.states.elements
-    table_j = {x: space.project_element(full_table[x], (target,)) for x in states}
+    project_j = _Projector(space, (target,))
+    table_j = {x: project_j[y] for x, y in full_table.items()}
     cod = space.subspace((target,)).total
     for size in range(0, max_parents + 1):
         for parents in combinations(others, size):
-            table_i = {
-                x: space.project_element(full_table[x], parents) for x in states
-            }
+            project_i = _Projector(space, parents)
+            table_i = {x: project_i[y] for x, y in full_table.items()}
             dom = space.subspace(parents).total
             result = _scan_determination(states, table_i, table_j, dom, cod)
             if result.holds and result.unique:
@@ -344,7 +356,7 @@ def discover_mechanisms(
     no record.
     """
     if max_parents < 0:
-        raise ValueError("max_parents must be non-negative")
+        raise PreconditionError("max_parents must be non-negative")
     space = model.outcomes
     full = outcome_map(model, context)
     records = []
@@ -377,12 +389,12 @@ def check_surgical(
     the verdict for inspection without influencing it.
     """
     if not mechanisms:
-        raise ValueError("surgicality is relative to a non-empty mechanism set")
+        raise PreconditionError("surgicality is relative to a non-empty mechanism set")
     model.generator(action)
     ctx = tuple(context)
     for record in mechanisms:
         if record.context != ctx:
-            raise ValueError(
+            raise PreconditionError(
                 f"record {record.describe()} was built in context "
                 f"{record.context!r}, not {ctx!r}"
             )

@@ -37,13 +37,8 @@ from .dominoes import apply_action_descriptor, build_bounded_model, micro_proc
 from .scm import encode_scm, random_scm, verify_scm_laws
 
 
-def parse_word(raw: Optional[str]) -> tuple[str, ...]:
-    if not raw:
-        return ()
-    return tuple(part for part in raw.split(",") if part)
-
-
-def parse_vars(raw: Optional[str]) -> tuple[str, ...]:
+def parse_list(raw: Optional[str]) -> tuple[str, ...]:
+    """Split a comma-separated flag value (a word or a variable subset)."""
     if not raw:
         return ()
     return tuple(part for part in raw.split(",") if part)
@@ -124,7 +119,7 @@ def _cmd_check_determination(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
     _require_vars(args, "vars_i", "vars_j")
     result = check_determination(
-        model, parse_word(args.word), parse_vars(args.vars_i), parse_vars(args.vars_j)
+        model, parse_list(args.word), parse_list(args.vars_i), parse_list(args.vars_j)
     )
     payload = {
         "holds": result.holds,
@@ -141,7 +136,7 @@ def _cmd_check_effectiveness(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
     _require_vars(args, "vars_j")
     result = check_effectiveness(
-        model, parse_word(args.word), parse_vars(args.vars_j), parse_word(args.context)
+        model, parse_list(args.word), parse_list(args.vars_j), parse_list(args.context)
     )
     payload = {
         "effective": result.effective,
@@ -156,9 +151,9 @@ def _cmd_check_effectiveness(args) -> tuple[int, dict]:
 def _cmd_check_invariance(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
     _require_vars(args, "vars_i", "vars_j")
-    base = parse_word(args.context)
-    vars_i = parse_vars(args.vars_i)
-    vars_j = parse_vars(args.vars_j)
+    base = parse_list(args.context)
+    vars_i = parse_list(args.vars_i)
+    vars_j = parse_list(args.vars_j)
     space = model.outcomes
     if args.witness:
         witness = cgio.witness_from_dict(
@@ -176,7 +171,7 @@ def _cmd_check_invariance(args) -> tuple[int, dict]:
             )
         witness = base_result.witness
     result = check_invariance(
-        model, base, witness, vars_i, vars_j, parse_word(args.word)
+        model, base, witness, vars_i, vars_j, parse_list(args.word)
     )
     payload = {
         "holds": result.holds,
@@ -189,7 +184,7 @@ def _cmd_check_invariance(args) -> tuple[int, dict]:
 
 
 def _pair_from_word(args) -> tuple[str, str]:
-    labels = parse_word(args.word)
+    labels = parse_list(args.word)
     if len(labels) != 2:
         raise CausalGroundError(
             "--word must name exactly two generators, e.g. --word a,b"
@@ -225,14 +220,14 @@ def _cmd_check_overwrite(args) -> tuple[int, dict]:
 
 def _cmd_check_surgical(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
-    labels = parse_word(args.word)
+    labels = parse_list(args.word)
     if len(labels) != 1:
         raise CausalGroundError("--word must name exactly one generator")
     data = cgio.load_json(args.mechanisms)
     if isinstance(data, dict) and "mechanisms" in data:
         data = data["mechanisms"]
     records = cgio.records_from_dict(data, model, args.mechanisms)
-    verdict = check_surgical(model, labels[0], records, parse_word(args.context))
+    verdict = check_surgical(model, labels[0], records, parse_list(args.context))
     payload = {
         "surgical": verdict.surgical,
         "target": verdict.target,
@@ -259,7 +254,7 @@ def _cmd_check_naturality(args) -> tuple[int, dict]:
 def _cmd_discover(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
     records = discover_mechanisms(
-        model, parse_word(args.context), args.max_parents
+        model, parse_list(args.context), args.max_parents
     )
     return 0, {"mechanisms": [cgio.record_to_dict(r) for r in records]}
 
@@ -338,8 +333,8 @@ def _cmd_build_model(args) -> tuple[int, dict]:
 
 def _cmd_image(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
-    variables = parse_vars(args.vars_i) if args.vars_i is not None else None
-    f = outcome_map(model, parse_word(args.word), variables)
+    variables = parse_list(args.vars_i) if args.vars_i is not None else None
+    f = outcome_map(model, parse_list(args.word), variables)
     im = image(f)
     return 0, {"image": im, "count": len(im), "codomain_size": len(f.codomain)}
 

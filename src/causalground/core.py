@@ -239,9 +239,11 @@ class FactoredSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        ids = [v for v, _ in self.variables]
+        ids = tuple(v for v, _ in self.variables)
         if len(set(ids)) != len(ids):
             raise ValueError("factored space has duplicate variable ids")
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_positions", {v: i for i, v in enumerate(ids)})
         size = 1
         for var_id, dom in self.variables:
             for value in dom.elements:
@@ -271,24 +273,24 @@ class FactoredSpace:
 
     @property
     def var_ids(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.variables)
+        return self._ids  # type: ignore[attr-defined]
 
     def domain_of(self, var_id: str) -> FiniteSet:
-        for v, dom in self.variables:
-            if v == var_id:
-                return dom
-        raise UnknownVariableError(var_id, self.var_ids)
+        position = self._positions.get(var_id)  # type: ignore[attr-defined]
+        if position is None:
+            raise UnknownVariableError(var_id, self.var_ids)
+        return self.variables[position][1]
 
     def normalize_vars(self, var_ids: Optional[Iterable[str]]) -> tuple[str, ...]:
         """Validate a variable subset and put it in canonical (declared) order."""
         if var_ids is None:
             return self.var_ids
-        requested = list(var_ids)
-        known = set(self.var_ids)
-        for v in requested:
-            if v not in known:
+        positions = self._positions  # type: ignore[attr-defined]
+        wanted = set()
+        for v in var_ids:
+            if v not in positions:
                 raise UnknownVariableError(v, self.var_ids)
-        wanted = set(requested)
+            wanted.add(v)
         return tuple(v for v in self.var_ids if v in wanted)
 
     def subspace(self, var_ids: Iterable[str]) -> "FactoredSpace":
@@ -300,19 +302,14 @@ class FactoredSpace:
 
     def project_element(self, element: str, var_ids: Iterable[str]) -> str:
         """Project a single total-set element onto a variable subset."""
-        ids = self.normalize_vars(var_ids)
-        if not ids:
-            return UNIT_ELEMENT
-        values = self.split(element)
-        positions = {v: i for i, v in enumerate(self.var_ids)}
-        return join_values([values[positions[v]] for v in ids])
+        return _Projector(self, self.normalize_vars(var_ids))[element]
 
     def projection(self, var_ids: Iterable[str]) -> TotalMap:
         """The projection map from the total set onto a variable subset."""
         ids = self.normalize_vars(var_ids)
-        sub = self.subspace(ids)
-        table = {e: self.project_element(e, ids) for e in self.total.elements}
-        return TotalMap(self.total, sub.total, table)
+        project = _Projector(self, ids)
+        table = {e: project[e] for e in self.total.elements}
+        return TotalMap(self.total, self.subspace(ids).total, table)
 
     def projection_between(
         self, from_ids: Iterable[str], onto_ids: Iterable[str]
@@ -325,16 +322,37 @@ class FactoredSpace:
                 f"projection target {small!r} is not a subset of {big!r}"
             )
         source = self.subspace(big)
+        project = _Projector(source, small)
         return TotalMap(
             source.total,
             self.subspace(small).total,
-            {e: source.project_element(e, small) for e in source.total.elements},
+            {e: project[e] for e in source.total.elements},
         )
 
     @classmethod
     def from_set(cls, s: FiniteSet) -> "FactoredSpace":
         """Wrap a bare outcome set as a one-variable factored space."""
         return cls(((s.id, s),))
+
+
+class _Projector(dict):
+    """Projection of total-set elements onto one normalized variable subset.
+
+    Indexing with an element gives its projection.  Column positions are
+    looked up once, and each distinct element is split once and memoized,
+    since many states share one outcome.  A projector lives for one call
+    only, so the memo never outgrows the tables that call builds.
+    """
+
+    def __init__(self, space: FactoredSpace, ids: tuple[str, ...]):
+        super().__init__()
+        self.positions = tuple(space._positions[v] for v in ids)  # type: ignore[attr-defined]
+        self.arity = len(space.variables)
+
+    def __missing__(self, element: str) -> str:
+        values = split_values(element, self.arity)
+        projected = self[element] = join_values([values[i] for i in self.positions])
+        return projected
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,21 +435,39 @@ def outcome_map(
     unit set.  With an empty word and all variables this is the process
     itself.
     """
+    return _project_outcomes(model, compose(model, word), variables)
+
+
+def _outcome_pair(
+    model: ActionModel,
+    word: Word,
+    vars_i: Optional[Iterable[str]],
+    vars_j: Optional[Iterable[str]],
+) -> tuple[TotalMap, TotalMap]:
+    """The I- and J-outcome maps of a word, composing the word once."""
     do = compose(model, word)
+    return _project_outcomes(model, do, vars_i), _project_outcomes(model, do, vars_j)
+
+
+def _project_outcomes(
+    model: ActionModel, do: TotalMap, variables: Optional[Iterable[str]]
+) -> TotalMap:
+    """project . process . do for a state map ``do`` built by ``compose``."""
     space = model.outcomes
     ids = space.normalize_vars(variables)
+    process = model.process.table
     if ids == space.var_ids:
         return TotalMap(
             model.states,
             space.total,
-            {x: model.process.table[do.table[x]] for x in model.states.elements},
+            {x: process[y] for x, y in do.table.items()},
         )
-    sub = space.subspace(ids)
-    table = {
-        x: space.project_element(model.process.table[do.table[x]], ids)
-        for x in model.states.elements
-    }
-    return TotalMap(model.states, sub.total, table)
+    project = _Projector(space, ids)
+    return TotalMap(
+        model.states,
+        space.subspace(ids).total,
+        {x: project[process[y]] for x, y in do.table.items()},
+    )
 
 
 def image(f: TotalMap) -> list[str]:

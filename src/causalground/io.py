@@ -443,8 +443,11 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
     except ValueError as exc:
         raise SchemaError(file, "family", str(exc)) from None
 
+    layouts_data = _expect(
+        spec.get("layouts", {}), dict, file, "family.layouts", "an object"
+    )
     layouts = []
-    for name, layout_data in spec.get("layouts", {}).items():
+    for name, layout_data in layouts_data.items():
         path = f"family.layouts.{name}"
         _expect(layout_data, dict, file, path, "an object")
         if "chain" in layout_data:

@@ -11,12 +11,30 @@ import random
 from itertools import product
 
 from causalground.core import (
+    SEP,
+    UNIT_ELEMENT,
     ActionModel,
     FactoredSpace,
     FiniteSet,
     TotalMap,
     outcome_map,
 )
+
+
+def reference_project(space: FactoredSpace, element: str, var_ids) -> str:
+    """Split/join projection of one total-set element onto a variable subset.
+
+    Rebuilds the column positions and re-splits the element on every call,
+    sharing nothing with the library's projector.  Ids are taken in
+    declared order, whatever order or repetition ``var_ids`` has.
+    """
+    ids = [v for v, _ in space.variables]
+    wanted = set(var_ids)
+    chosen = [v for v in ids if v in wanted]
+    if not chosen:
+        return UNIT_ELEMENT
+    values = element.split(SEP)
+    return SEP.join(values[ids.index(v)] for v in chosen)
 
 
 def candidate_map_count(model: ActionModel, vars_i, vars_j) -> int:

@@ -4,6 +4,7 @@ import pytest
 
 from causalground.checkers import (
     BaseDeterminationError,
+    PreconditionError,
     check_commute,
     check_determination,
     check_effectiveness,
@@ -124,6 +125,14 @@ def test_invariance_requires_base_determination(pair_model):
     )
     with pytest.raises(BaseDeterminationError):
         check_invariance(model, (), wrong, ("v1",), ("v2",), ("id",))
+
+
+def test_invariance_rejects_witness_on_wrong_subspaces(pair_model):
+    base = check_determination(pair_model, (), ("v1",), ("v2",))
+    with pytest.raises(PreconditionError):
+        check_invariance(pair_model, (), base.witness, ("v1", "v2"), ("v2",), ())
+    with pytest.raises(PreconditionError):
+        check_invariance(pair_model, (), base.witness, ("v1",), (), ())
 
 
 def test_precomposition_invariance_is_automatic():
@@ -288,10 +297,10 @@ def test_surgical_identity_is_not_surgical(pair_model):
 
 def test_surgical_rejects_mismatched_context(pair_model):
     records = discover_mechanisms(pair_model, ("const",), max_parents=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         check_surgical(pair_model, "id", records, ("id",))
 
 
 def test_surgical_requires_nonempty_mechanisms(pair_model):
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         check_surgical(pair_model, "id", [], ())

@@ -350,6 +350,24 @@ def test_exit_code_two_cases(workspace, capsys):
     )[0] == 2
 
 
+def test_discover_negative_parent_budget_exits_two(workspace, capsys):
+    code = run(["discover", "--model", "model_pair.json", "--max-parents", "-1"])
+    assert code == 2
+    assert "max_parents must be non-negative" in capsys.readouterr().err
+
+
+def test_check_surgical_context_mismatch_exits_two(workspace, capsys):
+    assert invoke(
+        ["discover", "--model", "model_pair.json", "--context", "const",
+         "--max-parents", "1", "--format", "json", "--out", "const.json"],
+        capsys,
+    )[0] == 0
+    code = run(["check-surgical", "--model", "model_pair.json", "--word", "swap",
+                "--mechanisms", "const.json", "--context", "swap"])
+    assert code == 2
+    assert "was built in context" in capsys.readouterr().err
+
+
 def test_schema_error_names_file_and_path(workspace, capsys):
     with open("broken.json", "w") as fh:
         json.dump({

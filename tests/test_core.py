@@ -18,7 +18,7 @@ from causalground.core import (
     outcome_map,
     unit_set,
 )
-from oracles import random_action_model, random_word
+from oracles import random_action_model, random_word, reference_project
 
 
 def test_finite_set_rejects_duplicates_and_empty():
@@ -96,6 +96,74 @@ def test_projection_coherence_random_spaces():
                     continue
                 lhs = space.projection_between(big, small).after(space.projection(big))
                 assert lhs == space.projection(small)
+
+
+def random_factored_model(seed: int) -> ActionModel:
+    """1-4 variables with 1-3 values each, a random process and generator."""
+    rng = random.Random(seed)
+    space = FactoredSpace(tuple(
+        (f"v{i}", FiniteSet(f"v{i}", tuple(str(k) for k in range(rng.randint(1, 3)))))
+        for i in range(rng.randint(1, 4))
+    ))
+    states = FiniteSet("X", tuple(f"x{i}" for i in range(rng.randint(1, 8))))
+    process = TotalMap(
+        states, space.total, {x: rng.choice(space.total.elements) for x in states.elements}
+    )
+    step = TotalMap(states, states, {x: rng.choice(states.elements) for x in states.elements})
+    return ActionModel(states, space, {"g": step}, process)
+
+
+def test_projections_match_split_join_reference():
+    for seed in range(40):
+        model = random_factored_model(seed)
+        space = model.outcomes
+        ids = space.var_ids
+        subsets = [
+            tuple(v for k, v in enumerate(ids) if mask >> k & 1)
+            for mask in range(2 ** len(ids))
+        ]
+        for small in subsets:
+            # declared order, reversed order, and every id given twice
+            for request in (small, small[::-1], small + small):
+                target = space.subspace(small).total
+                pi = space.projection(request)
+                assert pi.codomain == target
+                assert pi.table == {
+                    e: reference_project(space, e, request) for e in space.total.elements
+                }
+                for e in space.total.elements:
+                    assert space.project_element(e, request) == pi.table[e]
+                for word in ((), ("g",), ("g", "g")):
+                    do = compose(model, word).table
+                    o = outcome_map(model, word, request)
+                    assert o.codomain == target
+                    assert o.table == {
+                        x: reference_project(space, model.process.table[do[x]], request)
+                        for x in model.states.elements
+                    }
+                for big in subsets:
+                    if not set(small) <= set(big):
+                        continue
+                    source = space.subspace(big)
+                    between = space.projection_between(big[::-1] + big, request)
+                    assert between.domain == source.total
+                    assert between.codomain == target
+                    assert between.table == {
+                        e: reference_project(source, e, request)
+                        for e in source.total.elements
+                    }
+        assert outcome_map(model, ("g",), None) == outcome_map(model, ("g",), ids[::-1])
+        message = f"unknown variable id 'nope' (known: {', '.join(ids)})"
+        calls = (
+            lambda: space.projection(ids[:1] + ("nope",)),
+            lambda: space.project_element(space.total.elements[0], ("nope",)),
+            lambda: space.projection_between(ids, ("nope",)),
+            lambda: outcome_map(model, (), ("nope",) + ids),
+        )
+        for call in calls:
+            with pytest.raises(UnknownVariableError) as err:
+                call()
+            assert str(err.value) == message
 
 
 def test_enumeration_guardrail(monkeypatch):

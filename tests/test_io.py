@@ -140,6 +140,13 @@ def test_family_unknown_layout_shortcut():
                                      "layouts": {"x": {"bogus": 1}}}}, "f.json")
 
 
+def test_family_layouts_must_be_an_object():
+    with pytest.raises(SchemaError) as err:
+        family_from_dict({"family": {"length": 2, "ids": ["d1"],
+                                     "layouts": [{"chain": 1}]}}, "f.json")
+    assert err.value.path == "family.layouts"
+
+
 def test_morphism_file_round_trip(tmp_path):
     family = load_family(data_path("family_tiny.json"))
     micro, abstract, morphism = build_bounded_model(family)
