@@ -244,6 +244,10 @@ def routing_from_mapping(mapping: Optional[Mapping[str, str]]) -> tuple[str, ...
 
 # --- bounded single-row families --------------------------------------------
 
+#: A family state: (tag or None per id, barrier bit per allowed edge, push).
+Code = tuple[tuple[Optional[str], ...], tuple[int, ...], Optional[tuple[str, str]]]
+
+
 @dataclass(frozen=True)
 class LineFamily:
     """An enumerable family of states on a 1 x length grid.
@@ -252,7 +256,8 @@ class LineFamily:
     vary presence (up to ``max_dominoes``), per-domino nuisance tags,
     barriers on the allowed edges, and the push designation.  Barrier edge
     ``i`` (1-based) separates the i-th and (i+1)-th cells and is labelled
-    ``add-barrier-i-(i+1)``.
+    ``add-barrier-i-(i+1)``.  Model building runs on state codes;
+    ``decode`` gives the ``MicroState`` of a code.
     """
 
     length: int
@@ -267,9 +272,14 @@ class LineFamily:
     def __post_init__(self):
         if len(self.ids) > self.length:
             raise ValueError("more domino ids than cells")
-        for tag in self.tags:
-            if len(tag) != 1:
-                raise ValueError("nuisance tags must be single characters")
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError("domino ids must be distinct")
+        if self.max_dominoes < 0:
+            raise ValueError("max_dominoes must be non-negative")
+        if not self.tags or len(set(self.tags)) != len(self.tags) or any(
+            len(tag) != 1 or tag == "-" for tag in self.tags
+        ):
+            raise ValueError("tags must be distinct single characters other than '-'")
         for i in self.barrier_edges:
             if not 1 <= i < self.length:
                 raise ValueError(f"barrier edge {i} out of range")
@@ -277,7 +287,7 @@ class LineFamily:
             if d not in DIRECTIONS:
                 raise ValueError(f"bad push direction {d!r}")
         if not self.actions:
-            object.__setattr__(self, "actions", tuple(self.action_transforms()))
+            object.__setattr__(self, "actions", tuple(self.code_transforms()))
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -323,79 +333,92 @@ class LineFamily:
         pushes = 1 + n * len(self.push_dirs)
         return presence * pushes * 2 ** len(self.barrier_edges)
 
-    def enumerate_states(self) -> list[MicroState]:
+    def codes(self) -> list[Code]:
+        """Every state code, by presence and tags, then barriers, then push."""
         check_enumeration_bound(self.state_count(), "line family state set")
-        pushes: list[Optional[tuple[str, str]]] = [None]
-        pushes.extend((i, d) for i in self.ids for d in self.push_dirs)
-        states = []
+        rows = []
         for k in range(self.max_dominoes + 1):
             for chosen in combinations(self.ids, k):
                 for tags in product(self.tags, repeat=k):
                     present = dict(zip(chosen, tags))
-                    for edges in _subsets(self.barrier_edges):
-                        for push in pushes:
-                            states.append(self.state(present, edges, push))
-        return states
+                    rows.append(tuple(present.get(i) for i in self.ids))
+        bit_rows = [
+            tuple(int(e in edges) for e in self.barrier_edges)
+            for k in range(len(self.barrier_edges) + 1)
+            for edges in combinations(self.barrier_edges, k)
+        ]
+        pushes = [None] + [(i, d) for i in self.ids for d in self.push_dirs]
+        return [(row, bits, push) for row in rows for bits in bit_rows for push in pushes]
 
-    def micro_label(self, state: MicroState) -> str:
-        tokens = []
-        by_id = {d.id: d for d in state.dominoes}
-        for i in self.ids:
-            tokens.append(by_id[i].tag if i in by_id else "-")
-        bits = "".join(
-            "1" if self.edge(i) in state.barriers else "0"
-            for i in self.barrier_edges
-        )
-        push = "-" if state.push is None else f"{state.push[0]}{state.push[1]}"
-        return f"{''.join(tokens)}/b{bits}/p{push}"
+    def enumerate_states(self) -> list[MicroState]:
+        return [self.decode(code) for code in self.codes()]
 
-    def abstract_label(self, state: MicroState) -> str:
-        present = {d.id for d in state.dominoes}
-        tokens = ["x" if i in present else "-" for i in self.ids]
-        bits = "".join(
-            "1" if self.edge(i) in state.barriers else "0"
-            for i in self.barrier_edges
-        )
-        push = "-" if state.push is None else f"{state.push[0]}{state.push[1]}"
-        return f"{''.join(tokens)}/b{bits}/p{push}"
+    def decode(self, code: Code) -> MicroState:
+        tags, bits, push = code
+        present = {i: t for i, t in zip(self.ids, tags) if t is not None}
+        return self.state(present, [e for e, b in zip(self.barrier_edges, bits) if b], push)
 
-    def action_transforms(self) -> dict[str, Callable[[MicroState], MicroState]]:
-        """Every registrable action label with its state transform."""
-        transforms: dict[str, Callable[[MicroState], MicroState]] = {
-            "id": lambda s: s
-        }
+    def encode(self, state: MicroState) -> Optional[Code]:
+        """Code of ``state``, or None when no code decodes to it."""
+        tags = {d.id: d.tag for d in state.dominoes}
+        bits = tuple(int(self.edge(e) in state.barriers) for e in self.barrier_edges)
+        code = (tuple(tags.get(i) for i in self.ids), bits, state.push)
+        return code if self.decode(code) == state else None
+
+    def label(self, code: Code) -> str:
+        """State label ``<tag or - per id>/b<bits>/p<id><dir or ->``."""
+        tags, bits, push = code
+        tokens = "".join("-" if t is None else t for t in tags)
+        push_token = "-" if push is None else push[0] + push[1]
+        return f"{tokens}/b{''.join(map(str, bits))}/p{push_token}"
+
+    def code_transforms(self) -> dict[str, Callable[[Code], Optional[Code]]]:
+        """Every registrable action label with its transform on codes.
+
+        A layout with no code, or with a code outside the family, never
+        matches a state, so its ``init-*`` action fails the closure check.
+        """
+        transforms: dict[str, Callable[[Code], Optional[Code]]] = {"id": lambda c: c}
         for name, layout in self.layouts:
-            transforms[f"init-{name}"] = lambda s, t=layout: t
-        for i in self.ids:
+            transforms[f"init-{name}"] = lambda c, t=self.encode(layout): t
+        for k, i in enumerate(self.ids):
             for d in self.push_dirs:
-                transforms[f"choose-push-{i}-{d}"] = (
-                    lambda s, i=i, d=d: choose_push(s, i, d)
+                transforms[f"choose-push-{i}-{d}"] = lambda c, k=k, p=(i, d): (
+                    c[0], c[1], None if c[0][k] is None else p
                 )
-            transforms[f"remove-{i}"] = lambda s, i=i: remove_domino(s, i)
-            dom = Domino(i, self.home_cell(i), IDENTITY_ROUTING, self.tags[0])
-            transforms[f"place-{i}"] = (
-                lambda s, dom=dom: place_domino(s, dom, self.max_dominoes)
+            transforms[f"remove-{i}"] = lambda c, k=k: _with_tag(c, k, None)
+            transforms[f"place-{i}"] = lambda c, k=k: _place(
+                c, k, self.tags[0], self.max_dominoes
             )
         for i in self.barrier_edges:
-            edge = self.edge(i)
-            transforms[f"add-barrier-{i}-{i + 1}"] = (
-                lambda s, e=edge: add_barrier(s, e)
-            )
-            transforms[f"remove-barrier-{i}-{i + 1}"] = (
-                lambda s, e=edge: remove_barrier(s, e)
-            )
+            for verb, bit in (("add", 1), ("remove", 0)):
+                transforms[f"{verb}-barrier-{i}-{i + 1}"] = lambda c, i=i, bit=bit: (
+                    _with_barrier(c, self.barrier_edges, i, bit)
+                )
         return transforms
 
 
-def _subsets(items: Sequence[int]) -> list[tuple[int, ...]]:
-    out = []
-    for k in range(len(items) + 1):
-        out.extend(combinations(items, k))
-    return out
+def _with_tag(code: Code, k: int, tag: Optional[str]) -> Code:
+    tags, bits, push = code
+    return (tags[:k] + (tag,) + tags[k + 1:], bits, push)
 
 
-def outcome_label(status: Mapping[str, str], census: Sequence[str]) -> str:
-    return OUTCOME_SEP.join(status[i] for i in census)
+def _place(code: Code, k: int, tag: str, max_dominoes: int) -> Code:
+    tags = code[0]
+    if tags[k] is not None or len(tags) - tags.count(None) >= max_dominoes:
+        return code
+    return _with_tag(code, k, tag)
+
+
+def _with_barrier(code: Code, edges: Sequence[int], edge: int, bit: int) -> Code:
+    tags, bits, push = code
+    return (tags, tuple(bit if e == edge else b for e, b in zip(edges, bits)), push)
+
+
+def _forget_tags(code: Code) -> Code:
+    """Code of a state's tag-free class; its label is the abstract label."""
+    tags, bits, push = code
+    return (tuple(None if t is None else "x" for t in tags), bits, push)
 
 
 def build_bounded_model(
@@ -409,33 +432,38 @@ def build_bounded_model(
     factored per-domino status space, on which impossible joint outcomes
     become visible.
     """
-    states = family.enumerate_states()
-    labels = [family.micro_label(s) for s in states]
-    index = dict(zip(states, labels))
-    if len(index) != len(states):
+    codes = family.codes()
+    index = {code: family.label(code) for code in codes}
+    if len(index) != len(codes):
         raise CausalGroundError("family state labels are not distinct")
 
-    transforms = family.action_transforms()
+    transforms = family.code_transforms()
     unknown = [a for a in family.actions if a not in transforms]
     if unknown:
         raise CausalGroundError(f"unknown family action label {unknown[0]!r}")
 
-    micro_states = FiniteSet("Xbar", tuple(labels))
-    outcome_of = {}
-    factored_of = {}
-    for s, label in zip(states, labels):
-        status = micro_proc(s, family.ids)
-        name = outcome_label(status, family.ids)
-        outcome_of[label] = name
-        factored_of[name] = join_values([status[i] for i in family.ids])
-    micro_outcomes = FiniteSet("Ybar", tuple(sorted(set(outcome_of.values()))))
+    # Abstract quotient: one state per tag-forgotten class, represented by
+    # the first micro state enumerated in it.  The process never reads
+    # tags, so it runs once per class.
+    rep: dict[str, Code] = {}
+    x_table = {}
+    for code, label in index.items():
+        ab = family.label(_forget_tags(code))
+        rep.setdefault(ab, code)
+        x_table[label] = ab
+    status = {ab: micro_proc(family.decode(c), family.ids) for ab, c in rep.items()}
+    outcome_of = {ab: OUTCOME_SEP.join(s[i] for i in family.ids) for ab, s in status.items()}
+    ab_proc = {ab: join_values([s[i] for i in family.ids]) for ab, s in status.items()}
+    factored_of = {outcome_of[ab]: ab_proc[ab] for ab in rep}
+
+    micro_states = FiniteSet("Xbar", tuple(index.values()))
+    micro_outcomes = FiniteSet("Ybar", tuple(sorted(factored_of)))
 
     def table_for(transform) -> dict[str, str]:
         table = {}
-        for s, label in zip(states, labels):
-            result = transform(s)
+        for code, label in index.items():
             try:
-                table[label] = index[result]
+                table[label] = index[transform(code)]
             except KeyError:
                 raise CausalGroundError(
                     f"family is not closed under its actions at state {label!r}"
@@ -446,44 +474,25 @@ def build_bounded_model(
         a: TotalMap(micro_states, micro_states, table_for(transforms[a]))
         for a in family.actions
     }
+    micro_proc_table = {label: outcome_of[ab] for label, ab in x_table.items()}
     micro = ActionModel(
         micro_states,
         micro_outcomes,
         micro_gens,
-        TotalMap(micro_states, micro_outcomes, dict(outcome_of)),
+        TotalMap(micro_states, micro_outcomes, micro_proc_table),
     )
 
-    # Abstract quotient: one state per tag-forgotten class, represented by
-    # the first micro state enumerated in it.
-    ab_labels: list[str] = []
-    rep: dict[str, MicroState] = {}
-    x_table = {}
-    for s, label in zip(states, labels):
-        ab = family.abstract_label(s)
-        if ab not in rep:
-            rep[ab] = s
-            ab_labels.append(ab)
-        x_table[label] = ab
-
-    abstract_states = FiniteSet("X", tuple(ab_labels))
+    abstract_states = FiniteSet("X", tuple(rep))
     abstract_space = FactoredSpace(
         tuple((i, FiniteSet(f"Y({i})", STATUSES)) for i in family.ids)
     )
-
-    def ab_table_for(transform) -> dict[str, str]:
-        return {
-            ab: family.abstract_label(transform(rep[ab])) for ab in ab_labels
-        }
-
     abstract_gens = {
-        a: TotalMap(abstract_states, abstract_states, ab_table_for(transforms[a]))
-        for a in family.actions
-    }
-    ab_proc = {
-        ab: join_values(
-            [micro_proc(rep[ab], family.ids)[i] for i in family.ids]
+        a: TotalMap(
+            abstract_states,
+            abstract_states,
+            {ab: x_table[index[transforms[a](c)]] for ab, c in rep.items()},
         )
-        for ab in ab_labels
+        for a in family.actions
     }
     abstract = ActionModel(
         abstract_states,
@@ -492,7 +501,7 @@ def build_bounded_model(
         TotalMap(abstract_states, abstract_space.total, ab_proc),
     )
 
-    y_table = {label: factored_of[label] for label in micro_outcomes.elements}
+    y_table = {name: factored_of[name] for name in micro_outcomes.elements}
     morphism = ModelMorphism(
         micro,
         abstract,
@@ -511,17 +520,15 @@ def barrier_blind_morphism(
     variant; action squares for barrier edits and process squares for
     blocked chains stop commuting, which check_naturality must expose.
     """
-    micro = morphism.source
-    abstract = morphism.target
-    states = family.enumerate_states()
     blind = {}
-    for s in states:
-        cleared = MicroState(s.grid, s.dominoes, frozenset(), s.push)
-        blind[family.micro_label(s)] = family.abstract_label(cleared)
+    for code in family.codes():
+        tags, bits, push = code
+        cleared = _forget_tags((tags, (0,) * len(bits), push))
+        blind[family.label(code)] = family.label(cleared)
     return ModelMorphism(
-        micro,
-        abstract,
-        TotalMap(micro.states, abstract.states, blind),
+        morphism.source,
+        morphism.target,
+        TotalMap(morphism.source.states, morphism.target.states, blind),
         morphism.outcome_map,
         dict(morphism.alphabet_map),
     )
@@ -540,24 +547,16 @@ def _chain_family(
     actions: tuple[str, ...] = (),
 ) -> LineFamily:
     ids = tuple(f"d{i}" for i in range(1, n_ids + 1))
-    family = LineFamily(
+    max_dominoes = n_ids if max_dominoes is None else max_dominoes
+    chain = tuple(Domino(i, (x, 0), tag=tags[0]) for x, i in enumerate(ids[:max_dominoes]))
+    layout = MicroState((length, 1), chain)
+    return LineFamily(
         length,
         ids,
-        len(ids) if max_dominoes is None else max_dominoes,
+        max_dominoes,
         tags,
         tuple(range(1, length)) if barrier_edges is None else barrier_edges,
         ("E", "W"),
-        (),
-        actions,
-    )
-    layout = family.chain(n_ids if max_dominoes is None else max_dominoes)
-    return LineFamily(
-        family.length,
-        family.ids,
-        family.max_dominoes,
-        family.tags,
-        family.barrier_edges,
-        family.push_dirs,
         ((name, layout),),
         actions,
     )

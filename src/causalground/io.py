@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from typing import Any, Optional
 
 from .core import (
@@ -140,6 +141,8 @@ def model_from_dict(data: Any, file: str = "<inline>") -> ActionModel:
     gen_data = _expect(data["generators"], dict, file, "generators", "an object")
     generators = {}
     for label, gen_table in gen_data.items():
+        if "," in label:  # words are written and parsed comma-joined
+            raise SchemaError(file, f"generators.{label}", "label must not contain ','")
         _expect(gen_table, dict, file, f"generators.{label}", "an object")
         for state in states:
             if state not in gen_table:
@@ -468,10 +471,7 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
             raise SchemaError(file, path, str(exc)) from None
 
     actions = tuple(_string_list(spec.get("actions", []), file, "family.actions"))
-    return LineFamily(
-        length, ids, max_dominoes, tags, tuple(edges), push_dirs,
-        tuple(layouts), actions,
-    )
+    return replace(family, layouts=tuple(layouts), actions=actions)
 
 
 def load_family(path: str) -> LineFamily:

@@ -368,6 +368,27 @@ def test_check_surgical_context_mismatch_exits_two(workspace, capsys):
     assert "was built in context" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"tags": ["0", "-"]}, "other than '-'"),
+        ({"ids": ["d1", "d1"]}, "ids must be distinct"),
+        ({"max_dominoes": -1}, "max_dominoes must be non-negative"),
+    ],
+    ids=["absent-marker-tag", "duplicate-ids", "negative-max-dominoes"],
+)
+def test_malformed_family_exits_two(workspace, capsys, change, reason):
+    with open("family_tiny.json") as fh:
+        data = json.load(fh)
+    data["family"].update(change)
+    with open("bad_family.json", "w") as fh:
+        json.dump(data, fh)
+    code = run(["build-model", "--family", "bad_family.json", "--out", "models"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad_family.json: at family:" in err and reason in err
+
+
 def test_schema_error_names_file_and_path(workspace, capsys):
     with open("broken.json", "w") as fh:
         json.dump({

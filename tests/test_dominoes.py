@@ -1,3 +1,6 @@
+import json
+import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -10,16 +13,23 @@ from causalground.checkers import (
 )
 from causalground.core import CausalGroundError, image, outcome_map
 from causalground.dominoes import (
+    DIRECTIONS,
     Domino,
     LineFamily,
     MicroState,
     build_bounded_model,
     choose_push,
+    five_chain_family,
+    four_chain_family,
+    line6_family,
     micro_proc,
     place_domino,
     remove_domino,
     three_chain_family,
 )
+from causalground.io import model_to_dict, morphism_to_dict
+
+from oracles import reference_action_transforms, reference_build_bounded_model
 
 
 def chain(n, push=None, barriers=()):
@@ -226,3 +236,112 @@ def test_determination_of_next_by_previous(three_chain):
     result = check_determination(abstract, word, ("d2",), ("d3",))
     assert result.holds and not result.unique
     assert result.witness.table["fallen-E"] == "fallen-E"
+
+
+# --- the code build against the MicroState reference build -----------------
+
+def serialized(triple) -> str:
+    """The three build-model files as one string; key order counts."""
+    micro, abstract, morphism = triple
+    return json.dumps(
+        [model_to_dict(micro), model_to_dict(abstract), morphism_to_dict(morphism)]
+    )
+
+
+def assert_matches_reference(family):
+    assert serialized(build_bounded_model(family)) == serialized(
+        reference_build_bounded_model(family)
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [three_chain_family, four_chain_family, five_chain_family, line6_family],
+)
+def test_named_families_match_reference(make):
+    assert_matches_reference(make())
+
+
+def random_family(rng: random.Random, max_dominoes: int, base: LineFamily):
+    """``base``'s shape with a given cap and random in-family layouts."""
+    family = replace(base, max_dominoes=max_dominoes)
+    layouts = [("chain", family.chain(max_dominoes))]
+    for n in range(2):
+        chosen = rng.sample(family.ids, rng.randint(0, max_dominoes))
+        present = {i: rng.choice(family.tags) for i in chosen}
+        barriers = [e for e in family.barrier_edges if rng.random() < 0.5]
+        push = rng.choice(
+            [None] + [(i, d) for i in family.ids for d in family.push_dirs]
+        )
+        layouts.append((f"l{n}", family.state(present, barriers, push)))
+    return replace(family, layouts=tuple(layouts), actions=())
+
+
+def random_shape(seed: int) -> LineFamily:
+    """Seeded family shape with at most 600 states."""
+    rng = random.Random(seed)
+    while True:
+        ids = tuple(rng.sample("abcde", rng.randint(1, 5)))
+        length = rng.randint(len(ids), 5)
+        tags = tuple(rng.sample("012", rng.randint(1, 3)))
+        edges = [e for e in range(1, length) if rng.random() < 0.5]
+        rng.shuffle(edges)
+        dirs = tuple(rng.sample(DIRECTIONS, rng.randint(1, 4)))
+        shape = LineFamily(length, ids, len(ids), tags, tuple(edges), dirs)
+        if shape.state_count() <= 600:
+            return shape
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_families_match_reference(seed):
+    shape = random_shape(seed)
+    rng = random.Random(1000 + seed)
+    for max_dominoes in range(len(shape.ids) + 1):
+        family = random_family(rng, max_dominoes, shape)
+        # the default action list is every action, in the reference's order
+        assert family.actions == tuple(reference_action_transforms(family))
+        assert_matches_reference(family)
+
+
+BASE = LineFamily(3, ("d1", "d2"), 1, ("0",), (1,), ("E",))
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        BASE.state({"d1": "7"}),
+        BASE.state({}, barriers=[2]),
+        BASE.state({"d1": "0"}, push=("d1", "N")),
+        BASE.state({"d1": "0", "d2": "0"}),
+        MicroState((3, 1), (Domino("d1", (1, 0)),)),
+        MicroState((3, 1), (Domino("d1", (0, 0), ("S", "E", "S", "W")),)),
+    ],
+    ids=["foreign-tag", "disallowed-edge", "north-push", "too-many",
+         "off-home", "routing"],
+)
+def test_layout_outside_family_is_a_closure_error(layout):
+    family = replace(
+        BASE, layouts=(("bad", layout),), actions=("id", "remove-d1", "init-bad")
+    )
+    message = "family is not closed under its actions at state '--/b0/p-'"
+    with pytest.raises(CausalGroundError) as built:
+        build_bounded_model(family)
+    with pytest.raises(CausalGroundError) as reference:
+        reference_build_bounded_model(family)
+    assert str(built.value) == str(reference.value) == message
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        LineFamily(2, ("d1",), 1, push_dirs=("E", "E")),
+        LineFamily(3, ("d1",), 1, barrier_edges=(1, 1)),
+    ],
+    ids=["repeated-push-dir", "repeated-barrier-edge"],
+)
+def test_repeated_states_are_rejected(family):
+    message = "family state labels are not distinct"
+    with pytest.raises(CausalGroundError, match=message):
+        build_bounded_model(family)
+    with pytest.raises(CausalGroundError, match=message):
+        reference_build_bounded_model(family)

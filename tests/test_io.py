@@ -64,6 +64,15 @@ def test_model_non_total_generator_names_key():
     assert err.value.path == "generators.swap.x1"
 
 
+def test_model_generator_label_with_comma_rejected():
+    # words are comma-joined in mechanism records, so "s,w" would split
+    data = base_model_dict()
+    data["generators"]["s,w"] = data["generators"].pop("swap")
+    with pytest.raises(SchemaError) as err:
+        model_from_dict(data, "broken.json")
+    assert err.value.path == "generators.s,w"
+
+
 def test_model_value_outside_domain():
     data = base_model_dict()
     data["process"]["x1"] = ["0", "7"]
