@@ -15,12 +15,13 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .core import (
     ActionModel,
     CausalGroundError,
-    FiniteSet,
     TotalMap,
     Word,
+    _compose_table,
     _outcome_pair,
+    _project_outcomes,
     _Projector,
-    outcome_map,
+    outcome_map,  # noqa: F401  still bound here; bench/tracing.py patches it
 )
 
 
@@ -128,23 +129,23 @@ def _determination_violation(
     """First state where outcome_J != witness . outcome_I, or None."""
     oi, oj = _outcome_pair(model, word, vars_i, vars_j)
     for x in model.states.elements:
-        expected = witness.table[oi.table[x]]
-        actual = oj.table[x]
+        expected = witness.table[oi[x]]
+        actual = oj[x]
         if expected != actual:
             return x, expected, actual
     return None
 
 
 def _scan_determination(
-    states: Sequence[str],
+    model: ActionModel,
+    ids_i: tuple[str, ...],
+    ids_j: tuple[str, ...],
     table_i: Mapping[str, str],
     table_j: Mapping[str, str],
-    domain: FiniteSet,
-    codomain: FiniteSet,
 ) -> DeterminationResult:
     bound: dict[str, str] = {}
     binder: dict[str, str] = {}
-    for x in states:
+    for x in model.states.elements:
         yi = table_i[x]
         yj = table_j[x]
         if yi in bound:
@@ -153,6 +154,8 @@ def _scan_determination(
         else:
             bound[yi] = yj
             binder[yi] = x
+    domain = model.outcomes.subspace(ids_i).total
+    codomain = model.outcomes.subspace(ids_j).total
     fill = codomain.elements[0]
     witness = TotalMap(
         domain, codomain, {e: bound.get(e, fill) for e in domain.elements}
@@ -171,10 +174,11 @@ def check_determination(
     conflicting state pair.  Uniqueness of the witness is equivalent to
     outcome_I being surjective.
     """
-    oi, oj = _outcome_pair(model, word, vars_i, vars_j)
-    return _scan_determination(
-        model.states.elements, oi.table, oj.table, oi.codomain, oj.codomain
-    )
+    space = model.outcomes
+    ids_i = space.normalize_vars(vars_i)
+    ids_j = space.normalize_vars(vars_j)
+    oi, oj = _outcome_pair(model, word, ids_i, ids_j)
+    return _scan_determination(model, ids_i, ids_j, oi, oj)
 
 
 def check_effectiveness(
@@ -189,12 +193,12 @@ def check_effectiveness(
     after doing the context and then the word.
     """
     composite = tuple(word) + tuple(context)
-    oj = outcome_map(model, composite, vars_j)
+    oj = _project_outcomes(model, _compose_table(model, composite), vars_j)
     states = model.states.elements
     first = states[0]
-    value = oj.table[first]
+    value = oj[first]
     for x in states[1:]:
-        if oj.table[x] != value:
+        if oj[x] != value:
             return EffectivenessResult(False, None, (first, x))
     return EffectivenessResult(True, value, None)
 
@@ -240,28 +244,26 @@ def check_invariance(
     return InvarianceResult(False, state, expected, actual)
 
 
+def _first_difference(
+    model: ActionModel, first: Word, second: Word
+) -> CommutationResult:
+    """First state where the state maps of two words disagree, if any."""
+    f = _compose_table(model, first)
+    g = _compose_table(model, second)
+    for x in model.states.elements:
+        if f[x] != g[x]:
+            return CommutationResult(False, x, f[x], g[x])
+    return CommutationResult(True, None, None, None)
+
+
 def check_commute(model: ActionModel, a: str, b: str) -> CommutationResult:
     """Do two generators commute (do(a)do(b) = do(b)do(a))?"""
-    fa = model.generator(a)
-    fb = model.generator(b)
-    for x in model.states.elements:
-        ab = fa.table[fb.table[x]]
-        ba = fb.table[fa.table[x]]
-        if ab != ba:
-            return CommutationResult(False, x, ab, ba)
-    return CommutationResult(True, None, None, None)
+    return _first_difference(model, (a, b), (b, a))
 
 
 def check_overwrite(model: ActionModel, a: str, b: str) -> CommutationResult:
     """Does a overwrite b (do(a)do(b) = do(a))?"""
-    fa = model.generator(a)
-    fb = model.generator(b)
-    for x in model.states.elements:
-        ab = fa.table[fb.table[x]]
-        a_only = fa.table[x]
-        if ab != a_only:
-            return CommutationResult(False, x, ab, a_only)
-    return CommutationResult(True, None, None, None)
+    return _first_difference(model, (a, b), (a,))
 
 
 def _probe_words(model: ActionModel, depth: int) -> list[tuple[str, ...]]:
@@ -315,7 +317,6 @@ def probe_record(
 def _minimal_unique_determination(
     model: ActionModel,
     target: str,
-    word: Word,
     max_parents: int,
     full_table: Mapping[str, str],
 ) -> Optional[tuple[tuple[str, ...], TotalMap]]:
@@ -326,16 +327,13 @@ def _minimal_unique_determination(
     """
     space = model.outcomes
     others = [v for v in space.var_ids if v != target]
-    states = model.states.elements
     project_j = _Projector(space, (target,))
     table_j = {x: project_j[y] for x, y in full_table.items()}
-    cod = space.subspace((target,)).total
     for size in range(0, max_parents + 1):
         for parents in combinations(others, size):
             project_i = _Projector(space, parents)
             table_i = {x: project_i[y] for x, y in full_table.items()}
-            dom = space.subspace(parents).total
-            result = _scan_determination(states, table_i, table_j, dom, cod)
+            result = _scan_determination(model, parents, (target,), table_i, table_j)
             if result.holds and result.unique:
                 return parents, result.witness
     return None
@@ -358,12 +356,10 @@ def discover_mechanisms(
     if max_parents < 0:
         raise PreconditionError("max_parents must be non-negative")
     space = model.outcomes
-    full = outcome_map(model, context)
+    full = _project_outcomes(model, _compose_table(model, context), None)
     records = []
     for target in space.var_ids:
-        found = _minimal_unique_determination(
-            model, target, context, max_parents, full.table
-        )
+        found = _minimal_unique_determination(model, target, max_parents, full)
         if found is None:
             continue
         parents, witness = found
@@ -422,9 +418,9 @@ def check_surgical(
     target = broken[0].target if len(broken) == 1 else None
     new_record: Optional[MechanismRecord] = None
     if target is not None:
-        full = outcome_map(model, new_word)
+        full = _project_outcomes(model, _compose_table(model, new_word), None)
         found = _minimal_unique_determination(
-            model, target, new_word, len(model.outcomes.var_ids) - 1, full.table
+            model, target, len(model.outcomes.var_ids) - 1, full
         )
         if found is None:
             reasons.append(

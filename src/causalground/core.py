@@ -295,6 +295,8 @@ class FactoredSpace:
 
     def subspace(self, var_ids: Iterable[str]) -> "FactoredSpace":
         ids = self.normalize_vars(var_ids)
+        if ids == self.var_ids:
+            return self
         return FactoredSpace(tuple((v, self.domain_of(v)) for v in ids))
 
     def split(self, element: str) -> tuple[str, ...]:
@@ -414,16 +416,21 @@ class ActionModel:
             raise UnknownLabelError(label, self.generators) from None
 
 
-def compose(model: ActionModel, word: Word) -> TotalMap:
-    """The state map of a word: rightmost label first, empty word = identity."""
-    maps = [model.generator(label) for label in word]
+def _compose_table(model: ActionModel, word: Word) -> dict[str, str]:
+    """The state table of a word: rightmost label first, empty word = identity."""
+    maps = [model.generator(label).table for label in word]
     table = {}
     for x in model.states.elements:
         v = x
         for m in reversed(maps):
-            v = m.table[v]
+            v = m[v]
         table[x] = v
-    return TotalMap(model.states, model.states, table)
+    return table
+
+
+def compose(model: ActionModel, word: Word) -> TotalMap:
+    """The state map of a word: rightmost label first, empty word = identity."""
+    return TotalMap(model.states, model.states, _compose_table(model, word))
 
 
 def outcome_map(
@@ -435,7 +442,10 @@ def outcome_map(
     unit set.  With an empty word and all variables this is the process
     itself.
     """
-    return _project_outcomes(model, compose(model, word), variables)
+    space = model.outcomes
+    ids = space.normalize_vars(variables)
+    table = _project_outcomes(model, _compose_table(model, word), ids)
+    return TotalMap(model.states, space.subspace(ids).total, table)
 
 
 def _outcome_pair(
@@ -443,31 +453,23 @@ def _outcome_pair(
     word: Word,
     vars_i: Optional[Iterable[str]],
     vars_j: Optional[Iterable[str]],
-) -> tuple[TotalMap, TotalMap]:
-    """The I- and J-outcome maps of a word, composing the word once."""
-    do = compose(model, word)
+) -> tuple[dict[str, str], dict[str, str]]:
+    """The I- and J-outcome tables of a word, composing the word once."""
+    do = _compose_table(model, word)
     return _project_outcomes(model, do, vars_i), _project_outcomes(model, do, vars_j)
 
 
 def _project_outcomes(
-    model: ActionModel, do: TotalMap, variables: Optional[Iterable[str]]
-) -> TotalMap:
-    """project . process . do for a state map ``do`` built by ``compose``."""
+    model: ActionModel, do: dict[str, str], variables: Optional[Iterable[str]]
+) -> dict[str, str]:
+    """The table of project . process . do for a state table ``do``."""
     space = model.outcomes
     ids = space.normalize_vars(variables)
     process = model.process.table
     if ids == space.var_ids:
-        return TotalMap(
-            model.states,
-            space.total,
-            {x: process[y] for x, y in do.table.items()},
-        )
+        return {x: process[y] for x, y in do.items()}
     project = _Projector(space, ids)
-    return TotalMap(
-        model.states,
-        space.subspace(ids).total,
-        {x: project[process[y]] for x, y in do.table.items()},
-    )
+    return {x: project[process[y]] for x, y in do.items()}
 
 
 def image(f: TotalMap) -> list[str]:

@@ -20,6 +20,7 @@ from .core import (
     FactoredSpace,
     FiniteSet,
     ID_LABEL,
+    SEP,
     TotalMap,
     join_values,
 )
@@ -32,7 +33,7 @@ from .dominoes import (
     edge_between,
     routing_from_mapping,
 )
-from .scm import Scm
+from .scm import DEFAULT_SLOT, Scm
 
 
 class SchemaError(CausalGroundError):
@@ -74,6 +75,21 @@ def _string_list(data: Any, file: str, path: str) -> list[str]:
     _expect(data, list, file, path, "a list of strings")
     for i, item in enumerate(data):
         _expect(item, str, file, f"{path}[{i}]", "a string")
+    return data
+
+
+def _string_map(data: Any, file: str, path: str) -> dict[str, str]:
+    _expect(data, dict, file, path, "an object of strings")
+    for key, value in data.items():
+        if not isinstance(value, str):  # inline: state maps have ~50k entries
+            raise SchemaError(file, f"{path}.{key}", "expected a string")
+    return data
+
+
+def _int_list(data: Any, file: str, path: str) -> list[int]:
+    _expect(data, list, file, path, "a list of integers")
+    for i, item in enumerate(data):
+        _expect(item, int, file, f"{path}[{i}]", "an integer")
     return data
 
 
@@ -216,7 +232,7 @@ def load_morphism(path: str) -> ModelMorphism:
     source = _resolve_model(data["source_model"], path, "source_model", base_dir)
     target = _resolve_model(data["target_model"], path, "target_model", base_dir)
 
-    state_data = _expect(data["state_map"], dict, path, "state_map", "an object")
+    state_data = _string_map(data["state_map"], path, "state_map")
     for s in source.states.elements:
         if s not in state_data:
             raise SchemaError(path, f"state_map.{s}", "missing entry for state")
@@ -240,7 +256,7 @@ def load_morphism(path: str) -> ModelMorphism:
 
     alphabet = data.get("alphabet_map")
     if alphabet is not None:
-        _expect(alphabet, dict, path, "alphabet_map", "an object")
+        _string_map(alphabet, path, "alphabet_map")
     try:
         return ModelMorphism(source, target, state_map, outcome_map, alphabet)
     except ValueError as exc:
@@ -266,6 +282,24 @@ def morphism_to_dict(
 
 # --- SCMs --------------------------------------------------------------------
 
+def _scm_variable(
+    entry: Any, file: str, path: str, reserved: tuple[str, ...]
+) -> tuple[str, FiniteSet]:
+    """An SCM variable's id and domain; values must avoid the reserved tokens."""
+    _expect(entry, dict, file, path, "an object")
+    vid = _expect(entry.get("id"), str, file, f"{path}.id", "a string")
+    values = _string_list(entry.get("values"), file, f"{path}.values")
+    tokens = (SEP,) + reserved
+    for value in values:
+        if SEP in value or value in reserved:
+            reason = f"value {value!r} clashes with the reserved tokens {tokens}"
+            raise SchemaError(file, f"{path}.values", reason)
+    try:
+        return vid, FiniteSet(vid, tuple(values))
+    except ValueError as exc:
+        raise SchemaError(file, f"{path}.values", str(exc)) from None
+
+
 def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
     _expect(data, dict, file, "$", "an object")
     endo_data = _expect(data.get("endogenous"), list, file, "endogenous", "a list")
@@ -278,27 +312,16 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
             file, "exogenous", "more exogenous than endogenous variables"
         )
 
-    exogenous = []
-    for i, entry in enumerate(exo_data):
-        _expect(entry, dict, file, f"exogenous[{i}]", "an object")
-        uid = _expect(entry.get("id"), str, file, f"exogenous[{i}].id", "a string")
-        values = _string_list(entry.get("values"), file, f"exogenous[{i}].values")
-        try:
-            exogenous.append((uid, FiniteSet(uid, tuple(values))))
-        except ValueError as exc:
-            raise SchemaError(file, f"exogenous[{i}].values", str(exc)) from None
-
+    exogenous = [
+        _scm_variable(entry, file, f"exogenous[{i}]", ())
+        for i, entry in enumerate(exo_data)
+    ]
     endogenous = []
     parents = {}
     functions = {}
     for i, entry in enumerate(endo_data):
-        _expect(entry, dict, file, f"endogenous[{i}]", "an object")
-        vid = _expect(entry.get("id"), str, file, f"endogenous[{i}].id", "a string")
-        values = _string_list(entry.get("values"), file, f"endogenous[{i}].values")
-        try:
-            endogenous.append((vid, FiniteSet(vid, tuple(values))))
-        except ValueError as exc:
-            raise SchemaError(file, f"endogenous[{i}].values", str(exc)) from None
+        vid, dom = _scm_variable(entry, file, f"endogenous[{i}]", (DEFAULT_SLOT,))
+        endogenous.append((vid, dom))
         parents[vid] = tuple(
             _string_list(entry.get("parents", []), file, f"endogenous[{i}].parents")
         )
@@ -370,6 +393,18 @@ def _cell(data: Any, file: str, path: str) -> tuple[int, int]:
     return (data[0], data[1])
 
 
+def _edge(data: Any, file: str, path: str):
+    _expect(data, list, file, path, "a pair of cells")
+    if len(data) != 2:
+        raise SchemaError(file, path, "expected two cells")
+    a = _cell(data[0], file, f"{path}[0]")
+    b = _cell(data[1], file, f"{path}[1]")
+    try:
+        return edge_between(a, b)
+    except ValueError as exc:
+        raise SchemaError(file, path, str(exc)) from None
+
+
 def scenario_from_dict(data: Any, file: str = "<inline>"):
     """Parse a scenario file into (state, census, action descriptors)."""
     _expect(data, dict, file, "$", "an object")
@@ -391,17 +426,10 @@ def scenario_from_dict(data: Any, file: str = "<inline>"):
         tag = str(entry.get("tag", "0"))
         dominoes.append(Domino(did, cell, routing, tag))
         census.append(did)
-    barriers = set()
-    for i, entry in enumerate(data.get("barriers", [])):
-        _expect(entry, list, file, f"barriers[{i}]", "a pair of cells")
-        if len(entry) != 2:
-            raise SchemaError(file, f"barriers[{i}]", "expected two cells")
-        a = _cell(entry[0], file, f"barriers[{i}][0]")
-        b = _cell(entry[1], file, f"barriers[{i}][1]")
-        try:
-            barriers.add(edge_between(a, b))
-        except ValueError as exc:
-            raise SchemaError(file, f"barriers[{i}]", str(exc)) from None
+    barrier_data = _expect(data.get("barriers", []), list, file, "barriers", "a list")
+    barriers = {
+        _edge(entry, file, f"barriers[{i}]") for i, entry in enumerate(barrier_data)
+    }
     push = None
     push_data = data.get("push")
     if push_data is not None:
@@ -413,9 +441,18 @@ def scenario_from_dict(data: Any, file: str = "<inline>"):
     actions = data.get("actions", [])
     _expect(actions, list, file, "actions", "a list")
     for i, entry in enumerate(actions):
-        _expect(entry, dict, file, f"actions[{i}]", "an object")
+        path = f"actions[{i}]"
+        _expect(entry, dict, file, path, "an object")
         if "action" not in entry:
-            raise SchemaError(file, f"actions[{i}].action", "missing required key")
+            raise SchemaError(file, f"{path}.action", "missing required key")
+        if "id" in entry:
+            _expect(entry["id"], str, file, f"{path}.id", "a string")
+        if "cell" in entry:
+            _cell(entry["cell"], file, f"{path}.cell")
+        if "edge" in entry:
+            _edge(entry["edge"], file, f"{path}.edge")
+        if entry.get("routing") is not None:
+            _expect(entry["routing"], dict, file, f"{path}.routing", "an object")
     try:
         state = MicroState(grid, tuple(dominoes), frozenset(barriers), push)
     except ValueError as exc:
@@ -436,8 +473,7 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
         spec.get("max_dominoes", len(ids)), int, file, "family.max_dominoes", "an integer"
     )
     tags = tuple(_string_list(spec.get("tags", ["0"]), file, "family.tags"))
-    edges = spec.get("barrier_edges", [])
-    _expect(edges, list, file, "family.barrier_edges", "a list of integers")
+    edges = _int_list(spec.get("barrier_edges", []), file, "family.barrier_edges")
     push_dirs = tuple(
         _string_list(spec.get("push_dirs", ["E", "W"]), file, "family.push_dirs")
     )
@@ -457,14 +493,13 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
             count = _expect(layout_data["chain"], int, file, f"{path}.chain", "an integer")
             layouts.append((name, family.chain(count)))
             continue
-        present_data = _expect(
-            layout_data.get("present"), dict, file, f"{path}.present", "an object"
-        )
-        barriers = layout_data.get("barriers", [])
-        _expect(barriers, list, file, f"{path}.barriers", "a list")
+        present_data = _string_map(layout_data.get("present"), file, f"{path}.present")
+        barriers = _int_list(layout_data.get("barriers", []), file, f"{path}.barriers")
         push = layout_data.get("push")
         if push is not None:
             push = tuple(_string_list(push, file, f"{path}.push"))
+            if len(push) != 2:
+                raise SchemaError(file, f"{path}.push", "expected [id, dir]")
         try:
             layouts.append((name, family.state(present_data, barriers, push)))
         except (ValueError, KeyError) as exc:
@@ -484,7 +519,7 @@ def witness_from_dict(
     data: Any, domain: FiniteSet, codomain: FiniteSet, file: str = "<inline>"
 ) -> TotalMap:
     _expect(data, dict, file, "$", "an object")
-    table = _expect(data.get("table"), dict, file, "table", "an object")
+    table = _string_map(data.get("table"), file, "table")
     try:
         return TotalMap(domain, codomain, dict(table))
     except ValueError as exc:
@@ -537,7 +572,10 @@ def records_from_dict(
             _string_list(entry.get("invariant_under", []), file, f"[{i}].invariant_under")
         )
         violated = []
-        for j, pair in enumerate(entry.get("violated_by", [])):
+        violated_data = _expect(
+            entry.get("violated_by", []), list, file, f"[{i}].violated_by", "a list"
+        )
+        for j, pair in enumerate(violated_data):
             pair = _string_list(pair, file, f"[{i}].violated_by[{j}]")
             if len(pair) != 2:
                 raise SchemaError(

@@ -19,16 +19,26 @@ from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
+    ID_LABEL,
     ActionModel,
     CausalGroundError,
     FactoredSpace,
     FiniteSet,
     SEP,
     TotalMap,
+    Word,
+    _compose_table,
+    _project_outcomes,
     check_enumeration_bound,
     join_values,
 )
-from .checkers import MechanismRecord, probe_record
+from .checkers import (
+    MechanismRecord,
+    _determination_violation,
+    check_commute,
+    check_overwrite,
+    probe_record,
+)
 
 #: Mechanism-slot token selecting the structural function for a variable.
 DEFAULT_SLOT = "default"
@@ -342,11 +352,26 @@ LAW_DETERMINATION = "determination"
 LAW_INVARIANCE = "determination-invariance"
 
 
-def _mechanism_predictor(scm: Scm, vid: str, slot: str):
-    """Predicted value of vid from (parent values, noise value) under a slot."""
-    if slot == DEFAULT_SLOT:
-        return lambda pa, u_val: scm.functions[vid][pa + (u_val,)]
-    return lambda pa, u_val: slot
+def _mechanism_witness(
+    scm: Scm, space: FactoredSpace, vid: str, slot: str
+) -> TotalMap:
+    """The mechanism a slot makes active for vid, as a map on outcomes.
+
+    Its domain is the outcome subspace of vid's paired noise and parents
+    (in declared order), its codomain vid's own subspace.  The default slot
+    reads the structural function; a value slot is the constant map.
+    """
+    u = scm.noise_id(vid)
+    dom_ids = space.normalize_vars((u,) + scm.parents[vid])
+    sub = space.subspace(dom_ids)
+    target_total = space.subspace((vid,)).total
+    if slot != DEFAULT_SLOT:
+        return TotalMap.constant(sub.total, target_total, slot)
+    table = {}
+    for element in sub.total.elements:
+        row = dict(zip(dom_ids, sub.split(element)))
+        table[element] = scm.evaluate(vid, row, row[u])
+    return TotalMap(sub.total, target_total, table)
 
 
 def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
@@ -357,131 +382,78 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
     overwrite, (3) no generator changes the exogenous part of the outcome,
     (4) after init or a value intervention, the target variable is
     determined by its parents and noise via the active mechanism, and
-    (5) law 4 survives any later intervention on other variables.
+    (5) law 4 survives any later intervention on other variables.  Laws
+    1, 2, 4 and 5 run the generic checkers; each violation names the first
+    offending state.
     """
-    expected_labels = {INIT_LABEL, "id"}
-    for vid in scm.endo_ids:
-        for value in scm.domain_of(vid).elements:
-            expected_labels.add(set_label(vid, value))
-    if set(model.generators) != expected_labels:
+    endo = scm.endo_ids
+    set_labels = {
+        vid: [set_label(vid, value) for value in scm.domain_of(vid).elements]
+        for vid in endo
+    }
+    if set(model.generators) != {INIT_LABEL, ID_LABEL}.union(*set_labels.values()):
         raise ValueError("model generators do not match the SCM encoding")
-
-    states = model.states.elements
-    split_cache = {e: e.split(SEP) for e in model.outcomes.total.elements}
-    positions = {v: i for i, v in enumerate(model.outcomes.var_ids)}
-    proc = model.process.table
-
-    def outcome_table(word: tuple[str, ...]) -> dict[str, str]:
-        table = {}
-        for x in states:
-            v = x
-            for lab in reversed(word):
-                v = model.generators[lab].table[v]
-            table[x] = proc[v]
-        return table
-
     violations: list[LawViolation] = []
     checked: list[tuple[str, int]] = []
 
-    set_labels = {
-        vid: [set_label(vid, value) for value in scm.domain_of(vid).elements]
-        for vid in scm.endo_ids
-    }
+    def tally(law: str, cases: Iterable[tuple[str, Optional[str]]]) -> None:
+        """Record each (subject, first offending state or None) of a law."""
+        cases = list(cases)
+        violations.extend(LawViolation(law, s, x) for s, x in cases if x is not None)
+        checked.append((law, len(cases)))
 
-    count = 0
-    for i, vi in enumerate(scm.endo_ids):
-        for vj in scm.endo_ids[i + 1 :]:
-            for a in set_labels[vi]:
-                for b in set_labels[vj]:
-                    count += 1
-                    fa = model.generators[a].table
-                    fb = model.generators[b].table
-                    for x in states:
-                        if fa[fb[x]] != fb[fa[x]]:
-                            violations.append(
-                                LawViolation(LAW_COMMUTE, f"{a} vs {b}", x)
-                            )
-                            break
-    checked.append((LAW_COMMUTE, count))
+    tally(LAW_COMMUTE, (
+        (f"{a} vs {b}", check_commute(model, a, b).state)
+        for i, vi in enumerate(endo)
+        for vj in endo[i + 1 :]
+        for a in set_labels[vi]
+        for b in set_labels[vj]
+    ))
+    tally(LAW_OVERWRITE, (
+        (f"{a} after {b}", check_overwrite(model, a, b).state)
+        for vid in endo
+        for a in set_labels[vid]
+        for b in set_labels[vid]
+    ))
 
-    count = 0
-    for vid in scm.endo_ids:
-        for a in set_labels[vid]:
-            for b in set_labels[vid]:
-                count += 1
-                fa = model.generators[a].table
-                fb = model.generators[b].table
-                for x in states:
-                    if fa[fb[x]] != fa[x]:
-                        violations.append(
-                            LawViolation(LAW_OVERWRITE, f"{a} after {b}", x)
-                        )
-                        break
-    checked.append((LAW_OVERWRITE, count))
+    states = model.states.elements
+    before = _project_outcomes(model, _compose_table(model, ()), scm.exo_ids)
 
-    exo_pos = [positions[uid] for uid in scm.exo_ids]
-    base_outcome = outcome_table(())
-    count = 0
-    for label in model.generators:
-        count += 1
-        acted = outcome_table((label,))
-        for x in states:
-            before = split_cache[base_outcome[x]]
-            after = split_cache[acted[x]]
-            if any(before[p] != after[p] for p in exo_pos):
-                violations.append(LawViolation(LAW_U_INVARIANT, label, x))
-                break
-    checked.append((LAW_U_INVARIANT, count))
+    def u_changed(generator: TotalMap) -> Optional[str]:
+        after = _project_outcomes(model, generator.table, scm.exo_ids)
+        return next((x for x in states if after[x] != before[x]), None)
 
-    def determination_violation(
-        word: tuple[str, ...], vid: str, predict
-    ) -> Optional[str]:
-        table = word_tables.setdefault(word, outcome_table(word))
-        pa_pos = [positions[p] for p in scm.parents[vid]]
-        u_pos = positions[scm.noise_id(vid)]
-        v_pos = positions[vid]
-        for x in states:
-            values = split_cache[table[x]]
-            pa = tuple(values[p] for p in pa_pos)
-            if predict(pa, values[u_pos]) != values[v_pos]:
-                return x
-        return None
+    tally(LAW_U_INVARIANT, (
+        (label, u_changed(generator)) for label, generator in model.generators.items()
+    ))
 
-    word_tables: dict[tuple[str, ...], dict[str, str]] = {}
-    base_mechs = []
-    for vid in scm.endo_ids:
-        base_mechs.append((vid, INIT_LABEL, DEFAULT_SLOT))
-        for value in scm.domain_of(vid).elements:
-            base_mechs.append((vid, set_label(vid, value), value))
+    mechanisms = [
+        (vid, label, _mechanism_witness(scm, model.outcomes, vid, slot))
+        for vid in endo
+        for label, slot in [
+            (INIT_LABEL, DEFAULT_SLOT),
+            *zip(set_labels[vid], scm.domain_of(vid).elements),
+        ]
+    ]
 
-    count = 0
-    for vid, label, slot in base_mechs:
-        count += 1
-        state = determination_violation((label,), vid, _mechanism_predictor(scm, vid, slot))
-        if state is not None:
-            violations.append(
-                LawViolation(LAW_DETERMINATION, f"{vid} after {label}", state)
-            )
-    checked.append((LAW_DETERMINATION, count))
+    def undetermined(word: Word, vid: str, witness: TotalMap) -> Optional[str]:
+        """First state where vid's outcome breaks the mechanism's prediction."""
+        parents = (scm.noise_id(vid),) + scm.parents[vid]
+        hit = _determination_violation(model, word, parents, (vid,), witness)
+        return hit and hit[0]
 
-    count = 0
-    for vid, label, slot in base_mechs:
-        laters = ["id"]
-        for other in scm.endo_ids:
-            if other != vid:
-                laters.extend(set_labels[other])
-        predict = _mechanism_predictor(scm, vid, slot)
-        for later in laters:
-            count += 1
-            state = determination_violation((later, label), vid, predict)
-            if state is not None:
-                violations.append(
-                    LawViolation(
-                        LAW_INVARIANCE, f"{vid} after {label}, then {later}", state
-                    )
-                )
-    checked.append((LAW_INVARIANCE, count))
-
+    tally(LAW_DETERMINATION, (
+        (f"{vid} after {label}", undetermined((label,), vid, witness))
+        for vid, label, witness in mechanisms
+    ))
+    tally(LAW_INVARIANCE, (
+        (
+            f"{vid} after {label}, then {later}",
+            undetermined((later, label), vid, witness),
+        )
+        for vid, label, witness in mechanisms
+        for later in [ID_LABEL] + [b for v in endo if v != vid for b in set_labels[v]]
+    ))
     return LawReport(not violations, tuple(checked), tuple(violations))
 
 
@@ -494,23 +466,12 @@ def default_mechanism_records(
     paired noise via its structural function after initialization, probed
     for invariance against every generator.
     """
-    space = model.outcomes
     records = []
     for vid in scm.endo_ids:
-        dom_ids = space.normalize_vars((scm.noise_id(vid),) + scm.parents[vid])
-        sub = space.subspace(dom_ids)
-        target_total = space.subspace((vid,)).total
-        order = {v: i for i, v in enumerate(dom_ids)}
-        pa_at = [order[p] for p in scm.parents[vid]]
-        u_at = order[scm.noise_id(vid)]
-        table = {}
-        for element in sub.total.elements:
-            values = sub.split(element)
-            key = tuple(values[i] for i in pa_at) + (values[u_at],)
-            table[element] = scm.functions[vid][key]
-        witness = TotalMap(sub.total, target_total, table)
+        witness = _mechanism_witness(scm, model.outcomes, vid, DEFAULT_SLOT)
+        parents = (scm.noise_id(vid),) + scm.parents[vid]
         records.append(
-            probe_record(model, vid, dom_ids, witness, (INIT_LABEL,), probe_depth)
+            probe_record(model, vid, parents, witness, (INIT_LABEL,), probe_depth)
         )
     return records
 

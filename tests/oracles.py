@@ -3,7 +3,9 @@
 The determination oracle enumerates every candidate map between the
 variable subspaces instead of constructing a witness, so it shares no
 code path with the checker it validates.  The reference family build
-works on validated MicroStates instead of state codes.
+works on validated MicroStates instead of state codes.  The reference SCM
+law suite evaluates words and structural functions by hand instead of
+running the checkers.
 """
 
 from __future__ import annotations
@@ -22,6 +24,19 @@ from causalground.core import (
     TotalMap,
     join_values,
     outcome_map,
+)
+from causalground.scm import (
+    DEFAULT_SLOT,
+    INIT_LABEL,
+    LAW_COMMUTE,
+    LAW_DETERMINATION,
+    LAW_INVARIANCE,
+    LAW_OVERWRITE,
+    LAW_U_INVARIANT,
+    LawReport,
+    LawViolation,
+    Scm,
+    set_label,
 )
 from causalground.dominoes import (
     IDENTITY_ROUTING,
@@ -277,3 +292,139 @@ def reference_build_bounded_model(family: LineFamily):
         TotalMap(micro_outcomes, abstract_space.total, y_table),
     )
     return micro, abstract, morphism
+
+
+def reference_verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
+    """The five SCM laws by hand-written scans over split outcome labels.
+
+    Evaluates every word itself and predicts each variable straight from
+    the structural function or the slot value, sharing no code with the
+    generic checkers the library's law suite runs on.
+    """
+    expected_labels = {INIT_LABEL, "id"}
+    for vid in scm.endo_ids:
+        for value in scm.domain_of(vid).elements:
+            expected_labels.add(set_label(vid, value))
+    if set(model.generators) != expected_labels:
+        raise ValueError("model generators do not match the SCM encoding")
+
+    states = model.states.elements
+    split_cache = {e: e.split(SEP) for e in model.outcomes.total.elements}
+    positions = {v: i for i, v in enumerate(model.outcomes.var_ids)}
+    proc = model.process.table
+
+    def outcome_table(word):
+        table = {}
+        for x in states:
+            v = x
+            for lab in reversed(word):
+                v = model.generators[lab].table[v]
+            table[x] = proc[v]
+        return table
+
+    def predictor(vid, slot):
+        if slot == DEFAULT_SLOT:
+            return lambda pa, u_val: scm.functions[vid][pa + (u_val,)]
+        return lambda pa, u_val: slot
+
+    violations = []
+    checked = []
+    set_labels = {
+        vid: [set_label(vid, value) for value in scm.domain_of(vid).elements]
+        for vid in scm.endo_ids
+    }
+
+    count = 0
+    for i, vi in enumerate(scm.endo_ids):
+        for vj in scm.endo_ids[i + 1 :]:
+            for a in set_labels[vi]:
+                for b in set_labels[vj]:
+                    count += 1
+                    fa = model.generators[a].table
+                    fb = model.generators[b].table
+                    for x in states:
+                        if fa[fb[x]] != fb[fa[x]]:
+                            violations.append(
+                                LawViolation(LAW_COMMUTE, f"{a} vs {b}", x)
+                            )
+                            break
+    checked.append((LAW_COMMUTE, count))
+
+    count = 0
+    for vid in scm.endo_ids:
+        for a in set_labels[vid]:
+            for b in set_labels[vid]:
+                count += 1
+                fa = model.generators[a].table
+                fb = model.generators[b].table
+                for x in states:
+                    if fa[fb[x]] != fa[x]:
+                        violations.append(
+                            LawViolation(LAW_OVERWRITE, f"{a} after {b}", x)
+                        )
+                        break
+    checked.append((LAW_OVERWRITE, count))
+
+    exo_pos = [positions[uid] for uid in scm.exo_ids]
+    base_outcome = outcome_table(())
+    count = 0
+    for label in model.generators:
+        count += 1
+        acted = outcome_table((label,))
+        for x in states:
+            before = split_cache[base_outcome[x]]
+            after = split_cache[acted[x]]
+            if any(before[p] != after[p] for p in exo_pos):
+                violations.append(LawViolation(LAW_U_INVARIANT, label, x))
+                break
+    checked.append((LAW_U_INVARIANT, count))
+
+    word_tables = {}
+
+    def determination_violation(word, vid, predict):
+        table = word_tables.setdefault(word, outcome_table(word))
+        pa_pos = [positions[p] for p in scm.parents[vid]]
+        u_pos = positions[scm.noise_id(vid)]
+        v_pos = positions[vid]
+        for x in states:
+            values = split_cache[table[x]]
+            pa = tuple(values[p] for p in pa_pos)
+            if predict(pa, values[u_pos]) != values[v_pos]:
+                return x
+        return None
+
+    base_mechs = []
+    for vid in scm.endo_ids:
+        base_mechs.append((vid, INIT_LABEL, DEFAULT_SLOT))
+        for value in scm.domain_of(vid).elements:
+            base_mechs.append((vid, set_label(vid, value), value))
+
+    count = 0
+    for vid, label, slot in base_mechs:
+        count += 1
+        state = determination_violation((label,), vid, predictor(vid, slot))
+        if state is not None:
+            violations.append(
+                LawViolation(LAW_DETERMINATION, f"{vid} after {label}", state)
+            )
+    checked.append((LAW_DETERMINATION, count))
+
+    count = 0
+    for vid, label, slot in base_mechs:
+        laters = ["id"]
+        for other in scm.endo_ids:
+            if other != vid:
+                laters.extend(set_labels[other])
+        predict = predictor(vid, slot)
+        for later in laters:
+            count += 1
+            state = determination_violation((later, label), vid, predict)
+            if state is not None:
+                violations.append(
+                    LawViolation(
+                        LAW_INVARIANCE, f"{vid} after {label}, then {later}", state
+                    )
+                )
+    checked.append((LAW_INVARIANCE, count))
+
+    return LawReport(not violations, tuple(checked), tuple(violations))

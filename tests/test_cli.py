@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
+from causalground.checkers import discover_mechanisms
 from causalground.cli import run
 from causalground.dominoes import barrier_blind_morphism, build_bounded_model
 from causalground.io import (
     dump_json,
     load_family,
+    load_model,
     model_to_dict,
     morphism_to_dict,
     record_to_dict,
@@ -387,6 +389,92 @@ def test_malformed_family_exits_two(workspace, capsys, change, reason):
     err = capsys.readouterr().err
     assert code == 2
     assert "bad_family.json: at family:" in err and reason in err
+
+
+def _set(path, value):
+    """An edit that puts a value at a key path of a JSON document."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+SURGICAL = ["check-surgical", "--model", "model_pair.json", "--word", "swap",
+            "--mechanisms", "mechs.json", "--context", "const"]
+BUILD = ["build-model", "--family", "family_tiny.json", "--out", "models"]
+NATURALITY = ["check-naturality", "--morphism", "morphism.json"]
+INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "const",
+              "--word", "swap", "--vars-i", "v1", "--vars-j", "v2",
+              "--witness", "witness.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, name, edit, path",
+    [
+        (SURGICAL, "mechs.json", _set((0, "violated_by"), 5), "[0].violated_by"),
+        (["simulate", "--scenario", "scenario_chain3.json"], "scenario_chain3.json",
+         _set(("barriers",), 5), "barriers"),
+        (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), ["x"]),
+         "family.barrier_edges[0]"),
+        (BUILD, "family_tiny.json",
+         _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "barriers": ["q"]}),
+         "family.layouts.pair.barriers[0]"),
+        (NATURALITY, "morphism.json", _set(("state_map", "x1"), ["x1"]),
+         "state_map.x1"),
+        (NATURALITY, "morphism.json", _set(("alphabet_map", "swap"), ["swap"]),
+         "alphabet_map.swap"),
+        (INVARIANCE, "witness.json", _set(("table", "0"), ["0"]), "table.0"),
+    ],
+    ids=["violated-by", "scenario-barriers", "barrier-edges", "layout-barriers",
+         "state-map", "alphabet-map", "witness-table"],
+)
+def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
+    model = load_model("model_pair.json")
+    docs = {
+        "mechs.json": [
+            record_to_dict(r) for r in discover_mechanisms(model, ("const",), 1)
+        ],
+        "morphism.json": {
+            "source_model": "model_pair.json",
+            "target_model": "model_pair.json",
+            "state_map": {"x1": "x1", "x2": "x2"},
+            "outcome_map": {y: y.split("|") for y in model.outcomes.total.elements},
+            "alphabet_map": {a: a for a in model.generators},
+        },
+        "witness.json": {"table": {"0": "0", "1": "1"}},
+    }
+    if name not in docs:
+        with open(name) as fh:
+            docs[name] = json.load(fh)
+    edit(docs[name])
+    with open(name, "w") as fh:
+        json.dump(docs[name], fh)
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{name}: at {path}:" in err
+
+
+@pytest.mark.parametrize(
+    "command, section, index, value",
+    [
+        ("verify-scm-laws", "endogenous", 1, "default"),
+        ("encode-scm", "endogenous", 1, "2|3"),
+        ("verify-scm-laws", "exogenous", 0, "1|1"),
+    ],
+    ids=["slot-token", "endogenous-separator", "exogenous-separator"],
+)
+def test_reserved_scm_value_exits_two(workspace, capsys, command, section, index, value):
+    with open("scm_xor.json") as fh:
+        data = json.load(fh)
+    data[section][index]["values"].append(value)
+    with open("scm_xor.json", "w") as fh:
+        json.dump(data, fh)
+    code = run([command, "--scm", "scm_xor.json", "--out", "xor_model.json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"scm_xor.json: at {section}[{index}].values: value {value!r}" in err
 
 
 def test_schema_error_names_file_and_path(workspace, capsys):

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from causalground.checkers import check_commute, check_determination, check_surgical
-from causalground.core import FiniteSet, SEP, TotalMap
+from causalground.core import ActionModel, FiniteSet, SEP, TotalMap
 from causalground.scm import (
     DEFAULT_SLOT,
     CyclicScmError,
@@ -20,6 +20,8 @@ from causalground.scm import (
     verify_scm_laws,
 )
 from causalground.io import scm_to_dict
+
+from oracles import reference_verify_scm_laws
 
 
 def binary(name):
@@ -211,8 +213,8 @@ def test_law_five_catches_leaky_intervention(xor_scm):
 
 
 def test_law_four_matches_generic_checker(xor_scm):
-    # the fast in-module law-4 scan agrees with the generic determination
-    # checker on the same instances
+    # law 4 holds exactly when the generic determination checker finds the
+    # mechanism's parents and noise determining its variable after init
     model = encode_scm(xor_scm)
     report = verify_scm_laws(model, xor_scm)
     assert report.ok
@@ -268,3 +270,88 @@ def test_singleton_random_scm():
     assert len(scm.endo_ids) == 1
     model = encode_scm(scm)
     assert verify_scm_laws(model, scm).ok
+
+
+def with_generator(model, label, table):
+    """The model with one generator's table replaced."""
+    gens = dict(model.generators)
+    gens[label] = TotalMap(model.states, model.states, table)
+    return ActionModel(model.states, model.outcomes, gens, model.process)
+
+
+def sabotage(model, label, edit):
+    """The model with one generator's targets rewritten by ``edit``.
+
+    ``edit(source, target)`` gets the split labels (slots, then noise
+    values) of each state and of its target, and changes the target in
+    place.
+    """
+    table = {}
+    for state, target in model.generators[label].table.items():
+        parts = target.split(SEP)
+        edit(state.split(SEP), parts)
+        table[state] = SEP.join(parts)
+    return with_generator(model, label, table)
+
+
+def _keep_v1_one(source, parts):
+    # set-V1=0 forgets to overwrite an earlier set-V1=1
+    if source[0] == "1":
+        parts[0] = "1"
+
+
+def _reset_v1(source, parts):
+    # set-V2=1 also hands V1 back to its structural function
+    parts[1] = "1"
+    parts[0] = DEFAULT_SLOT
+
+
+def _flip_u1(source, parts):
+    parts[2] = "1" if parts[2] == "0" else "0"
+
+
+def _init_pins_v1(source, parts):
+    # init leaves V1 intervened to 1 instead of resetting it
+    parts[0] = "1"
+
+
+def _leak_into_v2(source, parts):
+    parts[1] = "0"
+
+
+@pytest.mark.parametrize(
+    "label, edit, law, subject",
+    [
+        ("set-V2=1", _reset_v1, "commute", "set-V1=0 vs set-V2=1"),
+        ("set-V1=0", _keep_v1_one, "overwrite", "set-V1=0 after set-V1=1"),
+        ("init", _flip_u1, "u-invariant", "init"),
+        ("init", _init_pins_v1, "determination", "V1 after init"),
+        ("set-V1=1", _leak_into_v2, "determination-invariance",
+         "V2 after init, then set-V1=1"),
+    ],
+    ids=["commute", "overwrite", "u-invariant", "determination", "invariance"],
+)
+def test_sabotaged_law_is_caught(xor_scm, label, edit, law, subject):
+    model = sabotage(encode_scm(xor_scm), label, edit)
+    report = verify_scm_laws(model, xor_scm)
+    assert not report.ok
+    assert any(v.law == law and v.subject == subject for v in report.violations)
+    assert report == reference_verify_scm_laws(model, xor_scm)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_laws_match_reference(seed):
+    scm = random_scm(seed)
+    model = encode_scm(scm)
+    report = verify_scm_laws(model, scm)
+    assert report == reference_verify_scm_laws(model, scm)
+    assert report.ok
+    # redirect a few entries of one generator to random states, so the
+    # violations and their states are compared too
+    rng = random.Random(seed)
+    label = rng.choice(sorted(set(model.generators) - {"id"}))
+    table = dict(model.generators[label].table)
+    for state in rng.sample(model.states.elements, 3):
+        table[state] = rng.choice(model.states.elements)
+    broken = with_generator(model, label, table)
+    assert verify_scm_laws(broken, scm) == reference_verify_scm_laws(broken, scm)
