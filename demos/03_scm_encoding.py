@@ -10,7 +10,6 @@ per-variable determination) is verified exhaustively rather than assumed.
 from causalground import (
     FiniteSet,
     Scm,
-    brute_force_response,
     check_surgical,
     default_mechanism_records,
     encode_scm,
@@ -37,8 +36,6 @@ defaults = {"V1": DEFAULT_SLOT, "V2": DEFAULT_SLOT}
 u = {"U1": "1", "U2": "0"}
 print("potential response, no intervention, u=(1,0):",
       potential_response(scm, defaults, u))
-print("brute-force solutions of the same equations:",
-      brute_force_response(scm, defaults, u))
 print("response under do(V1=0), u=(1,1):",
       potential_response(scm, {"V1": "0", "V2": DEFAULT_SLOT},
                          {"U1": "1", "U2": "1"}))

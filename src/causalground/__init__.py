@@ -41,20 +41,17 @@ from .checkers import (
     probe_record,
 )
 from .abstraction import (
-    ClosureReport,
     ModelMorphism,
     NaturalityReport,
     SurjectivityReport,
     check_naturality,
     check_surjectivity_assumptions,
     compose_morphisms,
-    naturality_closure_check,
 )
 from .scm import (
     CyclicScmError,
     LawReport,
     Scm,
-    brute_force_response,
     default_mechanism_records,
     encode_scm,
     potential_response,

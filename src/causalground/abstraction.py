@@ -10,10 +10,10 @@ enumeration over the micro states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
-from .core import ActionModel, TotalMap, Word, compose
+from .core import ActionModel, TotalMap, Word
+from .core import compose  # noqa: F401  still bound here; bench/tracing.py patches it
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,15 +94,6 @@ class SurjectivityReport:
     impossible_sample: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    ok: bool
-    depth: int
-    words_checked: int
-    failing_word: Optional[tuple[str, ...]]
-    state: Optional[str]
-
-
 def check_naturality(m: ModelMorphism, cap: int = 20) -> NaturalityReport:
     """Verify every generator square and the process square by enumeration.
 
@@ -156,28 +147,6 @@ def check_surjectivity_assumptions(m: ModelMorphism, cap: int = 20) -> Surjectiv
         impossible_count=len(impossible),
         impossible_sample=tuple(impossible[:cap]),
     )
-
-
-def naturality_closure_check(m: ModelMorphism, depth: int) -> ClosureReport:
-    """Check the state square for every word up to a length.
-
-    This must pass whenever the generator squares pass (commuting squares
-    compose); it exists as a theorem check, not as new information.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    labels = sorted(m.source.generators)
-    x = m.state_map.table
-    checked = 0
-    for length in range(1, depth + 1):
-        for word in product(labels, repeat=length):
-            checked += 1
-            do_src = compose(m.source, word)
-            do_tgt = compose(m.target, m.translate(word))
-            for s in m.source.states.elements:
-                if x[do_src.table[s]] != do_tgt.table[x[s]]:
-                    return ClosureReport(False, depth, checked, word, s)
-    return ClosureReport(True, depth, checked, None, None)
 
 
 def compose_morphisms(outer: ModelMorphism, inner: ModelMorphism) -> ModelMorphism:

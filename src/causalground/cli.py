@@ -301,7 +301,7 @@ def _cmd_simulate(args) -> tuple[int, dict]:
     for i, descriptor in enumerate(actions):
         try:
             state = apply_action_descriptor(state, descriptor)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise cgio.SchemaError(args.scenario, f"actions[{i}]", str(exc)) from None
     outcome = micro_proc(state, census)
     return 0, {"outcome": outcome}

@@ -59,6 +59,16 @@ class UnknownVariableError(CausalGroundError):
         )
 
 
+class MapTableError(ValueError):
+    """A table that is not a total map.  ``element`` is the first domain
+    element it misses, key outside the domain, or key sent outside the
+    codomain."""
+
+    def __init__(self, element: str, message: str):
+        self.element = element
+        super().__init__(message)
+
+
 class EnumerationLimitError(CausalGroundError):
     """An operation would enumerate more table entries than allowed."""
 
@@ -145,23 +155,20 @@ class TotalMap:
     table: dict[str, str]
 
     def __post_init__(self):
-        missing = [x for x in self.domain.elements if x not in self.table]
+        table = self.table
+        name = f"map {self.domain.id!r} -> {self.codomain.id!r}"
+        missing = [x for x in self.domain.elements if x not in table]
         if missing:
-            raise ValueError(
-                f"map {self.domain.id!r} -> {self.codomain.id!r} is not total: "
-                f"missing entry for {missing[0]!r}"
-            )
-        if len(self.table) != len(self.domain):
-            extra = sorted(set(self.table) - set(self.domain.elements))
-            raise ValueError(
-                f"map {self.domain.id!r} -> {self.codomain.id!r} has entries "
-                f"outside its domain: {extra[:3]!r}"
-            )
-        for x, y in self.table.items():
-            if y not in self.codomain:
-                raise ValueError(
-                    f"map {self.domain.id!r} -> {self.codomain.id!r} sends "
-                    f"{x!r} to {y!r}, which is not in the codomain"
+            x = missing[0]
+            raise MapTableError(x, f"{name} is not total: missing entry for {x!r}")
+        if len(table) != len(self.domain):
+            x = next(x for x in table if x not in self.domain)
+            raise MapTableError(x, f"{name} has an entry outside its domain: {x!r}")
+        codomain = self.codomain._index  # type: ignore[attr-defined]
+        for x, y in table.items():
+            if y not in codomain:
+                raise MapTableError(
+                    x, f"{name} sends {x!r} to {y!r}, which is not in the codomain"
                 )
 
     def __call__(self, element: str) -> str:

@@ -20,6 +20,7 @@ from .core import (
     FactoredSpace,
     FiniteSet,
     ID_LABEL,
+    MapTableError,
     SEP,
     TotalMap,
     join_values,
@@ -71,10 +72,14 @@ def _expect(data: Any, typ, file: str, path: str, what: str):
     return data
 
 
+def _string(data: Any, file: str, path: str) -> str:
+    return _expect(data, str, file, path, "a string")
+
+
 def _string_list(data: Any, file: str, path: str) -> list[str]:
     _expect(data, list, file, path, "a list of strings")
     for i, item in enumerate(data):
-        _expect(item, str, file, f"{path}[{i}]", "a string")
+        _string(item, file, f"{path}[{i}]")
     return data
 
 
@@ -93,6 +98,32 @@ def _int_list(data: Any, file: str, path: str) -> list[int]:
     return data
 
 
+def _table(
+    table: dict, domain: FiniteSet, codomain: FiniteSet, file: str, path: str
+) -> TotalMap:
+    """A loaded table as a TotalMap; a bad entry is named at ``path.<element>``."""
+    try:
+        return TotalMap(domain, codomain, dict(table))
+    except MapTableError as exc:
+        raise SchemaError(file, f"{path}.{exc.element}", str(exc)) from None
+
+
+def _joint_value(data: Any, arity: int, file: str, path: str) -> str:
+    """A list of one value per variable, joined into a total-set element."""
+    values = _string_list(data, file, path)
+    if len(values) != arity:
+        raise SchemaError(file, path, f"expected {arity} values, got {len(values)}")
+    return join_values(values)
+
+
+def _finite_set(name: str, elements: list[str], file: str, path: str) -> FiniteSet:
+    """A FiniteSet; an empty or repeated element list is reported at ``path``."""
+    try:
+        return FiniteSet(name, tuple(elements))
+    except ValueError as exc:
+        raise SchemaError(file, path, str(exc)) from None
+
+
 # --- action models -----------------------------------------------------------
 
 def model_from_dict(data: Any, file: str = "<inline>") -> ActionModel:
@@ -102,90 +133,42 @@ def model_from_dict(data: Any, file: str = "<inline>") -> ActionModel:
             raise SchemaError(file, f"$.{key}", "missing required key")
 
     states = _string_list(data["states"], file, "states")
-    if not states:
-        raise SchemaError(file, "states", "must not be empty")
-    if len(set(states)) != len(states):
-        raise SchemaError(file, "states", "state labels must be distinct")
+    states = _finite_set("X", states, file, "states")
 
     variables = _expect(data["variables"], list, file, "variables", "a list")
     if not variables:
         raise SchemaError(file, "variables", "must not be empty")
     var_pairs = []
     for i, entry in enumerate(variables):
-        _expect(entry, dict, file, f"variables[{i}]", "an object")
-        vid = _expect(entry.get("id"), str, file, f"variables[{i}].id", "a string")
-        values = _string_list(entry.get("values"), file, f"variables[{i}].values")
-        if not values:
-            raise SchemaError(file, f"variables[{i}].values", "must not be empty")
-        try:
-            var_pairs.append((vid, FiniteSet(vid, tuple(values))))
-        except ValueError as exc:
-            raise SchemaError(file, f"variables[{i}].values", str(exc)) from None
+        path = f"variables[{i}]"
+        _expect(entry, dict, file, path, "an object")
+        vid = _string(entry.get("id"), file, f"{path}.id")
+        values = _string_list(entry.get("values"), file, f"{path}.values")
+        var_pairs.append((vid, _finite_set(vid, values, file, f"{path}.values")))
     try:
         space = FactoredSpace(tuple(var_pairs))
     except (ValueError, CausalGroundError) as exc:
         raise SchemaError(file, "variables", str(exc)) from None
 
     process_data = _expect(data["process"], dict, file, "process", "an object")
-    state_set = set(states)
-    table = {}
-    for state in states:
-        if state not in process_data:
-            raise SchemaError(file, f"process.{state}", "missing entry for state")
-    for state, value in process_data.items():
-        if state not in state_set:
-            raise SchemaError(file, f"process.{state}", "not a declared state")
-        values = _string_list(value, file, f"process.{state}")
-        if len(values) != len(var_pairs):
-            raise SchemaError(
-                file,
-                f"process.{state}",
-                f"expected {len(var_pairs)} values, got {len(values)}",
-            )
-        for (vid, dom), v in zip(var_pairs, values):
-            if v not in dom:
-                raise SchemaError(
-                    file,
-                    f"process.{state}",
-                    f"value {v!r} not in the domain of {vid!r}",
-                )
-        table[state] = join_values(values)
-
-    state_fs = FiniteSet("X", tuple(states))
-    process = TotalMap(state_fs, space.total, table)
+    table = {
+        x: _joint_value(value, len(var_pairs), file, f"process.{x}")
+        for x, value in process_data.items()
+    }
+    process = _table(table, states, space.total, file, "process")
 
     gen_data = _expect(data["generators"], dict, file, "generators", "an object")
     generators = {}
     for label, gen_table in gen_data.items():
+        path = f"generators.{label}"
         if "," in label:  # words are written and parsed comma-joined
-            raise SchemaError(file, f"generators.{label}", "label must not contain ','")
-        _expect(gen_table, dict, file, f"generators.{label}", "an object")
-        for state in states:
-            if state not in gen_table:
-                raise SchemaError(
-                    file, f"generators.{label}.{state}", "missing entry for state"
-                )
-        mapped = {}
-        for state, target in gen_table.items():
-            if state not in state_set:
-                raise SchemaError(
-                    file, f"generators.{label}.{state}", "not a declared state"
-                )
-            _expect(target, str, file, f"generators.{label}.{state}", "a string")
-            if target not in state_set:
-                raise SchemaError(
-                    file,
-                    f"generators.{label}.{state}",
-                    f"target {target!r} is not a declared state",
-                )
-            mapped[state] = target
-        if label == ID_LABEL and any(k != v for k, v in mapped.items()):
-            raise SchemaError(
-                file, f"generators.{ID_LABEL}", "must be the identity map"
-            )
-        generators[label] = TotalMap(state_fs, state_fs, mapped)
+            raise SchemaError(file, path, "label must not contain ','")
+        gen = _table(_string_map(gen_table, file, path), states, states, file, path)
+        if label == ID_LABEL and any(k != v for k, v in gen.table.items()):
+            raise SchemaError(file, path, "must be the identity map")
+        generators[label] = gen
 
-    return ActionModel(state_fs, space, generators, process)
+    return ActionModel(states, space, generators, process)
 
 
 def load_model(path: str) -> ActionModel:
@@ -232,27 +215,19 @@ def load_morphism(path: str) -> ModelMorphism:
     source = _resolve_model(data["source_model"], path, "source_model", base_dir)
     target = _resolve_model(data["target_model"], path, "target_model", base_dir)
 
-    state_data = _string_map(data["state_map"], path, "state_map")
-    for s in source.states.elements:
-        if s not in state_data:
-            raise SchemaError(path, f"state_map.{s}", "missing entry for state")
-    try:
-        state_map = TotalMap(source.states, target.states, dict(state_data))
-    except ValueError as exc:
-        raise SchemaError(path, "state_map", str(exc)) from None
-
+    state_map = _table(
+        _string_map(data["state_map"], path, "state_map"),
+        source.states, target.states, path, "state_map",
+    )
     out_data = _expect(data["outcome_map"], dict, path, "outcome_map", "an object")
-    table = {}
-    for y in source.outcomes.total.elements:
-        if y not in out_data:
-            raise SchemaError(path, f"outcome_map.{y}", "missing entry for outcome")
-    for y, value in out_data.items():
-        values = _string_list(value, path, f"outcome_map.{y}")
-        table[y] = join_values(values)
-    try:
-        outcome_map = TotalMap(source.outcomes.total, target.outcomes.total, table)
-    except ValueError as exc:
-        raise SchemaError(path, "outcome_map", str(exc)) from None
+    arity = len(target.outcomes.variables)
+    table = {
+        y: _joint_value(value, arity, path, f"outcome_map.{y}")
+        for y, value in out_data.items()
+    }
+    outcome_map = _table(
+        table, source.outcomes.total, target.outcomes.total, path, "outcome_map"
+    )
 
     alphabet = data.get("alphabet_map")
     if alphabet is not None:
@@ -287,17 +262,14 @@ def _scm_variable(
 ) -> tuple[str, FiniteSet]:
     """An SCM variable's id and domain; values must avoid the reserved tokens."""
     _expect(entry, dict, file, path, "an object")
-    vid = _expect(entry.get("id"), str, file, f"{path}.id", "a string")
+    vid = _string(entry.get("id"), file, f"{path}.id")
     values = _string_list(entry.get("values"), file, f"{path}.values")
     tokens = (SEP,) + reserved
     for value in values:
         if SEP in value or value in reserved:
             reason = f"value {value!r} clashes with the reserved tokens {tokens}"
             raise SchemaError(file, f"{path}.values", reason)
-    try:
-        return vid, FiniteSet(vid, tuple(values))
-    except ValueError as exc:
-        raise SchemaError(file, f"{path}.values", str(exc)) from None
+    return vid, _finite_set(vid, values, file, f"{path}.values")
 
 
 def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
@@ -320,32 +292,23 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
     parents = {}
     functions = {}
     for i, entry in enumerate(endo_data):
-        vid, dom = _scm_variable(entry, file, f"endogenous[{i}]", (DEFAULT_SLOT,))
+        path = f"endogenous[{i}]"
+        vid, dom = _scm_variable(entry, file, path, (DEFAULT_SLOT,))
         endogenous.append((vid, dom))
         parents[vid] = tuple(
-            _string_list(entry.get("parents", []), file, f"endogenous[{i}].parents")
+            _string_list(entry.get("parents", []), file, f"{path}.parents")
         )
         table_data = _expect(
-            entry.get("function_table"),
-            dict,
-            file,
-            f"endogenous[{i}].function_table",
-            "an object",
+            entry.get("function_table"), dict, file, f"{path}.function_table", "an object"
         )
         table = {}
         arity = len(parents[vid]) + 1
         for key, value in table_data.items():
+            at = f"{path}.function_table.{key}"
             parts = tuple(key.split("|"))
             if len(parts) != arity:
-                raise SchemaError(
-                    file,
-                    f"endogenous[{i}].function_table.{key}",
-                    f"key must have {arity} separated values",
-                )
-            _expect(
-                value, str, file, f"endogenous[{i}].function_table.{key}", "a string"
-            )
-            table[parts] = value
+                raise SchemaError(file, at, f"key must have {arity} separated values")
+            table[parts] = _string(value, file, at)
         functions[vid] = table
 
     # Pad with unit exogenous variables where the SCM declares none.
@@ -405,6 +368,17 @@ def _edge(data: Any, file: str, path: str):
         raise SchemaError(file, path, str(exc)) from None
 
 
+#: The keys each scenario action kind needs besides ``action``.
+_ACTION_KEYS = {
+    "remove": ("id",),
+    "place": ("id", "cell"),
+    "choose-push": ("id", "dir"),
+    "add-barrier": ("edge",),
+    "remove-barrier": ("edge",),
+}
+_FIELD_CHECKS = {"id": _string, "dir": _string, "cell": _cell, "edge": _edge}
+
+
 def scenario_from_dict(data: Any, file: str = "<inline>"):
     """Parse a scenario file into (state, census, action descriptors)."""
     _expect(data, dict, file, "$", "an object")
@@ -414,7 +388,7 @@ def scenario_from_dict(data: Any, file: str = "<inline>"):
     census = []
     for i, entry in enumerate(_expect(data.get("dominoes"), list, file, "dominoes", "a list")):
         _expect(entry, dict, file, f"dominoes[{i}]", "an object")
-        did = _expect(entry.get("id"), str, file, f"dominoes[{i}].id", "a string")
+        did = _string(entry.get("id"), file, f"dominoes[{i}].id")
         cell = _cell(entry.get("cell"), file, f"dominoes[{i}].cell")
         routing_data = entry.get("routing")
         if routing_data is not None:
@@ -435,22 +409,22 @@ def scenario_from_dict(data: Any, file: str = "<inline>"):
     if push_data is not None:
         _expect(push_data, dict, file, "push", "an object")
         push = (
-            _expect(push_data.get("id"), str, file, "push.id", "a string"),
-            _expect(push_data.get("dir"), str, file, "push.dir", "a string"),
+            _string(push_data.get("id"), file, "push.id"),
+            _string(push_data.get("dir"), file, "push.dir"),
         )
     actions = data.get("actions", [])
     _expect(actions, list, file, "actions", "a list")
     for i, entry in enumerate(actions):
         path = f"actions[{i}]"
         _expect(entry, dict, file, path, "an object")
-        if "action" not in entry:
-            raise SchemaError(file, f"{path}.action", "missing required key")
-        if "id" in entry:
-            _expect(entry["id"], str, file, f"{path}.id", "a string")
-        if "cell" in entry:
-            _cell(entry["cell"], file, f"{path}.cell")
-        if "edge" in entry:
-            _edge(entry["edge"], file, f"{path}.edge")
+        kind = _string(entry.get("action"), file, f"{path}.action")
+        if kind not in _ACTION_KEYS:
+            raise SchemaError(file, f"{path}.action", f"unknown action {kind!r}")
+        for key in _ACTION_KEYS[kind]:
+            if key not in entry:
+                reason = f"missing required key of a {kind!r} action"
+                raise SchemaError(file, f"{path}.{key}", reason)
+            _FIELD_CHECKS[key](entry[key], file, f"{path}.{key}")
         if entry.get("routing") is not None:
             _expect(entry["routing"], dict, file, f"{path}.routing", "an object")
     try:
@@ -520,10 +494,7 @@ def witness_from_dict(
 ) -> TotalMap:
     _expect(data, dict, file, "$", "an object")
     table = _string_map(data.get("table"), file, "table")
-    try:
-        return TotalMap(domain, codomain, dict(table))
-    except ValueError as exc:
-        raise SchemaError(file, "table", str(exc)) from None
+    return _table(table, domain, codomain, file, "table")
 
 
 def witness_to_dict(witness: TotalMap) -> dict:
@@ -553,7 +524,7 @@ def records_from_dict(
     records = []
     for i, entry in enumerate(entries):
         _expect(entry, dict, file, f"[{i}]", "an object")
-        target = _expect(entry.get("target"), str, file, f"[{i}].target", "a string")
+        target = _string(entry.get("target"), file, f"[{i}].target")
         parents = tuple(_string_list(entry.get("parents", []), file, f"[{i}].parents"))
         try:
             parents = space.normalize_vars(parents)
@@ -561,12 +532,9 @@ def records_from_dict(
             codomain = space.subspace((target,)).total
         except CausalGroundError as exc:
             raise SchemaError(file, f"[{i}]", str(exc)) from None
-        witness = witness_from_dict(
-            _expect(entry.get("map"), dict, file, f"[{i}].map", "an object"),
-            domain,
-            codomain,
-            file,
-        )
+        map_data = _expect(entry.get("map"), dict, file, f"[{i}].map", "an object")
+        table = _string_map(map_data.get("table"), file, f"[{i}].map.table")
+        witness = _table(table, domain, codomain, file, f"[{i}].map.table")
         context = tuple(_string_list(entry.get("context", []), file, f"[{i}].context"))
         invariant = tuple(
             _string_list(entry.get("invariant_under", []), file, f"[{i}].invariant_under")

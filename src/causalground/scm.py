@@ -207,9 +207,6 @@ def potential_response(
     order, which exists by construction.
     """
     _check_assignment("slot", slots, scm.endogenous)
-    for vid, _ in scm.endogenous:
-        if slots[vid] != DEFAULT_SLOT and slots[vid] not in scm.domain_of(vid):
-            raise ValueError(f"slot for {vid!r} has invalid value {slots[vid]!r}")
     for uid, dom in scm.exogenous:
         if uid not in u or u[uid] not in dom:
             raise ValueError(f"exogenous assignment is missing or invalid for {uid!r}")
@@ -221,34 +218,6 @@ def potential_response(
         else:
             values[vid] = slot
     return {vid: values[vid] for vid in scm.endo_ids}
-
-
-def brute_force_response(
-    scm: Scm, slots: Mapping[str, str], u: Mapping[str, str]
-) -> list[dict[str, str]]:
-    """All endogenous assignments satisfying the equations indicated by slots.
-
-    Independent oracle for potential_response: it enumerates every joint
-    assignment instead of solving.  For acyclic SCMs the result is a
-    singleton.
-    """
-    doms = [dom.elements for _, dom in scm.endogenous]
-    solutions = []
-    for combo in product(*doms):
-        assignment = dict(zip(scm.endo_ids, combo))
-        ok = True
-        for vid in scm.endo_ids:
-            slot = slots[vid]
-            if slot == DEFAULT_SLOT:
-                expected = scm.evaluate(vid, assignment, u[scm.noise_id(vid)])
-            else:
-                expected = slot
-            if assignment[vid] != expected:
-                ok = False
-                break
-        if ok:
-            solutions.append(assignment)
-    return solutions
 
 
 def slot_domain(scm: Scm, vid: str) -> FiniteSet:

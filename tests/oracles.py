@@ -5,13 +5,18 @@ variable subspaces instead of constructing a witness, so it shares no
 code path with the checker it validates.  The reference family build
 works on validated MicroStates instead of state codes.  The reference SCM
 law suite evaluates words and structural functions by hand instead of
-running the checkers.
+running the checkers.  The brute-force SCM response enumerates every
+joint assignment instead of solving in topological order, and the
+naturality closure check composes whole words instead of single
+generator squares.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Mapping, Optional
 
 from causalground.abstraction import ModelMorphism
 from causalground.core import (
@@ -22,6 +27,7 @@ from causalground.core import (
     FactoredSpace,
     FiniteSet,
     TotalMap,
+    compose,
     join_values,
     outcome_map,
 )
@@ -428,3 +434,62 @@ def reference_verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
     checked.append((LAW_INVARIANCE, count))
 
     return LawReport(not violations, tuple(checked), tuple(violations))
+
+
+def brute_force_response(
+    scm: Scm, slots: Mapping[str, str], u: Mapping[str, str]
+) -> list[dict[str, str]]:
+    """All endogenous assignments satisfying the equations indicated by slots.
+
+    Independent oracle for potential_response: it enumerates every joint
+    assignment instead of solving.  For acyclic SCMs the result is a
+    singleton.
+    """
+    doms = [dom.elements for _, dom in scm.endogenous]
+    solutions = []
+    for combo in product(*doms):
+        assignment = dict(zip(scm.endo_ids, combo))
+        ok = True
+        for vid in scm.endo_ids:
+            slot = slots[vid]
+            if slot == DEFAULT_SLOT:
+                expected = scm.evaluate(vid, assignment, u[scm.noise_id(vid)])
+            else:
+                expected = slot
+            if assignment[vid] != expected:
+                ok = False
+                break
+        if ok:
+            solutions.append(assignment)
+    return solutions
+
+
+@dataclass(frozen=True)
+class ClosureReport:
+    ok: bool
+    depth: int
+    words_checked: int
+    failing_word: Optional[tuple[str, ...]]
+    state: Optional[str]
+
+
+def naturality_closure_check(m: ModelMorphism, depth: int) -> ClosureReport:
+    """Check the state square for every word up to a length.
+
+    This must pass whenever the generator squares pass (commuting squares
+    compose); it exists as a theorem check, not as new information.
+    """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    labels = sorted(m.source.generators)
+    x = m.state_map.table
+    checked = 0
+    for length in range(1, depth + 1):
+        for word in product(labels, repeat=length):
+            checked += 1
+            do_src = compose(m.source, word)
+            do_tgt = compose(m.target, m.translate(word))
+            for s in m.source.states.elements:
+                if x[do_src.table[s]] != do_tgt.table[x[s]]:
+                    return ClosureReport(False, depth, checked, word, s)
+    return ClosureReport(True, depth, checked, None, None)

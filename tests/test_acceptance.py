@@ -21,7 +21,6 @@ from causalground.core import TotalMap, image, outcome_map
 from causalground.dominoes import barrier_blind_morphism, build_bounded_model, line6_family
 from causalground.scm import (
     DEFAULT_SLOT,
-    brute_force_response,
     encode_scm,
     potential_response,
     random_scm,
@@ -30,6 +29,7 @@ from causalground.scm import (
 from oracles import (
     all_subset_pairs,
     brute_force_determination,
+    brute_force_response,
     candidate_map_count,
     random_action_model,
     random_word,

@@ -404,6 +404,7 @@ SURGICAL = ["check-surgical", "--model", "model_pair.json", "--word", "swap",
             "--mechanisms", "mechs.json", "--context", "const"]
 BUILD = ["build-model", "--family", "family_tiny.json", "--out", "models"]
 NATURALITY = ["check-naturality", "--morphism", "morphism.json"]
+SIMULATE = ["simulate", "--scenario", "scenario_chain3.json"]
 INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "const",
               "--word", "swap", "--vars-i", "v1", "--vars-j", "v2",
               "--witness", "witness.json"]
@@ -413,8 +414,8 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
     "argv, name, edit, path",
     [
         (SURGICAL, "mechs.json", _set((0, "violated_by"), 5), "[0].violated_by"),
-        (["simulate", "--scenario", "scenario_chain3.json"], "scenario_chain3.json",
-         _set(("barriers",), 5), "barriers"),
+        (SURGICAL, "mechs.json", _set((0, "map", "table", "*"), "7"), "[0].map.table.*"),
+        (SIMULATE, "scenario_chain3.json", _set(("barriers",), 5), "barriers"),
         (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), ["x"]),
          "family.barrier_edges[0]"),
         (BUILD, "family_tiny.json",
@@ -425,9 +426,24 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         (NATURALITY, "morphism.json", _set(("alphabet_map", "swap"), ["swap"]),
          "alphabet_map.swap"),
         (INVARIANCE, "witness.json", _set(("table", "0"), ["0"]), "table.0"),
+        # one |-joined string is not one value per target variable
+        (NATURALITY, "morphism.json", _set(("outcome_map", "0|1"), ["0|1"]),
+         "outcome_map.0|1"),
+        (SIMULATE, "scenario_chain3.json", _set(("actions", 0), {"action": "remove"}),
+         "actions[0].id"),
+        (SIMULATE, "scenario_chain3.json",
+         _set(("actions", 0), {"action": "place", "id": "d9"}), "actions[0].cell"),
+        (SIMULATE, "scenario_chain3.json",
+         _set(("actions", 0), {"action": "choose-push", "id": "d1"}), "actions[0].dir"),
+        (SIMULATE, "scenario_chain3.json",
+         _set(("actions", 0), {"action": "remove-barrier"}), "actions[0].edge"),
+        (SIMULATE, "scenario_chain3.json",
+         _set(("actions", 0), {"action": "warp", "id": "d1"}), "actions[0].action"),
     ],
-    ids=["violated-by", "scenario-barriers", "barrier-edges", "layout-barriers",
-         "state-map", "alphabet-map", "witness-table"],
+    ids=["violated-by", "record-map-table", "scenario-barriers", "barrier-edges", "layout-barriers",
+         "state-map", "alphabet-map", "witness-table", "outcome-map-arity",
+         "remove-without-id", "place-without-cell", "push-without-dir",
+         "barrier-without-edge", "unknown-action"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")

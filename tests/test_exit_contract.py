@@ -2,9 +2,9 @@
 
 Every command of the CLI goldens is run on a mutated copy of the JSON file
 it reads (a key dropped, a value swapped for another type, a reserved
-separator inserted) and with one flag value replaced.  Whatever the input,
-``cli.run`` must return 0, 1 or 2 and raise nothing else: 2 for bad input,
-never a traceback.
+separator inserted, two adjacent strings of a list fused with ``|``) and
+with one flag value replaced.  Whatever the input, ``cli.run`` must return
+0, 1 or 2 and raise nothing else: 2 for bad input, never a traceback.
 """
 
 import json
@@ -103,12 +103,23 @@ def _paths(node, path=()):
             yield from _paths(child, path + (i,))
 
 
+def _fusible(node) -> list[int]:
+    """Indices i of a list whose items i and i + 1 are both strings."""
+    if not isinstance(node, list):
+        return []
+    return [i for i in range(len(node) - 1)
+            if isinstance(node[i], str) and isinstance(node[i + 1], str)]
+
+
 def _mutate(doc, data):
     """Apply one drawn mutation to a deep copy of a JSON document."""
     doc = json.loads(json.dumps(doc))
     paths = list(_paths(doc))
+    ops = ["drop", "replace", "separator", "fuse"]
+    op = data.draw(st.sampled_from(ops), label="op")
+    if op == "fuse":  # only lists with two adjacent strings can be fused
+        paths = [(p, n) for p, n in paths if _fusible(n)] or paths
     path, node = paths[data.draw(st.integers(0, len(paths) - 1), label="where")]
-    op = data.draw(st.sampled_from(["drop", "replace", "separator"]), label="op")
     if not path:
         return data.draw(st.sampled_from(REPLACEMENTS), label="root")
     parent = doc
@@ -119,6 +130,11 @@ def _mutate(doc, data):
         del parent[last]
     elif op == "replace":
         parent[last] = data.draw(st.sampled_from(REPLACEMENTS), label="value")
+    elif op == "fuse":  # ["a", "b"] -> ["a|b"]: one joined value for two
+        pairs = _fusible(node)
+        if pairs:
+            i = data.draw(st.sampled_from(pairs), label="pair")
+            parent[last] = node[:i] + [node[i] + "|" + node[i + 1]] + node[i + 2:]
     else:
         sep = data.draw(st.sampled_from(["|", ","]), label="separator")
         if isinstance(node, str):

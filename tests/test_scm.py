@@ -10,7 +10,6 @@ from causalground.scm import (
     DEFAULT_SLOT,
     CyclicScmError,
     Scm,
-    brute_force_response,
     decode_state,
     default_mechanism_records,
     encode_scm,
@@ -21,7 +20,7 @@ from causalground.scm import (
 )
 from causalground.io import scm_to_dict
 
-from oracles import reference_verify_scm_laws
+from oracles import brute_force_response, reference_verify_scm_laws
 
 
 def binary(name):
