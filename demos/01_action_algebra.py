@@ -11,8 +11,6 @@ from causalground import (
     FiniteSet,
     TotalMap,
     compose,
-    context_of,
-    image,
     outcome_map,
 )
 
@@ -50,12 +48,12 @@ print("outcome of the word on 'left' only:", outcome_map(model, word, ("left",))
 
 # Images shrink under precomposition: acting first can only restrict what
 # the process may produce.
-print("possible outcomes, no action:  ", image(outcome_map(model, ())))
-print("possible outcomes after word:  ", image(outcome_map(model, word)))
+print("possible outcomes, no action:  ", outcome_map(model, ()).image())
+print("possible outcomes after word:  ", outcome_map(model, word).image())
 
 # The context of a word is where you can be after doing it.
-print("context of ():        ", context_of(model, ()))
-print("context of (collapse):", context_of(model, ("collapse",)))
+print("context of ():        ", compose(model, ()).image())
+print("context of (collapse):", compose(model, ("collapse",)).image())
 
 # Projections come with the factored space, down to the empty subset.
 pi = space.projection(("right",))

@@ -17,8 +17,6 @@ from .core import (
     UnknownVariableError,
     Word,
     compose,
-    context_of,
-    image,
     max_table_entries,
     outcome_map,
     unit_set,

@@ -17,13 +17,13 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 from typing import Optional, Sequence
 
 from . import io as cgio
 from .abstraction import check_naturality, check_surjectivity_assumptions
 from .checkers import (
     BaseDeterminationError,
-    MechanismRecord,
     check_commute,
     check_determination,
     check_effectiveness,
@@ -32,7 +32,7 @@ from .checkers import (
     check_surgical,
     discover_mechanisms,
 )
-from .core import CausalGroundError, image, outcome_map
+from .core import CausalGroundError, outcome_map
 from .dominoes import apply_action_descriptor, build_bounded_model, micro_proc
 from .scm import encode_scm, random_scm, verify_scm_laws
 
@@ -56,6 +56,8 @@ def _require_vars(args, *names: str) -> None:
 def _render_text(data, prefix: str = "") -> list[str]:
     lines = []
     if isinstance(data, dict):
+        if not data:
+            lines.append(f"{prefix}: {{}}")
         for key in sorted(data):
             path = f"{prefix}.{key}" if prefix else key
             lines.extend(_render_text(data[key], path))
@@ -69,51 +71,11 @@ def _render_text(data, prefix: str = "") -> list[str]:
     return lines
 
 
-def _law_report_dict(report) -> dict:
-    return {
-        "ok": report.ok,
-        "checked": {law: count for law, count in report.checked},
-        "violations": [
-            {"law": v.law, "subject": v.subject, "state": v.state}
-            for v in report.violations
-        ],
-    }
-
-
-def _naturality_dict(report) -> dict:
-    return {
-        "natural": report.natural,
-        "failure_count": report.failure_count,
-        "truncated": report.truncated,
-        "failures": [
-            {
-                "square": f.square,
-                "generator": f.generator,
-                "state": f.state,
-                "via_source": f.via_source,
-                "via_target": f.via_target,
-            }
-            for f in report.failures
-        ],
-    }
-
-
-def _surjectivity_dict(report) -> dict:
-    return {
-        "process_surjective": report.process_surjective,
-        "state_map_surjective": report.state_map_surjective,
-        "outcome_map_surjective": report.outcome_map_surjective,
-        "possible_count": report.possible_count,
-        "impossible_count": report.impossible_count,
-        "impossible_sample": list(report.impossible_sample),
-    }
-
-
-def _record_dict(record: Optional[MechanismRecord]) -> Optional[dict]:
-    return None if record is None else cgio.record_to_dict(record)
-
-
 # --- command handlers (return exit code, payload) ----------------------------
+#
+# A payload is the serialized result object, so a report's fields are the
+# result's fields.  Key order never reaches a report: to_json sorts keys and
+# so does _render_text.
 
 def _cmd_check_determination(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
@@ -121,15 +83,7 @@ def _cmd_check_determination(args) -> tuple[int, dict]:
     result = check_determination(
         model, parse_list(args.word), parse_list(args.vars_i), parse_list(args.vars_j)
     )
-    payload = {
-        "holds": result.holds,
-        "unique": result.unique,
-        "witness": None if result.witness is None else cgio.witness_to_dict(result.witness),
-        "counterexample": (
-            None if result.counterexample is None else list(result.counterexample)
-        ),
-    }
-    return (0 if result.holds else 1), payload
+    return (0 if result.holds else 1), cgio.serialize(result)
 
 
 def _cmd_check_effectiveness(args) -> tuple[int, dict]:
@@ -138,14 +92,7 @@ def _cmd_check_effectiveness(args) -> tuple[int, dict]:
     result = check_effectiveness(
         model, parse_list(args.word), parse_list(args.vars_j), parse_list(args.context)
     )
-    payload = {
-        "effective": result.effective,
-        "value": result.value,
-        "counterexample": (
-            None if result.counterexample is None else list(result.counterexample)
-        ),
-    }
-    return (0 if result.effective else 1), payload
+    return (0 if result.effective else 1), cgio.serialize(result)
 
 
 def _cmd_check_invariance(args) -> tuple[int, dict]:
@@ -158,8 +105,8 @@ def _cmd_check_invariance(args) -> tuple[int, dict]:
     if args.witness:
         witness = cgio.witness_from_dict(
             cgio.load_json(args.witness),
-            space.subspace(space.normalize_vars(vars_i)).total,
-            space.subspace(space.normalize_vars(vars_j)).total,
+            space.subspace(vars_i).total,
+            space.subspace(vars_j).total,
             args.witness,
         )
     else:
@@ -173,13 +120,8 @@ def _cmd_check_invariance(args) -> tuple[int, dict]:
     result = check_invariance(
         model, base, witness, vars_i, vars_j, parse_list(args.word)
     )
-    payload = {
-        "holds": result.holds,
-        "witness": cgio.witness_to_dict(witness),
-        "violating_state": result.violating_state,
-        "expected": result.expected,
-        "actual": result.actual,
-    }
+    payload = cgio.serialize(result)
+    payload["witness"] = cgio.serialize(witness)
     return (0 if result.holds else 1), payload
 
 
@@ -194,28 +136,16 @@ def _pair_from_word(args) -> tuple[str, str]:
 
 def _cmd_check_commute(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
-    a, b = _pair_from_word(args)
-    result = check_commute(model, a, b)
-    payload = {
-        "holds": result.holds,
-        "state": result.state,
-        "a_then_b_last": result.first_order,
-        "b_then_a_last": result.second_order,
-    }
-    return (0 if result.holds else 1), payload
+    result = check_commute(model, *_pair_from_word(args))
+    rename = {"first_order": "a_then_b_last", "second_order": "b_then_a_last"}
+    return (0 if result.holds else 1), cgio.serialize(result, rename)
 
 
 def _cmd_check_overwrite(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
-    a, b = _pair_from_word(args)
-    result = check_overwrite(model, a, b)
-    payload = {
-        "holds": result.holds,
-        "state": result.state,
-        "a_after_b": result.first_order,
-        "a_alone": result.second_order,
-    }
-    return (0 if result.holds else 1), payload
+    result = check_overwrite(model, *_pair_from_word(args))
+    rename = {"first_order": "a_after_b", "second_order": "a_alone"}
+    return (0 if result.holds else 1), cgio.serialize(result, rename)
 
 
 def _cmd_check_surgical(args) -> tuple[int, dict]:
@@ -228,25 +158,15 @@ def _cmd_check_surgical(args) -> tuple[int, dict]:
         data = data["mechanisms"]
     records = cgio.records_from_dict(data, model, args.mechanisms)
     verdict = check_surgical(model, labels[0], records, parse_list(args.context))
-    payload = {
-        "surgical": verdict.surgical,
-        "target": verdict.target,
-        "broken": list(verdict.broken),
-        "survived": list(verdict.survived),
-        "new_mechanism": _record_dict(verdict.new_mechanism),
-        "lost_invariances": [list(item) for item in verdict.lost_invariances],
-        "reasons": list(verdict.reasons),
-    }
-    return (0 if verdict.surgical else 1), payload
+    return (0 if verdict.surgical else 1), cgio.serialize(verdict)
 
 
 def _cmd_check_naturality(args) -> tuple[int, dict]:
     morphism = cgio.load_morphism(args.morphism)
     report = check_naturality(morphism)
-    surjectivity = check_surjectivity_assumptions(morphism)
     payload = {
-        "naturality": _naturality_dict(report),
-        "surjectivity": _surjectivity_dict(surjectivity),
+        "naturality": cgio.serialize(report),
+        "surjectivity": cgio.serialize(check_surjectivity_assumptions(morphism)),
     }
     return (0 if report.natural else 1), payload
 
@@ -256,43 +176,27 @@ def _cmd_discover(args) -> tuple[int, dict]:
     records = discover_mechanisms(
         model, parse_list(args.context), args.max_parents
     )
-    return 0, {"mechanisms": [cgio.record_to_dict(r) for r in records]}
+    return 0, {"mechanisms": cgio.serialize(records)}
 
 
-def _load_or_random_scm(args):
+def _cmd_scm(args, write_model: bool = False) -> tuple[int, dict]:
+    """Encode the --scm file or --seed SCM and verify its laws; with
+    ``write_model`` also write the encoded model to --out."""
     if bool(args.scm) == (args.seed is not None):
         raise CausalGroundError("provide exactly one of --scm FILE or --seed N")
-    if args.scm:
-        return cgio.load_scm(args.scm), args.scm
-    return random_scm(args.seed), f"seed:{args.seed}"
-
-
-def _cmd_encode_scm(args) -> tuple[int, dict]:
-    scm, source = _load_or_random_scm(args)
-    if not args.out:
+    scm = cgio.load_scm(args.scm) if args.scm else random_scm(args.seed)
+    if write_model and not args.out:
         raise CausalGroundError("encode-scm requires --out for the model file")
     model = encode_scm(scm)
     laws = verify_scm_laws(model, scm)
-    cgio.dump_json(cgio.model_to_dict(model), args.out)
     payload = {
-        "source": source,
-        "model_file": args.out,
+        "source": args.scm or f"seed:{args.seed}",
         "states": len(model.states),
-        "generators": len(model.generators),
-        "laws": _law_report_dict(laws),
+        "laws": {**cgio.serialize(laws), "checked": dict(laws.checked)},
     }
-    return (0 if laws.ok else 1), payload
-
-
-def _cmd_verify_scm_laws(args) -> tuple[int, dict]:
-    scm, source = _load_or_random_scm(args)
-    model = encode_scm(scm)
-    laws = verify_scm_laws(model, scm)
-    payload = {
-        "source": source,
-        "states": len(model.states),
-        "laws": _law_report_dict(laws),
-    }
+    if write_model:
+        cgio.dump_json(cgio.model_to_dict(model), args.out)
+        payload.update(model_file=args.out, generators=len(model.generators))
     return (0 if laws.ok else 1), payload
 
 
@@ -335,25 +239,80 @@ def _cmd_image(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
     variables = parse_list(args.vars_i) if args.vars_i is not None else None
     f = outcome_map(model, parse_list(args.word), variables)
-    im = image(f)
+    im = f.image()
     return 0, {"image": im, "count": len(im), "codomain_size": len(f.codomain)}
 
 
-_HANDLERS = {
-    "check-determination": _cmd_check_determination,
-    "check-effectiveness": _cmd_check_effectiveness,
-    "check-invariance": _cmd_check_invariance,
-    "check-commute": _cmd_check_commute,
-    "check-overwrite": _cmd_check_overwrite,
-    "check-surgical": _cmd_check_surgical,
-    "check-naturality": _cmd_check_naturality,
-    "discover": _cmd_discover,
-    "encode-scm": _cmd_encode_scm,
-    "verify-scm-laws": _cmd_verify_scm_laws,
-    "simulate": _cmd_simulate,
-    "build-model": _cmd_build_model,
-    "image": _cmd_image,
+# Input flags, in the order --help lists them, with their argparse keywords.
+_FLAGS = {
+    "model": {"required": True, "help": "model JSON file"},
+    "morphism": {"required": True, "help": "morphism JSON file"},
+    "scm": {"help": "SCM JSON file"},
+    "seed": {"type": int, "help": "generate a random SCM instead"},
+    "scenario": {"required": True, "help": "scenario JSON file"},
+    "family": {"required": True, "help": "family JSON file"},
+    "word": {
+        "default": "", "help": "comma-separated generator labels, rightmost first",
+    },
+    "vars-i": {"help": "comma-separated variable ids"},
+    "vars-j": {"help": "comma-separated variable ids"},
+    "context": {
+        "default": "", "help": "context word (acts before --word), rightmost first",
+    },
+    "witness": {"help": "witness map JSON file ({'table': ...})"},
+    "mechanisms": {
+        "required": True,
+        "help": "mechanism records JSON (as written by discover --out)",
+    },
+    "max-parents": {"type": int, "default": 2},
 }
+
+# Command -> (handler, help text, input flags).  The handlers call the
+# checkers through this module's globals, so patching a checker here takes
+# effect.
+_COMMANDS = {
+    "check-determination": (
+        _cmd_check_determination, "does Y_I determine Y_J for a word",
+        ("model", "word", "vars-i", "vars-j")),
+    "check-effectiveness": (
+        _cmd_check_effectiveness, "is a word effective at setting Y_J in a context",
+        ("model", "word", "vars-j", "context")),
+    "check-invariance": (
+        _cmd_check_invariance,
+        "does --word preserve the determination holding in --context",
+        ("model", "word", "vars-i", "vars-j", "context", "witness")),
+    "check-commute": (
+        _cmd_check_commute, "do two generators commute", ("model", "word")),
+    "check-overwrite": (
+        _cmd_check_overwrite, "does the first generator overwrite the second",
+        ("model", "word")),
+    "check-surgical": (
+        _cmd_check_surgical, "is a generator surgical against a mechanism set",
+        ("model", "word", "context", "mechanisms")),
+    "check-naturality": (
+        _cmd_check_naturality, "do the abstraction squares commute", ("morphism",)),
+    "discover": (
+        _cmd_discover, "search for mechanisms active in a context",
+        ("model", "context", "max-parents")),
+    "encode-scm": (
+        partial(_cmd_scm, write_model=True),
+        "encode an SCM as a model file and verify its laws",
+        ("scm", "seed")),
+    "verify-scm-laws": (
+        _cmd_scm, "encode an SCM in memory and verify its laws",
+        ("scm", "seed")),
+    "simulate": (
+        _cmd_simulate, "run the domino process on a scenario", ("scenario",)),
+    "build-model": (
+        _cmd_build_model, "enumerate a family into model and morphism files",
+        ("family",)),
+    "image": (
+        _cmd_image, "possible outcomes of a word on a variable subset",
+        ("model", "word", "vars-i")),
+}
+
+# Commands whose --out is an artifact they write, not the report.
+_ARTIFACT_COMMANDS = {"encode-scm", "build-model"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,45 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *flags: str):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if "model" in flags:
-            p.add_argument("--model", required=True, help="model JSON file")
-        if "morphism" in flags:
-            p.add_argument("--morphism", required=True, help="morphism JSON file")
-        if "scm" in flags:
-            p.add_argument("--scm", help="SCM JSON file")
-            p.add_argument("--seed", type=int, help="generate a random SCM instead")
-        if "scenario" in flags:
-            p.add_argument("--scenario", required=True, help="scenario JSON file")
-        if "family" in flags:
-            p.add_argument("--family", required=True, help="family JSON file")
-        if "word" in flags:
-            p.add_argument(
-                "--word",
-                default="",
-                help="comma-separated generator labels, rightmost first",
-            )
-        if "vars-i" in flags:
-            p.add_argument("--vars-i", default=None, help="comma-separated variable ids")
-        if "vars-j" in flags:
-            p.add_argument("--vars-j", default=None, help="comma-separated variable ids")
-        if "context" in flags:
-            p.add_argument(
-                "--context",
-                default="",
-                help="context word (acts before --word), rightmost first",
-            )
-        if "witness" in flags:
-            p.add_argument("--witness", help="witness map JSON file ({'table': ...})")
-        if "mechanisms" in flags:
-            p.add_argument(
-                "--mechanisms", required=True,
-                help="mechanism records JSON (as written by discover --out)",
-            )
-        if "max-parents" in flags:
-            p.add_argument("--max-parents", type=int, default=2)
+        for flag, keywords in _FLAGS.items():
+            if flag in flags:
+                p.add_argument("--" + flag, **keywords)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", help="write the report (or artifact) here")
         p.add_argument(
@@ -411,50 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="add elapsed_ms to the report (breaks byte-determinism)",
         )
-        return p
-
-    add("check-determination", "does Y_I determine Y_J for a word",
-        "model", "word", "vars-i", "vars-j")
-    add("check-effectiveness", "is a word effective at setting Y_J in a context",
-        "model", "word", "vars-j", "context")
-    add("check-invariance",
-        "does --word preserve the determination holding in --context",
-        "model", "word", "vars-i", "vars-j", "context", "witness")
-    add("check-commute", "do two generators commute", "model", "word")
-    add("check-overwrite", "does the first generator overwrite the second",
-        "model", "word")
-    add("check-surgical", "is a generator surgical against a mechanism set",
-        "model", "word", "mechanisms", "context")
-    add("check-naturality", "do the abstraction squares commute", "morphism")
-    add("discover", "search for mechanisms active in a context",
-        "model", "context", "max-parents")
-    add("encode-scm", "encode an SCM as a model file and verify its laws", "scm")
-    add("verify-scm-laws", "encode an SCM in memory and verify its laws", "scm")
-    add("simulate", "run the domino process on a scenario", "scenario")
-    add("build-model", "enumerate a family into model and morphism files", "family")
-    add("image", "possible outcomes of a word on a variable subset",
-        "model", "word", "vars-i")
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler, _, flags = _COMMANDS[args.command]
     started = time.monotonic()
     try:
-        code, payload = _HANDLERS[args.command](args)
-    except cgio.SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, payload = handler(args)
     except (CausalGroundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     inputs = {}
-    for key in ("model", "morphism", "scm", "seed", "scenario", "family",
-                "word", "vars_i", "vars_j", "context", "witness",
-                "mechanisms", "max_parents"):
-        value = getattr(args, key, None)
+    for flag in flags:
+        key = flag.replace("-", "_")
+        value = getattr(args, key)
         if value is not None and value != "":
             inputs[key] = value
     report = {
@@ -471,8 +370,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     else:
         rendered = "\n".join(_render_text(report)) + "\n"
 
-    artifact_commands = {"encode-scm", "build-model"}
-    if args.out and args.command not in artifact_commands:
+    if args.out and args.command not in _ARTIFACT_COMMANDS:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:

@@ -320,24 +320,6 @@ class FactoredSpace:
         table = {e: project[e] for e in self.total.elements}
         return TotalMap(self.total, self.subspace(ids).total, table)
 
-    def projection_between(
-        self, from_ids: Iterable[str], onto_ids: Iterable[str]
-    ) -> TotalMap:
-        """The projection from Y_J onto Y_I for I a subset of J."""
-        big = self.normalize_vars(from_ids)
-        small = self.normalize_vars(onto_ids)
-        if not set(small) <= set(big):
-            raise ValueError(
-                f"projection target {small!r} is not a subset of {big!r}"
-            )
-        source = self.subspace(big)
-        project = _Projector(source, small)
-        return TotalMap(
-            source.total,
-            self.subspace(small).total,
-            {e: project[e] for e in source.total.elements},
-        )
-
     @classmethod
     def from_set(cls, s: FiniteSet) -> "FactoredSpace":
         """Wrap a bare outcome set as a one-variable factored space."""
@@ -478,12 +460,3 @@ def _project_outcomes(
     project = _Projector(space, ids)
     return {x: project[process[y]] for x, y in do.items()}
 
-
-def image(f: TotalMap) -> list[str]:
-    """The set of possible values of a map, in codomain order."""
-    return f.image()
-
-
-def context_of(model: ActionModel, word: Word) -> list[str]:
-    """States reachable after performing a word: the image of its state map."""
-    return compose(model, word).image()

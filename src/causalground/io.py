@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
-from typing import Any, Optional
+from dataclasses import fields, is_dataclass, replace
+from typing import Any, Mapping, Optional
 
 from .core import (
     ActionModel,
@@ -505,15 +505,20 @@ def witness_to_dict(witness: TotalMap) -> dict:
     }
 
 
-def record_to_dict(record: MechanismRecord) -> dict:
-    return {
-        "target": record.target,
-        "parents": list(record.parents),
-        "map": witness_to_dict(record.map),
-        "context": list(record.context),
-        "invariant_under": list(record.invariant_under),
-        "violated_by": [list(pair) for pair in record.violated_by],
-    }
+def serialize(value: Any, rename: Mapping[str, str] = {}) -> Any:
+    """JSON data of a result: a TotalMap as its witness dict, a dataclass as
+    ``{field: serialize(value)}`` with its field names passed through
+    ``rename``, a tuple or list as a list, anything else as it is."""
+    if isinstance(value, TotalMap):
+        return witness_to_dict(value)
+    if is_dataclass(value):
+        return {
+            rename.get(f.name, f.name): serialize(getattr(value, f.name))
+            for f in fields(value)
+        }
+    if isinstance(value, (tuple, list)):
+        return [serialize(item) for item in value]
+    return value
 
 
 def records_from_dict(

@@ -229,13 +229,6 @@ def slot_domain(scm: Scm, vid: str) -> FiniteSet:
     return FiniteSet(f"M({vid})", (DEFAULT_SLOT,) + dom.elements)
 
 
-def encoded_state(scm: Scm, slots: Mapping[str, str], u: Mapping[str, str]) -> str:
-    """State label of the encoded model for a slot/exogenous assignment."""
-    return join_values(
-        [slots[vid] for vid in scm.endo_ids] + [u[uid] for uid in scm.exo_ids]
-    )
-
-
 def decode_state(scm: Scm, label: str) -> tuple[dict[str, str], dict[str, str]]:
     parts = label.split(SEP)
     n = len(scm.endo_ids)

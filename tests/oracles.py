@@ -76,6 +76,15 @@ def reference_project(space: FactoredSpace, element: str, var_ids) -> str:
     return SEP.join(values[ids.index(v)] for v in chosen)
 
 
+def projection_between(space: FactoredSpace, from_ids, onto_ids) -> TotalMap:
+    """The projection from Y_J onto Y_I for I a subset of J."""
+    big = space.normalize_vars(from_ids)
+    small = space.normalize_vars(onto_ids)
+    if not set(small) <= set(big):
+        raise ValueError(f"projection target {small!r} is not a subset of {big!r}")
+    return space.subspace(big).projection(small)
+
+
 def candidate_map_count(model: ActionModel, vars_i, vars_j) -> int:
     space = model.outcomes
     dom = space.subspace(space.normalize_vars(vars_i)).total

@@ -11,7 +11,6 @@ from causalground.core import (
     FactoredSpace,
     FiniteSet,
     TotalMap,
-    image,
     join_values,
     outcome_map,
 )

@@ -15,7 +15,7 @@ from causalground.io import (
     load_model,
     model_to_dict,
     morphism_to_dict,
-    record_to_dict,
+    serialize,
 )
 from causalground.scm import default_mechanism_records, encode_scm
 
@@ -115,6 +115,20 @@ def test_check_invariance_violation(workspace, capsys):
     check_golden("check_invariance_fail.json", out)
 
 
+def test_check_invariance_with_witness(workspace, capsys):
+    dump_json({"table": {"0": "0", "1": "1"}}, "witness.json")
+    code, out = run_twice_and_compare(
+        ["check-invariance", "--model", "model_pair.json", "--word", "swap",
+         "--vars-i", "v1", "--vars-j", "v2", "--witness", "witness.json",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["witness"]["table"] == {"0": "0", "1": "1"}
+    check_golden("check_invariance_witness_pass.json", out)
+
+
 def test_check_commute_both_ways(workspace, capsys):
     code, out = run_twice_and_compare(
         ["check-commute", "--model", "model_pair.json",
@@ -186,8 +200,10 @@ def test_discover_and_check_surgical(workspace, capsys):
     )
     assert code == 0
     with open("mechs.json") as fh:
-        mechs = json.load(fh)
+        content = fh.read()
+    mechs = json.loads(content)
     assert {m["target"] for m in mechs["mechanisms"]} == {"U1", "U2", "V1", "V2"}
+    check_golden("discover.json", content)
 
     # against the discovered records (which include noise variables) a value
     # intervention breaks two determinations: an honest non-surgical verdict
@@ -201,12 +217,20 @@ def test_discover_and_check_surgical(workspace, capsys):
     assert "2 mechanisms invalidated" in report["reasons"][0]
     check_golden("check_surgical_fail.json", out)
 
+    code, out = run_twice_and_compare(
+        ["check-surgical", "--model", "xor_model.json", "--word", "set-V2=1",
+         "--mechanisms", "mechs.json", "--context", "init"],
+        capsys,
+    )
+    assert code == 1
+    check_golden("check_surgical_fail.txt", out)
+
 
 def test_check_surgical_pass_with_default_records(workspace, capsys, xor_scm):
     model = encode_scm(xor_scm)
     dump_json(model_to_dict(model), "xor_model.json")
     records = default_mechanism_records(xor_scm, model)
-    dump_json([record_to_dict(r) for r in records], "defaults.json")
+    dump_json([serialize(r) for r in records], "defaults.json")
     code, out = run_twice_and_compare(
         ["check-surgical", "--model", "xor_model.json", "--word", "set-V2=1",
          "--mechanisms", "defaults.json", "--context", "init",
@@ -267,6 +291,12 @@ def test_check_naturality_sabotaged(workspace, capsys):
     )
     check_golden("check_naturality_fail.json", out)
 
+    code, out = run_twice_and_compare(
+        ["check-naturality", "--morphism", "sabotaged.json"], capsys
+    )
+    assert code == 1
+    check_golden("check_naturality_fail.txt", out)
+
 
 def test_simulate(workspace, capsys):
     code, out = run_twice_and_compare(
@@ -280,6 +310,13 @@ def test_simulate(workspace, capsys):
         "d1": "fallen-E", "d2": "fallen-E", "d3": "upright"
     }
     check_golden("simulate.json", out)
+
+
+def test_text_format_renders_empty_objects(workspace, capsys):
+    dump_json({"grid": [3, 1], "dominoes": []}, "empty.json")
+    code, out = invoke(["simulate", "--scenario", "empty.json"], capsys)
+    assert code == 0
+    assert "outcome: {}" in out.splitlines()
 
 
 def test_image(workspace, capsys):
@@ -449,7 +486,7 @@ def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")
     docs = {
         "mechs.json": [
-            record_to_dict(r) for r in discover_mechanisms(model, ("const",), 1)
+            serialize(r) for r in discover_mechanisms(model, ("const",), 1)
         ],
         "morphism.json": {
             "source_model": "model_pair.json",

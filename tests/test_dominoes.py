@@ -11,7 +11,7 @@ from causalground.checkers import (
     check_effectiveness,
     check_overwrite,
 )
-from causalground.core import CausalGroundError, image, outcome_map
+from causalground.core import CausalGroundError, compose, outcome_map
 from causalground.dominoes import (
     DIRECTIONS,
     Domino,
@@ -197,9 +197,7 @@ def test_outcome_of_push_in_chain_context(three_chain):
 def test_remove_then_init_context(three_chain):
     # context of (remove-d2, init): the single chain state without d2
     _, abstract, _ = three_chain
-    from causalground.core import context_of
-
-    ctx = context_of(abstract, ("remove-d2", "init-chain3"))
+    ctx = compose(abstract, ("remove-d2", "init-chain3")).image()
     assert len(ctx) == 1
     assert ctx[0].startswith("x-x")
 
@@ -219,7 +217,7 @@ def test_possible_outcomes_strict_subset_with_golden_count(three_chain):
     micro, abstract, morphism = three_chain
     realized = {
         morphism.outcome_map.table[y]
-        for y in image(micro.process)
+        for y in micro.process.image()
     }
     n = 3
     expected = 2**n + 2 * sum(

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 
 from causalground.checkers import discover_mechanisms  # noqa: E402
 from causalground.cli import run  # noqa: E402
-from causalground.io import load_model, record_to_dict  # noqa: E402
+from causalground.io import load_model, serialize  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -81,7 +81,7 @@ def inputs() -> dict:
             docs[name] = json.load(fh)
     records = discover_mechanisms(load_model(os.path.join(DATA, MODEL)), ("const",), 1)
     docs[WITNESS] = {"table": {"0": "0", "1": "1"}}
-    docs[MECHANISMS] = [record_to_dict(r) for r in records]
+    docs[MECHANISMS] = [serialize(r) for r in records]
     docs[MORPHISM] = {
         "source_model": MODEL,
         "target_model": docs[MODEL],

@@ -18,10 +18,10 @@ from causalground.io import (
     model_from_dict,
     model_to_dict,
     morphism_to_dict,
-    record_to_dict,
     records_from_dict,
     scm_from_dict,
     scm_to_dict,
+    serialize,
     witness_from_dict,
 )
 from causalground.scm import encode_scm, potential_response, verify_scm_laws
@@ -205,7 +205,7 @@ def test_witness_and_records_round_trip(pair_model):
         witness_from_dict({"table": {"0": "0"}}, dom, cod)
 
     records = discover_mechanisms(pair_model, ("const",), max_parents=1)
-    data = [record_to_dict(r) for r in records]
+    data = [serialize(r) for r in records]
     loaded_records = records_from_dict(data, pair_model)
     assert loaded_records == records
 
