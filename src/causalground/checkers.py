@@ -10,17 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     ActionModel,
     CausalGroundError,
     TotalMap,
     Word,
-    _compose_table,
-    _outcome_pair,
-    _project_outcomes,
-    _Projector,
+    _first_mismatch,
     outcome_map,  # noqa: F401  still bound here; bench/tracing.py patches it
 )
 
@@ -119,49 +116,73 @@ class SurgicalVerdict:
     reasons: tuple[str, ...]
 
 
-def _determination_violation(
-    model: ActionModel,
-    word: Word,
-    vars_i: Iterable[str],
-    vars_j: Iterable[str],
-    witness: TotalMap,
-) -> Optional[tuple[str, str, str]]:
-    """First state where outcome_J != witness . outcome_I, or None."""
-    oi, oj = _outcome_pair(model, word, vars_i, vars_j)
-    for x in model.states.elements:
-        expected = witness.table[oi[x]]
-        actual = oj[x]
-        if expected != actual:
-            return x, expected, actual
-    return None
+class _Prediction:
+    """A witness for outcome_J = witness . outcome_I, checked state by state.
+
+    ``broken[y]`` says whether state y's own outcome breaks the witness.
+    A word's table t breaks the determination at state x exactly when
+    ``broken[t[x]]``, so each word costs one gather after its composition.
+    """
+
+    def __init__(
+        self,
+        model: ActionModel,
+        vars_i: Iterable[str],
+        vars_j: Iterable[str],
+        witness: TotalMap,
+    ):
+        space = model.outcomes
+        ids_i = space.normalize_vars(vars_i)
+        ids_j = space.normalize_vars(vars_j)
+        index = model._index
+        self.states = model.states.elements
+        self.witness = witness
+        self.domain = space.subspace(ids_i).total.elements
+        self.codomain = space.subspace(ids_j).total.elements
+        self.col_i = index.column(ids_i)
+        self.col_j = index.column(ids_j)
+        code = {e: k for k, e in enumerate(self.codomain)}
+        # A witness entry outside the J-subspace predicts no reachable code.
+        predicted = [code.get(witness.table.get(e), -1) for e in self.domain]
+        self.broken = [predicted[i] != j for i, j in zip(self.col_i, self.col_j)]
+
+    def violation(self, table: list[int]) -> Optional[tuple[str, str, str]]:
+        """First (state, predicted, actual) where the word of ``table``
+        breaks the witness, or None."""
+        broken = self.broken
+        hits = [broken[y] for y in table]
+        if True not in hits:
+            return None
+        x = hits.index(True)
+        y = table[x]
+        expected = self.witness.table[self.domain[self.col_i[y]]]
+        return self.states[x], expected, self.codomain[self.col_j[y]]
 
 
 def _scan_determination(
     model: ActionModel,
     ids_i: tuple[str, ...],
     ids_j: tuple[str, ...],
-    table_i: Mapping[str, str],
-    table_j: Mapping[str, str],
+    codes_i: list[int],
+    codes_j: list[int],
 ) -> DeterminationResult:
-    bound: dict[str, str] = {}
-    binder: dict[str, str] = {}
-    for x in model.states.elements:
-        yi = table_i[x]
-        yj = table_j[x]
-        if yi in bound:
-            if bound[yi] != yj:
-                return DeterminationResult(False, None, None, (binder[yi], x))
-        else:
-            bound[yi] = yj
-            binder[yi] = x
-    domain = model.outcomes.subspace(ids_i).total
-    codomain = model.outcomes.subspace(ids_j).total
-    fill = codomain.elements[0]
-    witness = TotalMap(
-        domain, codomain, {e: bound.get(e, fill) for e in domain.elements}
-    )
+    """Decide I -> J from the I- and J-outcome codes of every state."""
+    bound = dict(zip(codes_i, codes_j))
+    if [bound[c] for c in codes_i] != codes_j:
+        states = model.states.elements
+        binder: dict[int, int] = {}
+        for x, (yi, yj) in enumerate(zip(codes_i, codes_j)):
+            first = binder.setdefault(yi, x)
+            if codes_j[first] != yj:
+                pair = (states[first], states[x])
+                return DeterminationResult(False, None, None, pair)
+    space = model.outcomes
+    domain = space.subspace(ids_i).total
+    codomain = space.subspace(ids_j).total
+    labels = codomain.elements
+    table = {e: labels[bound.get(c, 0)] for c, e in enumerate(domain.elements)}
     unique = len(bound) == len(domain)
-    return DeterminationResult(True, witness, unique, None)
+    return DeterminationResult(True, TotalMap(domain, codomain, table), unique, None)
 
 
 def check_determination(
@@ -177,8 +198,11 @@ def check_determination(
     space = model.outcomes
     ids_i = space.normalize_vars(vars_i)
     ids_j = space.normalize_vars(vars_j)
-    oi, oj = _outcome_pair(model, word, ids_i, ids_j)
-    return _scan_determination(model, ids_i, ids_j, oi, oj)
+    index = model._index
+    table = index.compose(word)
+    return _scan_determination(
+        model, ids_i, ids_j, index.project(ids_i, table), index.project(ids_j, table)
+    )
 
 
 def check_effectiveness(
@@ -192,15 +216,16 @@ def check_effectiveness(
     Effective means the outcome on J is one constant value over all of X
     after doing the context and then the word.
     """
-    composite = tuple(word) + tuple(context)
-    oj = _project_outcomes(model, _compose_table(model, composite), vars_j)
-    states = model.states.elements
-    first = states[0]
-    value = oj[first]
-    for x in states[1:]:
-        if oj[x] != value:
-            return EffectivenessResult(False, None, (first, x))
-    return EffectivenessResult(True, value, None)
+    index = model._index
+    table = index.compose(tuple(word) + tuple(context))
+    space = model.outcomes
+    ids_j = space.normalize_vars(vars_j)
+    oj = index.project(ids_j, table)
+    x = _first_mismatch(oj, [oj[0]] * len(oj))
+    if x is not None:
+        states = model.states.elements
+        return EffectivenessResult(False, None, (states[0], states[x]))
+    return EffectivenessResult(True, space.subspace(ids_j).total.elements[oj[0]], None)
 
 
 def check_invariance(
@@ -229,15 +254,17 @@ def check_invariance(
         raise PreconditionError(
             "witness codomain does not match the J-variable subspace"
         )
-    base = _determination_violation(model, base_word, ids_i, ids_j, witness)
+    prediction = _Prediction(model, ids_i, ids_j, witness)
+    index = model._index
+    base_table = index.compose(base_word)
+    base = prediction.violation(base_table)
     if base is not None:
         state, expected, actual = base
         raise BaseDeterminationError(
             f"base determination does not hold: at state {state!r} the witness "
             f"predicts {expected!r} but the outcome is {actual!r}"
         )
-    composite = tuple(later_word) + tuple(base_word)
-    hit = _determination_violation(model, composite, ids_i, ids_j, witness)
+    hit = prediction.violation(index.compose(later_word, base_table))
     if hit is None:
         return InvarianceResult(True, None, None, None)
     state, expected, actual = hit
@@ -248,12 +275,14 @@ def _first_difference(
     model: ActionModel, first: Word, second: Word
 ) -> CommutationResult:
     """First state where the state maps of two words disagree, if any."""
-    f = _compose_table(model, first)
-    g = _compose_table(model, second)
-    for x in model.states.elements:
-        if f[x] != g[x]:
-            return CommutationResult(False, x, f[x], g[x])
-    return CommutationResult(True, None, None, None)
+    index = model._index
+    f = index.compose(first)
+    g = index.compose(second)
+    x = _first_mismatch(f, g)
+    if x is None:
+        return CommutationResult(True, None, None, None)
+    states = model.states.elements
+    return CommutationResult(False, states[x], states[f[x]], states[g[x]])
 
 
 def check_commute(model: ActionModel, a: str, b: str) -> CommutationResult:
@@ -290,8 +319,10 @@ def probe_record(
     """
     space = model.outcomes
     ids_i = space.normalize_vars(parents)
-    ids_j = space.normalize_vars([target])
-    base = _determination_violation(model, context, ids_i, ids_j, witness)
+    prediction = _Prediction(model, ids_i, [target], witness)
+    index = model._index
+    context_table = index.compose(context)
+    base = prediction.violation(context_table)
     if base is not None:
         state, expected, actual = base
         raise BaseDeterminationError(
@@ -301,9 +332,7 @@ def probe_record(
     invariant: list[str] = []
     violated: list[tuple[str, str]] = []
     for word in _probe_words(model, probe_depth):
-        hit = _determination_violation(
-            model, word + tuple(context), ids_i, ids_j, witness
-        )
+        hit = prediction.violation(index.compose(word, context_table))
         name = ",".join(word)
         if hit is None:
             invariant.append(name)
@@ -318,22 +347,22 @@ def _minimal_unique_determination(
     model: ActionModel,
     target: str,
     max_parents: int,
-    full_table: Mapping[str, str],
+    table: list[int],
 ) -> Optional[tuple[tuple[str, ...], TotalMap]]:
-    """Smallest parent set uniquely determining the target for a word.
+    """Smallest parent set uniquely determining the target for the word
+    whose state table is ``table``.
 
     Ties break lexicographically in variable order, smallest cardinality
     first, so results are reproducible.
     """
     space = model.outcomes
     others = [v for v in space.var_ids if v != target]
-    project_j = _Projector(space, (target,))
-    table_j = {x: project_j[y] for x, y in full_table.items()}
+    index = model._index
+    codes_j = index.project((target,), table)
     for size in range(0, max_parents + 1):
         for parents in combinations(others, size):
-            project_i = _Projector(space, parents)
-            table_i = {x: project_i[y] for x, y in full_table.items()}
-            result = _scan_determination(model, parents, (target,), table_i, table_j)
+            codes_i = index.project(parents, table)
+            result = _scan_determination(model, parents, (target,), codes_i, codes_j)
             if result.holds and result.unique:
                 return parents, result.witness
     return None
@@ -355,11 +384,10 @@ def discover_mechanisms(
     """
     if max_parents < 0:
         raise PreconditionError("max_parents must be non-negative")
-    space = model.outcomes
-    full = _project_outcomes(model, _compose_table(model, context), None)
+    table = model._index.compose(context)
     records = []
-    for target in space.var_ids:
-        found = _minimal_unique_determination(model, target, max_parents, full)
+    for target in model.outcomes.var_ids:
+        found = _minimal_unique_determination(model, target, max_parents, table)
         if found is None:
             continue
         parents, witness = found
@@ -388,28 +416,31 @@ def check_surgical(
         raise PreconditionError("surgicality is relative to a non-empty mechanism set")
     model.generator(action)
     ctx = tuple(context)
+    index = model._index
+    context_table = index.compose(ctx)
+    predictions = []
     for record in mechanisms:
         if record.context != ctx:
             raise PreconditionError(
                 f"record {record.describe()} was built in context "
                 f"{record.context!r}, not {ctx!r}"
             )
-        base = _determination_violation(
-            model, ctx, record.parents, (record.target,), record.map
-        )
-        if base is not None:
+        prediction = _Prediction(model, record.parents, (record.target,), record.map)
+        if prediction.violation(context_table) is not None:
             raise BaseDeterminationError(
                 f"record {record.describe()} does not hold in its own context"
             )
+        predictions.append(prediction)
 
     new_word = (action,) + ctx
+    new_table = index.compose((action,), context_table)
     broken: list[MechanismRecord] = []
-    survived: list[MechanismRecord] = []
-    for record in mechanisms:
-        hit = _determination_violation(
-            model, new_word, record.parents, (record.target,), record.map
-        )
-        (broken if hit is not None else survived).append(record)
+    survived: list[tuple[MechanismRecord, _Prediction]] = []
+    for record, prediction in zip(mechanisms, predictions):
+        if prediction.violation(new_table) is not None:
+            broken.append(record)
+        else:
+            survived.append((record, prediction))
 
     reasons: list[str] = []
     if len(broken) != 1:
@@ -418,9 +449,8 @@ def check_surgical(
     target = broken[0].target if len(broken) == 1 else None
     new_record: Optional[MechanismRecord] = None
     if target is not None:
-        full = _project_outcomes(model, _compose_table(model, new_word), None)
         found = _minimal_unique_determination(
-            model, target, len(model.outcomes.var_ids) - 1, full
+            model, target, len(model.outcomes.var_ids) - 1, new_table
         )
         if found is None:
             reasons.append(
@@ -431,12 +461,9 @@ def check_surgical(
             new_record = probe_record(model, target, parents, witness, new_word)
 
     lost: list[tuple[str, str, str]] = []
-    for record in survived:
+    for record, prediction in survived:
         for probe in record.invariant_under:
-            word = tuple(probe.split(",")) + new_word
-            hit = _determination_violation(
-                model, word, record.parents, (record.target,), record.map
-            )
+            hit = prediction.violation(index.compose(probe.split(","), new_table))
             if hit is not None:
                 lost.append((record.describe(), probe, hit[0]))
     if lost:
@@ -447,7 +474,7 @@ def check_surgical(
         surgical,
         target,
         tuple(r.describe() for r in broken),
-        tuple(r.describe() for r in survived),
+        tuple(r.describe() for r, _ in survived),
         new_record,
         tuple(lost),
         tuple(reasons),

@@ -350,11 +350,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    # An absent flag is not an input, nor is an empty --word or --context
+    # (their default); an empty --vars-i or --vars-j is the empty subset.
     inputs = {}
     for flag in flags:
         key = flag.replace("-", "_")
         value = getattr(args, key)
-        if value is not None and value != "":
+        if value is not None and not (value == "" == _FLAGS[flag].get("default")):
             inputs[key] = value
     report = {
         "check": args.command,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -398,6 +399,11 @@ class ActionModel:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.generators)
 
+    @cached_property
+    def _index(self) -> "_Index":
+        """The integer coding the checkers run on, built on first use."""
+        return _Index(self)
+
     def generator(self, label: str) -> TotalMap:
         try:
             return self.generators[label]
@@ -405,21 +411,85 @@ class ActionModel:
             raise UnknownLabelError(label, self.generators) from None
 
 
-def _compose_table(model: ActionModel, word: Word) -> dict[str, str]:
-    """The state table of a word: rightmost label first, empty word = identity."""
-    maps = [model.generator(label).table for label in word]
-    table = {}
-    for x in model.states.elements:
-        v = x
-        for m in reversed(maps):
-            v = m[v]
-        table[x] = v
-    return table
+def _first_mismatch(a: list[int], b: list[int]) -> Optional[int]:
+    """First position where two equally long code lists differ, or None."""
+    if a == b:
+        return None
+    return next(x for x, (p, q) in enumerate(zip(a, b)) if p != q)
+
+
+class _Index:
+    """The integer coding of one model, which every checker runs on.
+
+    A state is its position in ``states.elements``.  Each generator is a
+    gather table: position of a state -> position of its image.  The
+    process is one column per outcome variable, giving each state's value
+    as a position in that variable's domain.  Composing a word is one
+    gather per letter, and projecting onto a variable subset combines the
+    subset's columns into a mixed-radix code.  Since the declared variable
+    order fixes the product order, that code is the position of the
+    projected element in ``outcomes.subspace(ids).total.elements``, so
+    labels are looked up only where a result names them.
+
+    Tables handed out (a generator's, a column) are shared: never mutate
+    one.
+    """
+
+    def __init__(self, model: "ActionModel"):
+        states = model.states.elements
+        position = {x: i for i, x in enumerate(states)}
+        self.generators = {
+            label: [position[m.table[x]] for x in states]
+            for label, m in model.generators.items()
+        }
+        space = model.outcomes
+        process = model.process.table
+        codes = [{v: k for k, v in enumerate(d.elements)} for _, d in space.variables]
+        rows: dict[str, tuple[int, ...]] = {}  # each distinct outcome split once
+        for y in process.values():
+            if y not in rows:
+                values = split_values(y, len(codes))
+                rows[y] = tuple(code[v] for code, v in zip(codes, values))
+        self.columns = dict(
+            zip(space.var_ids, map(list, zip(*(rows[process[x]] for x in states))))
+        )
+        self.radices = {v: len(dom) for v, dom in space.variables}
+        self.size = len(states)
+
+    def compose(self, word: Word, table: Optional[list[int]] = None) -> list[int]:
+        """The table of ``word`` acting after ``table`` (default: the
+        identity), rightmost letter first."""
+        try:
+            maps = [self.generators[label] for label in word]
+        except KeyError as exc:
+            raise UnknownLabelError(exc.args[0], self.generators) from None
+        for g in reversed(maps):
+            table = g if table is None else [g[y] for y in table]
+        return self.generators[ID_LABEL] if table is None else table
+
+    def column(self, ids: tuple[str, ...]) -> list[int]:
+        """Each state's own outcome projected onto normalized ``ids``, as codes."""
+        if not ids:
+            return [0] * self.size
+        code = self.columns[ids[0]]
+        for v in ids[1:]:
+            radix = self.radices[v]
+            code = [c * radix + d for c, d in zip(code, self.columns[v])]
+        return code
+
+    def project(self, ids: tuple[str, ...], table: list[int]) -> list[int]:
+        """Codes of project_ids . process . table."""
+        column = self.column(ids)
+        return [column[y] for y in table]
 
 
 def compose(model: ActionModel, word: Word) -> TotalMap:
     """The state map of a word: rightmost label first, empty word = identity."""
-    return TotalMap(model.states, model.states, _compose_table(model, word))
+    states = model.states.elements
+    table = model._index.compose(word)
+    return TotalMap(
+        model.states, model.states, {x: states[y] for x, y in zip(states, table)}
+    )
 
 
 def outcome_map(
@@ -433,30 +503,9 @@ def outcome_map(
     """
     space = model.outcomes
     ids = space.normalize_vars(variables)
-    table = _project_outcomes(model, _compose_table(model, word), ids)
-    return TotalMap(model.states, space.subspace(ids).total, table)
-
-
-def _outcome_pair(
-    model: ActionModel,
-    word: Word,
-    vars_i: Optional[Iterable[str]],
-    vars_j: Optional[Iterable[str]],
-) -> tuple[dict[str, str], dict[str, str]]:
-    """The I- and J-outcome tables of a word, composing the word once."""
-    do = _compose_table(model, word)
-    return _project_outcomes(model, do, vars_i), _project_outcomes(model, do, vars_j)
-
-
-def _project_outcomes(
-    model: ActionModel, do: dict[str, str], variables: Optional[Iterable[str]]
-) -> dict[str, str]:
-    """The table of project . process . do for a state table ``do``."""
-    space = model.outcomes
-    ids = space.normalize_vars(variables)
-    process = model.process.table
-    if ids == space.var_ids:
-        return {x: process[y] for x, y in do.items()}
-    project = _Projector(space, ids)
-    return {x: project[process[y]] for x, y in do.items()}
-
+    index = model._index
+    codes = index.project(ids, index.compose(word))
+    target = space.subspace(ids).total
+    labels = target.elements
+    table = {x: labels[c] for x, c in zip(model.states.elements, codes)}
+    return TotalMap(model.states, target, table)

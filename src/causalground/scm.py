@@ -26,15 +26,13 @@ from .core import (
     FiniteSet,
     SEP,
     TotalMap,
-    Word,
-    _compose_table,
-    _project_outcomes,
+    _first_mismatch,
     check_enumeration_bound,
     join_values,
 )
 from .checkers import (
     MechanismRecord,
-    _determination_violation,
+    _Prediction,
     check_commute,
     check_overwrite,
     probe_record,
@@ -345,8 +343,9 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
     (4) after init or a value intervention, the target variable is
     determined by its parents and noise via the active mechanism, and
     (5) law 4 survives any later intervention on other variables.  Laws
-    1, 2, 4 and 5 run the generic checkers; each violation names the first
-    offending state.
+    1 and 2 run the generic checkers, laws 4 and 5 the witness test that
+    ``probe_record`` and ``check_invariance`` use; each violation names
+    the first offending state.
     """
     endo = scm.endo_ids
     set_labels = {
@@ -378,44 +377,37 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
         for b in set_labels[vid]
     ))
 
+    index = model._index
     states = model.states.elements
-    before = _project_outcomes(model, _compose_table(model, ()), scm.exo_ids)
+    before = index.column(model.outcomes.normalize_vars(scm.exo_ids))
 
-    def u_changed(generator: TotalMap) -> Optional[str]:
-        after = _project_outcomes(model, generator.table, scm.exo_ids)
-        return next((x for x in states if after[x] != before[x]), None)
+    def u_changed(label: str) -> Optional[str]:
+        x = _first_mismatch([before[y] for y in index.compose((label,))], before)
+        return None if x is None else states[x]
 
-    tally(LAW_U_INVARIANT, (
-        (label, u_changed(generator)) for label, generator in model.generators.items()
-    ))
+    tally(LAW_U_INVARIANT, ((label, u_changed(label)) for label in model.generators))
 
-    mechanisms = [
-        (vid, label, _mechanism_witness(scm, model.outcomes, vid, slot))
-        for vid in endo
+    # Laws 4 and 5 check each active mechanism against the table of its
+    # label, then against each later intervention composed on that table.
+    determined: list[tuple[str, Optional[str]]] = []
+    invariant: list[tuple[str, Optional[str]]] = []
+    for vid in endo:
+        parents = (scm.noise_id(vid),) + scm.parents[vid]
+        laters = [ID_LABEL] + [b for v in endo if v != vid for b in set_labels[v]]
         for label, slot in [
             (INIT_LABEL, DEFAULT_SLOT),
             *zip(set_labels[vid], scm.domain_of(vid).elements),
-        ]
-    ]
-
-    def undetermined(word: Word, vid: str, witness: TotalMap) -> Optional[str]:
-        """First state where vid's outcome breaks the mechanism's prediction."""
-        parents = (scm.noise_id(vid),) + scm.parents[vid]
-        hit = _determination_violation(model, word, parents, (vid,), witness)
-        return hit and hit[0]
-
-    tally(LAW_DETERMINATION, (
-        (f"{vid} after {label}", undetermined((label,), vid, witness))
-        for vid, label, witness in mechanisms
-    ))
-    tally(LAW_INVARIANCE, (
-        (
-            f"{vid} after {label}, then {later}",
-            undetermined((later, label), vid, witness),
-        )
-        for vid, label, witness in mechanisms
-        for later in [ID_LABEL] + [b for v in endo if v != vid for b in set_labels[v]]
-    ))
+        ]:
+            witness = _mechanism_witness(scm, model.outcomes, vid, slot)
+            prediction = _Prediction(model, parents, (vid,), witness)
+            table = index.compose((label,))
+            hit = prediction.violation(table)
+            determined.append((f"{vid} after {label}", hit and hit[0]))
+            for later in laters:
+                hit = prediction.violation(index.compose((later,), table))
+                invariant.append((f"{vid} after {label}, then {later}", hit and hit[0]))
+    tally(LAW_DETERMINATION, determined)
+    tally(LAW_INVARIANCE, invariant)
     return LawReport(not violations, tuple(checked), tuple(violations))
 
 

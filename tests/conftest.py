@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from causalground.core import ActionModel, FactoredSpace, FiniteSet, TotalMap
@@ -8,6 +10,9 @@ from causalground.dominoes import (
     three_chain_family,
 )
 from causalground.scm import Scm
+from oracles import random_action_model, random_word
+
+N_MODELS = 500
 
 
 def binary(name: str) -> FiniteSet:
@@ -59,3 +64,14 @@ def four_chain():
 @pytest.fixture(scope="session")
 def five_chain():
     return build_bounded_model(five_chain_family())
+
+
+@pytest.fixture(scope="session")
+def model_corpus():
+    """500 seeded random models, each with one seeded random word."""
+    rng = random.Random(2024)
+    corpus = []
+    for seed in range(N_MODELS):
+        model = random_action_model(seed)
+        corpus.append((model, random_word(rng, model)))
+    return corpus

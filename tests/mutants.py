@@ -1,0 +1,69 @@
+"""Hand-made mutants of the integer-coded checker kernel.
+
+Each fixture patches one kernel function with ``monkeypatch`` for the
+length of a test; ``test_metamorphic.test_kernel_mutant_is_caught`` asserts
+that the oracle cross-check or a metamorphic relation catches each one.
+"""
+
+import dataclasses
+
+from causalground import checkers
+from causalground.core import ID_LABEL, _Index
+
+
+def composition_left_to_right(monkeypatch):
+    """Words act leftmost letter first."""
+
+    def compose(self, word, table=None):
+        for label in word:
+            g = self.generators[label]
+            table = g if table is None else [g[y] for y in table]
+        return self.generators[ID_LABEL] if table is None else table
+
+    monkeypatch.setattr(_Index, "compose", compose)
+
+
+def projection_columns_swapped(monkeypatch):
+    """The first two columns of a projection trade places in its code."""
+    column = _Index.column
+
+    def swapped(self, ids):
+        return column(self, tuple(ids[1::-1]) + tuple(ids[2:]))
+
+    monkeypatch.setattr(_Index, "column", swapped)
+
+
+def scan_skips_last_state(monkeypatch):
+    """The determination scan never looks at the last state."""
+    scan = checkers._scan_determination
+
+    def short_scan(model, ids_i, ids_j, codes_i, codes_j):
+        return scan(model, ids_i, ids_j, codes_i[:-1], codes_j[:-1])
+
+    monkeypatch.setattr(checkers, "_scan_determination", short_scan)
+
+
+def unique_on_codomain(monkeypatch):
+    """``unique`` asks whether the J-outcome is onto Y_J instead of the
+    I-outcome onto Y_I."""
+    scan = checkers._scan_determination
+
+    def codomain_scan(model, ids_i, ids_j, codes_i, codes_j):
+        result = scan(model, ids_i, ids_j, codes_i, codes_j)
+        if not result.holds:
+            return result
+        onto = len(set(codes_j)) == len(model.outcomes.subspace(ids_j).total)
+        return dataclasses.replace(result, unique=onto)
+
+    monkeypatch.setattr(checkers, "_scan_determination", codomain_scan)
+
+
+MUTANTS = {
+    mutant.__name__: mutant
+    for mutant in (
+        composition_left_to_right,
+        projection_columns_swapped,
+        scan_skips_last_state,
+        unique_on_codomain,
+    )
+}

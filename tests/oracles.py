@@ -8,7 +8,9 @@ law suite evaluates words and structural functions by hand instead of
 running the checkers.  The brute-force SCM response enumerates every
 joint assignment instead of solving in topological order, and the
 naturality closure check composes whole words instead of single
-generator squares.
+generator squares.  The reference checkers run on label tables (the
+string kernel the library used before its integer coding), one state at a
+time.
 """
 
 from __future__ import annotations
@@ -16,9 +18,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from causalground.abstraction import ModelMorphism
+from causalground.checkers import (
+    BaseDeterminationError,
+    CommutationResult,
+    DeterminationResult,
+    EffectivenessResult,
+    InvarianceResult,
+    MechanismRecord,
+    PreconditionError,
+    SurgicalVerdict,
+    check_commute,
+    check_determination,
+    check_effectiveness,
+    check_invariance,
+    check_overwrite,
+    check_surgical,
+    discover_mechanisms,
+)
 from causalground.core import (
     SEP,
     UNIT_ELEMENT,
@@ -502,3 +521,324 @@ def naturality_closure_check(m: ModelMorphism, depth: int) -> ClosureReport:
                 if x[do_src.table[s]] != do_tgt.table[x[s]]:
                     return ClosureReport(False, depth, checked, word, s)
     return ClosureReport(True, depth, checked, None, None)
+
+
+# --- The string kernel and the checkers on it --------------------------------
+
+
+def reference_compose_table(model: ActionModel, word) -> dict[str, str]:
+    """The state table of a word on labels: rightmost label first."""
+    maps = [model.generator(label).table for label in word]
+    table = {}
+    for x in model.states.elements:
+        v = x
+        for m in reversed(maps):
+            v = m[v]
+        table[x] = v
+    return table
+
+
+def reference_project_outcomes(
+    model: ActionModel, do: Mapping[str, str], variables
+) -> dict[str, str]:
+    """The label table of project . process . do for a state table ``do``."""
+    space = model.outcomes
+    ids = space.normalize_vars(variables)
+    process = model.process.table
+    memo: dict[str, str] = {}
+    table = {}
+    for x, y in do.items():
+        outcome = process[y]
+        if outcome not in memo:
+            memo[outcome] = reference_project(space, outcome, ids)
+        table[x] = memo[outcome]
+    return table
+
+
+def reference_scan_determination(
+    model: ActionModel, ids_i, ids_j, table_i, table_j
+) -> DeterminationResult:
+    """Bind f(outcome_I(x)) := outcome_J(x) state by state."""
+    bound: dict[str, str] = {}
+    binder: dict[str, str] = {}
+    for x in model.states.elements:
+        yi = table_i[x]
+        yj = table_j[x]
+        if yi in bound:
+            if bound[yi] != yj:
+                return DeterminationResult(False, None, None, (binder[yi], x))
+        else:
+            bound[yi] = yj
+            binder[yi] = x
+    domain = model.outcomes.subspace(ids_i).total
+    codomain = model.outcomes.subspace(ids_j).total
+    fill = codomain.elements[0]
+    witness = TotalMap(
+        domain, codomain, {e: bound.get(e, fill) for e in domain.elements}
+    )
+    return DeterminationResult(True, witness, len(bound) == len(domain), None)
+
+
+def _reference_violation(model, word, vars_i, vars_j, witness):
+    """First (state, predicted, actual) where outcome_J != witness . outcome_I."""
+    do = reference_compose_table(model, word)
+    oi = reference_project_outcomes(model, do, vars_i)
+    oj = reference_project_outcomes(model, do, vars_j)
+    for x in model.states.elements:
+        expected = witness.table[oi[x]]
+        if expected != oj[x]:
+            return x, expected, oj[x]
+    return None
+
+
+def reference_check_determination(model, word, vars_i, vars_j):
+    space = model.outcomes
+    ids_i = space.normalize_vars(vars_i)
+    ids_j = space.normalize_vars(vars_j)
+    do = reference_compose_table(model, word)
+    return reference_scan_determination(
+        model,
+        ids_i,
+        ids_j,
+        reference_project_outcomes(model, do, ids_i),
+        reference_project_outcomes(model, do, ids_j),
+    )
+
+
+def reference_check_effectiveness(model, word, vars_j, context=()):
+    do = reference_compose_table(model, tuple(word) + tuple(context))
+    oj = reference_project_outcomes(model, do, vars_j)
+    states = model.states.elements
+    for x in states[1:]:
+        if oj[x] != oj[states[0]]:
+            return EffectivenessResult(False, None, (states[0], x))
+    return EffectivenessResult(True, oj[states[0]], None)
+
+
+def reference_check_invariance(model, base_word, witness, vars_i, vars_j, later_word):
+    space = model.outcomes
+    ids_i = space.normalize_vars(vars_i)
+    ids_j = space.normalize_vars(vars_j)
+    if witness.domain != space.subspace(ids_i).total:
+        raise PreconditionError("witness domain does not match the I-variable subspace")
+    if witness.codomain != space.subspace(ids_j).total:
+        raise PreconditionError(
+            "witness codomain does not match the J-variable subspace"
+        )
+    base = _reference_violation(model, base_word, ids_i, ids_j, witness)
+    if base is not None:
+        raise BaseDeterminationError(
+            f"base determination does not hold: at state {base[0]!r} the witness "
+            f"predicts {base[1]!r} but the outcome is {base[2]!r}"
+        )
+    word = tuple(later_word) + tuple(base_word)
+    hit = _reference_violation(model, word, ids_i, ids_j, witness)
+    if hit is None:
+        return InvarianceResult(True, None, None, None)
+    return InvarianceResult(False, *hit)
+
+
+def reference_first_difference(model, first, second) -> CommutationResult:
+    f = reference_compose_table(model, first)
+    g = reference_compose_table(model, second)
+    for x in model.states.elements:
+        if f[x] != g[x]:
+            return CommutationResult(False, x, f[x], g[x])
+    return CommutationResult(True, None, None, None)
+
+
+def reference_check_commute(model, a: str, b: str) -> CommutationResult:
+    return reference_first_difference(model, (a, b), (b, a))
+
+
+def reference_check_overwrite(model, a: str, b: str) -> CommutationResult:
+    return reference_first_difference(model, (a, b), (a,))
+
+
+def reference_probe_record(
+    model, target, parents, witness, context, probe_depth: int = 1
+) -> MechanismRecord:
+    space = model.outcomes
+    ids_i = space.normalize_vars(parents)
+    ids_j = space.normalize_vars([target])
+    base = _reference_violation(model, context, ids_i, ids_j, witness)
+    if base is not None:
+        raise BaseDeterminationError(
+            f"record for {target!r} is invalid: at state {base[0]!r} the witness "
+            f"predicts {base[1]!r} but the outcome is {base[2]!r}"
+        )
+    labels = sorted(model.generators)
+    invariant, violated = [], []
+    for length in range(1, probe_depth + 1):
+        for word in product(labels, repeat=length):
+            hit = _reference_violation(
+                model, word + tuple(context), ids_i, ids_j, witness
+            )
+            if hit is None:
+                invariant.append(",".join(word))
+            else:
+                violated.append((",".join(word), hit[0]))
+    return MechanismRecord(
+        target, ids_i, witness, tuple(context), tuple(invariant), tuple(violated)
+    )
+
+
+def _reference_minimal_unique(model, target, max_parents, word):
+    space = model.outcomes
+    do = reference_compose_table(model, word)
+    table_j = reference_project_outcomes(model, do, (target,))
+    others = [v for v in space.var_ids if v != target]
+    for size in range(max_parents + 1):
+        for parents in combinations(others, size):
+            table_i = reference_project_outcomes(model, do, parents)
+            result = reference_scan_determination(
+                model, parents, (target,), table_i, table_j
+            )
+            if result.holds and result.unique:
+                return parents, result.witness
+    return None
+
+
+def reference_discover_mechanisms(model, context, max_parents, probe_depth=1):
+    if max_parents < 0:
+        raise PreconditionError("max_parents must be non-negative")
+    records = []
+    for target in model.outcomes.var_ids:
+        found = _reference_minimal_unique(model, target, max_parents, context)
+        if found is not None:
+            records.append(
+                reference_probe_record(
+                    model, target, found[0], found[1], context, probe_depth
+                )
+            )
+    return records
+
+
+def reference_check_surgical(
+    model, action: str, mechanisms: Iterable[MechanismRecord], context=()
+) -> SurgicalVerdict:
+    mechanisms = list(mechanisms)
+    if not mechanisms:
+        raise PreconditionError("surgicality is relative to a non-empty mechanism set")
+    model.generator(action)
+    ctx = tuple(context)
+    for record in mechanisms:
+        if record.context != ctx:
+            raise PreconditionError(
+                f"record {record.describe()} was built in context "
+                f"{record.context!r}, not {ctx!r}"
+            )
+        if _reference_violation(
+            model, ctx, record.parents, (record.target,), record.map
+        ) is not None:
+            raise BaseDeterminationError(
+                f"record {record.describe()} does not hold in its own context"
+            )
+    new_word = (action,) + ctx
+    broken, survived = [], []
+    for record in mechanisms:
+        hit = _reference_violation(
+            model, new_word, record.parents, (record.target,), record.map
+        )
+        (broken if hit is not None else survived).append(record)
+    reasons = []
+    if len(broken) != 1:
+        reasons.append(f"{len(broken)} mechanisms invalidated, need exactly 1")
+    target = broken[0].target if len(broken) == 1 else None
+    new_record = None
+    if target is not None:
+        found = _reference_minimal_unique(
+            model, target, len(model.outcomes.var_ids) - 1, new_word
+        )
+        if found is None:
+            reasons.append(f"no unique determination for {target!r} in the new context")
+        else:
+            new_record = reference_probe_record(
+                model, target, found[0], found[1], new_word
+            )
+    lost = []
+    for record in survived:
+        for probe in record.invariant_under:
+            hit = _reference_violation(
+                model,
+                tuple(probe.split(",")) + new_word,
+                record.parents,
+                (record.target,),
+                record.map,
+            )
+            if hit is not None:
+                lost.append((record.describe(), probe, hit[0]))
+    if lost:
+        reasons.append("surviving mechanisms lost invariances in the new context")
+    return SurgicalVerdict(
+        len(broken) == 1 and new_record is not None and not lost,
+        target,
+        tuple(r.describe() for r in broken),
+        tuple(r.describe() for r in survived),
+        new_record,
+        tuple(lost),
+        tuple(reasons),
+    )
+
+
+def _outcome(call, *args):
+    """A checker's result, or the type and message of the error it raised."""
+    try:
+        return call(*args)
+    except CausalGroundError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same(library, reference, model: ActionModel, *args) -> None:
+    """The library checker and its reference agree on one query."""
+    got = _outcome(library, model, *args)
+    want = _outcome(reference, model, *args)
+    assert got == want, f"{library.__name__}{args}: {got} != {want}"
+
+
+def assert_kernel_agrees(
+    model: ActionModel,
+    word,
+    rng: random.Random,
+    max_parents: int,
+    pairs: Optional[int] = None,
+) -> None:
+    """Every checker on ``model`` equals its string-kernel reference.
+
+    Queries use ``word`` as the base word or context.  ``pairs`` bounds
+    the (I, J) subset pairs, generator pairs and surgical actions tried,
+    drawn with ``rng`` (None: all of them).  A witness is also tried on a
+    random base word, where it may fail as a base determination.
+    """
+    def some(items: list) -> list:
+        return items if pairs is None else rng.sample(items, min(pairs, len(items)))
+
+    labels = sorted(model.generators)
+    for vars_i, vars_j in some(all_subset_pairs(model.outcomes.var_ids)):
+        assert_same(
+            check_determination, reference_check_determination,
+            model, word, vars_i, vars_j,
+        )
+        assert_same(
+            check_effectiveness, reference_check_effectiveness,
+            model, (rng.choice(labels),), vars_j, word,
+        )
+        result = check_determination(model, word, vars_i, vars_j)
+        if result.holds:
+            for base in (word, random_word(rng, model)):
+                assert_same(
+                    check_invariance, reference_check_invariance,
+                    model, base, result.witness, vars_i, vars_j, random_word(rng, model),
+                )
+    for a, b in some(list(product(labels, repeat=2))):
+        assert_same(check_commute, reference_check_commute, model, a, b)
+        assert_same(check_overwrite, reference_check_overwrite, model, a, b)
+    assert_same(
+        discover_mechanisms, reference_discover_mechanisms, model, word, max_parents
+    )
+    records = discover_mechanisms(model, word, max_parents)
+    if records:
+        for action in some(labels):
+            assert_same(
+                check_surgical, reference_check_surgical, model, action, records, word
+            )

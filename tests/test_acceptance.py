@@ -7,7 +7,6 @@ budgets assert wall-clock time as well.
 
 import json
 import os
-import random
 import shutil
 import time
 from itertools import product
@@ -31,13 +30,10 @@ from oracles import (
     brute_force_determination,
     brute_force_response,
     candidate_map_count,
-    random_action_model,
-    random_word,
     witness_satisfies,
 )
 
 N_SCMS = 200
-N_MODELS = 500
 ORACLE_BUDGET = 1000  # candidate maps enumerated per (I, J) pair
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -50,16 +46,6 @@ def report(line: str) -> None:
 @pytest.fixture(scope="module")
 def scm_corpus():
     return [random_scm(seed) for seed in range(N_SCMS)]
-
-
-@pytest.fixture(scope="module")
-def model_corpus():
-    rng = random.Random(2024)
-    corpus = []
-    for seed in range(N_MODELS):
-        model = random_action_model(seed)
-        corpus.append((model, random_word(rng, model)))
-    return corpus
 
 
 @pytest.fixture(scope="module")

@@ -331,6 +331,17 @@ def test_image(workspace, capsys):
     check_golden("image.json", out)
 
 
+def test_image_report_names_the_empty_subset(workspace, capsys):
+    argv = ["image", "--model", "model_pair.json", "--word", "swap", "--format", "json"]
+    _, out = invoke(argv, capsys)
+    every = json.loads(out)
+    _, out = invoke(argv + ["--vars-i", ""], capsys)
+    empty = json.loads(out)
+    assert every["image"] == ["0|0", "1|1"] and empty["image"] == ["*"]
+    assert "vars_i" not in every["inputs"]
+    assert empty["inputs"]["vars_i"] == ""
+
+
 def test_text_format_is_deterministic(workspace, capsys):
     code, out = run_twice_and_compare(
         ["check-determination", "--model", "model_pair.json",
@@ -567,3 +578,16 @@ def test_module_entry_point(workspace):
     )
     assert proc.returncode == 0
     assert "fallen-E" in proc.stdout
+
+
+def test_cli_runs_on_the_standard_library_alone(workspace):
+    # -S skips site-packages, so an import of any installed third-party
+    # package (numpy, say) from the library fails here.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "causalground", "check-determination",
+         "--model", "model_pair.json", "--vars-i", "v1", "--vars-j", "v2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: pass" in proc.stdout

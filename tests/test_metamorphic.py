@@ -1,0 +1,258 @@
+"""Metamorphic relations of the checkers, on small random models.
+
+Each relation is a law any correct engine obeys, whatever its internal
+representation: renaming states (order kept) renames every result,
+determination is monotone in I and antitone in J, the later word ``id``
+keeps every determination, and images shrink as a word grows on the
+right.  Each relation is a plain function, run by hypothesis on generated
+models (at most 40 states and 4 variables) and, in
+``test_kernel_mutant_is_caught``, on seeded models under each kernel
+mutant of ``mutants``.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from causalground.checkers import (  # noqa: E402
+    check_commute,
+    check_determination,
+    check_effectiveness,
+    check_invariance,
+    check_surgical,
+    discover_mechanisms,
+)
+from causalground.core import (  # noqa: E402
+    ID_LABEL,
+    CausalGroundError,
+    ActionModel,
+    FactoredSpace,
+    FiniteSet,
+    TotalMap,
+    outcome_map,
+)
+from mutants import MUTANTS  # noqa: E402
+from oracles import (  # noqa: E402
+    all_subset_pairs,
+    assert_kernel_agrees,
+    random_action_model,
+    random_word,
+)
+
+SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def models(draw) -> ActionModel:
+    """A model of 1-40 states, 1-4 variables of 1-3 values, whose process
+    uses a few outcomes and whose 1-3 generators have small images, so
+    that determinations and constant outcomes are common."""
+    n_states = draw(st.integers(1, 40))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n_outcomes = draw(st.integers(1, 6))
+    n_generators = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    states = FiniteSet("X", tuple(f"x{i}" for i in range(n_states)))
+    space = FactoredSpace(tuple(
+        (f"v{k}", FiniteSet(f"v{k}", tuple(str(c) for c in range(size))))
+        for k, size in enumerate(sizes)
+    ))
+    pool = [rng.choice(space.total.elements) for _ in range(n_outcomes)]
+    process = TotalMap(
+        states, space.total, {x: rng.choice(pool) for x in states.elements}
+    )
+    generators = {}
+    for g in range(n_generators):
+        image = rng.sample(states.elements, rng.randint(1, n_states))
+        generators[f"g{g}"] = TotalMap(
+            states, states, {x: rng.choice(image) for x in states.elements}
+        )
+    return ActionModel(states, space, generators, process)
+
+
+def words(model: ActionModel, max_size: int = 3):
+    return st.lists(
+        st.sampled_from(sorted(model.generators)), max_size=max_size
+    ).map(tuple)
+
+
+# --- the relations -----------------------------------------------------------
+
+
+def renamed(model: ActionModel, names: dict) -> ActionModel:
+    """The model with every state x relabelled names[x], order kept."""
+    states = FiniteSet("R", tuple(names[x] for x in model.states.elements))
+
+    def rename_map(m: TotalMap) -> TotalMap:
+        return TotalMap(states, states, {names[x]: names[y] for x, y in m.table.items()})
+
+    return ActionModel(
+        states,
+        model.outcomes,
+        {label: rename_map(m) for label, m in model.generators.items()},
+        TotalMap(
+            states,
+            model.outcomes.total,
+            {names[x]: y for x, y in model.process.table.items()},
+        ),
+    )
+
+
+def rename(value, names: dict):
+    """A result with every state label in it renamed; maps over outcomes
+    (witnesses) are left as they are."""
+    if isinstance(value, str):
+        return names.get(value, value)
+    if isinstance(value, (tuple, list)):
+        return type(value)(rename(v, names) for v in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, TotalMap):
+        return dataclasses.replace(value, **{
+            f.name: rename(getattr(value, f.name), names)
+            for f in dataclasses.fields(value)
+        })
+    return value
+
+
+def assert_renaming_renames(model: ActionModel, word, later, pairs) -> None:
+    """Checkers on the renamed model give the renamed results.  The new
+    labels sort in the reverse of state order, so a kernel that orders
+    states by label would show."""
+    n = len(model.states)
+    names = {x: f"s{n - i:02d}" for i, x in enumerate(model.states.elements)}
+    other = renamed(model, names)
+
+    def same(check, *args):
+        assert check(other, *args) == rename(check(model, *args), names), args
+
+    labels = sorted(model.generators)
+    for vars_i, vars_j in pairs:
+        same(check_determination, word, vars_i, vars_j)
+        same(check_effectiveness, later, vars_j, word)
+        result = check_determination(model, word, vars_i, vars_j)
+        if result.holds:
+            same(check_invariance, word, result.witness, vars_i, vars_j, later)
+    for a in labels:
+        for b in labels:
+            same(check_commute, a, b)
+    max_parents = len(model.outcomes.var_ids)
+    same(discover_mechanisms, word, max_parents)
+    records = discover_mechanisms(model, word, max_parents)
+    if records:
+        for action in labels:
+            same(check_surgical, action, records, word)
+
+
+def assert_determination_monotone(model: ActionModel, word) -> None:
+    """If I -> J holds, so do I u K -> J and I -> J' for every J' in J."""
+    pairs = all_subset_pairs(model.outcomes.var_ids)
+    holds = {
+        (frozenset(i), frozenset(j)): check_determination(model, word, i, j).holds
+        for i, j in pairs
+    }
+    for (i, j), ok in holds.items():
+        if not ok:
+            continue
+        for (k, l), other in holds.items():
+            if (k >= i and l == j) or (k == i and l <= j):
+                assert other, f"{set(i)} -> {set(j)} holds, {set(k)} -> {set(l)} not"
+
+
+def assert_id_keeps_invariance(model: ActionModel, word) -> None:
+    """A holding determination is invariant under the later word ``id``."""
+    for vars_i, vars_j in all_subset_pairs(model.outcomes.var_ids):
+        result = check_determination(model, word, vars_i, vars_j)
+        if result.holds:
+            assert check_invariance(
+                model, word, result.witness, vars_i, vars_j, (ID_LABEL,)
+            ).holds
+
+
+def assert_image_shrinks(model: ActionModel, u, v, variables) -> None:
+    """image(outcome(u + v)) is a subset of image(outcome(u))."""
+    for ids in (None, variables):
+        longer = set(outcome_map(model, tuple(u) + tuple(v), ids).image())
+        assert longer <= set(outcome_map(model, u, ids).image()), (u, v, ids)
+
+
+# --- hypothesis runs ------------------------------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_renaming_states_renames_results(data):
+    model = data.draw(models())
+    pairs = data.draw(st.lists(
+        st.sampled_from(all_subset_pairs(model.outcomes.var_ids)), max_size=4
+    ))
+    word, later = data.draw(words(model)), data.draw(words(model))
+    assert_renaming_renames(model, word, later, pairs)
+
+
+@SETTINGS
+@given(st.data())
+def test_determination_is_monotone_in_i_and_antitone_in_j(data):
+    model = data.draw(models())
+    assert_determination_monotone(model, data.draw(words(model)))
+
+
+@SETTINGS
+@given(st.data())
+def test_later_id_keeps_every_determination(data):
+    model = data.draw(models())
+    assert_id_keeps_invariance(model, data.draw(words(model)))
+
+
+@SETTINGS
+@given(st.data())
+def test_image_shrinks_as_the_word_grows(data):
+    model = data.draw(models())
+    variables = data.draw(st.sets(st.sampled_from(model.outcomes.var_ids)))
+    assert_image_shrinks(
+        model, data.draw(words(model)), data.draw(words(model)), variables
+    )
+
+
+# --- mutants ------------------------------------------------------------------
+
+
+def _fails(check) -> bool:
+    """Does the check fail, by an assertion or by a checker error such as
+    a base determination that a wrong witness does not satisfy?"""
+    try:
+        check()
+    except (AssertionError, CausalGroundError):
+        return True
+    return False
+
+
+def _relations(n_models: int) -> None:
+    rng = random.Random(11)
+    for seed in range(n_models):
+        model = random_action_model(seed, max_states=12, max_vars=4)
+        word, later = random_word(rng, model, 3), random_word(rng, model, 3)
+        pairs = all_subset_pairs(model.outcomes.var_ids)
+        pairs = rng.sample(pairs, min(4, len(pairs)))
+        assert_renaming_renames(model, word, later, pairs)
+        assert_determination_monotone(model, word)
+        assert_id_keeps_invariance(model, word)
+        assert_image_shrinks(model, word, later, model.outcomes.var_ids[:1])
+
+
+def _oracle(corpus) -> None:
+    rng = random.Random(11)
+    for model, word in corpus:
+        assert_kernel_agrees(model, word, rng, len(model.outcomes.var_ids))
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
+    MUTANTS[name](monkeypatch)
+    caught = {
+        "oracle": _fails(lambda: _oracle(model_corpus[:200])),
+        "relations": _fails(lambda: _relations(100)),
+    }
+    assert any(caught.values()), f"mutant {name} survived"
