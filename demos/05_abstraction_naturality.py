@@ -9,10 +9,11 @@ which is decidable here and produces named counterexamples when it fails.
 from itertools import product
 
 from causalground import (
+    ModelMorphism,
+    TotalMap,
     build_bounded_model,
     check_naturality,
     check_surjectivity_assumptions,
-    barrier_blind_morphism,
     compose,
     line6_family,
     three_chain_family,
@@ -29,10 +30,18 @@ print("abstract states:", len(abstract.states),
 report = check_naturality(morphism)
 print("tag-forgetting abstraction natural:", report.natural)
 
-# Sabotage: a state map that also forgets where the barriers are.  The
+# Sabotage: a state map that also forgets where the barriers are, by
+# zeroing the bits of each abstract label <tokens>/b<bits>/p<push>.  The
 # action square for adding a barrier and the process square for blocked
 # chains stop commuting.
-bad = barrier_blind_morphism(family, morphism)
+blind = {}
+for state, label in morphism.state_map.table.items():
+    tokens, bits, push = label.split("/")
+    blind[state] = f"{tokens}/b{'0' * (len(bits) - 1)}/{push}"
+bad = ModelMorphism(
+    micro, abstract, TotalMap(micro.states, abstract.states, blind),
+    morphism.outcome_map,
+)
 broken = check_naturality(bad)
 print("barrier-blind abstraction natural:", broken.natural,
       f"({broken.failure_count} failing squares)")

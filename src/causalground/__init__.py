@@ -60,7 +60,6 @@ from .dominoes import (
     Domino,
     LineFamily,
     MicroState,
-    barrier_blind_morphism,
     build_bounded_model,
     five_chain_family,
     four_chain_family,

@@ -9,7 +9,7 @@ over the (finite) state set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -119,6 +119,7 @@ class SurgicalVerdict:
 class _Prediction:
     """A witness for outcome_J = witness . outcome_I, checked state by state.
 
+    A witness not from the I- to the J-subspace raises ``PreconditionError``.
     ``broken[y]`` says whether state y's own outcome breaks the witness.
     A word's table t breaks the determination at state x exactly when
     ``broken[t[x]]``, so each word costs one gather after its composition.
@@ -132,18 +133,27 @@ class _Prediction:
         witness: TotalMap,
     ):
         space = model.outcomes
-        ids_i = space.normalize_vars(vars_i)
+        self.ids_i = space.normalize_vars(vars_i)
         ids_j = space.normalize_vars(vars_j)
+        domain = space.subspace(self.ids_i).total
+        codomain = space.subspace(ids_j).total
+        if witness.domain != domain:
+            raise PreconditionError(
+                "witness domain does not match the I-variable subspace"
+            )
+        if witness.codomain != codomain:
+            raise PreconditionError(
+                "witness codomain does not match the J-variable subspace"
+            )
         index = model._index
         self.states = model.states.elements
         self.witness = witness
-        self.domain = space.subspace(ids_i).total.elements
-        self.codomain = space.subspace(ids_j).total.elements
-        self.col_i = index.column(ids_i)
+        self.domain = domain.elements
+        self.codomain = codomain.elements
+        self.col_i = index.column(self.ids_i)
         self.col_j = index.column(ids_j)
         code = {e: k for k, e in enumerate(self.codomain)}
-        # A witness entry outside the J-subspace predicts no reachable code.
-        predicted = [code.get(witness.table.get(e), -1) for e in self.domain]
+        predicted = [code[witness.table[e]] for e in self.domain]
         self.broken = [predicted[i] != j for i, j in zip(self.col_i, self.col_j)]
 
     def violation(self, table: list[int]) -> Optional[tuple[str, str, str]]:
@@ -157,6 +167,17 @@ class _Prediction:
         y = table[x]
         expected = self.witness.table[self.domain[self.col_i[y]]]
         return self.states[x], expected, self.codomain[self.col_j[y]]
+
+    def require(self, table: list[int], what: str) -> None:
+        """Raise ``BaseDeterminationError`` opening with ``what`` unless
+        the witness holds on the word of ``table``."""
+        hit = self.violation(table)
+        if hit is not None:
+            state, expected, actual = hit
+            raise BaseDeterminationError(
+                f"{what}: at state {state!r} the witness predicts {expected!r} "
+                f"but the outcome is {actual!r}"
+            )
 
 
 def _scan_determination(
@@ -243,27 +264,10 @@ def check_invariance(
     word acts after the base word and before the process, so the composite
     word is later_word + base_word under the rightmost-first convention.
     """
-    space = model.outcomes
-    ids_i = space.normalize_vars(vars_i)
-    ids_j = space.normalize_vars(vars_j)
-    if witness.domain != space.subspace(ids_i).total:
-        raise PreconditionError(
-            "witness domain does not match the I-variable subspace"
-        )
-    if witness.codomain != space.subspace(ids_j).total:
-        raise PreconditionError(
-            "witness codomain does not match the J-variable subspace"
-        )
-    prediction = _Prediction(model, ids_i, ids_j, witness)
+    prediction = _Prediction(model, vars_i, vars_j, witness)
     index = model._index
     base_table = index.compose(base_word)
-    base = prediction.violation(base_table)
-    if base is not None:
-        state, expected, actual = base
-        raise BaseDeterminationError(
-            f"base determination does not hold: at state {state!r} the witness "
-            f"predicts {expected!r} but the outcome is {actual!r}"
-        )
+    prediction.require(base_table, "base determination does not hold")
     hit = prediction.violation(index.compose(later_word, base_table))
     if hit is None:
         return InvarianceResult(True, None, None, None)
@@ -295,12 +299,27 @@ def check_overwrite(model: ActionModel, a: str, b: str) -> CommutationResult:
     return _first_difference(model, (a, b), (a,))
 
 
-def _probe_words(model: ActionModel, depth: int) -> list[tuple[str, ...]]:
+def _probe(
+    model: ActionModel,
+    target: str,
+    prediction: _Prediction,
+    context: Word,
+    table: list[int],
+) -> MechanismRecord:
+    """The record of a determination that holds on ``table``, the state
+    table of ``context``: each generator, in label order, probed once
+    after the context."""
+    index = model._index
     labels = sorted(model.generators)
-    words: list[tuple[str, ...]] = []
-    for length in range(1, depth + 1):
-        words.extend(product(labels, repeat=length))
-    return words
+    hits = [prediction.violation(index.compose((a,), table)) for a in labels]
+    return MechanismRecord(
+        target,
+        prediction.ids_i,
+        prediction.witness,
+        tuple(context),
+        tuple(a for a, hit in zip(labels, hits) if hit is None),
+        tuple((a, hit[0]) for a, hit in zip(labels, hits) if hit is not None),
+    )
 
 
 def probe_record(
@@ -309,38 +328,16 @@ def probe_record(
     parents: Iterable[str],
     witness: TotalMap,
     context: Word,
-    probe_depth: int = 1,
 ) -> MechanismRecord:
     """Build a MechanismRecord by probing which actions preserve a determination.
 
     The determination must already hold in the context (error otherwise).
-    Probes are words of generators performed after the context; the default
-    depth 1 probes the primitive actions one at a time.
+    Each generator is probed once, performed after the context.
     """
-    space = model.outcomes
-    ids_i = space.normalize_vars(parents)
-    prediction = _Prediction(model, ids_i, [target], witness)
-    index = model._index
-    context_table = index.compose(context)
-    base = prediction.violation(context_table)
-    if base is not None:
-        state, expected, actual = base
-        raise BaseDeterminationError(
-            f"record for {target!r} is invalid: at state {state!r} the witness "
-            f"predicts {expected!r} but the outcome is {actual!r}"
-        )
-    invariant: list[str] = []
-    violated: list[tuple[str, str]] = []
-    for word in _probe_words(model, probe_depth):
-        hit = prediction.violation(index.compose(word, context_table))
-        name = ",".join(word)
-        if hit is None:
-            invariant.append(name)
-        else:
-            violated.append((name, hit[0]))
-    return MechanismRecord(
-        target, ids_i, witness, tuple(context), tuple(invariant), tuple(violated)
-    )
+    prediction = _Prediction(model, parents, [target], witness)
+    table = model._index.compose(context)
+    prediction.require(table, f"record for {target!r} is invalid")
+    return _probe(model, target, prediction, context, table)
 
 
 def _minimal_unique_determination(
@@ -372,7 +369,6 @@ def discover_mechanisms(
     model: ActionModel,
     context: Word,
     max_parents: int,
-    probe_depth: int = 1,
 ) -> list[MechanismRecord]:
     """Search for mechanisms active in a context.
 
@@ -391,9 +387,8 @@ def discover_mechanisms(
         if found is None:
             continue
         parents, witness = found
-        records.append(
-            probe_record(model, target, parents, witness, context, probe_depth)
-        )
+        prediction = _Prediction(model, parents, (target,), witness)
+        records.append(_probe(model, target, prediction, context, table))
     return records
 
 
@@ -458,7 +453,8 @@ def check_surgical(
             )
         else:
             parents, witness = found
-            new_record = probe_record(model, target, parents, witness, new_word)
+            fresh = _Prediction(model, parents, (target,), witness)
+            new_record = _probe(model, target, fresh, new_word, new_table)
 
     lost: list[tuple[str, str, str]] = []
     for record, prediction in survived:

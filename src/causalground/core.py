@@ -312,39 +312,21 @@ class FactoredSpace:
 
     def project_element(self, element: str, var_ids: Iterable[str]) -> str:
         """Project a single total-set element onto a variable subset."""
-        return _Projector(self, self.normalize_vars(var_ids))[element]
+        ids = self.normalize_vars(var_ids)
+        values = self.split(element)
+        positions = self._positions  # type: ignore[attr-defined]
+        return join_values([values[positions[v]] for v in ids])
 
     def projection(self, var_ids: Iterable[str]) -> TotalMap:
         """The projection map from the total set onto a variable subset."""
         ids = self.normalize_vars(var_ids)
-        project = _Projector(self, ids)
-        table = {e: project[e] for e in self.total.elements}
+        table = {e: self.project_element(e, ids) for e in self.total.elements}
         return TotalMap(self.total, self.subspace(ids).total, table)
 
     @classmethod
     def from_set(cls, s: FiniteSet) -> "FactoredSpace":
         """Wrap a bare outcome set as a one-variable factored space."""
         return cls(((s.id, s),))
-
-
-class _Projector(dict):
-    """Projection of total-set elements onto one normalized variable subset.
-
-    Indexing with an element gives its projection.  Column positions are
-    looked up once, and each distinct element is split once and memoized,
-    since many states share one outcome.  A projector lives for one call
-    only, so the memo never outgrows the tables that call builds.
-    """
-
-    def __init__(self, space: FactoredSpace, ids: tuple[str, ...]):
-        super().__init__()
-        self.positions = tuple(space._positions[v] for v in ids)  # type: ignore[attr-defined]
-        self.arity = len(space.variables)
-
-    def __missing__(self, element: str) -> str:
-        values = split_values(element, self.arity)
-        projected = self[element] = join_values([values[i] for i in self.positions])
-        return projected
 
 
 @dataclass(frozen=True, eq=False)

@@ -511,29 +511,6 @@ def build_bounded_model(
     return micro, abstract, morphism
 
 
-def barrier_blind_morphism(
-    family: LineFamily, morphism: ModelMorphism
-) -> ModelMorphism:
-    """Sabotaged state map that also forgets barrier positions.
-
-    Maps every micro state to the abstract state of its barrier-free
-    variant; action squares for barrier edits and process squares for
-    blocked chains stop commuting, which check_naturality must expose.
-    """
-    blind = {}
-    for code in family.codes():
-        tags, bits, push = code
-        cleared = _forget_tags((tags, (0,) * len(bits), push))
-        blind[family.label(code)] = family.label(cleared)
-    return ModelMorphism(
-        morphism.source,
-        morphism.target,
-        TotalMap(morphism.source.states, morphism.target.states, blind),
-        morphism.outcome_map,
-        dict(morphism.alphabet_map),
-    )
-
-
 # --- named families used across tests, demos, and reports -------------------
 
 def _chain_family(

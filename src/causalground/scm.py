@@ -411,9 +411,7 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
     return LawReport(not violations, tuple(checked), tuple(violations))
 
 
-def default_mechanism_records(
-    scm: Scm, model: ActionModel, probe_depth: int = 1
-) -> list[MechanismRecord]:
+def default_mechanism_records(scm: Scm, model: ActionModel) -> list[MechanismRecord]:
     """One mechanism record per endogenous variable, in the init context.
 
     Each record states that the variable is determined by its parents and
@@ -424,9 +422,7 @@ def default_mechanism_records(
     for vid in scm.endo_ids:
         witness = _mechanism_witness(scm, model.outcomes, vid, DEFAULT_SLOT)
         parents = (scm.noise_id(vid),) + scm.parents[vid]
-        records.append(
-            probe_record(model, vid, parents, witness, (INIT_LABEL,), probe_depth)
-        )
+        records.append(probe_record(model, vid, parents, witness, (INIT_LABEL,)))
     return records
 
 

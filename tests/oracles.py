@@ -10,7 +10,8 @@ joint assignment instead of solving in topological order, and the
 naturality closure check composes whole words instead of single
 generator squares.  The reference checkers run on label tables (the
 string kernel the library used before its integer coding), one state at a
-time.
+time.  The barrier-blind morphism is a sabotage fixture that naturality
+must refute.
 """
 
 from __future__ import annotations
@@ -522,6 +523,30 @@ def naturality_closure_check(m: ModelMorphism, depth: int) -> ClosureReport:
                     return ClosureReport(False, depth, checked, word, s)
     return ClosureReport(True, depth, checked, None, None)
 
+
+
+def barrier_blind_morphism(
+    _family: LineFamily, morphism: ModelMorphism
+) -> ModelMorphism:
+    """Sabotaged state map that also forgets barrier positions.
+
+    Zeroes the bit string of each abstract label ``<tokens>/b<bits>/p<push>``,
+    so every micro state maps to the abstract state of its barrier-free
+    variant; action squares for barrier edits and process squares for
+    blocked chains stop commuting, which check_naturality must expose.
+    The family is not read: the labels already carry the bits.
+    """
+    blind = {}
+    for micro, abstract in morphism.state_map.table.items():
+        tokens, bits, push = abstract.split("/")
+        blind[micro] = f"{tokens}/b{'0' * (len(bits) - 1)}/{push}"
+    return ModelMorphism(
+        morphism.source,
+        morphism.target,
+        TotalMap(morphism.source.states, morphism.target.states, blind),
+        morphism.outcome_map,
+        dict(morphism.alphabet_map),
+    )
 
 # --- The string kernel and the checkers on it --------------------------------
 

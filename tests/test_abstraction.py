@@ -16,11 +16,10 @@ from causalground.core import (
 )
 from causalground.dominoes import (
     LineFamily,
-    barrier_blind_morphism,
     build_bounded_model,
 )
 
-from oracles import naturality_closure_check
+from oracles import barrier_blind_morphism, naturality_closure_check
 
 
 def identity_morphism(model):

@@ -17,7 +17,7 @@ from causalground.abstraction import check_naturality
 from causalground.checkers import check_determination, check_invariance
 from causalground.cli import run as cli_run
 from causalground.core import TotalMap, outcome_map
-from causalground.dominoes import barrier_blind_morphism, build_bounded_model, line6_family
+from causalground.dominoes import build_bounded_model, line6_family
 from causalground.scm import (
     DEFAULT_SLOT,
     encode_scm,
@@ -27,6 +27,7 @@ from causalground.scm import (
 )
 from oracles import (
     all_subset_pairs,
+    barrier_blind_morphism,
     brute_force_determination,
     brute_force_response,
     candidate_map_count,

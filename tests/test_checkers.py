@@ -4,6 +4,7 @@ import pytest
 
 from causalground.checkers import (
     BaseDeterminationError,
+    MechanismRecord,
     PreconditionError,
     check_commute,
     check_determination,
@@ -287,6 +288,20 @@ def test_probe_record_rejects_invalid_base(pair_model):
     with pytest.raises(BaseDeterminationError):
         probe_record(pair_model, "v2", ("v1",), wrong, ())
 
+
+
+def test_probe_record_rejects_witness_on_wrong_subspaces(pair_model):
+    # a witness on Y_{v1,v2} -> Y_{v2} passed with parents v1
+    wide = check_determination(pair_model, (), ("v1", "v2"), ("v2",)).witness
+    with pytest.raises(PreconditionError, match="witness domain"):
+        probe_record(pair_model, "v2", ("v1",), wide, ())
+
+
+def test_surgical_rejects_record_map_on_wrong_subspaces(pair_model):
+    wide = check_determination(pair_model, (), ("v1", "v2"), ("v2",)).witness
+    record = MechanismRecord("v2", ("v1",), wide, (), ("id",), ())
+    with pytest.raises(PreconditionError, match="witness domain"):
+        check_surgical(pair_model, "swap", [record], ())
 
 def test_surgical_identity_is_not_surgical(pair_model):
     records = discover_mechanisms(pair_model, ("const",), max_parents=1)

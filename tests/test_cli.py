@@ -8,7 +8,7 @@ import pytest
 
 from causalground.checkers import discover_mechanisms
 from causalground.cli import run
-from causalground.dominoes import barrier_blind_morphism, build_bounded_model
+from causalground.dominoes import build_bounded_model
 from causalground.io import (
     dump_json,
     load_family,
@@ -18,6 +18,7 @@ from causalground.io import (
     serialize,
 )
 from causalground.scm import default_mechanism_records, encode_scm
+from oracles import barrier_blind_morphism
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

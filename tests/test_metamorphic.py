@@ -2,12 +2,14 @@
 
 Each relation is a law any correct engine obeys, whatever its internal
 representation: renaming states (order kept) renames every result,
-determination is monotone in I and antitone in J, the later word ``id``
-keeps every determination, and images shrink as a word grows on the
-right.  Each relation is a plain function, run by hypothesis on generated
-models (at most 40 states and 4 variables) and, in
-``test_kernel_mutant_is_caught``, on seeded models under each kernel
-mutant of ``mutants``.
+adding an alias generator or reordering the generators keeps every
+result on the old labels, determination is monotone in I and antitone
+in J, the later word ``id`` keeps every determination, images shrink as
+a word grows on the right, and the identity morphism and composites of
+natural morphisms are natural.  Each relation is a plain function, run by
+hypothesis on generated models (at most 40 states and 4 variables); the
+kernel relations also run, in ``test_kernel_mutant_is_caught``, on
+seeded models under each kernel mutant of ``mutants``.
 """
 
 import dataclasses
@@ -18,11 +20,17 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from causalground.abstraction import (  # noqa: E402
+    ModelMorphism,
+    check_naturality,
+    compose_morphisms,
+)
 from causalground.checkers import (  # noqa: E402
     check_commute,
     check_determination,
     check_effectiveness,
     check_invariance,
+    check_overwrite,
     check_surgical,
     discover_mechanisms,
 )
@@ -146,6 +154,69 @@ def assert_renaming_renames(model: ActionModel, word, later, pairs) -> None:
             same(check_surgical, action, records, word)
 
 
+def with_generators(model: ActionModel, generators: dict) -> ActionModel:
+    return ActionModel(model.states, model.outcomes, generators, model.process)
+
+
+def assert_alias_and_reorder_keep_results(
+    model: ActionModel, aliased: str, word, later, pairs
+) -> None:
+    """Adding an alias of generator ``aliased``, or reversing the order of
+    the generator dict, keeps every result on the old labels; the reversal
+    also keeps discovery, whose probes run in label order."""
+    labels = sorted(model.generators)
+    alias = {**model.generators, labels[-1] + "'": model.generators[aliased]}
+    reordered = with_generators(model, dict(reversed(model.generators.items())))
+    for other in (with_generators(model, alias), reordered):
+
+        def same(check, *args):
+            assert check(other, *args) == check(model, *args), (check.__name__, args)
+
+        for vars_i, vars_j in pairs:
+            same(check_determination, word, vars_i, vars_j)
+            same(check_effectiveness, later, vars_j, word)
+            result = check_determination(model, word, vars_i, vars_j)
+            if result.holds:
+                same(check_invariance, word, result.witness, vars_i, vars_j, later)
+        for a in labels:
+            for b in labels:
+                same(check_commute, a, b)
+                same(check_overwrite, a, b)
+    max_parents = len(model.outcomes.var_ids)
+    assert discover_mechanisms(reordered, word, max_parents) == discover_mechanisms(
+        model, word, max_parents
+    )
+
+
+def relabelling(model: ActionModel, prefix: str) -> ModelMorphism:
+    """The isomorphism onto a copy of the model whose states and generator
+    labels carry ``prefix``; it is natural by construction."""
+    names = {x: prefix + x for x in model.states.elements}
+    other = renamed(model, names)
+    generators = {prefix + a: m for a, m in other.generators.items()}
+    return ModelMorphism(
+        model,
+        with_generators(other, generators),
+        TotalMap(model.states, other.states, names),
+        TotalMap.identity(model.outcomes.total),
+        {a: prefix + a for a in model.generators},
+    )
+
+
+def assert_morphisms_compose_naturally(model: ActionModel) -> None:
+    """The identity morphism is natural, and so is the composite of two
+    natural morphisms."""
+    states, outcomes = model.states, model.outcomes.total
+    identity = ModelMorphism(
+        model, model, TotalMap.identity(states), TotalMap.identity(outcomes)
+    )
+    assert check_naturality(identity).natural
+    inner = relabelling(model, "a")
+    outer = relabelling(inner.target, "b")
+    assert check_naturality(inner).natural and check_naturality(outer).natural
+    assert check_naturality(compose_morphisms(outer, inner)).natural
+
+
 def assert_determination_monotone(model: ActionModel, word) -> None:
     """If I -> J holds, so do I u K -> J and I -> J' for every J' in J."""
     pairs = all_subset_pairs(model.outcomes.var_ids)
@@ -194,6 +265,17 @@ def test_renaming_states_renames_results(data):
 
 @SETTINGS
 @given(st.data())
+def test_alias_and_reordered_generators_keep_results(data):
+    model = data.draw(models())
+    pairs = data.draw(st.lists(
+        st.sampled_from(all_subset_pairs(model.outcomes.var_ids)), max_size=4
+    ))
+    aliased = data.draw(st.sampled_from(sorted(model.generators)))
+    word, later = data.draw(words(model)), data.draw(words(model))
+    assert_alias_and_reorder_keep_results(model, aliased, word, later, pairs)
+
+@SETTINGS
+@given(st.data())
 def test_determination_is_monotone_in_i_and_antitone_in_j(data):
     model = data.draw(models())
     assert_determination_monotone(model, data.draw(words(model)))
@@ -215,6 +297,11 @@ def test_image_shrinks_as_the_word_grows(data):
         model, data.draw(words(model)), data.draw(words(model)), variables
     )
 
+
+@SETTINGS
+@given(st.data())
+def test_identity_and_composite_morphisms_are_natural(data):
+    assert_morphisms_compose_naturally(data.draw(models()))
 
 # --- mutants ------------------------------------------------------------------
 
