@@ -18,6 +18,7 @@ from .core import (
     TotalMap,
     Word,
     _first_mismatch,
+    _Image,
     outcome_map,  # noqa: F401  still bound here; bench/tracing.py patches it
 )
 
@@ -117,12 +118,11 @@ class SurgicalVerdict:
 
 
 class _Prediction:
-    """A witness for outcome_J = witness . outcome_I, checked state by state.
+    """A witness for outcome_J = witness . outcome_I, checked on the states
+    a context reaches.
 
     A witness not from the I- to the J-subspace raises ``PreconditionError``.
-    ``broken[y]`` says whether state y's own outcome breaks the witness.
-    A word's table t breaks the determination at state x exactly when
-    ``broken[t[x]]``, so each word costs one gather after its composition.
+    ``predicted[c]`` is the J-code the witness gives I-code c.
     """
 
     def __init__(
@@ -134,9 +134,9 @@ class _Prediction:
     ):
         space = model.outcomes
         self.ids_i = space.normalize_vars(vars_i)
-        ids_j = space.normalize_vars(vars_j)
+        self.ids_j = space.normalize_vars(vars_j)
         domain = space.subspace(self.ids_i).total
-        codomain = space.subspace(ids_j).total
+        codomain = space.subspace(self.ids_j).total
         if witness.domain != domain:
             raise PreconditionError(
                 "witness domain does not match the I-variable subspace"
@@ -145,33 +145,30 @@ class _Prediction:
             raise PreconditionError(
                 "witness codomain does not match the J-variable subspace"
             )
-        index = model._index
-        self.states = model.states.elements
         self.witness = witness
         self.domain = domain.elements
         self.codomain = codomain.elements
-        self.col_i = index.column(self.ids_i)
-        self.col_j = index.column(ids_j)
         code = {e: k for k, e in enumerate(self.codomain)}
-        predicted = [code[witness.table[e]] for e in self.domain]
-        self.broken = [predicted[i] != j for i, j in zip(self.col_i, self.col_j)]
+        self.predicted = [code[witness.table[e]] for e in self.domain]
 
-    def violation(self, table: list[int]) -> Optional[tuple[str, str, str]]:
-        """First (state, predicted, actual) where the word of ``table``
-        breaks the witness, or None."""
-        broken = self.broken
-        hits = [broken[y] for y in table]
-        if True not in hits:
+    def violation(self, image: _Image, word: Word) -> Optional[tuple[str, str, str]]:
+        """First (state, predicted, actual) where doing ``word`` after the
+        context of ``image`` breaks the witness, or None."""
+        index = image.index
+        table = index.compose(word, image.reached)
+        codes_i = index.project(self.ids_i, table)
+        codes_j = index.project(self.ids_j, table)
+        predicted = [self.predicted[c] for c in codes_i]
+        k = _first_mismatch(predicted, codes_j)
+        if k is None:
             return None
-        x = hits.index(True)
-        y = table[x]
-        expected = self.witness.table[self.domain[self.col_i[y]]]
-        return self.states[x], expected, self.codomain[self.col_j[y]]
+        expected = self.witness.table[self.domain[codes_i[k]]]
+        return image.state(k), expected, self.codomain[codes_j[k]]
 
-    def require(self, table: list[int], what: str) -> None:
+    def require(self, image: _Image, what: str) -> None:
         """Raise ``BaseDeterminationError`` opening with ``what`` unless
-        the witness holds on the word of ``table``."""
-        hit = self.violation(table)
+        the witness holds in the context of ``image``."""
+        hit = self.violation(image, ())
         if hit is not None:
             state, expected, actual = hit
             raise BaseDeterminationError(
@@ -182,20 +179,20 @@ class _Prediction:
 
 def _scan_determination(
     model: ActionModel,
+    image: _Image,
     ids_i: tuple[str, ...],
     ids_j: tuple[str, ...],
     codes_i: list[int],
     codes_j: list[int],
 ) -> DeterminationResult:
-    """Decide I -> J from the I- and J-outcome codes of every state."""
+    """Decide I -> J from the I- and J-codes of the states ``image`` reaches."""
     bound = dict(zip(codes_i, codes_j))
     if [bound[c] for c in codes_i] != codes_j:
-        states = model.states.elements
         binder: dict[int, int] = {}
-        for x, (yi, yj) in enumerate(zip(codes_i, codes_j)):
-            first = binder.setdefault(yi, x)
+        for k, (yi, yj) in enumerate(zip(codes_i, codes_j)):
+            first = binder.setdefault(yi, k)
             if codes_j[first] != yj:
-                pair = (states[first], states[x])
+                pair = (image.state(first), image.state(k))
                 return DeterminationResult(False, None, None, pair)
     space = model.outcomes
     domain = space.subspace(ids_i).total
@@ -220,10 +217,9 @@ def check_determination(
     ids_i = space.normalize_vars(vars_i)
     ids_j = space.normalize_vars(vars_j)
     index = model._index
-    table = index.compose(word)
-    return _scan_determination(
-        model, ids_i, ids_j, index.project(ids_i, table), index.project(ids_j, table)
-    )
+    image = _Image(index, word)
+    codes_i, codes_j = (index.project(ids, image.reached) for ids in (ids_i, ids_j))
+    return _scan_determination(model, image, ids_i, ids_j, codes_i, codes_j)
 
 
 def check_effectiveness(
@@ -238,14 +234,13 @@ def check_effectiveness(
     after doing the context and then the word.
     """
     index = model._index
-    table = index.compose(tuple(word) + tuple(context))
+    image = _Image(index, tuple(word) + tuple(context))
     space = model.outcomes
     ids_j = space.normalize_vars(vars_j)
-    oj = index.project(ids_j, table)
-    x = _first_mismatch(oj, [oj[0]] * len(oj))
-    if x is not None:
-        states = model.states.elements
-        return EffectivenessResult(False, None, (states[0], states[x]))
+    oj = index.project(ids_j, image.reached)
+    k = _first_mismatch(oj, [oj[0]] * len(oj))
+    if k is not None:
+        return EffectivenessResult(False, None, (image.state(0), image.state(k)))
     return EffectivenessResult(True, space.subspace(ids_j).total.elements[oj[0]], None)
 
 
@@ -265,10 +260,9 @@ def check_invariance(
     word is later_word + base_word under the rightmost-first convention.
     """
     prediction = _Prediction(model, vars_i, vars_j, witness)
-    index = model._index
-    base_table = index.compose(base_word)
-    prediction.require(base_table, "base determination does not hold")
-    hit = prediction.violation(index.compose(later_word, base_table))
+    image = _Image(model._index, base_word)
+    prediction.require(image, "base determination does not hold")
+    hit = prediction.violation(image, later_word)
     if hit is None:
         return InvarianceResult(True, None, None, None)
     state, expected, actual = hit
@@ -304,14 +298,12 @@ def _probe(
     target: str,
     prediction: _Prediction,
     context: Word,
-    table: list[int],
+    image: _Image,
 ) -> MechanismRecord:
-    """The record of a determination that holds on ``table``, the state
-    table of ``context``: each generator, in label order, probed once
-    after the context."""
-    index = model._index
+    """The record of a determination that holds in ``context``, of image
+    ``image``: each generator, in label order, probed once after it."""
     labels = sorted(model.generators)
-    hits = [prediction.violation(index.compose((a,), table)) for a in labels]
+    hits = [prediction.violation(image, (a,)) for a in labels]
     return MechanismRecord(
         target,
         prediction.ids_i,
@@ -335,19 +327,19 @@ def probe_record(
     Each generator is probed once, performed after the context.
     """
     prediction = _Prediction(model, parents, [target], witness)
-    table = model._index.compose(context)
-    prediction.require(table, f"record for {target!r} is invalid")
-    return _probe(model, target, prediction, context, table)
+    image = _Image(model._index, context)
+    prediction.require(image, f"record for {target!r} is invalid")
+    return _probe(model, target, prediction, context, image)
 
 
 def _minimal_unique_determination(
     model: ActionModel,
     target: str,
     max_parents: int,
-    table: list[int],
+    image: _Image,
 ) -> Optional[tuple[tuple[str, ...], TotalMap]]:
-    """Smallest parent set uniquely determining the target for the word
-    whose state table is ``table``.
+    """Smallest parent set uniquely determining the target in the context
+    whose image is ``image``.
 
     Ties break lexicographically in variable order, smallest cardinality
     first, so results are reproducible.
@@ -355,11 +347,13 @@ def _minimal_unique_determination(
     space = model.outcomes
     others = [v for v in space.var_ids if v != target]
     index = model._index
-    codes_j = index.project((target,), table)
+    codes_j = index.project((target,), image.reached)
     for size in range(0, max_parents + 1):
         for parents in combinations(others, size):
-            codes_i = index.project(parents, table)
-            result = _scan_determination(model, parents, (target,), codes_i, codes_j)
+            codes_i = index.project(parents, image.reached)
+            result = _scan_determination(
+                model, image, parents, (target,), codes_i, codes_j
+            )
             if result.holds and result.unique:
                 return parents, result.witness
     return None
@@ -380,15 +374,15 @@ def discover_mechanisms(
     """
     if max_parents < 0:
         raise PreconditionError("max_parents must be non-negative")
-    table = model._index.compose(context)
+    image = _Image(model._index, context)
     records = []
     for target in model.outcomes.var_ids:
-        found = _minimal_unique_determination(model, target, max_parents, table)
+        found = _minimal_unique_determination(model, target, max_parents, image)
         if found is None:
             continue
         parents, witness = found
         prediction = _Prediction(model, parents, (target,), witness)
-        records.append(_probe(model, target, prediction, context, table))
+        records.append(_probe(model, target, prediction, context, image))
     return records
 
 
@@ -411,8 +405,7 @@ def check_surgical(
         raise PreconditionError("surgicality is relative to a non-empty mechanism set")
     model.generator(action)
     ctx = tuple(context)
-    index = model._index
-    context_table = index.compose(ctx)
+    image = _Image(model._index, ctx)
     predictions = []
     for record in mechanisms:
         if record.context != ctx:
@@ -420,19 +413,22 @@ def check_surgical(
                 f"record {record.describe()} was built in context "
                 f"{record.context!r}, not {ctx!r}"
             )
-        prediction = _Prediction(model, record.parents, (record.target,), record.map)
-        if prediction.violation(context_table) is not None:
+        try:
+            prediction = _Prediction(model, record.parents, (record.target,), record.map)
+        except PreconditionError as exc:
+            raise PreconditionError(f"record {record.describe()}: {exc}") from None
+        if prediction.violation(image, ()) is not None:
             raise BaseDeterminationError(
                 f"record {record.describe()} does not hold in its own context"
             )
         predictions.append(prediction)
 
     new_word = (action,) + ctx
-    new_table = index.compose((action,), context_table)
+    new_image = _Image(image.index, (action,), image)
     broken: list[MechanismRecord] = []
     survived: list[tuple[MechanismRecord, _Prediction]] = []
     for record, prediction in zip(mechanisms, predictions):
-        if prediction.violation(new_table) is not None:
+        if prediction.violation(new_image, ()) is not None:
             broken.append(record)
         else:
             survived.append((record, prediction))
@@ -445,7 +441,7 @@ def check_surgical(
     new_record: Optional[MechanismRecord] = None
     if target is not None:
         found = _minimal_unique_determination(
-            model, target, len(model.outcomes.var_ids) - 1, new_table
+            model, target, len(model.outcomes.var_ids) - 1, new_image
         )
         if found is None:
             reasons.append(
@@ -454,12 +450,12 @@ def check_surgical(
         else:
             parents, witness = found
             fresh = _Prediction(model, parents, (target,), witness)
-            new_record = _probe(model, target, fresh, new_word, new_table)
+            new_record = _probe(model, target, fresh, new_word, new_image)
 
     lost: list[tuple[str, str, str]] = []
     for record, prediction in survived:
         for probe in record.invariant_under:
-            hit = prediction.violation(index.compose(probe.split(","), new_table))
+            hit = prediction.violation(new_image, probe.split(","))
             if hit is not None:
                 lost.append((record.describe(), probe, hit[0]))
     if lost:

@@ -436,7 +436,9 @@ class _Index:
             zip(space.var_ids, map(list, zip(*(rows[process[x]] for x in states))))
         )
         self.radices = {v: len(dom) for v, dom in space.variables}
-        self.size = len(states)
+        self.labels = states
+        # Generators that permute the states: a word of them reaches all.
+        self.onto = {a for a, g in self.generators.items() if len(set(g)) == len(g)}
 
     def compose(self, word: Word, table: Optional[list[int]] = None) -> list[int]:
         """The table of ``word`` acting after ``table`` (default: the
@@ -449,20 +451,40 @@ class _Index:
             table = g if table is None else [g[y] for y in table]
         return self.generators[ID_LABEL] if table is None else table
 
-    def column(self, ids: tuple[str, ...]) -> list[int]:
-        """Each state's own outcome projected onto normalized ``ids``, as codes."""
+    def project(self, ids: tuple[str, ...], table: list[int]) -> list[int]:
+        """Codes of project_ids . process . table, combined only at the
+        states ``table`` lists."""
         if not ids:
-            return [0] * self.size
-        code = self.columns[ids[0]]
+            return [0] * len(table)
+        column = self.columns[ids[0]]
+        code = [column[y] for y in table]
         for v in ids[1:]:
-            radix = self.radices[v]
-            code = [c * radix + d for c, d in zip(code, self.columns[v])]
+            radix, column = self.radices[v], self.columns[v]
+            code = [c * radix + column[y] for c, y in zip(code, table)]
         return code
 
-    def project(self, ids: tuple[str, ...], table: list[int]) -> list[int]:
-        """Codes of project_ids . process . table."""
-        column = self.column(ids)
-        return [column[y] for y in table]
+
+class _Image:
+    """The distinct states a context reaches, in first-occurrence order.
+
+    ``table`` is the context composed once, on the states ``parent``
+    reaches or else on every state; later checks compose, project and
+    scan ``reached`` only.  Position k names the first state that reaches
+    ``reached[k]``: the state a scan of every state reports.  A word of
+    permutations keeps distinct states distinct, so it is its own
+    ``reached``.
+    """
+
+    def __init__(self, index: _Index, word: Word, parent: Optional["_Image"] = None):
+        self.index, self.parent = index, parent
+        self.table = index.compose(word, None if parent is None else parent.reached)
+        onto = all(a in index.onto for a in word)
+        self.reached = self.table if onto else list(dict.fromkeys(self.table))
+
+    def state(self, k: int) -> str:
+        """The first state whose image under the context is ``reached[k]``."""
+        x = self.table.index(self.reached[k])
+        return self.index.labels[x] if self.parent is None else self.parent.state(x)
 
 
 def compose(model: ActionModel, word: Word) -> TotalMap:

@@ -27,6 +27,7 @@ from .core import (
     SEP,
     TotalMap,
     _first_mismatch,
+    _Image,
     check_enumeration_bound,
     join_values,
 )
@@ -379,16 +380,17 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
 
     index = model._index
     states = model.states.elements
-    before = index.column(model.outcomes.normalize_vars(scm.exo_ids))
+    exo = model.outcomes.normalize_vars(scm.exo_ids)
+    before = index.project(exo, index.compose(()))
 
     def u_changed(label: str) -> Optional[str]:
-        x = _first_mismatch([before[y] for y in index.compose((label,))], before)
+        x = _first_mismatch(index.project(exo, index.compose((label,))), before)
         return None if x is None else states[x]
 
     tally(LAW_U_INVARIANT, ((label, u_changed(label)) for label in model.generators))
 
-    # Laws 4 and 5 check each active mechanism against the table of its
-    # label, then against each later intervention composed on that table.
+    # Laws 4 and 5 check each active mechanism on the states its label
+    # reaches, then after each later intervention on those states.
     determined: list[tuple[str, Optional[str]]] = []
     invariant: list[tuple[str, Optional[str]]] = []
     for vid in endo:
@@ -400,11 +402,11 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
         ]:
             witness = _mechanism_witness(scm, model.outcomes, vid, slot)
             prediction = _Prediction(model, parents, (vid,), witness)
-            table = index.compose((label,))
-            hit = prediction.violation(table)
+            image = _Image(index, (label,))
+            hit = prediction.violation(image, ())
             determined.append((f"{vid} after {label}", hit and hit[0]))
             for later in laters:
-                hit = prediction.violation(index.compose((later,), table))
+                hit = prediction.violation(image, (later,))
                 invariant.append((f"{vid} after {label}, then {later}", hit and hit[0]))
     tally(LAW_DETERMINATION, determined)
     tally(LAW_INVARIANCE, invariant)

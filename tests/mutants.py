@@ -8,7 +8,7 @@ that the oracle cross-check or a metamorphic relation catches each one.
 import dataclasses
 
 from causalground import checkers
-from causalground.core import ID_LABEL, _Index
+from causalground.core import ID_LABEL, _Image, _Index
 
 
 def composition_left_to_right(monkeypatch):
@@ -25,20 +25,20 @@ def composition_left_to_right(monkeypatch):
 
 def projection_columns_swapped(monkeypatch):
     """The first two columns of a projection trade places in its code."""
-    column = _Index.column
+    project = _Index.project
 
-    def swapped(self, ids):
-        return column(self, tuple(ids[1::-1]) + tuple(ids[2:]))
+    def swapped(self, ids, table):
+        return project(self, tuple(ids[1::-1]) + tuple(ids[2:]), table)
 
-    monkeypatch.setattr(_Index, "column", swapped)
+    monkeypatch.setattr(_Index, "project", swapped)
 
 
 def scan_skips_last_state(monkeypatch):
-    """The determination scan never looks at the last state."""
+    """The determination scan never looks at the last reached state."""
     scan = checkers._scan_determination
 
-    def short_scan(model, ids_i, ids_j, codes_i, codes_j):
-        return scan(model, ids_i, ids_j, codes_i[:-1], codes_j[:-1])
+    def short_scan(model, image, ids_i, ids_j, codes_i, codes_j):
+        return scan(model, image, ids_i, ids_j, codes_i[:-1], codes_j[:-1])
 
     monkeypatch.setattr(checkers, "_scan_determination", short_scan)
 
@@ -48,14 +48,26 @@ def unique_on_codomain(monkeypatch):
     I-outcome onto Y_I."""
     scan = checkers._scan_determination
 
-    def codomain_scan(model, ids_i, ids_j, codes_i, codes_j):
-        result = scan(model, ids_i, ids_j, codes_i, codes_j)
+    def codomain_scan(model, image, ids_i, ids_j, codes_i, codes_j):
+        result = scan(model, image, ids_i, ids_j, codes_i, codes_j)
         if not result.holds:
             return result
         onto = len(set(codes_j)) == len(model.outcomes.subspace(ids_j).total)
         return dataclasses.replace(result, unique=onto)
 
     monkeypatch.setattr(checkers, "_scan_determination", codomain_scan)
+
+
+def counterexample_from_last_reacher(monkeypatch):
+    """A reached state is named by the last state that reaches it, not
+    the first."""
+
+    def last(self, k):
+        table = self.table
+        x = len(table) - 1 - table[::-1].index(self.reached[k])
+        return self.index.labels[x] if self.parent is None else self.parent.state(x)
+
+    monkeypatch.setattr(_Image, "state", last)
 
 
 MUTANTS = {
@@ -65,5 +77,6 @@ MUTANTS = {
         projection_columns_swapped,
         scan_skips_last_state,
         unique_on_codomain,
+        counterexample_from_last_reacher,
     )
 }

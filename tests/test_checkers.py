@@ -300,7 +300,9 @@ def test_probe_record_rejects_witness_on_wrong_subspaces(pair_model):
 def test_surgical_rejects_record_map_on_wrong_subspaces(pair_model):
     wide = check_determination(pair_model, (), ("v1", "v2"), ("v2",)).witness
     record = MechanismRecord("v2", ("v1",), wide, (), ("id",), ())
-    with pytest.raises(PreconditionError, match="witness domain"):
+    with pytest.raises(
+        PreconditionError, match=r"^record v2~\(v1\): witness domain"
+    ):
         check_surgical(pair_model, "swap", [record], ())
 
 def test_surgical_identity_is_not_surgical(pair_model):

@@ -11,6 +11,12 @@ import random
 
 import pytest
 
+from causalground.checkers import (
+    check_determination,
+    discover_mechanisms,
+    probe_record,
+)
+from causalground.core import ActionModel, TotalMap
 from causalground.dominoes import (
     build_bounded_model,
     five_chain_family,
@@ -26,7 +32,10 @@ from causalground.scm import (
     verify_scm_laws,
 )
 from oracles import (
+    all_subset_pairs,
     assert_kernel_agrees,
+    assert_same,
+    random_action_model,
     random_word,
     reference_probe_record,
     reference_verify_scm_laws,
@@ -37,6 +46,49 @@ def test_random_models_match_reference(model_corpus):
     rng = random.Random(7)
     for model, word in model_corpus:
         assert_kernel_agrees(model, word, rng, len(model.outcomes.var_ids))
+
+
+def with_small_images(model: ActionModel, rng: random.Random) -> ActionModel:
+    """``model`` plus a generator ``const`` onto one state and a generator
+    ``rank`` onto 2 or 3 states, fewer than the model has."""
+    states = model.states.elements
+    value = rng.choice(states)
+    hit = rng.sample(states, rng.randint(2, min(3, len(states) - 1)))
+    # The first states go to each of ``hit`` in turn, so all of it is hit.
+    rank = {
+        x: hit[k] if k < len(hit) else rng.choice(hit) for k, x in enumerate(states)
+    }
+    generators = dict(model.generators)
+    generators["const"] = TotalMap(
+        model.states, model.states, {x: value for x in states}
+    )
+    generators["rank"] = TotalMap(model.states, model.states, rank)
+    return ActionModel(model.states, model.outcomes, generators, model.process)
+
+
+def test_contexts_with_small_images_match_reference():
+    rng = random.Random(9)
+    verdicts = set()
+    for seed in range(80):
+        model = random_action_model(seed, max_states=10)
+        if len(model.states) < 4:
+            continue
+        model = with_small_images(model, rng)
+        through = rng.choice(("const", "rank", "rank"))
+        word = random_word(rng, model, 1) + (through,) + random_word(rng, model, 1)
+        var_ids = model.outcomes.var_ids
+        assert_kernel_agrees(model, word, rng, len(var_ids))
+        for vars_i, vars_j in all_subset_pairs(var_ids):
+            verdicts.add(check_determination(model, word, vars_i, vars_j).holds)
+        for record in discover_mechanisms(model, word, len(var_ids)):
+            for context in (word, random_word(rng, model)):
+                assert_same(
+                    probe_record, reference_probe_record, model,
+                    record.target, record.parents, record.map, context,
+                )
+    # Failing determinations are among the queries, so counterexample
+    # pairs were compared too.
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("seed", range(30))
