@@ -16,6 +16,7 @@ from .core import (
     ActionModel,
     CausalGroundError,
     TotalMap,
+    UNIT_ELEMENT,
     Word,
     _first_mismatch,
     _Image,
@@ -158,8 +159,7 @@ class _Prediction:
         table = index.compose(word, image.reached)
         codes_i = index.project(self.ids_i, table)
         codes_j = index.project(self.ids_j, table)
-        predicted = [self.predicted[c] for c in codes_i]
-        k = _first_mismatch(predicted, codes_j)
+        k = _first_mismatch(list(map(self.predicted.__getitem__, codes_i)), codes_j)
         if k is None:
             return None
         expected = self.witness.table[self.domain[codes_i[k]]]
@@ -185,18 +185,18 @@ def _scan_determination(
     codes_i: list[int],
     codes_j: list[int],
 ) -> DeterminationResult:
-    """Decide I -> J from the I- and J-codes of the states ``image`` reaches."""
-    bound = dict(zip(codes_i, codes_j))
-    if [bound[c] for c in codes_i] != codes_j:
-        binder: dict[int, int] = {}
-        for k, (yi, yj) in enumerate(zip(codes_i, codes_j)):
-            first = binder.setdefault(yi, k)
-            if codes_j[first] != yj:
-                pair = (image.state(first), image.state(k))
-                return DeterminationResult(False, None, None, pair)
-    space = model.outcomes
-    domain = space.subspace(ids_i).total
-    codomain = space.subspace(ids_j).total
+    """Decide I -> J from the I- and J-codes of the states ``image`` reaches.
+
+    Each I-code is bound to the J-code of the first state that has it; the
+    first state the binding mispredicts refutes I -> J, paired with that
+    first state.
+    """
+    bound = dict(zip(reversed(codes_i), reversed(codes_j)))
+    k = _first_mismatch(list(map(bound.__getitem__, codes_i)), codes_j)
+    if k is not None:
+        pair = (image.state(codes_i.index(codes_i[k])), image.state(k))
+        return DeterminationResult(False, None, None, pair)
+    domain, codomain = (model.outcomes.subspace(ids).total for ids in (ids_i, ids_j))
     labels = codomain.elements
     table = {e: labels[bound.get(c, 0)] for c, e in enumerate(domain.elements)}
     unique = len(bound) == len(domain)
@@ -231,17 +231,16 @@ def check_effectiveness(
     """Is the word effective at setting the J-variables in a context?
 
     Effective means the outcome on J is one constant value over all of X
-    after doing the context and then the word.
+    after doing the context and then the word: the empty set determines J.
     """
     index = model._index
     image = _Image(index, tuple(word) + tuple(context))
-    space = model.outcomes
-    ids_j = space.normalize_vars(vars_j)
-    oj = index.project(ids_j, image.reached)
-    k = _first_mismatch(oj, [oj[0]] * len(oj))
-    if k is not None:
-        return EffectivenessResult(False, None, (image.state(0), image.state(k)))
-    return EffectivenessResult(True, space.subspace(ids_j).total.elements[oj[0]], None)
+    ids_j = model.outcomes.normalize_vars(vars_j)
+    codes_j = index.project(ids_j, image.reached)
+    result = _scan_determination(model, image, (), ids_j, [0] * len(codes_j), codes_j)
+    if not result.holds:
+        return EffectivenessResult(False, None, result.counterexample)
+    return EffectivenessResult(True, result.witness.table[UNIT_ELEMENT], None)
 
 
 def check_invariance(
@@ -408,19 +407,16 @@ def check_surgical(
     image = _Image(model._index, ctx)
     predictions = []
     for record in mechanisms:
+        name = record.describe()
         if record.context != ctx:
             raise PreconditionError(
-                f"record {record.describe()} was built in context "
-                f"{record.context!r}, not {ctx!r}"
+                f"record {name} was built in context {record.context!r}, not {ctx!r}"
             )
         try:
             prediction = _Prediction(model, record.parents, (record.target,), record.map)
         except PreconditionError as exc:
-            raise PreconditionError(f"record {record.describe()}: {exc}") from None
-        if prediction.violation(image, ()) is not None:
-            raise BaseDeterminationError(
-                f"record {record.describe()} does not hold in its own context"
-            )
+            raise PreconditionError(f"record {name}: {exc}") from None
+        prediction.require(image, f"record {name} does not hold in its own context")
         predictions.append(prediction)
 
     new_word = (action,) + ctx

@@ -33,7 +33,7 @@ from .checkers import (
     discover_mechanisms,
 )
 from .core import CausalGroundError, outcome_map
-from .dominoes import apply_action_descriptor, build_bounded_model, micro_proc
+from .dominoes import build_bounded_model, micro_proc
 from .scm import encode_scm, random_scm, verify_scm_laws
 
 
@@ -201,14 +201,10 @@ def _cmd_scm(args, write_model: bool = False) -> tuple[int, dict]:
 
 
 def _cmd_simulate(args) -> tuple[int, dict]:
-    state, census, actions = cgio.load_scenario(args.scenario)
-    for i, descriptor in enumerate(actions):
-        try:
-            state = apply_action_descriptor(state, descriptor)
-        except ValueError as exc:
-            raise cgio.SchemaError(args.scenario, f"actions[{i}]", str(exc)) from None
-    outcome = micro_proc(state, census)
-    return 0, {"outcome": outcome}
+    state, census, edits = cgio.load_scenario(args.scenario)
+    for edit in edits:
+        state = edit(state)
+    return 0, {"outcome": micro_proc(state, census)}
 
 
 def _cmd_build_model(args) -> tuple[int, dict]:

@@ -252,6 +252,7 @@ class FactoredSpace:
             raise ValueError("factored space has duplicate variable ids")
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_positions", {v: i for i, v in enumerate(ids)})
+        object.__setattr__(self, "_subspaces", {})
         size = 1
         for var_id, dom in self.variables:
             for value in dom.elements:
@@ -302,10 +303,14 @@ class FactoredSpace:
         return tuple(v for v in self.var_ids if v in wanted)
 
     def subspace(self, var_ids: Iterable[str]) -> "FactoredSpace":
+        """The space of a variable subset, built once per subset."""
         ids = self.normalize_vars(var_ids)
         if ids == self.var_ids:
             return self
-        return FactoredSpace(tuple((v, self.domain_of(v)) for v in ids))
+        spaces = self._subspaces  # type: ignore[attr-defined]
+        if ids not in spaces:
+            spaces[ids] = FactoredSpace(tuple((v, self.domain_of(v)) for v in ids))
+        return spaces[ids]
 
     def split(self, element: str) -> tuple[str, ...]:
         return split_values(element, len(self.variables))

@@ -206,33 +206,6 @@ def remove_barrier(state: MicroState, edge: Edge) -> MicroState:
     )
 
 
-def apply_action_descriptor(state: MicroState, descriptor: Mapping) -> MicroState:
-    """Apply one scenario-file action object to a state."""
-    kind = descriptor.get("action")
-    if kind == "remove":
-        return remove_domino(state, descriptor["id"])
-    if kind == "place":
-        routing = routing_from_mapping(descriptor.get("routing"))
-        return place_domino(
-            state,
-            Domino(
-                descriptor["id"],
-                tuple(descriptor["cell"]),
-                routing,
-                str(descriptor.get("tag", "0")),
-            ),
-        )
-    if kind == "choose-push":
-        return choose_push(state, descriptor["id"], descriptor["dir"])
-    if kind == "add-barrier":
-        a, b = descriptor["edge"]
-        return add_barrier(state, edge_between(tuple(a), tuple(b)))
-    if kind == "remove-barrier":
-        a, b = descriptor["edge"]
-        return remove_barrier(state, edge_between(tuple(a), tuple(b)))
-    raise ValueError(f"unknown scenario action {kind!r}")
-
-
 def routing_from_mapping(mapping: Optional[Mapping[str, str]]) -> tuple[str, ...]:
     if not mapping:
         return IDENTITY_ROUTING

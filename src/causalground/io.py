@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import fields, is_dataclass, replace
-from typing import Any, Mapping, Optional
+from functools import partial
+from typing import Any, Callable, Mapping, Optional
 
 from .core import (
     ActionModel,
@@ -28,10 +29,16 @@ from .core import (
 from .abstraction import ModelMorphism
 from .checkers import MechanismRecord
 from .dominoes import (
+    DIRECTIONS,
     Domino,
     LineFamily,
     MicroState,
+    add_barrier,
+    choose_push,
     edge_between,
+    place_domino,
+    remove_barrier,
+    remove_domino,
     routing_from_mapping,
 )
 from .scm import DEFAULT_SLOT, Scm
@@ -368,38 +375,68 @@ def _edge(data: Any, file: str, path: str):
         raise SchemaError(file, path, str(exc)) from None
 
 
-#: The keys each scenario action kind needs besides ``action``.
-_ACTION_KEYS = {
-    "remove": ("id",),
-    "place": ("id", "cell"),
-    "choose-push": ("id", "dir"),
-    "add-barrier": ("edge",),
-    "remove-barrier": ("edge",),
-}
-_FIELD_CHECKS = {"id": _string, "dir": _string, "cell": _cell, "edge": _edge}
+def _required(entry: dict, key: str, parse: Callable, file: str, path: str) -> Any:
+    if key not in entry:
+        raise SchemaError(file, f"{path}.{key}", "missing required key")
+    return parse(entry[key], file, f"{path}.{key}")
+
+
+def _direction(data: Any, file: str, path: str) -> str:
+    if _string(data, file, path) not in DIRECTIONS:
+        raise SchemaError(file, path, f"bad push direction {data!r}")
+    return data
+
+
+def _domino(entry: Any, grid: tuple[int, int], file: str, path: str) -> Domino:
+    """A domino object: an id, an on-grid cell, and optional routing and tag."""
+    _expect(entry, dict, file, path, "an object")
+    did = _required(entry, "id", _string, file, path)
+    x, y = _required(entry, "cell", _cell, file, path)
+    if not (0 <= x < grid[0] and 0 <= y < grid[1]):
+        reason = f"domino {did!r} at [{x}, {y}] is off the grid"
+        raise SchemaError(file, f"{path}.cell", reason)
+    routing = entry.get("routing")
+    if routing is not None:
+        _expect(routing, dict, file, f"{path}.routing", "an object")
+    try:
+        routing = routing_from_mapping(routing)
+    except ValueError as exc:
+        raise SchemaError(file, f"{path}.routing", str(exc)) from None
+    return Domino(did, (x, y), routing, str(entry.get("tag", "0")))
+
+
+def _action(
+    entry: Any, grid: tuple[int, int], file: str, path: str
+) -> Callable[[MicroState], MicroState]:
+    """A scenario action object as the state edit it names."""
+    _expect(entry, dict, file, path, "an object")
+    kind = _string(entry.get("action"), file, f"{path}.action")
+    if kind == "remove":
+        did = _required(entry, "id", _string, file, path)
+        return partial(remove_domino, domino_id=did)
+    if kind == "place":
+        return partial(place_domino, domino=_domino(entry, grid, file, path))
+    if kind == "choose-push":
+        did = _required(entry, "id", _string, file, path)
+        direction = _required(entry, "dir", _direction, file, path)
+        return partial(choose_push, domino_id=did, direction=direction)
+    if kind == "add-barrier":
+        return partial(add_barrier, edge=_required(entry, "edge", _edge, file, path))
+    if kind == "remove-barrier":
+        return partial(remove_barrier, edge=_required(entry, "edge", _edge, file, path))
+    raise SchemaError(file, f"{path}.action", f"unknown action {kind!r}")
 
 
 def scenario_from_dict(data: Any, file: str = "<inline>"):
-    """Parse a scenario file into (state, census, action descriptors)."""
+    """Parse a scenario file into (state, census, one state edit per action)."""
     _expect(data, dict, file, "$", "an object")
     grid_data = _expect(data.get("grid"), list, file, "grid", "a [w, h] pair")
     grid = _cell(grid_data, file, "grid")
-    dominoes = []
-    census = []
-    for i, entry in enumerate(_expect(data.get("dominoes"), list, file, "dominoes", "a list")):
-        _expect(entry, dict, file, f"dominoes[{i}]", "an object")
-        did = _string(entry.get("id"), file, f"dominoes[{i}].id")
-        cell = _cell(entry.get("cell"), file, f"dominoes[{i}].cell")
-        routing_data = entry.get("routing")
-        if routing_data is not None:
-            _expect(routing_data, dict, file, f"dominoes[{i}].routing", "an object")
-        try:
-            routing = routing_from_mapping(routing_data)
-        except ValueError as exc:
-            raise SchemaError(file, f"dominoes[{i}].routing", str(exc)) from None
-        tag = str(entry.get("tag", "0"))
-        dominoes.append(Domino(did, cell, routing, tag))
-        census.append(did)
+    domino_data = _expect(data.get("dominoes"), list, file, "dominoes", "a list")
+    dominoes = tuple(
+        _domino(entry, grid, file, f"dominoes[{i}]")
+        for i, entry in enumerate(domino_data)
+    )
     barrier_data = _expect(data.get("barriers", []), list, file, "barriers", "a list")
     barriers = {
         _edge(entry, file, f"barriers[{i}]") for i, entry in enumerate(barrier_data)
@@ -410,28 +447,17 @@ def scenario_from_dict(data: Any, file: str = "<inline>"):
         _expect(push_data, dict, file, "push", "an object")
         push = (
             _string(push_data.get("id"), file, "push.id"),
-            _string(push_data.get("dir"), file, "push.dir"),
+            _direction(push_data.get("dir"), file, "push.dir"),
         )
-    actions = data.get("actions", [])
-    _expect(actions, list, file, "actions", "a list")
-    for i, entry in enumerate(actions):
-        path = f"actions[{i}]"
-        _expect(entry, dict, file, path, "an object")
-        kind = _string(entry.get("action"), file, f"{path}.action")
-        if kind not in _ACTION_KEYS:
-            raise SchemaError(file, f"{path}.action", f"unknown action {kind!r}")
-        for key in _ACTION_KEYS[kind]:
-            if key not in entry:
-                reason = f"missing required key of a {kind!r} action"
-                raise SchemaError(file, f"{path}.{key}", reason)
-            _FIELD_CHECKS[key](entry[key], file, f"{path}.{key}")
-        if entry.get("routing") is not None:
-            _expect(entry["routing"], dict, file, f"{path}.routing", "an object")
+    actions = _expect(data.get("actions", []), list, file, "actions", "a list")
+    edits = tuple(
+        _action(entry, grid, file, f"actions[{i}]") for i, entry in enumerate(actions)
+    )
     try:
-        state = MicroState(grid, tuple(dominoes), frozenset(barriers), push)
+        state = MicroState(grid, dominoes, frozenset(barriers), push)
     except ValueError as exc:
         raise SchemaError(file, "$", str(exc)) from None
-    return state, tuple(census), list(actions)
+    return state, tuple(d.id for d in dominoes), edits
 
 
 def load_scenario(path: str):

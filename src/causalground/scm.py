@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -28,7 +29,6 @@ from .core import (
     TotalMap,
     _first_mismatch,
     _Image,
-    check_enumeration_bound,
     join_values,
 )
 from .checkers import (
@@ -82,19 +82,28 @@ class Scm:
         ids = [v for v, _ in self.exogenous] + [v for v, _ in self.endogenous]
         if len(set(ids)) != len(ids):
             raise ValueError("variable ids must be distinct across U and V")
-        endo_ids = [v for v, _ in self.endogenous]
-        for vid in endo_ids:
+        object.__setattr__(self, "_domains", dict(self.exogenous + self.endogenous))
+        noise = {v: u for (v, _), (u, _) in zip(self.endogenous, self.exogenous)}
+        object.__setattr__(self, "_noise", noise)
+        for vid in noise:
             if vid not in self.parents:
                 raise ValueError(f"no parent list for {vid!r}")
             for p in self.parents[vid]:
-                if p not in endo_ids:
+                if p not in noise:
                     raise ValueError(f"parent {p!r} of {vid!r} is not endogenous")
-        object.__setattr__(self, "topo_order", self._toposort(endo_ids))
+        graph = TopologicalSorter({v: self.parents[v] for v in noise})
+        try:
+            object.__setattr__(self, "topo_order", tuple(graph.static_order()))
+        except CycleError as exc:
+            raise CyclicScmError(
+                f"parent relation has a cycle through {exc.args[1][0]!r}"
+            ) from None
         for vid, dom in self.endogenous:
             table = self.functions.get(vid)
             if table is None:
                 raise ValueError(f"no function table for {vid!r}")
-            keys = set(self._function_keys(vid))
+            doms = [self.domain_of(p).elements for p in self.parents[vid]]
+            keys = set(product(*doms, self.noise_of(vid).elements))
             if set(table) != keys:
                 missing = sorted(keys - set(table))
                 extra = sorted(set(table) - keys)
@@ -109,32 +118,6 @@ class Scm:
                         f"function for {vid!r} returns {value!r} at {key!r}, "
                         f"outside its domain"
                     )
-
-    def _toposort(self, endo_ids: list[str]) -> tuple[str, ...]:
-        order: list[str] = []
-        done: set[str] = set()
-        marked: set[str] = set()
-
-        def visit(v: str):
-            if v in done:
-                return
-            if v in marked:
-                raise CyclicScmError(f"parent relation has a cycle through {v!r}")
-            marked.add(v)
-            for p in self.parents[v]:
-                visit(p)
-            marked.discard(v)
-            done.add(v)
-            order.append(v)
-
-        for v in endo_ids:
-            visit(v)
-        return tuple(order)
-
-    def _function_keys(self, vid: str) -> Iterable[tuple[str, ...]]:
-        doms = [self.domain_of(p).elements for p in self.parents[vid]]
-        doms.append(self.noise_of(vid).elements)
-        return (combo for combo in product(*doms))
 
     def __eq__(self, other):
         if not isinstance(other, Scm):
@@ -157,26 +140,20 @@ class Scm:
         return tuple(v for v, _ in self.endogenous)
 
     def domain_of(self, vid: str) -> FiniteSet:
-        for v, dom in self.endogenous:
-            if v == vid:
-                return dom
-        for v, dom in self.exogenous:
-            if v == vid:
-                return dom
-        raise ValueError(f"unknown SCM variable {vid!r}")
+        try:
+            return self._domains[vid]  # type: ignore[attr-defined]
+        except KeyError:
+            raise ValueError(f"unknown SCM variable {vid!r}") from None
 
     def noise_of(self, vid: str) -> FiniteSet:
         """Domain of the exogenous variable paired with an endogenous one."""
-        for (v, _), (_, udom) in zip(self.endogenous, self.exogenous):
-            if v == vid:
-                return udom
-        raise ValueError(f"unknown endogenous variable {vid!r}")
+        return self.domain_of(self.noise_id(vid))
 
     def noise_id(self, vid: str) -> str:
-        for (v, _), (uid, _) in zip(self.endogenous, self.exogenous):
-            if v == vid:
-                return uid
-        raise ValueError(f"unknown endogenous variable {vid!r}")
+        try:
+            return self._noise[vid]  # type: ignore[attr-defined]
+        except KeyError:
+            raise ValueError(f"unknown endogenous variable {vid!r}") from None
 
     def evaluate(self, vid: str, parent_values: Mapping[str, str], u_value: str) -> str:
         key = tuple(parent_values[p] for p in self.parents[vid]) + (u_value,)
@@ -239,56 +216,41 @@ def decode_state(scm: Scm, label: str) -> tuple[dict[str, str], dict[str, str]]:
 def encode_scm(scm: Scm) -> ActionModel:
     """Encode an SCM as an action model.
 
-    States are (mechanism assignment, exogenous assignment) pairs; the
-    outcome space is the exogenous variables followed by the endogenous
-    ones; the process records u together with the potential response.
+    States are (mechanism assignment, exogenous assignment) pairs: the
+    product of one slot variable per endogenous variable, then the
+    exogenous variables, with the id ``MxU``.  The outcome space is the
+    exogenous variables followed by the endogenous ones; the process
+    records u together with the potential response.
     Generators: the identity, ``init`` (reset every slot to default,
     keeping u), and one ``set-V=v`` per endogenous value (replace that
     slot, keeping u and the other slots).  No generator touches u; the
     exogenous values vary only across initial states.
     """
-    slot_doms = [slot_domain(scm, vid) for vid in scm.endo_ids]
-    exo_doms = [dom for _, dom in scm.exogenous]
-    n_states = 1
-    for dom in slot_doms + exo_doms:
-        n_states *= len(dom)
-    check_enumeration_bound(n_states, "encoded SCM state set")
-
-    states = FiniteSet(
-        "MxU",
-        tuple(
-            join_values(combo)
-            for combo in product(*(d.elements for d in slot_doms + exo_doms))
-        ),
+    endo, exo = scm.endo_ids, scm.exo_ids
+    space = FactoredSpace(
+        tuple((vid, slot_domain(scm, vid)) for vid in endo) + scm.exogenous
     )
-    outcomes = FactoredSpace(tuple(scm.exogenous) + tuple(scm.endogenous))
-
-    n = len(scm.endo_ids)
+    states = FiniteSet("MxU", space.total.elements)
+    outcomes = FactoredSpace(scm.exogenous + scm.endogenous)
+    n = len(endo)
+    rows = {label: space.split(label) for label in states.elements}
     process_table = {}
-    for label in states.elements:
-        slots, u = decode_state(scm, label)
+    for label, row in rows.items():
+        slots, u = dict(zip(endo, row[:n])), dict(zip(exo, row[n:]))
         response = potential_response(scm, slots, u)
-        process_table[label] = join_values(
-            [u[uid] for uid in scm.exo_ids] + [response[vid] for vid in scm.endo_ids]
-        )
+        process_table[label] = join_values(row[n:] + tuple(response[v] for v in endo))
     process = TotalMap(states, outcomes.total, process_table)
 
-    generators: dict[str, TotalMap] = {}
-    init_table = {}
-    for label in states.elements:
-        parts = label.split(SEP)
-        init_table[label] = join_values([DEFAULT_SLOT] * n + parts[n:])
-    generators[INIT_LABEL] = TotalMap(states, states, init_table)
+    def write(at: int, values: tuple[str, ...]) -> TotalMap:
+        """The generator writing ``values`` over the coordinates from ``at`` on."""
+        end = at + len(values)
+        table = {x: join_values(row[:at] + values + row[end:]) for x, row in rows.items()}
+        return TotalMap(states, states, table)
 
-    for i, vid in enumerate(scm.endo_ids):
+    generators = {INIT_LABEL: write(0, (DEFAULT_SLOT,) * n)}
+    for i, vid in enumerate(endo):
         for value in scm.domain_of(vid).elements:
-            table = {}
-            for label in states.elements:
-                parts = label.split(SEP)
-                parts[i] = value
-                table[label] = join_values(parts)
-            generators[set_label(vid, value)] = TotalMap(states, states, table)
-
+            generators[set_label(vid, value)] = write(i, (value,))
     return ActionModel(states, outcomes, generators, process)
 
 
@@ -390,9 +352,11 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
     tally(LAW_U_INVARIANT, ((label, u_changed(label)) for label in model.generators))
 
     # Laws 4 and 5 check each active mechanism on the states its label
-    # reaches, then after each later intervention on those states.
+    # reaches, then after each later intervention on those states.  Every
+    # variable shares the one image of init.
     determined: list[tuple[str, Optional[str]]] = []
     invariant: list[tuple[str, Optional[str]]] = []
+    init = _Image(index, (INIT_LABEL,))
     for vid in endo:
         parents = (scm.noise_id(vid),) + scm.parents[vid]
         laters = [ID_LABEL] + [b for v in endo if v != vid for b in set_labels[v]]
@@ -402,7 +366,7 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
         ]:
             witness = _mechanism_witness(scm, model.outcomes, vid, slot)
             prediction = _Prediction(model, parents, (vid,), witness)
-            image = _Image(index, (label,))
+            image = init if label == INIT_LABEL else _Image(index, (label,))
             hit = prediction.violation(image, ())
             determined.append((f"{vid} after {label}", hit and hit[0]))
             for later in laters:

@@ -8,7 +8,7 @@ that the oracle cross-check or a metamorphic relation catches each one.
 import dataclasses
 
 from causalground import checkers
-from causalground.core import ID_LABEL, _Image, _Index
+from causalground.core import ID_LABEL, _first_mismatch, _Image, _Index
 
 
 def composition_left_to_right(monkeypatch):
@@ -58,6 +58,22 @@ def unique_on_codomain(monkeypatch):
     monkeypatch.setattr(checkers, "_scan_determination", codomain_scan)
 
 
+def binds_last_j_code(monkeypatch):
+    """The determination scan binds each I-code to the J-code of the last
+    state that has it, not the first."""
+    scan = checkers._scan_determination
+
+    def last_binding(model, image, ids_i, ids_j, codes_i, codes_j):
+        bound = dict(zip(codes_i, codes_j))
+        k = _first_mismatch([bound[c] for c in codes_i], codes_j)
+        if k is None:  # the binding holds, so first and last agree
+            return scan(model, image, ids_i, ids_j, codes_i, codes_j)
+        pair = (image.state(codes_i.index(codes_i[k])), image.state(k))
+        return checkers.DeterminationResult(False, None, None, pair)
+
+    monkeypatch.setattr(checkers, "_scan_determination", last_binding)
+
+
 def counterexample_from_last_reacher(monkeypatch):
     """A reached state is named by the last state that reaches it, not
     the first."""
@@ -78,5 +94,6 @@ MUTANTS = {
         scan_skips_last_state,
         unique_on_codomain,
         counterexample_from_last_reacher,
+        binds_last_j_code,
     )
 }

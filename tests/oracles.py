@@ -753,11 +753,14 @@ def reference_check_surgical(
                 f"record {record.describe()} was built in context "
                 f"{record.context!r}, not {ctx!r}"
             )
-        if _reference_violation(
+        base = _reference_violation(
             model, ctx, record.parents, (record.target,), record.map
-        ) is not None:
+        )
+        if base is not None:
             raise BaseDeterminationError(
-                f"record {record.describe()} does not hold in its own context"
+                f"record {record.describe()} does not hold in its own context: at "
+                f"state {base[0]!r} the witness predicts {base[1]!r} but the "
+                f"outcome is {base[2]!r}"
             )
     new_word = (action,) + ctx
     broken, survived = [], []

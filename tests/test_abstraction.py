@@ -2,6 +2,7 @@ import pytest
 
 from causalground.abstraction import (
     ModelMorphism,
+    SquareFailure,
     check_naturality,
     check_surjectivity_assumptions,
     compose_morphisms,
@@ -94,6 +95,26 @@ def test_sabotaged_morphism_fails_with_located_squares(tiny):
     assert report.truncated or process_failures
     for f in report.failures:
         assert f.via_source != f.via_target
+
+
+def test_process_square_failure_names_state_and_both_outcomes(pair_model):
+    # the state map is the identity, so every action square commutes; the
+    # outcome map swaps 0|0 and 1|1, which the process realizes at x1, x2
+    swap = {"0|0": "1|1", "1|1": "0|0"}
+    outcomes = pair_model.outcomes.total
+    m = ModelMorphism(
+        pair_model,
+        pair_model,
+        TotalMap.identity(pair_model.states),
+        TotalMap(outcomes, outcomes, {y: swap.get(y, y) for y in outcomes.elements}),
+    )
+    report = check_naturality(m)
+    assert not report.natural
+    assert report.failures == (
+        SquareFailure("process", None, "x1", "1|1", "0|0"),
+        SquareFailure("process", None, "x2", "0|0", "1|1"),
+    )
+    assert report.failure_count == 2 and not report.truncated
 
 
 def test_failure_cap(tiny):

@@ -305,6 +305,19 @@ def test_surgical_rejects_record_map_on_wrong_subspaces(pair_model):
     ):
         check_surgical(pair_model, "swap", [record], ())
 
+def test_surgical_rejects_record_that_fails_in_its_context(pair_model):
+    # after const every state is x1, where v1 is 0, not the recorded 1
+    record = discover_mechanisms(pair_model, ("const",), max_parents=0)[0]
+    wrong = TotalMap(record.map.domain, record.map.codomain, {"*": "1"})
+    bad = MechanismRecord("v1", (), wrong, ("const",), ("id",), ())
+    with pytest.raises(BaseDeterminationError) as err:
+        check_surgical(pair_model, "swap", [record, bad], ("const",))
+    assert str(err.value) == (
+        "record v1~(none) does not hold in its own context: at state 'x1' "
+        "the witness predicts '1' but the outcome is '0'"
+    )
+
+
 def test_surgical_identity_is_not_surgical(pair_model):
     records = discover_mechanisms(pair_model, ("const",), max_parents=1)
     verdict = check_surgical(pair_model, "id", records, ("const",))

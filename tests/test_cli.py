@@ -313,6 +313,45 @@ def test_simulate(workspace, capsys):
     check_golden("simulate.json", out)
 
 
+EVERY_ACTION = [
+    {"action": "remove", "id": "d2"},
+    {"action": "remove", "id": "d3"},
+    {"action": "place", "id": "d2", "cell": [1, 0], "routing": {"E": "S"}},
+    {"action": "place", "id": "d3", "cell": [1, 1], "routing": {"S": "E"}},
+    {"action": "remove-barrier", "edge": [[0, 0], [1, 0]]},
+    {"action": "add-barrier", "edge": [[1, 1], [2, 1]]},
+    {"action": "choose-push", "id": "d1", "dir": "E"},
+]
+
+
+def simulate_outcome(actions, capsys) -> dict:
+    dump_json({
+        "grid": [3, 2],
+        "dominoes": [{"id": f"d{i + 1}", "cell": [i, 0]} for i in range(3)]
+        + [{"id": "d4", "cell": [2, 1]}],
+        "barriers": [[[0, 0], [1, 0]]],
+        "actions": actions,
+    }, "every_action.json")
+    code, out = invoke(
+        ["simulate", "--scenario", "every_action.json", "--format", "json"], capsys
+    )
+    assert code == 0
+    return json.loads(out)["outcome"]
+
+
+def test_simulate_runs_every_action_kind(workspace, capsys):
+    # d2 and d3 come back rerouted, d1 is pushed through the removed
+    # barrier, and the added one stops d3 from toppling d4
+    outcome = simulate_outcome(EVERY_ACTION, capsys)
+    assert outcome == {
+        "d1": "fallen-E", "d2": "fallen-S", "d3": "fallen-E", "d4": "upright"
+    }
+    # each action matters: without it the outcome differs
+    for k in range(len(EVERY_ACTION)):
+        fewer = EVERY_ACTION[:k] + EVERY_ACTION[k + 1:]
+        assert simulate_outcome(fewer, capsys) != outcome, EVERY_ACTION[k]
+
+
 def test_text_format_renders_empty_objects(workspace, capsys):
     dump_json({"grid": [3, 1], "dominoes": []}, "empty.json")
     code, out = invoke(["simulate", "--scenario", "empty.json"], capsys)
@@ -488,11 +527,24 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          _set(("actions", 0), {"action": "remove-barrier"}), "actions[0].edge"),
         (SIMULATE, "scenario_chain3.json",
          _set(("actions", 0), {"action": "warp", "id": "d1"}), "actions[0].action"),
+        # d1 is on the grid already, so placing it would change nothing
+        (SIMULATE, "scenario_chain3.json",
+         _set(("actions", 0), {"action": "place", "id": "d1", "cell": [5, 0]}),
+         "actions[0].cell"),
+        # d9 is absent, so the push choice would be dropped
+        (SIMULATE, "scenario_chain3.json",
+         _set(("actions", 0), {"action": "choose-push", "id": "d9", "dir": "up"}),
+         "actions[0].dir"),
+        (SIMULATE, "scenario_chain3.json",
+         _set(("actions", 0),
+              {"action": "place", "id": "d9", "cell": [0, 0], "routing": {"E": "Q"}}),
+         "actions[0].routing"),
     ],
     ids=["violated-by", "record-map-table", "scenario-barriers", "barrier-edges", "layout-barriers",
          "state-map", "alphabet-map", "witness-table", "outcome-map-arity",
          "remove-without-id", "place-without-cell", "push-without-dir",
-         "barrier-without-edge", "unknown-action"],
+         "barrier-without-edge", "unknown-action", "place-off-grid", "push-bad-dir",
+         "place-bad-routing"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")

@@ -4,8 +4,12 @@ import os
 import pytest
 
 from causalground.abstraction import check_naturality
-from causalground.checkers import check_determination, discover_mechanisms
-from causalground.dominoes import build_bounded_model, micro_proc
+from causalground.checkers import (
+    check_determination,
+    check_effectiveness,
+    discover_mechanisms,
+)
+from causalground.dominoes import IDENTITY_ROUTING, build_bounded_model, micro_proc
 from causalground.io import (
     SchemaError,
     dump_json,
@@ -19,6 +23,7 @@ from causalground.io import (
     model_to_dict,
     morphism_to_dict,
     records_from_dict,
+    scenario_from_dict,
     scm_from_dict,
     scm_to_dict,
     serialize,
@@ -120,19 +125,66 @@ def test_scm_bad_function_key():
 
 
 def test_scenario_load_and_actions():
-    state, census, actions = load_scenario(data_path("scenario_chain3.json"))
+    state, census, edits = load_scenario(data_path("scenario_chain3.json"))
     assert census == ("d1", "d2", "d3")
     assert state.push == ("d1", "E")
-    assert len(actions) == 1
+    assert len(edits) == 1
     assert micro_proc(state, census)["d3"] == "fallen-E"
+    # the one edit adds the barrier between d2 and d3
+    assert micro_proc(edits[0](state), census)["d3"] == "upright"
 
 
 def test_scenario_schema_errors():
     with pytest.raises(SchemaError) as err:
-        from causalground.io import scenario_from_dict
-
         scenario_from_dict({"grid": [2, 1], "dominoes": [{"id": "a"}]}, "s.json")
     assert err.value.path == "dominoes[0].cell"
+
+
+def test_scenario_routing_objects():
+    data = {
+        "grid": [2, 2],
+        "dominoes": [
+            {"id": "a", "cell": [0, 0], "routing": {"E": "S"}},
+            {"id": "b", "cell": [1, 0], "routing": {}},
+        ],
+        "push": {"id": "a", "dir": "E"},
+        "actions": [{"action": "place", "id": "c", "cell": [1, 1],
+                     "routing": {"S": "W"}, "tag": 2}],
+    }
+    state, census, edits = scenario_from_dict(data, "s.json")
+    assert state.domino("a").route("E") == "S"
+    assert state.domino("b").routing == IDENTITY_ROUTING
+    placed = edits[0](state).domino("c")
+    assert (placed.route("S"), placed.route("E"), placed.tag) == ("W", "E", "2")
+    for where, routing in (("dominoes", ["E", "S"]), ("dominoes", {"E": "up"}),
+                           ("actions", {"up": "E"})):
+        bad = json.loads(json.dumps(data))
+        bad[where][0]["routing"] = routing
+        with pytest.raises(SchemaError) as err:
+            scenario_from_dict(bad, "s.json")
+        assert err.value.path == f"{where}[0].routing"
+
+
+def test_family_layout_from_present_barriers_and_push():
+    layout = {"present": {"d1": "0", "d2": "0"}, "barriers": [1], "push": ["d1", "E"]}
+    spec = {"length": 3, "ids": ["d1", "d2"], "barrier_edges": [1],
+            "layouts": {"set": layout}}
+    family = family_from_dict({"family": spec}, "f.json")
+    expected = family.state({"d1": "0", "d2": "0"}, [1], ("d1", "E"))
+    assert dict(family.layouts)["set"] == expected
+    _, abstract, _ = build_bounded_model(family)
+    # from any state, init-set then the process: d1 falls, the barrier
+    # keeps d2 up
+    result = check_effectiveness(abstract, ("init-set",), ("d1", "d2"))
+    assert result.effective and result.value == "fallen-E|upright"
+    for edit, path in (
+        ({"push": ["d1"]}, "family.layouts.set.push"),
+        ({"present": {"d9": "0"}}, "family.layouts.set"),
+    ):
+        spec["layouts"]["set"] = {**layout, **edit}
+        with pytest.raises(SchemaError) as err:
+            family_from_dict({"family": spec}, "f.json")
+        assert err.value.path == path
 
 
 def test_family_load_and_build():

@@ -343,7 +343,7 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         "relations": _fails(lambda: _relations(100)),
     }
     assert any(caught.values()), f"mutant {name} survived"
-    if name == "counterexample_from_last_reacher":
+    if name in ("counterexample_from_last_reacher", "binds_last_j_code"):
         # Verdicts stay right and only the named states move, which no
         # relation sees: the oracle cross-check must catch it.
         assert caught["oracle"]

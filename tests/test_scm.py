@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from causalground.checkers import check_commute, check_determination, check_surgical
-from causalground.core import ActionModel, FiniteSet, SEP, TotalMap
+from causalground import scm as scm_module
+from causalground.core import ActionModel, FiniteSet, SEP, TotalMap, _Image
 from causalground.scm import (
     DEFAULT_SLOT,
     CyclicScmError,
@@ -50,6 +51,21 @@ def test_cyclic_scm_rejected():
             {
                 "V1": {(a, b): "0" for a in "01" for b in "01"},
                 "V2": {(a, b): "0" for a in "01" for b in "01"},
+            },
+        )
+
+
+def test_cycle_error_names_a_node_on_the_cycle():
+    # V1 -> V2 -> V3 -> V2: V1 is not on the cycle
+    with pytest.raises(CyclicScmError, match=r"cycle through 'V[23]'"):
+        Scm(
+            tuple((f"U{i}", binary(f"U{i}")) for i in (1, 2, 3)),
+            tuple((f"V{i}", binary(f"V{i}")) for i in (1, 2, 3)),
+            {"V1": (), "V2": ("V1", "V3"), "V3": ("V2",)},
+            {
+                "V1": {(u,): "0" for u in "01"},
+                "V2": {key: "0" for key in product("01", repeat=3)},
+                "V3": {key: "0" for key in product("01", repeat=2)},
             },
         )
 
@@ -209,6 +225,34 @@ def test_law_five_catches_leaky_intervention(xor_scm):
     assert "determination-invariance" in laws
     named = [v for v in report.violations if v.law == "determination-invariance"]
     assert all(v.state is not None for v in named)
+
+
+def test_laws_reject_a_model_of_other_generators(xor_scm):
+    model = encode_scm(xor_scm)
+    other = Scm(
+        (("U1", binary("U1")),),
+        (("V1", binary("V1")),),
+        {"V1": ()},
+        {"V1": {("0",): "0", ("1",): "1"}},
+    )
+    with pytest.raises(ValueError, match="do not match the SCM encoding"):
+        verify_scm_laws(model, other)
+
+
+def test_laws_compose_each_label_image_once(xor_scm, monkeypatch):
+    # init is the context of every variable's default mechanism: its
+    # image is built once, not once per variable
+    built = []
+
+    def counting_image(index, word, parent=None):
+        built.append(tuple(word))
+        return _Image(index, word, parent)
+
+    monkeypatch.setattr(scm_module, "_Image", counting_image)
+    model = encode_scm(xor_scm)
+    assert verify_scm_laws(model, xor_scm).ok
+    labels = sorted((label,) for label in model.generators if label != "id")
+    assert sorted(built) == labels
 
 
 def test_law_four_matches_generic_checker(xor_scm):
