@@ -103,28 +103,31 @@ def check_naturality(m: ModelMorphism, cap: int = 20) -> NaturalityReport:
     """
     failures: list[SquareFailure] = []
     count = 0
-    x = m.state_map.table
+    x = m.state_map._codes
+    states = m.source.states.elements
+
+    def square(kind, label, via_source: list[int], target: list[int], codomain):
+        """Compare one square at every micro state, on positions; name
+        the failures that fit under the cap."""
+        nonlocal count
+        via_target = [target[y] for y in x]
+        if via_source == via_target:
+            return
+        bad = [s for s, (p, q) in enumerate(zip(via_source, via_target)) if p != q]
+        count += len(bad)
+        names = codomain.elements
+        for s in bad[: cap - len(failures)]:
+            failures.append(SquareFailure(
+                kind, label, states[s], names[via_source[s]], names[via_target[s]]
+            ))
+
     for a, f_src in m.source.generators.items():
         f_tgt = m.target.generators[m.alphabet_map[a]]
-        for s in m.source.states.elements:
-            via_source = x[f_src.table[s]]
-            via_target = f_tgt.table[x[s]]
-            if via_source != via_target:
-                count += 1
-                if len(failures) < cap:
-                    failures.append(
-                        SquareFailure("action", a, s, via_source, via_target)
-                    )
-    y = m.outcome_map.table
-    for s in m.source.states.elements:
-        via_source = y[m.source.process.table[s]]
-        via_target = m.target.process.table[x[s]]
-        if via_source != via_target:
-            count += 1
-            if len(failures) < cap:
-                failures.append(
-                    SquareFailure("process", None, s, via_source, via_target)
-                )
+        square("action", a, [x[y] for y in f_src._codes], f_tgt._codes, m.target.states)
+    y = m.outcome_map._codes
+    via_source = [y[v] for v in m.source.process._codes]
+    target = m.target
+    square("process", None, via_source, target.process._codes, target.outcomes.total)
     return NaturalityReport(count == 0, tuple(failures), count, count > len(failures))
 
 
@@ -134,11 +137,10 @@ def check_surjectivity_assumptions(m: ModelMorphism, cap: int = 20) -> Surjectiv
     The impossible outcomes are the complement of the image of
     outcome_map . process in the target outcome set.
     """
-    realized = {
-        m.outcome_map.table[v] for v in m.source.process.table.values()
-    }
+    y = m.outcome_map._codes
+    realized = {y[v] for v in set(m.source.process._codes)}
     total = m.target.outcomes.total
-    impossible = [e for e in total.elements if e not in realized]
+    impossible = [e for k, e in enumerate(total.elements) if k not in realized]
     return SurjectivityReport(
         process_surjective=m.source.process.is_surjective(),
         state_map_surjective=m.state_map.is_surjective(),

@@ -147,23 +147,21 @@ class _Prediction:
                 "witness codomain does not match the J-variable subspace"
             )
         self.witness = witness
-        self.domain = domain.elements
         self.codomain = codomain.elements
-        code = {e: k for k, e in enumerate(self.codomain)}
-        self.predicted = [code[witness.table[e]] for e in self.domain]
+        self.predicted = witness._codes
 
     def violation(self, image: _Image, word: Word) -> Optional[tuple[str, str, str]]:
         """First (state, predicted, actual) where doing ``word`` after the
         context of ``image`` breaks the witness, or None."""
-        index = image.index
-        table = index.compose(word, image.reached)
-        codes_i = index.project(self.ids_i, table)
-        codes_j = index.project(self.ids_j, table)
-        k = _first_mismatch(list(map(self.predicted.__getitem__, codes_i)), codes_j)
+        model = image.model
+        table = model._compose(word, image.reached)
+        codes_i = model._project(self.ids_i, table)
+        codes_j = model._project(self.ids_j, table)
+        predicted = list(map(self.predicted.__getitem__, codes_i))
+        k = _first_mismatch(predicted, codes_j)
         if k is None:
             return None
-        expected = self.witness.table[self.domain[codes_i[k]]]
-        return image.state(k), expected, self.codomain[codes_j[k]]
+        return image.state(k), self.codomain[predicted[k]], self.codomain[codes_j[k]]
 
     def require(self, image: _Image, what: str) -> None:
         """Raise ``BaseDeterminationError`` opening with ``what`` unless
@@ -197,10 +195,8 @@ def _scan_determination(
         pair = (image.state(codes_i.index(codes_i[k])), image.state(k))
         return DeterminationResult(False, None, None, pair)
     domain, codomain = (model.outcomes.subspace(ids).total for ids in (ids_i, ids_j))
-    labels = codomain.elements
-    table = {e: labels[bound.get(c, 0)] for c, e in enumerate(domain.elements)}
-    unique = len(bound) == len(domain)
-    return DeterminationResult(True, TotalMap(domain, codomain, table), unique, None)
+    witness = TotalMap._of(domain, codomain, [bound.get(c, 0) for c in range(len(domain))])
+    return DeterminationResult(True, witness, len(bound) == len(domain), None)
 
 
 def check_determination(
@@ -216,9 +212,8 @@ def check_determination(
     space = model.outcomes
     ids_i = space.normalize_vars(vars_i)
     ids_j = space.normalize_vars(vars_j)
-    index = model._index
-    image = _Image(index, word)
-    codes_i, codes_j = (index.project(ids, image.reached) for ids in (ids_i, ids_j))
+    image = _Image(model, word)
+    codes_i, codes_j = (model._project(ids, image.reached) for ids in (ids_i, ids_j))
     return _scan_determination(model, image, ids_i, ids_j, codes_i, codes_j)
 
 
@@ -233,14 +228,13 @@ def check_effectiveness(
     Effective means the outcome on J is one constant value over all of X
     after doing the context and then the word: the empty set determines J.
     """
-    index = model._index
-    image = _Image(index, tuple(word) + tuple(context))
+    image = _Image(model, tuple(word) + tuple(context))
     ids_j = model.outcomes.normalize_vars(vars_j)
-    codes_j = index.project(ids_j, image.reached)
+    codes_j = model._project(ids_j, image.reached)
     result = _scan_determination(model, image, (), ids_j, [0] * len(codes_j), codes_j)
     if not result.holds:
         return EffectivenessResult(False, None, result.counterexample)
-    return EffectivenessResult(True, result.witness.table[UNIT_ELEMENT], None)
+    return EffectivenessResult(True, result.witness(UNIT_ELEMENT), None)
 
 
 def check_invariance(
@@ -259,7 +253,7 @@ def check_invariance(
     word is later_word + base_word under the rightmost-first convention.
     """
     prediction = _Prediction(model, vars_i, vars_j, witness)
-    image = _Image(model._index, base_word)
+    image = _Image(model, base_word)
     prediction.require(image, "base determination does not hold")
     hit = prediction.violation(image, later_word)
     if hit is None:
@@ -272,9 +266,8 @@ def _first_difference(
     model: ActionModel, first: Word, second: Word
 ) -> CommutationResult:
     """First state where the state maps of two words disagree, if any."""
-    index = model._index
-    f = index.compose(first)
-    g = index.compose(second)
+    f = model._compose(first)
+    g = model._compose(second)
     x = _first_mismatch(f, g)
     if x is None:
         return CommutationResult(True, None, None, None)
@@ -326,7 +319,7 @@ def probe_record(
     Each generator is probed once, performed after the context.
     """
     prediction = _Prediction(model, parents, [target], witness)
-    image = _Image(model._index, context)
+    image = _Image(model, context)
     prediction.require(image, f"record for {target!r} is invalid")
     return _probe(model, target, prediction, context, image)
 
@@ -345,11 +338,10 @@ def _minimal_unique_determination(
     """
     space = model.outcomes
     others = [v for v in space.var_ids if v != target]
-    index = model._index
-    codes_j = index.project((target,), image.reached)
+    codes_j = model._project((target,), image.reached)
     for size in range(0, max_parents + 1):
         for parents in combinations(others, size):
-            codes_i = index.project(parents, image.reached)
+            codes_i = model._project(parents, image.reached)
             result = _scan_determination(
                 model, image, parents, (target,), codes_i, codes_j
             )
@@ -373,7 +365,7 @@ def discover_mechanisms(
     """
     if max_parents < 0:
         raise PreconditionError("max_parents must be non-negative")
-    image = _Image(model._index, context)
+    image = _Image(model, context)
     records = []
     for target in model.outcomes.var_ids:
         found = _minimal_unique_determination(model, target, max_parents, image)
@@ -404,7 +396,7 @@ def check_surgical(
         raise PreconditionError("surgicality is relative to a non-empty mechanism set")
     model.generator(action)
     ctx = tuple(context)
-    image = _Image(model._index, ctx)
+    image = _Image(model, ctx)
     predictions = []
     for record in mechanisms:
         name = record.describe()
@@ -420,7 +412,7 @@ def check_surgical(
         predictions.append(prediction)
 
     new_word = (action,) + ctx
-    new_image = _Image(image.index, (action,), image)
+    new_image = _Image(model, (action,), image)
     broken: list[MechanismRecord] = []
     survived: list[tuple[MechanismRecord, _Prediction]] = []
     for record, prediction in zip(mechanisms, predictions):

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 import time
-from functools import partial
+from functools import partial, reduce
 from typing import Optional, Sequence
 
 from . import io as cgio
@@ -201,10 +201,11 @@ def _cmd_scm(args, write_model: bool = False) -> tuple[int, dict]:
 
 
 def _cmd_simulate(args) -> tuple[int, dict]:
-    state, census, edits = cgio.load_scenario(args.scenario)
-    for edit in edits:
-        state = edit(state)
-    return 0, {"outcome": micro_proc(state, census)}
+    start, edits = cgio.load_scenario(args.scenario)
+    state = reduce(lambda s, edit: edit(s), edits, start)
+    # The census: every id on the grid at the start, then every other id on
+    # the grid after the last action.
+    return 0, {"outcome": micro_proc(state, start.ids() + state.ids())}
 
 
 def _cmd_build_model(args) -> tuple[int, dict]:

@@ -112,18 +112,20 @@ class FiniteSet:
 
     id: str
     elements: tuple[str, ...]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
             raise ValueError(f"finite set {self.id!r} must not be empty")
-        if len(set(self.elements)) != len(self.elements):
+        positions = {x: k for k, x in enumerate(self.elements)}
+        if len(positions) != len(self.elements):
             raise ValueError(f"finite set {self.id!r} has duplicate elements")
         check_enumeration_bound(len(self.elements), f"finite set {self.id!r}")
-        object.__setattr__(self, "_index", frozenset(self.elements))
+        object.__setattr__(self, "_positions", positions)
 
     def __contains__(self, element: str) -> bool:
-        return element in self._index  # type: ignore[attr-defined]
+        return element in self._positions
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -142,35 +144,57 @@ def unit_set() -> FiniteSet:
     return FiniteSet("1", (UNIT_ELEMENT,))
 
 
-@dataclass(frozen=True, eq=False)
 class TotalMap:
-    """A function between finite sets stored as an explicit table.
+    """A function between finite sets, stored as the codomain position of
+    each domain element, in domain order.
 
-    The table must define exactly one codomain element for every domain
-    element.  Equality is table equality (plus matching domain/codomain),
-    which is what every checker in this package ultimately reduces to.
+    ``TotalMap(domain, codomain, table)`` validates a label table, which
+    must define exactly one codomain element for every domain element.
+    Maps the library computes itself are built from positions and not
+    validated again.  ``table`` is the label view, built on first use.
+    Equality is position equality (plus matching domain/codomain), which
+    is what every checker in this package ultimately reduces to.  Maps are
+    not changed after construction: never mutate ``table``.
     """
 
-    domain: FiniteSet
-    codomain: FiniteSet
-    table: dict[str, str]
+    def __init__(self, domain: FiniteSet, codomain: FiniteSet, table: dict[str, str]):
+        self.domain, self.codomain, self._table = domain, codomain, table
+        self.__post_init__()
 
     def __post_init__(self):
-        table = self.table
+        table, elements = self._table, self.domain.elements
+        codomain = self.codomain._positions
+        try:
+            self._codes = [codomain[table[x]] for x in elements]
+            if len(table) == len(elements):
+                return
+        except KeyError:
+            pass
         name = f"map {self.domain.id!r} -> {self.codomain.id!r}"
-        missing = [x for x in self.domain.elements if x not in table]
-        if missing:
-            x = missing[0]
+        x = next((x for x in elements if x not in table), None)
+        if x is not None:
             raise MapTableError(x, f"{name} is not total: missing entry for {x!r}")
-        if len(table) != len(self.domain):
+        if len(table) != len(elements):
             x = next(x for x in table if x not in self.domain)
             raise MapTableError(x, f"{name} has an entry outside its domain: {x!r}")
-        codomain = self.codomain._index  # type: ignore[attr-defined]
-        for x, y in table.items():
-            if y not in codomain:
-                raise MapTableError(
-                    x, f"{name} sends {x!r} to {y!r}, which is not in the codomain"
-                )
+        x, y = next((x, y) for x, y in table.items() if y not in codomain)
+        raise MapTableError(
+            x, f"{name} sends {x!r} to {y!r}, which is not in the codomain"
+        )
+
+    @classmethod
+    def _of(cls, domain: FiniteSet, codomain: FiniteSet, codes: list[int]) -> "TotalMap":
+        """The map with trusted codomain positions ``codes``: not validated."""
+        m = cls.__new__(cls)
+        m.domain, m.codomain, m._codes, m._table = domain, codomain, codes, None
+        return m
+
+    @property
+    def table(self) -> dict[str, str]:
+        if self._table is None:
+            labels = self.codomain.elements
+            self._table = {x: labels[c] for x, c in zip(self.domain.elements, self._codes)}
+        return self._table
 
     def __call__(self, element: str) -> str:
         return self.table[element]
@@ -181,10 +205,10 @@ class TotalMap:
         return (
             self.domain == other.domain
             and self.codomain == other.codomain
-            and self.table == other.table
+            and self._codes == other._codes
         )
 
-    __hash__ = None  # tables are dicts; maps are compared, never hashed
+    __hash__ = None  # maps are compared, never hashed
 
     def after(self, other: "TotalMap") -> "TotalMap":
         """Composite self . other (apply ``other`` first)."""
@@ -193,29 +217,26 @@ class TotalMap:
                 f"cannot compose: {other.domain.id!r}->{other.codomain.id!r} "
                 f"then {self.domain.id!r}->{self.codomain.id!r}"
             )
-        return TotalMap(
-            other.domain,
-            self.codomain,
-            {x: self.table[y] for x, y in other.table.items()},
-        )
+        codes = self._codes
+        return TotalMap._of(other.domain, self.codomain, [codes[y] for y in other._codes])
 
     def image(self) -> list[str]:
         """Exact image, deduplicated, in codomain element order."""
-        hit = set(self.table.values())
-        return [y for y in self.codomain.elements if y in hit]
+        hit = set(self._codes)
+        return [y for k, y in enumerate(self.codomain.elements) if k in hit]
 
     def is_surjective(self) -> bool:
-        return len(set(self.table.values())) == len(self.codomain)
+        return len(set(self._codes)) == len(self.codomain)
 
     @classmethod
     def identity(cls, s: FiniteSet) -> "TotalMap":
-        return cls(s, s, {x: x for x in s.elements})
+        return cls._of(s, s, list(range(len(s))))
 
     @classmethod
     def constant(cls, domain: FiniteSet, codomain: FiniteSet, value: str) -> "TotalMap":
         if value not in codomain:
             raise ValueError(f"constant value {value!r} not in {codomain.id!r}")
-        return cls(domain, codomain, {x: value for x in domain.elements})
+        return cls._of(domain, codomain, [codomain._positions[value]] * len(domain))
 
 
 def join_values(values: Sequence[str]) -> str:
@@ -386,16 +407,54 @@ class ActionModel:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.generators)
 
-    @cached_property
-    def _index(self) -> "_Index":
-        """The integer coding the checkers run on, built on first use."""
-        return _Index(self)
-
     def generator(self, label: str) -> TotalMap:
         try:
             return self.generators[label]
         except KeyError:
             raise UnknownLabelError(label, self.generators) from None
+
+    # The checkers run on positions.  A word's table is one gather per
+    # letter.  A projection combines process columns into a mixed-radix
+    # code: the projected element's position in ``outcomes.subspace(ids)
+    # .total``.  Tables handed out are shared: never mutate one.
+
+    @cached_property
+    def _columns(self) -> dict[str, list[int]]:
+        """Each state's value position, per outcome variable: the process
+        positions decoded with the last variable varying fastest."""
+        columns, stride = {}, 1
+        for v, dom in reversed(self.outcomes.variables):
+            columns[v] = [c // stride % len(dom) for c in self.process._codes]
+            stride *= len(dom)
+        return columns
+
+    @cached_property
+    def _onto(self) -> frozenset[str]:
+        """The generators that permute the states: a word of them reaches all."""
+        return frozenset(a for a, g in self.generators.items() if g.is_surjective())
+
+    def _compose(self, word: Word, table: Optional[list[int]] = None) -> list[int]:
+        """The table of ``word`` acting after ``table`` (default: the
+        identity), rightmost letter first."""
+        try:
+            maps = [self.generators[label]._codes for label in word]
+        except KeyError as exc:
+            raise UnknownLabelError(exc.args[0], self.generators) from None
+        for g in reversed(maps):
+            table = g if table is None else [g[y] for y in table]
+        return self.generators[ID_LABEL]._codes if table is None else table
+
+    def _project(self, ids: tuple[str, ...], table: list[int]) -> list[int]:
+        """Codes of project_ids . process . table, combined only at the
+        states ``table`` lists."""
+        if not ids:
+            return [0] * len(table)
+        column = self._columns[ids[0]]
+        code = [column[y] for y in table]
+        for v in ids[1:]:
+            radix, column = len(self.outcomes.domain_of(v)), self._columns[v]
+            code = [c * radix + column[y] for c, y in zip(code, table)]
+        return code
 
 
 def _first_mismatch(a: list[int], b: list[int]) -> Optional[int]:
@@ -403,70 +462,6 @@ def _first_mismatch(a: list[int], b: list[int]) -> Optional[int]:
     if a == b:
         return None
     return next(x for x, (p, q) in enumerate(zip(a, b)) if p != q)
-
-
-class _Index:
-    """The integer coding of one model, which every checker runs on.
-
-    A state is its position in ``states.elements``.  Each generator is a
-    gather table: position of a state -> position of its image.  The
-    process is one column per outcome variable, giving each state's value
-    as a position in that variable's domain.  Composing a word is one
-    gather per letter, and projecting onto a variable subset combines the
-    subset's columns into a mixed-radix code.  Since the declared variable
-    order fixes the product order, that code is the position of the
-    projected element in ``outcomes.subspace(ids).total.elements``, so
-    labels are looked up only where a result names them.
-
-    Tables handed out (a generator's, a column) are shared: never mutate
-    one.
-    """
-
-    def __init__(self, model: "ActionModel"):
-        states = model.states.elements
-        position = {x: i for i, x in enumerate(states)}
-        self.generators = {
-            label: [position[m.table[x]] for x in states]
-            for label, m in model.generators.items()
-        }
-        space = model.outcomes
-        process = model.process.table
-        codes = [{v: k for k, v in enumerate(d.elements)} for _, d in space.variables]
-        rows: dict[str, tuple[int, ...]] = {}  # each distinct outcome split once
-        for y in process.values():
-            if y not in rows:
-                values = split_values(y, len(codes))
-                rows[y] = tuple(code[v] for code, v in zip(codes, values))
-        self.columns = dict(
-            zip(space.var_ids, map(list, zip(*(rows[process[x]] for x in states))))
-        )
-        self.radices = {v: len(dom) for v, dom in space.variables}
-        self.labels = states
-        # Generators that permute the states: a word of them reaches all.
-        self.onto = {a for a, g in self.generators.items() if len(set(g)) == len(g)}
-
-    def compose(self, word: Word, table: Optional[list[int]] = None) -> list[int]:
-        """The table of ``word`` acting after ``table`` (default: the
-        identity), rightmost letter first."""
-        try:
-            maps = [self.generators[label] for label in word]
-        except KeyError as exc:
-            raise UnknownLabelError(exc.args[0], self.generators) from None
-        for g in reversed(maps):
-            table = g if table is None else [g[y] for y in table]
-        return self.generators[ID_LABEL] if table is None else table
-
-    def project(self, ids: tuple[str, ...], table: list[int]) -> list[int]:
-        """Codes of project_ids . process . table, combined only at the
-        states ``table`` lists."""
-        if not ids:
-            return [0] * len(table)
-        column = self.columns[ids[0]]
-        code = [column[y] for y in table]
-        for v in ids[1:]:
-            radix, column = self.radices[v], self.columns[v]
-            code = [c * radix + column[y] for c, y in zip(code, table)]
-        return code
 
 
 class _Image:
@@ -480,25 +475,21 @@ class _Image:
     ``reached``.
     """
 
-    def __init__(self, index: _Index, word: Word, parent: Optional["_Image"] = None):
-        self.index, self.parent = index, parent
-        self.table = index.compose(word, None if parent is None else parent.reached)
-        onto = all(a in index.onto for a in word)
+    def __init__(self, model: ActionModel, word: Word, parent: Optional["_Image"] = None):
+        self.model, self.parent = model, parent
+        self.table = model._compose(word, None if parent is None else parent.reached)
+        onto = all(a in model._onto for a in word)
         self.reached = self.table if onto else list(dict.fromkeys(self.table))
 
     def state(self, k: int) -> str:
         """The first state whose image under the context is ``reached[k]``."""
         x = self.table.index(self.reached[k])
-        return self.index.labels[x] if self.parent is None else self.parent.state(x)
+        return self.parent.state(x) if self.parent else self.model.states.elements[x]
 
 
 def compose(model: ActionModel, word: Word) -> TotalMap:
     """The state map of a word: rightmost label first, empty word = identity."""
-    states = model.states.elements
-    table = model._index.compose(word)
-    return TotalMap(
-        model.states, model.states, {x: states[y] for x, y in zip(states, table)}
-    )
+    return TotalMap._of(model.states, model.states, model._compose(word))
 
 
 def outcome_map(
@@ -512,9 +503,5 @@ def outcome_map(
     """
     space = model.outcomes
     ids = space.normalize_vars(variables)
-    index = model._index
-    codes = index.project(ids, index.compose(word))
-    target = space.subspace(ids).total
-    labels = target.elements
-    table = {x: labels[c] for x, c in zip(model.states.elements, codes)}
-    return TotalMap(model.states, target, table)
+    codes = model._project(ids, model._compose(word))
+    return TotalMap._of(model.states, space.subspace(ids).total, codes)

@@ -406,8 +406,8 @@ def build_bounded_model(
     become visible.
     """
     codes = family.codes()
-    index = {code: family.label(code) for code in codes}
-    if len(index) != len(codes):
+    position = {code: k for k, code in enumerate(codes)}
+    if len(position) != len(codes):
         raise CausalGroundError("family state labels are not distinct")
 
     transforms = family.code_transforms()
@@ -418,68 +418,55 @@ def build_bounded_model(
     # Abstract quotient: one state per tag-forgotten class, represented by
     # the first micro state enumerated in it.  The process never reads
     # tags, so it runs once per class.
-    rep: dict[str, Code] = {}
-    x_table = {}
-    for code, label in index.items():
-        ab = family.label(_forget_tags(code))
-        rep.setdefault(ab, code)
-        x_table[label] = ab
-    status = {ab: micro_proc(family.decode(c), family.ids) for ab, c in rep.items()}
-    outcome_of = {ab: OUTCOME_SEP.join(s[i] for i in family.ids) for ab, s in status.items()}
-    ab_proc = {ab: join_values([s[i] for i in family.ids]) for ab, s in status.items()}
-    factored_of = {outcome_of[ab]: ab_proc[ab] for ab in rep}
+    classes: dict[Code, int] = {}  # tag-forgotten code -> abstract position
+    x_codes = [classes.setdefault(_forget_tags(code), len(classes)) for code in codes]
+    reps = [0] * len(classes)
+    for k in reversed(range(len(codes))):
+        reps[x_codes[k]] = k
+    status = [micro_proc(family.decode(codes[k]), family.ids) for k in reps]
+    names = [OUTCOME_SEP.join(s[i] for i in family.ids) for s in status]
 
-    micro_states = FiniteSet("Xbar", tuple(index.values()))
-    micro_outcomes = FiniteSet("Ybar", tuple(sorted(factored_of)))
+    micro_states = FiniteSet("Xbar", tuple(map(family.label, codes)))
+    micro_outcomes = FiniteSet("Ybar", tuple(sorted(set(names))))
 
-    def table_for(transform) -> dict[str, str]:
-        table = {}
-        for code, label in index.items():
-            try:
-                table[label] = index[transform(code)]
-            except KeyError:
-                raise CausalGroundError(
-                    f"family is not closed under its actions at state {label!r}"
-                ) from None
-        return table
+    def gather(transform) -> list[int]:
+        """Each state's image position under a transform on codes."""
+        images = [position.get(transform(code)) for code in codes]
+        if None in images:
+            label = micro_states.elements[images.index(None)]
+            raise CausalGroundError(
+                f"family is not closed under its actions at state {label!r}"
+            )
+        return images
 
-    micro_gens = {
-        a: TotalMap(micro_states, micro_states, table_for(transforms[a]))
-        for a in family.actions
-    }
-    micro_proc_table = {label: outcome_of[ab] for label, ab in x_table.items()}
+    micro_gens = {a: gather(transforms[a]) for a in family.actions}
+    name_codes = [micro_outcomes._positions[name] for name in names]
     micro = ActionModel(
         micro_states,
         micro_outcomes,
-        micro_gens,
-        TotalMap(micro_states, micro_outcomes, micro_proc_table),
+        {a: TotalMap._of(micro_states, micro_states, g) for a, g in micro_gens.items()},
+        TotalMap._of(micro_states, micro_outcomes, [name_codes[j] for j in x_codes]),
     )
 
-    abstract_states = FiniteSet("X", tuple(rep))
+    abstract_states = FiniteSet("X", tuple(map(family.label, classes)))
     abstract_space = FactoredSpace(
         tuple((i, FiniteSet(f"Y({i})", STATUSES)) for i in family.ids)
     )
+    total = abstract_space.total
+    joint = [total._positions[join_values([s[i] for i in family.ids])] for s in status]
     abstract_gens = {
-        a: TotalMap(
-            abstract_states,
-            abstract_states,
-            {ab: x_table[index[transforms[a](c)]] for ab, c in rep.items()},
-        )
-        for a in family.actions
+        a: TotalMap._of(abstract_states, abstract_states, [x_codes[g[k]] for k in reps])
+        for a, g in micro_gens.items()
     }
-    abstract = ActionModel(
-        abstract_states,
-        abstract_space,
-        abstract_gens,
-        TotalMap(abstract_states, abstract_space.total, ab_proc),
-    )
+    abstract_proc = TotalMap._of(abstract_states, total, joint)
+    abstract = ActionModel(abstract_states, abstract_space, abstract_gens, abstract_proc)
 
-    y_table = {name: factored_of[name] for name in micro_outcomes.elements}
+    joint_of = dict(zip(names, joint))
     morphism = ModelMorphism(
         micro,
         abstract,
-        TotalMap(micro_states, abstract_states, x_table),
-        TotalMap(micro_outcomes, abstract_space.total, y_table),
+        TotalMap._of(micro_states, abstract_states, x_codes),
+        TotalMap._of(micro_outcomes, total, [joint_of[y] for y in micro_outcomes.elements]),
     )
     return micro, abstract, morphism
 

@@ -194,7 +194,7 @@ def model_to_dict(model: ActionModel) -> dict:
             x: list(space.split(y)) for x, y in model.process.table.items()
         },
         "generators": {
-            label: dict(gen.table)
+            label: gen.table
             for label, gen in model.generators.items()
             if label != ID_LABEL
         },
@@ -254,7 +254,7 @@ def morphism_to_dict(
     return {
         "source_model": source_ref or model_to_dict(m.source),
         "target_model": target_ref or model_to_dict(m.target),
-        "state_map": dict(m.state_map.table),
+        "state_map": m.state_map.table,
         "outcome_map": {
             y: list(space.split(v)) for y, v in m.outcome_map.table.items()
         },
@@ -428,7 +428,7 @@ def _action(
 
 
 def scenario_from_dict(data: Any, file: str = "<inline>"):
-    """Parse a scenario file into (state, census, one state edit per action)."""
+    """Parse a scenario file into (state, one state edit per action)."""
     _expect(data, dict, file, "$", "an object")
     grid_data = _expect(data.get("grid"), list, file, "grid", "a [w, h] pair")
     grid = _cell(grid_data, file, "grid")
@@ -457,7 +457,7 @@ def scenario_from_dict(data: Any, file: str = "<inline>"):
         state = MicroState(grid, dominoes, frozenset(barriers), push)
     except ValueError as exc:
         raise SchemaError(file, "$", str(exc)) from None
-    return state, tuple(d.id for d in dominoes), edits
+    return state, edits
 
 
 def load_scenario(path: str):

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
@@ -29,7 +30,6 @@ from .core import (
     TotalMap,
     _first_mismatch,
     _Image,
-    join_values,
 )
 from .checkers import (
     MechanismRecord,
@@ -233,25 +233,32 @@ def encode_scm(scm: Scm) -> ActionModel:
     states = FiniteSet("MxU", space.total.elements)
     outcomes = FactoredSpace(scm.exogenous + scm.endogenous)
     n = len(endo)
-    rows = {label: space.split(label) for label in states.elements}
-    process_table = {}
-    for label, row in rows.items():
+    process = []  # each state's outcome position, in mixed radix
+    digits = [(vid, len(dom), dom._positions) for vid, dom in outcomes.variables]
+    for row in product(*(dom.elements for _, dom in space.variables)):
         slots, u = dict(zip(endo, row[:n])), dict(zip(exo, row[n:]))
-        response = potential_response(scm, slots, u)
-        process_table[label] = join_values(row[n:] + tuple(response[v] for v in endo))
-    process = TotalMap(states, outcomes.total, process_table)
+        values = {**u, **potential_response(scm, slots, u)}
+        code = 0
+        for vid, radix, position in digits:
+            code = code * radix + position[values[vid]]
+        process.append(code)
+    sizes = [len(dom) for _, dom in space.variables]
 
-    def write(at: int, values: tuple[str, ...]) -> TotalMap:
-        """The generator writing ``values`` over the coordinates from ``at`` on."""
-        end = at + len(values)
-        table = {x: join_values(row[:at] + values + row[end:]) for x, row in rows.items()}
-        return TotalMap(states, states, table)
+    def write(at: int, width: int, code: int) -> TotalMap:
+        """The generator setting the ``width`` coordinates from ``at`` on
+        to the block of mixed-radix code ``code``, on state positions."""
+        low = prod(sizes[at + width:])
+        high = low * prod(sizes[at:at + width])
+        table = [p - p % high + code * low + p % low for p in range(len(states))]
+        return TotalMap._of(states, states, table)
 
-    generators = {INIT_LABEL: write(0, (DEFAULT_SLOT,) * n)}
+    # A slot's position 0 is the default, then come the variable's values.
+    generators = {INIT_LABEL: write(0, n, 0)}
     for i, vid in enumerate(endo):
-        for value in scm.domain_of(vid).elements:
-            generators[set_label(vid, value)] = write(i, (value,))
-    return ActionModel(states, outcomes, generators, process)
+        for k, value in enumerate(scm.domain_of(vid).elements, 1):
+            generators[set_label(vid, value)] = write(i, 1, k)
+    process_map = TotalMap._of(states, outcomes.total, process)
+    return ActionModel(states, outcomes, generators, process_map)
 
 
 @dataclass(frozen=True)
@@ -340,13 +347,12 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
         for b in set_labels[vid]
     ))
 
-    index = model._index
     states = model.states.elements
     exo = model.outcomes.normalize_vars(scm.exo_ids)
-    before = index.project(exo, index.compose(()))
+    before = model._project(exo, model._compose(()))
 
     def u_changed(label: str) -> Optional[str]:
-        x = _first_mismatch(index.project(exo, index.compose((label,))), before)
+        x = _first_mismatch(model._project(exo, model._compose((label,))), before)
         return None if x is None else states[x]
 
     tally(LAW_U_INVARIANT, ((label, u_changed(label)) for label in model.generators))
@@ -356,7 +362,7 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
     # variable shares the one image of init.
     determined: list[tuple[str, Optional[str]]] = []
     invariant: list[tuple[str, Optional[str]]] = []
-    init = _Image(index, (INIT_LABEL,))
+    init = _Image(model, (INIT_LABEL,))
     for vid in endo:
         parents = (scm.noise_id(vid),) + scm.parents[vid]
         laters = [ID_LABEL] + [b for v in endo if v != vid for b in set_labels[v]]
@@ -366,7 +372,7 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
         ]:
             witness = _mechanism_witness(scm, model.outcomes, vid, slot)
             prediction = _Prediction(model, parents, (vid,), witness)
-            image = init if label == INIT_LABEL else _Image(index, (label,))
+            image = init if label == INIT_LABEL else _Image(model, (label,))
             hit = prediction.violation(image, ())
             determined.append((f"{vid} after {label}", hit and hit[0]))
             for later in laters:

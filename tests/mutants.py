@@ -8,7 +8,7 @@ that the oracle cross-check or a metamorphic relation catches each one.
 import dataclasses
 
 from causalground import checkers
-from causalground.core import ID_LABEL, _first_mismatch, _Image, _Index
+from causalground.core import ID_LABEL, ActionModel, _first_mismatch, _Image
 
 
 def composition_left_to_right(monkeypatch):
@@ -16,21 +16,37 @@ def composition_left_to_right(monkeypatch):
 
     def compose(self, word, table=None):
         for label in word:
-            g = self.generators[label]
+            g = self.generators[label]._codes
             table = g if table is None else [g[y] for y in table]
-        return self.generators[ID_LABEL] if table is None else table
+        return self.generators[ID_LABEL]._codes if table is None else table
 
-    monkeypatch.setattr(_Index, "compose", compose)
+    monkeypatch.setattr(ActionModel, "_compose", compose)
 
 
 def projection_columns_swapped(monkeypatch):
     """The first two columns of a projection trade places in its code."""
-    project = _Index.project
+    project = ActionModel._project
 
     def swapped(self, ids, table):
         return project(self, tuple(ids[1::-1]) + tuple(ids[2:]), table)
 
-    monkeypatch.setattr(_Index, "project", swapped)
+    monkeypatch.setattr(ActionModel, "_project", swapped)
+
+
+def columns_first_variable_fastest(monkeypatch):
+    """The process columns are decoded with the first outcome variable
+    varying fastest, not the last."""
+
+    def columns(self):
+        decoded, stride = {}, 1
+        for v, dom in self.outcomes.variables:
+            decoded[v] = [c // stride % len(dom) for c in self.process._codes]
+            stride *= len(dom)
+        return decoded
+
+    # A property wins over a value cached in the instance dict, so the
+    # patch also covers models whose columns were decoded before it.
+    monkeypatch.setattr(ActionModel, "_columns", property(columns))
 
 
 def scan_skips_last_state(monkeypatch):
@@ -81,7 +97,7 @@ def counterexample_from_last_reacher(monkeypatch):
     def last(self, k):
         table = self.table
         x = len(table) - 1 - table[::-1].index(self.reached[k])
-        return self.index.labels[x] if self.parent is None else self.parent.state(x)
+        return self.parent.state(x) if self.parent else self.model.states.elements[x]
 
     monkeypatch.setattr(_Image, "state", last)
 
@@ -91,6 +107,7 @@ MUTANTS = {
     for mutant in (
         composition_left_to_right,
         projection_columns_swapped,
+        columns_first_variable_fastest,
         scan_skips_last_state,
         unique_on_codomain,
         counterexample_from_last_reacher,

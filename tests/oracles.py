@@ -10,8 +10,9 @@ joint assignment instead of solving in topological order, and the
 naturality closure check composes whole words instead of single
 generator squares.  The reference checkers run on label tables (the
 string kernel the library used before its integer coding), one state at a
-time.  The barrier-blind morphism is a sabotage fixture that naturality
-must refute.
+time.  The reference SCM encoding builds every table from split labels
+instead of writing positions.  The barrier-blind morphism is a sabotage
+fixture that naturality must refute.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ from causalground.scm import (
     LawReport,
     LawViolation,
     Scm,
+    potential_response,
     set_label,
+    slot_domain,
 )
 from causalground.dominoes import (
     IDENTITY_ROUTING,
@@ -327,6 +330,38 @@ def reference_build_bounded_model(family: LineFamily):
         TotalMap(micro_outcomes, abstract_space.total, y_table),
     )
     return micro, abstract, morphism
+
+
+def reference_encode_scm(scm: Scm) -> ActionModel:
+    """The SCM encoding built as label tables, one state at a time: the
+    process joins u with the potential response, and each generator
+    rewrites the split state label."""
+    endo, exo = scm.endo_ids, scm.exo_ids
+    space = FactoredSpace(
+        tuple((vid, slot_domain(scm, vid)) for vid in endo) + scm.exogenous
+    )
+    states = FiniteSet("MxU", space.total.elements)
+    outcomes = FactoredSpace(scm.exogenous + scm.endogenous)
+    n = len(endo)
+    rows = {label: space.split(label) for label in states.elements}
+    process_table = {}
+    for label, row in rows.items():
+        slots, u = dict(zip(endo, row[:n])), dict(zip(exo, row[n:]))
+        response = potential_response(scm, slots, u)
+        process_table[label] = join_values(row[n:] + tuple(response[v] for v in endo))
+    process = TotalMap(states, outcomes.total, process_table)
+
+    def write(at: int, values: tuple[str, ...]) -> TotalMap:
+        """The generator writing ``values`` over the coordinates from ``at`` on."""
+        end = at + len(values)
+        table = {x: join_values(row[:at] + values + row[end:]) for x, row in rows.items()}
+        return TotalMap(states, states, table)
+
+    generators = {INIT_LABEL: write(0, (DEFAULT_SLOT,) * n)}
+    for i, vid in enumerate(endo):
+        for value in scm.domain_of(vid).elements:
+            generators[set_label(vid, value)] = write(i, (value,))
+    return ActionModel(states, outcomes, generators, process)
 
 
 def reference_verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:

@@ -352,6 +352,30 @@ def test_simulate_runs_every_action_kind(workspace, capsys):
         assert simulate_outcome(fewer, capsys) != outcome, EVERY_ACTION[k]
 
 
+def test_simulate_census_covers_placed_and_removed_dominoes(workspace, capsys):
+    # d2 is placed after loading and then falls; d1 stays in the outcome
+    # as absent after it is removed
+    placed = [{"action": "place", "id": "d2", "cell": [1, 0]}]
+    removed = placed + [{"action": "remove", "id": "d1"}]
+    outcomes = []
+    for actions in (placed, removed):
+        dump_json({
+            "grid": [3, 1],
+            "dominoes": [{"id": "d1", "cell": [0, 0]}],
+            "push": {"id": "d1", "dir": "E"},
+            "actions": actions,
+        }, "placed.json")
+        code, out = invoke(
+            ["simulate", "--scenario", "placed.json", "--format", "json"], capsys
+        )
+        assert code == 0
+        outcomes.append(json.loads(out)["outcome"])
+    assert outcomes == [
+        {"d1": "fallen-E", "d2": "fallen-E"},
+        {"d1": "absent", "d2": "upright"},
+    ]
+
+
 def test_text_format_renders_empty_objects(workspace, capsys):
     dump_json({"grid": [3, 1], "dominoes": []}, "empty.json")
     code, out = invoke(["simulate", "--scenario", "empty.json"], capsys)

@@ -8,6 +8,7 @@ from causalground.core import (
     EnumerationLimitError,
     FactoredSpace,
     FiniteSet,
+    MapTableError,
     TotalMap,
     UnknownLabelError,
     UnknownVariableError,
@@ -39,12 +40,24 @@ def test_unit_set_is_a_singleton():
 def test_total_map_validation():
     s = FiniteSet("S", ("a", "b"))
     t = FiniteSet("T", ("x",))
-    with pytest.raises(ValueError):
-        TotalMap(s, t, {"a": "x"})  # missing entry for b
-    with pytest.raises(ValueError):
-        TotalMap(s, t, {"a": "x", "b": "y"})  # y outside codomain
-    with pytest.raises(ValueError):
-        TotalMap(s, t, {"a": "x", "b": "x", "c": "x"})  # entry outside domain
+    missing = "map 'S' -> 'T' is not total: missing entry for {!r}"
+    outside = "map 'S' -> 'T' has an entry outside its domain: {!r}"
+    sends = "map 'S' -> 'T' sends {!r} to {!r}, which is not in the codomain"
+    cases = [
+        ({"a": "x"}, "b", missing.format("b")),
+        ({"a": "x", "b": "y"}, "b", sends.format("b", "y")),
+        ({"a": "x", "b": "x", "c": "x"}, "c", outside.format("c")),
+        # A missing entry is reported before an entry outside the domain,
+        # and that before a value outside the codomain.
+        ({"c": "y", "b": "y"}, "a", missing.format("a")),
+        ({"a": "y", "b": "x", "c": "x"}, "c", outside.format("c")),
+        # Bad values are reported in table order, not domain order.
+        ({"b": "z", "a": "y"}, "b", sends.format("b", "z")),
+    ]
+    for table, element, message in cases:
+        with pytest.raises(MapTableError) as err:
+            TotalMap(s, t, table)
+        assert (err.value.element, str(err.value)) == (element, message), table
 
 
 def test_map_composition_and_image():

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from dataclasses import replace
 from math import comb
@@ -27,9 +28,11 @@ from causalground.dominoes import (
     remove_domino,
     three_chain_family,
 )
-from causalground.io import model_to_dict, morphism_to_dict
+from causalground.io import load_family, model_to_dict, morphism_to_dict, to_json
 
 from oracles import reference_action_transforms, reference_build_bounded_model
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def chain(n, push=None, barriers=()):
@@ -246,15 +249,39 @@ def serialized(triple) -> str:
     )
 
 
+def written(triple) -> list[str]:
+    """The bytes of the three files ``build-model`` writes."""
+    micro, abstract, morphism = triple
+    refs = ("micro_model.json", "abstract_model.json")
+    return [
+        to_json(model_to_dict(micro)),
+        to_json(model_to_dict(abstract)),
+        to_json(morphism_to_dict(morphism, *refs)),
+    ]
+
+
 def assert_matches_reference(family):
-    assert serialized(build_bounded_model(family)) == serialized(
-        reference_build_bounded_model(family)
-    )
+    """The build's files equal the reference build's, as data with its key
+    order and as the bytes ``build-model`` writes."""
+    built, reference = build_bounded_model(family), reference_build_bounded_model(family)
+    assert serialized(built) == serialized(reference)
+    assert written(built) == written(reference)
+
+
+def family_tiny_file() -> LineFamily:
+    """The family of ``tests/data/family_tiny.json``."""
+    return load_family(os.path.join(DATA, "family_tiny.json"))
 
 
 @pytest.mark.parametrize(
     "make",
-    [three_chain_family, four_chain_family, five_chain_family, line6_family],
+    [
+        three_chain_family,
+        four_chain_family,
+        five_chain_family,
+        line6_family,
+        family_tiny_file,
+    ],
 )
 def test_named_families_match_reference(make):
     assert_matches_reference(make())

@@ -125,7 +125,8 @@ def test_scm_bad_function_key():
 
 
 def test_scenario_load_and_actions():
-    state, census, edits = load_scenario(data_path("scenario_chain3.json"))
+    state, edits = load_scenario(data_path("scenario_chain3.json"))
+    census = state.ids()
     assert census == ("d1", "d2", "d3")
     assert state.push == ("d1", "E")
     assert len(edits) == 1
@@ -151,7 +152,7 @@ def test_scenario_routing_objects():
         "actions": [{"action": "place", "id": "c", "cell": [1, 1],
                      "routing": {"S": "W"}, "tag": 2}],
     }
-    state, census, edits = scenario_from_dict(data, "s.json")
+    state, edits = scenario_from_dict(data, "s.json")
     assert state.domino("a").route("E") == "S"
     assert state.domino("b").routing == IDENTITY_ROUTING
     placed = edits[0](state).domino("c")

@@ -347,3 +347,7 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         # Verdicts stay right and only the named states move, which no
         # relation sees: the oracle cross-check must catch it.
         assert caught["oracle"]
+    if name == "columns_first_variable_fastest":
+        # Decoding the process is checked against the oracle's label
+        # tables, which split each outcome label instead.
+        assert caught["oracle"]

@@ -19,9 +19,13 @@ from causalground.scm import (
     set_label,
     verify_scm_laws,
 )
-from causalground.io import scm_to_dict
+from causalground.io import model_to_dict, scm_to_dict, to_json
 
-from oracles import brute_force_response, reference_verify_scm_laws
+from oracles import (
+    brute_force_response,
+    reference_encode_scm,
+    reference_verify_scm_laws,
+)
 
 
 def binary(name):
@@ -128,6 +132,14 @@ def test_encode_single_copy_variable_counts():
     # |X| = |V1 + default| * |U1| = 3 * 2
     assert len(model.states) == 6
     assert sorted(model.generators) == ["id", "init", "set-V1=0", "set-V1=1"]
+
+
+def test_encoding_writes_the_label_reference_bytes():
+    scms = [random_scm(s) for s in range(60)]
+    scms += [random_scm(s, 5, 3, 3) for s in range(10)]
+    for scm in scms:
+        got = to_json(model_to_dict(encode_scm(scm)))
+        assert got == to_json(model_to_dict(reference_encode_scm(scm)))
 
 
 def test_encoded_generator_tables(xor_scm):
