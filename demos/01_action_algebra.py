@@ -56,6 +56,6 @@ print("context of ():        ", compose(model, ()).image())
 print("context of (collapse):", compose(model, ("collapse",)).image())
 
 # Projections come with the factored space, down to the empty subset.
-pi = space.projection(("right",))
-print("projection onto 'right':", pi.table)
-print("projection onto no variables:", space.projection(()).table)
+for name, ids in (("'right'", ("right",)), ("no variables", ())):
+    table = {e: space.project_element(e, ids) for e in space.total.elements}
+    print(f"projection onto {name}:", table)

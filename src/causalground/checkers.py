@@ -228,10 +228,7 @@ def check_effectiveness(
     Effective means the outcome on J is one constant value over all of X
     after doing the context and then the word: the empty set determines J.
     """
-    image = _Image(model, tuple(word) + tuple(context))
-    ids_j = model.outcomes.normalize_vars(vars_j)
-    codes_j = model._project(ids_j, image.reached)
-    result = _scan_determination(model, image, (), ids_j, [0] * len(codes_j), codes_j)
+    result = check_determination(model, tuple(word) + tuple(context), (), vars_j)
     if not result.holds:
         return EffectivenessResult(False, None, result.counterexample)
     return EffectivenessResult(True, result.witness(UNIT_ELEMENT), None)
@@ -324,14 +321,15 @@ def probe_record(
     return _probe(model, target, prediction, context, image)
 
 
-def _minimal_unique_determination(
+def _minimal_mechanism(
     model: ActionModel,
     target: str,
     max_parents: int,
+    context: Word,
     image: _Image,
-) -> Optional[tuple[tuple[str, ...], TotalMap]]:
-    """Smallest parent set uniquely determining the target in the context
-    whose image is ``image``.
+) -> Optional[MechanismRecord]:
+    """The probed record of the smallest parent set uniquely determining
+    the target in ``context``, of image ``image``, or None.
 
     Ties break lexicographically in variable order, smallest cardinality
     first, so results are reproducible.
@@ -346,7 +344,8 @@ def _minimal_unique_determination(
                 model, image, parents, (target,), codes_i, codes_j
             )
             if result.holds and result.unique:
-                return parents, result.witness
+                prediction = _Prediction(model, parents, (target,), result.witness)
+                return _probe(model, target, prediction, context, image)
     return None
 
 
@@ -366,15 +365,11 @@ def discover_mechanisms(
     if max_parents < 0:
         raise PreconditionError("max_parents must be non-negative")
     image = _Image(model, context)
-    records = []
-    for target in model.outcomes.var_ids:
-        found = _minimal_unique_determination(model, target, max_parents, image)
-        if found is None:
-            continue
-        parents, witness = found
-        prediction = _Prediction(model, parents, (target,), witness)
-        records.append(_probe(model, target, prediction, context, image))
-    return records
+    found = (
+        _minimal_mechanism(model, target, max_parents, context, image)
+        for target in model.outcomes.var_ids
+    )
+    return [record for record in found if record is not None]
 
 
 def check_surgical(
@@ -411,7 +406,6 @@ def check_surgical(
         prediction.require(image, f"record {name} does not hold in its own context")
         predictions.append(prediction)
 
-    new_word = (action,) + ctx
     new_image = _Image(model, (action,), image)
     broken: list[MechanismRecord] = []
     survived: list[tuple[MechanismRecord, _Prediction]] = []
@@ -428,17 +422,13 @@ def check_surgical(
     target = broken[0].target if len(broken) == 1 else None
     new_record: Optional[MechanismRecord] = None
     if target is not None:
-        found = _minimal_unique_determination(
-            model, target, len(model.outcomes.var_ids) - 1, new_image
+        new_record = _minimal_mechanism(
+            model, target, len(model.outcomes.var_ids) - 1, (action,) + ctx, new_image
         )
-        if found is None:
+        if new_record is None:
             reasons.append(
                 f"no unique determination for {target!r} in the new context"
             )
-        else:
-            parents, witness = found
-            fresh = _Prediction(model, parents, (target,), witness)
-            new_record = _probe(model, target, fresh, new_word, new_image)
 
     lost: list[tuple[str, str, str]] = []
     for record, prediction in survived:

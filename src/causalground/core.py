@@ -168,7 +168,7 @@ class TotalMap:
             self._codes = [codomain[table[x]] for x in elements]
             if len(table) == len(elements):
                 return
-        except KeyError:
+        except (KeyError, TypeError):
             pass
         name = f"map {self.domain.id!r} -> {self.codomain.id!r}"
         x = next((x for x in elements if x not in table), None)
@@ -343,12 +343,6 @@ class FactoredSpace:
         positions = self._positions  # type: ignore[attr-defined]
         return join_values([values[positions[v]] for v in ids])
 
-    def projection(self, var_ids: Iterable[str]) -> TotalMap:
-        """The projection map from the total set onto a variable subset."""
-        ids = self.normalize_vars(var_ids)
-        table = {e: self.project_element(e, ids) for e in self.total.elements}
-        return TotalMap(self.total, self.subspace(ids).total, table)
-
     @classmethod
     def from_set(cls, s: FiniteSet) -> "FactoredSpace":
         """Wrap a bare outcome set as a one-variable factored space."""
@@ -428,11 +422,6 @@ class ActionModel:
             stride *= len(dom)
         return columns
 
-    @cached_property
-    def _onto(self) -> frozenset[str]:
-        """The generators that permute the states: a word of them reaches all."""
-        return frozenset(a for a, g in self.generators.items() if g.is_surjective())
-
     def _compose(self, word: Word, table: Optional[list[int]] = None) -> list[int]:
         """The table of ``word`` acting after ``table`` (default: the
         identity), rightmost letter first."""
@@ -470,16 +459,13 @@ class _Image:
     ``table`` is the context composed once, on the states ``parent``
     reaches or else on every state; later checks compose, project and
     scan ``reached`` only.  Position k names the first state that reaches
-    ``reached[k]``: the state a scan of every state reports.  A word of
-    permutations keeps distinct states distinct, so it is its own
-    ``reached``.
+    ``reached[k]``: the state a scan of every state reports.
     """
 
     def __init__(self, model: ActionModel, word: Word, parent: Optional["_Image"] = None):
         self.model, self.parent = model, parent
         self.table = model._compose(word, None if parent is None else parent.reached)
-        onto = all(a in model._onto for a in word)
-        self.reached = self.table if onto else list(dict.fromkeys(self.table))
+        self.reached = list(dict.fromkeys(self.table))
 
     def state(self, k: int) -> str:
         """The first state whose image under the context is ``reached[k]``."""

@@ -93,8 +93,7 @@ def _string_list(data: Any, file: str, path: str) -> list[str]:
 def _string_map(data: Any, file: str, path: str) -> dict[str, str]:
     _expect(data, dict, file, path, "an object of strings")
     for key, value in data.items():
-        if not isinstance(value, str):  # inline: state maps have ~50k entries
-            raise SchemaError(file, f"{path}.{key}", "expected a string")
+        _string(value, file, f"{path}.{key}")
     return data
 
 
@@ -106,12 +105,16 @@ def _int_list(data: Any, file: str, path: str) -> list[int]:
 
 
 def _table(
-    table: dict, domain: FiniteSet, codomain: FiniteSet, file: str, path: str
+    table: Any, domain: FiniteSet, codomain: FiniteSet, file: str, path: str
 ) -> TotalMap:
-    """A loaded table as a TotalMap; a bad entry is named at ``path.<element>``."""
+    """A loaded table as a TotalMap, each entry checked in one pass.  A bad
+    entry is named at ``path.<element>``; a value that is not a string is
+    reported first, as ``_string_map`` reports it."""
+    _expect(table, dict, file, path, "an object of strings")
     try:
         return TotalMap(domain, codomain, dict(table))
-    except MapTableError as exc:
+    except (MapTableError, TypeError) as exc:  # TypeError: an unhashable value
+        _string_map(table, file, path)
         raise SchemaError(file, f"{path}.{exc.element}", str(exc)) from None
 
 
@@ -170,7 +173,7 @@ def model_from_dict(data: Any, file: str = "<inline>") -> ActionModel:
         path = f"generators.{label}"
         if "," in label:  # words are written and parsed comma-joined
             raise SchemaError(file, path, "label must not contain ','")
-        gen = _table(_string_map(gen_table, file, path), states, states, file, path)
+        gen = _table(gen_table, states, states, file, path)
         if label == ID_LABEL and any(k != v for k, v in gen.table.items()):
             raise SchemaError(file, path, "must be the identity map")
         generators[label] = gen
@@ -223,8 +226,7 @@ def load_morphism(path: str) -> ModelMorphism:
     target = _resolve_model(data["target_model"], path, "target_model", base_dir)
 
     state_map = _table(
-        _string_map(data["state_map"], path, "state_map"),
-        source.states, target.states, path, "state_map",
+        data["state_map"], source.states, target.states, path, "state_map"
     )
     out_data = _expect(data["outcome_map"], dict, path, "outcome_map", "an object")
     arity = len(target.outcomes.variables)
@@ -519,8 +521,7 @@ def witness_from_dict(
     data: Any, domain: FiniteSet, codomain: FiniteSet, file: str = "<inline>"
 ) -> TotalMap:
     _expect(data, dict, file, "$", "an object")
-    table = _string_map(data.get("table"), file, "table")
-    return _table(table, domain, codomain, file, "table")
+    return _table(data.get("table"), domain, codomain, file, "table")
 
 
 def witness_to_dict(witness: TotalMap) -> dict:
@@ -564,8 +565,9 @@ def records_from_dict(
         except CausalGroundError as exc:
             raise SchemaError(file, f"[{i}]", str(exc)) from None
         map_data = _expect(entry.get("map"), dict, file, f"[{i}].map", "an object")
-        table = _string_map(map_data.get("table"), file, f"[{i}].map.table")
-        witness = _table(table, domain, codomain, file, f"[{i}].map.table")
+        witness = _table(
+            map_data.get("table"), domain, codomain, file, f"[{i}].map.table"
+        )
         context = tuple(_string_list(entry.get("context", []), file, f"[{i}].context"))
         invariant = tuple(
             _string_list(entry.get("invariant_under", []), file, f"[{i}].invariant_under")

@@ -26,7 +26,6 @@ from .core import (
     CausalGroundError,
     FactoredSpace,
     FiniteSet,
-    SEP,
     TotalMap,
     _first_mismatch,
     _Image,
@@ -186,6 +185,13 @@ def potential_response(
     for uid, dom in scm.exogenous:
         if uid not in u or u[uid] not in dom:
             raise ValueError(f"exogenous assignment is missing or invalid for {uid!r}")
+    values = _solve(scm, slots, u)
+    return {vid: values[vid] for vid in scm.endo_ids}
+
+
+def _solve(scm: Scm, slots: Mapping[str, str], u: Mapping[str, str]) -> dict[str, str]:
+    """Each endogenous value, in topological order, under slot and noise
+    assignments that are known to be valid."""
     values: dict[str, str] = {}
     for vid in scm.topo_order:
         slot = slots[vid]
@@ -193,7 +199,7 @@ def potential_response(
             values[vid] = scm.evaluate(vid, values, u[scm.noise_id(vid)])
         else:
             values[vid] = slot
-    return {vid: values[vid] for vid in scm.endo_ids}
+    return values
 
 
 def slot_domain(scm: Scm, vid: str) -> FiniteSet:
@@ -203,14 +209,6 @@ def slot_domain(scm: Scm, vid: str) -> FiniteSet:
             f"domain of {vid!r} contains the reserved slot token {DEFAULT_SLOT!r}"
         )
     return FiniteSet(f"M({vid})", (DEFAULT_SLOT,) + dom.elements)
-
-
-def decode_state(scm: Scm, label: str) -> tuple[dict[str, str], dict[str, str]]:
-    parts = label.split(SEP)
-    n = len(scm.endo_ids)
-    slots = dict(zip(scm.endo_ids, parts[:n]))
-    u = dict(zip(scm.exo_ids, parts[n:]))
-    return slots, u
 
 
 def encode_scm(scm: Scm) -> ActionModel:
@@ -237,7 +235,7 @@ def encode_scm(scm: Scm) -> ActionModel:
     digits = [(vid, len(dom), dom._positions) for vid, dom in outcomes.variables]
     for row in product(*(dom.elements for _, dom in space.variables)):
         slots, u = dict(zip(endo, row[:n])), dict(zip(exo, row[n:]))
-        values = {**u, **potential_response(scm, slots, u)}
+        values = {**u, **_solve(scm, slots, u)}
         code = 0
         for vid, radix, position in digits:
             code = code * radix + position[values[vid]]

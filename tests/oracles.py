@@ -99,13 +99,20 @@ def reference_project(space: FactoredSpace, element: str, var_ids) -> str:
     return SEP.join(values[ids.index(v)] for v in chosen)
 
 
+def projection(space: FactoredSpace, var_ids) -> TotalMap:
+    """The projection map from the total set onto a variable subset."""
+    ids = space.normalize_vars(var_ids)
+    table = {e: space.project_element(e, ids) for e in space.total.elements}
+    return TotalMap(space.total, space.subspace(ids).total, table)
+
+
 def projection_between(space: FactoredSpace, from_ids, onto_ids) -> TotalMap:
     """The projection from Y_J onto Y_I for I a subset of J."""
     big = space.normalize_vars(from_ids)
     small = space.normalize_vars(onto_ids)
     if not set(small) <= set(big):
         raise ValueError(f"projection target {small!r} is not a subset of {big!r}")
-    return space.subspace(big).projection(small)
+    return projection(space.subspace(big), small)
 
 
 def candidate_map_count(model: ActionModel, vars_i, vars_j) -> int:

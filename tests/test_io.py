@@ -268,3 +268,62 @@ def test_scm_laws_after_file_round_trip(tmp_path, xor_scm):
     scm = load_scm(str(tmp_path / "xor.json"))
     model = encode_scm(scm)
     assert verify_scm_laws(model, scm).ok
+
+
+def _table_loaders(tmp_path, pair_model):
+    """(name, valid table, load(table), JSON path of the table) for each
+    loader that reads a map between finite sets."""
+    space = pair_model.outcomes
+    dom = space.subspace(("v1",)).total
+    cod = space.subspace(("v2",)).total
+
+    def generator(table):
+        data = base_model_dict()
+        data["generators"]["swap"] = table
+        model_from_dict(data, "m.json")
+
+    def state_map(table):
+        data = {
+            "source_model": base_model_dict(),
+            "target_model": base_model_dict(),
+            "state_map": table,
+            "outcome_map": {e: e.split("|") for e in space.total.elements},
+        }
+        dump_json(data, tmp_path / "morphism.json")
+        load_morphism(str(tmp_path / "morphism.json"))
+
+    def witness(table):
+        witness_from_dict({"table": table}, dom, cod, "w.json")
+
+    def record_map(table):
+        entry = {"target": "v2", "parents": ["v1"], "map": {"table": table}}
+        records_from_dict([entry], pair_model, "r.json")
+
+    return [
+        ("generator", {"x1": "x2", "x2": "x1"}, generator, "generators.swap"),
+        ("state_map", {"x1": "x1", "x2": "x2"}, state_map, "state_map"),
+        ("witness", {"0": "0", "1": "1"}, witness, "table"),
+        ("record map", {"0": "0", "1": "1"}, record_map, "[0].map.table"),
+    ]
+
+
+@pytest.mark.parametrize("value", [1, ["0"], None, {"0": "0"}])
+def test_table_loaders_report_a_non_string_value_first(tmp_path, pair_model, value):
+    # The last entry's value is not a string.  It is reported at its key,
+    # also when the table misses its first entry, which comes earlier in
+    # domain order.
+    for name, table, load, path in _table_loaders(tmp_path, pair_model):
+        first, last = list(table)
+        for missing in (False, True):
+            bad = {**table, last: value}
+            if missing:
+                del bad[first]
+            with pytest.raises(SchemaError) as err:
+                load(bad)
+            assert (err.value.path, err.value.reason) == (
+                f"{path}.{last}", "expected a string"
+            ), (name, missing)
+        with pytest.raises(SchemaError) as err:
+            load({last: table[last]})
+        assert err.value.path == f"{path}.{first}", name
+        assert "missing entry" in err.value.reason, name

@@ -9,11 +9,14 @@ a word grows on the right, and the identity morphism and composites of
 natural morphisms are natural.  Each relation is a plain function, run by
 hypothesis on generated models (at most 40 states and 4 variables); the
 kernel relations also run, in ``test_kernel_mutant_is_caught``, on
-seeded models under each kernel mutant of ``mutants``.
+seeded models under each kernel mutant of ``mutants``.  One relation of
+the kernel's context images, which every checker after a context relies
+on, runs on seeded models only.
 """
 
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 
@@ -41,6 +44,7 @@ from causalground.core import (  # noqa: E402
     FactoredSpace,
     FiniteSet,
     TotalMap,
+    _Image,
     outcome_map,
 )
 from mutants import MUTANTS  # noqa: E402
@@ -302,6 +306,29 @@ def test_image_shrinks_as_the_word_grows(data):
 @given(st.data())
 def test_identity_and_composite_morphisms_are_natural(data):
     assert_morphisms_compose_naturally(data.draw(models()))
+
+# --- images -------------------------------------------------------------------
+
+
+def test_image_dedupes_its_table_and_composes_on_its_parent():
+    # ``reached`` is the context's table with repeats dropped, whatever the
+    # word, and an image built on a parent image reaches and names the
+    # same states as the image of the whole word.
+    for seed in range(40):
+        model = random_action_model(seed)
+        labels = sorted(model.generators)  # includes id
+        words = [w for n in range(3) for w in product(labels, repeat=n)]
+        for word in words:
+            image = _Image(model, word)
+            assert image.reached == list(dict.fromkeys(image.table)), (seed, word)
+            for later in words:
+                on_parent = _Image(model, later, image)
+                whole = _Image(model, later + word)
+                assert on_parent.reached == whole.reached, (seed, word, later)
+                assert [on_parent.state(k) for k in range(len(whole.reached))] == [
+                    whole.state(k) for k in range(len(whole.reached))
+                ], (seed, word, later)
+
 
 # --- mutants ------------------------------------------------------------------
 

@@ -11,7 +11,6 @@ from causalground.scm import (
     DEFAULT_SLOT,
     CyclicScmError,
     Scm,
-    decode_state,
     default_mechanism_records,
     encode_scm,
     potential_response,
@@ -30,6 +29,12 @@ from oracles import (
 
 def binary(name):
     return FiniteSet(name, ("0", "1"))
+
+
+def decode_state(scm, label):
+    """The (slot, noise) assignments an encoded state label names."""
+    parts, n = label.split(SEP), len(scm.endo_ids)
+    return dict(zip(scm.endo_ids, parts[:n])), dict(zip(scm.exo_ids, parts[n:]))
 
 
 def all_slot_assignments(scm):
