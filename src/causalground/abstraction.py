@@ -15,6 +15,9 @@ from typing import Optional
 from .core import ActionModel, TotalMap, Word
 from .core import compose  # noqa: F401  still bound here; bench/tracing.py patches it
 
+#: How many naturality failures, and impossible outcomes, a report names.
+_CAP = 20
+
 
 @dataclass(frozen=True, eq=False)
 class ModelMorphism:
@@ -94,12 +97,12 @@ class SurjectivityReport:
     impossible_sample: tuple[str, ...]
 
 
-def check_naturality(m: ModelMorphism, cap: int = 20) -> NaturalityReport:
+def check_naturality(m: ModelMorphism) -> NaturalityReport:
     """Verify every generator square and the process square by enumeration.
 
-    All failures are collected (up to ``cap`` reported) rather than just
-    the first: the distribution of failures is what makes a broken
-    abstraction debuggable.
+    Every failure is counted and the first ``_CAP`` are named, rather
+    than stopping at the first: the distribution of failures is what
+    makes a broken abstraction debuggable.
     """
     failures: list[SquareFailure] = []
     count = 0
@@ -116,7 +119,7 @@ def check_naturality(m: ModelMorphism, cap: int = 20) -> NaturalityReport:
         bad = [s for s, (p, q) in enumerate(zip(via_source, via_target)) if p != q]
         count += len(bad)
         names = codomain.elements
-        for s in bad[: cap - len(failures)]:
+        for s in bad[: _CAP - len(failures)]:
             failures.append(SquareFailure(
                 kind, label, states[s], names[via_source[s]], names[via_target[s]]
             ))
@@ -131,7 +134,7 @@ def check_naturality(m: ModelMorphism, cap: int = 20) -> NaturalityReport:
     return NaturalityReport(count == 0, tuple(failures), count, count > len(failures))
 
 
-def check_surjectivity_assumptions(m: ModelMorphism, cap: int = 20) -> SurjectivityReport:
+def check_surjectivity_assumptions(m: ModelMorphism) -> SurjectivityReport:
     """Report surjectivity of the process, state map, and outcome map.
 
     The impossible outcomes are the complement of the image of
@@ -147,7 +150,7 @@ def check_surjectivity_assumptions(m: ModelMorphism, cap: int = 20) -> Surjectiv
         outcome_map_surjective=m.outcome_map.is_surjective(),
         possible_count=len(realized),
         impossible_count=len(impossible),
-        impossible_sample=tuple(impossible[:cap]),
+        impossible_sample=tuple(impossible[:_CAP]),
     )
 
 

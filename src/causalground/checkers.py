@@ -406,7 +406,7 @@ def check_surgical(
         prediction.require(image, f"record {name} does not hold in its own context")
         predictions.append(prediction)
 
-    new_image = _Image(model, (action,), image)
+    new_image = _Image(model, (action,) + ctx)
     broken: list[MechanismRecord] = []
     survived: list[tuple[MechanismRecord, _Prediction]] = []
     for record, prediction in zip(mechanisms, predictions):

@@ -244,15 +244,6 @@ def join_values(values: Sequence[str]) -> str:
     return SEP.join(values) if values else UNIT_ELEMENT
 
 
-def split_values(element: str, arity: int) -> tuple[str, ...]:
-    if arity == 0:
-        return ()
-    parts = tuple(element.split(SEP))
-    if len(parts) != arity:
-        raise ValueError(f"element {element!r} does not split into {arity} values")
-    return parts
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredSpace:
     """A product of named variable domains with all its projection maps.
@@ -334,7 +325,11 @@ class FactoredSpace:
         return spaces[ids]
 
     def split(self, element: str) -> tuple[str, ...]:
-        return split_values(element, len(self.variables))
+        parts = tuple(element.split(SEP)) if self.variables else ()
+        if len(parts) != len(self.variables):
+            arity = len(self.variables)
+            raise ValueError(f"element {element!r} does not split into {arity} values")
+        return parts
 
     def project_element(self, element: str, var_ids: Iterable[str]) -> str:
         """Project a single total-set element onto a variable subset."""
@@ -456,21 +451,19 @@ def _first_mismatch(a: list[int], b: list[int]) -> Optional[int]:
 class _Image:
     """The distinct states a context reaches, in first-occurrence order.
 
-    ``table`` is the context composed once, on the states ``parent``
-    reaches or else on every state; later checks compose, project and
-    scan ``reached`` only.  Position k names the first state that reaches
-    ``reached[k]``: the state a scan of every state reports.
+    ``table`` is the context composed on every state; later checks
+    compose, project and scan ``reached`` only.  Position k names the
+    first state that reaches ``reached[k]``, as a scan of every state does.
     """
 
-    def __init__(self, model: ActionModel, word: Word, parent: Optional["_Image"] = None):
-        self.model, self.parent = model, parent
-        self.table = model._compose(word, None if parent is None else parent.reached)
+    def __init__(self, model: ActionModel, word: Word):
+        self.model = model
+        self.table = model._compose(word)
         self.reached = list(dict.fromkeys(self.table))
 
     def state(self, k: int) -> str:
         """The first state whose image under the context is ``reached[k]``."""
-        x = self.table.index(self.reached[k])
-        return self.parent.state(x) if self.parent else self.model.states.elements[x]
+        return self.model.states.elements[self.table.index(self.reached[k])]
 
 
 def compose(model: ActionModel, word: Word) -> TotalMap:

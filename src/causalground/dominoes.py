@@ -23,7 +23,7 @@ memory, not on the table); the process then topples nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -175,14 +175,10 @@ def remove_domino(state: MicroState, domino_id: str) -> MicroState:
     )
 
 
-def place_domino(
-    state: MicroState, domino: Domino, max_dominoes: Optional[int] = None
-) -> MicroState:
+def place_domino(state: MicroState, domino: Domino) -> MicroState:
     if state.domino(domino.id) is not None:
         return state
     if state.occupant(domino.cell) is not None:
-        return state
-    if max_dominoes is not None and len(state.dominoes) >= max_dominoes:
         return state
     return MicroState(
         state.grid, state.dominoes + (domino,), state.barriers, state.push
@@ -476,49 +472,42 @@ def build_bounded_model(
 def _chain_family(
     name: str,
     length: int,
-    n_ids: int,
     *,
     max_dominoes: Optional[int] = None,
     tags: tuple[str, ...] = ("0",),
     barrier_edges: Optional[tuple[int, ...]] = None,
     actions: tuple[str, ...] = (),
 ) -> LineFamily:
-    ids = tuple(f"d{i}" for i in range(1, n_ids + 1))
-    max_dominoes = n_ids if max_dominoes is None else max_dominoes
-    chain = tuple(Domino(i, (x, 0), tag=tags[0]) for x, i in enumerate(ids[:max_dominoes]))
-    layout = MicroState((length, 1), chain)
-    return LineFamily(
+    family = LineFamily(
         length,
-        ids,
-        max_dominoes,
+        tuple(f"d{i}" for i in range(1, length + 1)),
+        length if max_dominoes is None else max_dominoes,
         tags,
         tuple(range(1, length)) if barrier_edges is None else barrier_edges,
-        ("E", "W"),
-        ((name, layout),),
-        actions,
     )
+    layout = family.chain(family.max_dominoes)
+    return replace(family, layouts=((name, layout),), actions=actions)
 
 
 def three_chain_family() -> LineFamily:
     """1x3 line, three dominoes, all edges and pushes: 224 states."""
-    return _chain_family("chain3", 3, 3)
+    return _chain_family("chain3", 3)
 
 
 def four_chain_family() -> LineFamily:
     """1x4 line, four dominoes: 1152 states."""
-    return _chain_family("chain4", 4, 4)
+    return _chain_family("chain4", 4)
 
 
 def five_chain_family() -> LineFamily:
     """1x5 line, five dominoes: 5632 states."""
-    return _chain_family("chain5", 5, 5)
+    return _chain_family("chain5", 5)
 
 
 def line6_family() -> LineFamily:
     """1x6 line, up to 4 of 6 dominoes, nuisance tags {0,1,2}: 49634 states."""
     return _chain_family(
         "chain4",
-        6,
         6,
         max_dominoes=4,
         tags=("0", "1", "2"),

@@ -97,6 +97,13 @@ def _string_map(data: Any, file: str, path: str) -> dict[str, str]:
     return data
 
 
+def _label_part(text: str, file: str, path: str, what: str = "label") -> None:
+    """Words are written and parsed comma-joined, so a generator label, or
+    any string that becomes part of one, must not contain ','."""
+    if "," in text:
+        raise SchemaError(file, path, f"{what} must not contain ','")
+
+
 def _int_list(data: Any, file: str, path: str) -> list[int]:
     _expect(data, list, file, path, "a list of integers")
     for i, item in enumerate(data):
@@ -171,8 +178,7 @@ def model_from_dict(data: Any, file: str = "<inline>") -> ActionModel:
     generators = {}
     for label, gen_table in gen_data.items():
         path = f"generators.{label}"
-        if "," in label:  # words are written and parsed comma-joined
-            raise SchemaError(file, path, "label must not contain ','")
+        _label_part(label, file, path)
         gen = _table(gen_table, states, states, file, path)
         if label == ID_LABEL and any(k != v for k, v in gen.table.items()):
             raise SchemaError(file, path, "must be the identity map")
@@ -303,6 +309,8 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
     for i, entry in enumerate(endo_data):
         path = f"endogenous[{i}]"
         vid, dom = _scm_variable(entry, file, path, (DEFAULT_SLOT,))
+        _label_part(vid, file, f"{path}.id", "variable id")
+        _label_part("".join(dom.elements), file, f"{path}.values", "value")
         endogenous.append((vid, dom))
         parents[vid] = tuple(
             _string_list(entry.get("parents", []), file, f"{path}.parents")
@@ -471,6 +479,8 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
     spec = _expect(data.get("family"), dict, file, "family", "an object")
     length = _expect(spec.get("length"), int, file, "family.length", "an integer")
     ids = tuple(_string_list(spec.get("ids"), file, "family.ids"))
+    for i, did in enumerate(ids):
+        _label_part(did, file, f"family.ids[{i}]", "domino id")
     max_dominoes = _expect(
         spec.get("max_dominoes", len(ids)), int, file, "family.max_dominoes", "an integer"
     )
@@ -490,9 +500,12 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
     layouts = []
     for name, layout_data in layouts_data.items():
         path = f"family.layouts.{name}"
+        _label_part(name, file, path, "layout name")
         _expect(layout_data, dict, file, path, "an object")
         if "chain" in layout_data:
             count = _expect(layout_data["chain"], int, file, f"{path}.chain", "an integer")
+            if not 0 <= count <= len(ids):
+                raise SchemaError(file, f"{path}.chain", f"must be in 0..{len(ids)}")
             layouts.append((name, family.chain(count)))
             continue
         present_data = _string_map(layout_data.get("present"), file, f"{path}.present")

@@ -295,11 +295,11 @@ def _mechanism_witness(
     target_total = space.subspace((vid,)).total
     if slot != DEFAULT_SLOT:
         return TotalMap.constant(sub.total, target_total, slot)
-    table = {}
-    for element in sub.total.elements:
-        row = dict(zip(dom_ids, sub.split(element)))
-        table[element] = scm.evaluate(vid, row, row[u])
-    return TotalMap(sub.total, target_total, table)
+    codes = []
+    for values in product(*(dom.elements for _, dom in sub.variables)):  # sub.total order
+        row = dict(zip(dom_ids, values))
+        codes.append(target_total._positions[scm.evaluate(vid, row, row[u])])
+    return TotalMap._of(sub.total, target_total, codes)
 
 
 def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:

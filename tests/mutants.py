@@ -97,7 +97,7 @@ def counterexample_from_last_reacher(monkeypatch):
     def last(self, k):
         table = self.table
         x = len(table) - 1 - table[::-1].index(self.reached[k])
-        return self.parent.state(x) if self.parent else self.model.states.elements[x]
+        return self.model.states.elements[x]
 
     monkeypatch.setattr(_Image, "state", last)
 

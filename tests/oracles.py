@@ -235,8 +235,8 @@ def reference_action_transforms(family: LineFamily) -> dict:
             )
         transforms[f"remove-{i}"] = lambda s, i=i: remove_domino(s, i)
         dom = Domino(i, family.home_cell(i), IDENTITY_ROUTING, family.tags[0])
-        transforms[f"place-{i}"] = (
-            lambda s, dom=dom: place_domino(s, dom, family.max_dominoes)
+        transforms[f"place-{i}"] = lambda s, dom=dom: (
+            s if len(s.dominoes) >= family.max_dominoes else place_domino(s, dom)
         )
     for i in family.barrier_edges:
         edge = family.edge(i)

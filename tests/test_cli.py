@@ -563,12 +563,17 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          _set(("actions", 0),
               {"action": "place", "id": "d9", "cell": [0, 0], "routing": {"E": "Q"}}),
          "actions[0].routing"),
+        # a chain count outside 0..len(ids) names no prefix of the ids
+        (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), -1),
+         "family.layouts.pair.chain"),
+        (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), 3),
+         "family.layouts.pair.chain"),
     ],
     ids=["violated-by", "record-map-table", "scenario-barriers", "barrier-edges", "layout-barriers",
          "state-map", "alphabet-map", "witness-table", "outcome-map-arity",
          "remove-without-id", "place-without-cell", "push-without-dir",
          "barrier-without-edge", "unknown-action", "place-off-grid", "push-bad-dir",
-         "place-bad-routing"],
+         "place-bad-routing", "negative-chain", "chain-beyond-ids"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")
@@ -616,6 +621,65 @@ def test_reserved_scm_value_exits_two(workspace, capsys, command, section, index
     err = capsys.readouterr().err
     assert code == 2
     assert f"scm_xor.json: at {section}[{index}].values: value {value!r}" in err
+
+
+def _own_actions(key, value):
+    """An edit of a family that sets ``key`` and lets the family list its
+    own actions."""
+    def edit(doc):
+        del doc["family"]["actions"]
+        doc["family"][key] = value
+    return edit
+
+
+def _copy_generator(doc):
+    doc["generators"]["a,b"] = doc["generators"]["swap"]
+
+
+ENCODE = ["encode-scm", "--scm", "scm_xor.json", "--out", "xor_model.json"]
+DETERMINATION = ["check-determination", "--model", "model_pair.json",
+                 "--vars-i", "v1", "--vars-j", "v2"]
+
+
+@pytest.mark.parametrize(
+    "argv, name, edit, path, what",
+    [
+        (DETERMINATION, "model_pair.json", _copy_generator, "generators.a,b", "label"),
+        (BUILD, "family_tiny.json", _own_actions("ids", ["d1", "a,b"]),
+         "family.ids[1]", "domino id"),
+        (BUILD, "family_tiny.json", _own_actions("layouts", {"x,y": {"chain": 2}}),
+         "family.layouts.x,y", "layout name"),
+        (ENCODE, "scm_xor.json", _set(("endogenous", 1, "id"), "V,2"),
+         "endogenous[1].id", "variable id"),
+        (ENCODE, "scm_xor.json", _set(("endogenous", 1, "values"), ["0", "1", "a,b"]),
+         "endogenous[1].values", "value"),
+    ],
+    ids=["generator", "family-id", "layout-name", "endogenous-id", "endogenous-value"],
+)
+def test_comma_in_a_generator_label_exits_two(workspace, capsys, argv, name, edit, path, what):
+    # words are comma-joined, so a string that becomes part of a generator
+    # label is rejected where it is loaded, not in the written model file
+    with open(name) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(name, "w") as fh:
+        json.dump(doc, fh)
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{name}: at {path}: {what} must not contain ','" in err
+
+
+def test_comma_in_exogenous_names_is_accepted(workspace, capsys):
+    # exogenous ids and values never become generator labels
+    with open("scm_xor.json") as fh:
+        doc = json.load(fh)
+    doc["exogenous"][0] = {"id": "U,1", "values": ["0", "a,b"]}
+    doc["endogenous"][0]["function_table"] = {"0": "0", "a,b": "1"}
+    with open("scm_xor.json", "w") as fh:
+        json.dump(doc, fh)
+    assert invoke(ENCODE, capsys)[0] == 0
+    assert "U,1" in load_model("xor_model.json").outcomes.var_ids
 
 
 def test_schema_error_names_file_and_path(workspace, capsys):

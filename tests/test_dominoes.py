@@ -120,8 +120,8 @@ def test_resolution_rules_keep_actions_total():
     assert cleared.push is None
     # the family cap turns overflowing placements into no-ops
     capped = LineFamily(3, ("d1", "d2"), 1)
-    small = capped.state({"d1": "0"})
-    assert place_domino(small, Domino("d2", (1, 0)), 1) is small
+    small = capped.encode(capped.state({"d1": "0"}))
+    assert capped.code_transforms()["place-d2"](small) == small
 
 
 def test_state_validation():

@@ -4,7 +4,8 @@ Every command of the CLI goldens is run on a mutated copy of the JSON file
 it reads (a key dropped, a value swapped for another type, a reserved
 separator inserted, two adjacent strings of a list fused with ``|``) and
 with one flag value replaced.  Whatever the input, ``cli.run`` must return
-0, 1 or 2 and raise nothing else: 2 for bad input, never a traceback.
+0, 1 or 2 and raise nothing else: 2 for bad input, never a traceback.  A
+model file that ``encode-scm`` or ``build-model`` writes must load again.
 """
 
 import json
@@ -65,6 +66,12 @@ CASES = [
     ("image", MODEL,
      ["image", "--model", "{model_pair.json}", "--word", "swap", "--vars-i", "v1"]),
 ]
+
+# The model files each writing command leaves in the workspace.
+WRITTEN = {
+    "encode-scm": ["xor_model.json"],
+    "build-model": ["models/micro_model.json", "models/abstract_model.json"],
+}
 
 REPLACEMENTS = [None, True, 0, -1, 5, "", "x", "|", ",", "default", [], ["x"],
                 [5], [[0, 0]], {}, {"x": "y"}, {"x": ["y"]}]
@@ -170,9 +177,15 @@ def test_exit_code_contract(tmp_path, capsys, inputs, target, argv, data):
         argv[data.draw(st.sampled_from(flags), label="flag") + 1] = data.draw(
             st.sampled_from(FLAG_VALUES), label="flag value"
         )
+    written = [tmp_path / name for name in WRITTEN.get(argv[0], [])]
+    for path in written:  # examples share tmp_path: drop an earlier run's file
+        path.unlink(missing_ok=True)
     try:
         code = run(argv)
     except SystemExit as exc:  # argparse rejects a malformed flag value
         code = exc.code
     capsys.readouterr()
     assert code in (0, 1, 2)
+    if code == 0:
+        for path in written:
+            load_model(str(path))

@@ -310,24 +310,31 @@ def test_identity_and_composite_morphisms_are_natural(data):
 # --- images -------------------------------------------------------------------
 
 
-def test_image_dedupes_its_table_and_composes_on_its_parent():
+def test_image_dedupes_its_table_and_names_first_reachers():
     # ``reached`` is the context's table with repeats dropped, whatever the
-    # word, and an image built on a parent image reaches and names the
-    # same states as the image of the whole word.
+    # word, and position k names the first state whose image is
+    # ``reached[k]``.  A later word composed on the reached states reaches
+    # what the image of the whole word reaches, in the same order.
     for seed in range(40):
         model = random_action_model(seed)
+        states = model.states.elements
         labels = sorted(model.generators)  # includes id
         words = [w for n in range(3) for w in product(labels, repeat=n)]
         for word in words:
             image = _Image(model, word)
             assert image.reached == list(dict.fromkeys(image.table)), (seed, word)
+            first = {}
+            for x, y in enumerate(image.table):
+                first.setdefault(y, states[x])
+            assert [image.state(k) for k in range(len(image.reached))] == [
+                first[y] for y in image.reached
+            ], (seed, word)
             for later in words:
-                on_parent = _Image(model, later, image)
                 whole = _Image(model, later + word)
-                assert on_parent.reached == whole.reached, (seed, word, later)
-                assert [on_parent.state(k) for k in range(len(whole.reached))] == [
-                    whole.state(k) for k in range(len(whole.reached))
-                ], (seed, word, later)
+                on_reached = model._compose(later, image.reached)
+                assert whole.reached == list(dict.fromkeys(on_reached)), (
+                    seed, word, later
+                )
 
 
 # --- mutants ------------------------------------------------------------------

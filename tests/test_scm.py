@@ -261,9 +261,9 @@ def test_laws_compose_each_label_image_once(xor_scm, monkeypatch):
     # image is built once, not once per variable
     built = []
 
-    def counting_image(index, word, parent=None):
+    def counting_image(model, word):
         built.append(tuple(word))
-        return _Image(index, word, parent)
+        return _Image(model, word)
 
     monkeypatch.setattr(scm_module, "_Image", counting_image)
     model = encode_scm(xor_scm)
