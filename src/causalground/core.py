@@ -338,10 +338,15 @@ class FactoredSpace:
         positions = self._positions  # type: ignore[attr-defined]
         return join_values([values[positions[v]] for v in ids])
 
-    @classmethod
-    def from_set(cls, s: FiniteSet) -> "FactoredSpace":
-        """Wrap a bare outcome set as a one-variable factored space."""
-        return cls(((s.id, s),))
+    def _code(self, rows: Sequence[Sequence[str]]) -> list[int]:
+        """Each row's position in ``total``, in mixed radix.  A row holds one
+        value per variable, in declared order; the last variable varies
+        fastest.  A value outside its domain raises KeyError."""
+        codes = [0] * len(rows)
+        for i, (_, dom) in enumerate(self.variables):
+            radix, positions = len(dom), dom._positions
+            codes = [c * radix + positions[row[i]] for c, row in zip(codes, rows)]
+        return codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,8 +356,6 @@ class ActionModel:
     Generators are total maps from states to states; the process runs
     after all actions and records the outcome.  The identity generator
     ``id`` is always present (it is synthesized when not supplied).
-    Outcomes may be given as a bare FiniteSet, which is wrapped as a
-    one-variable factored space.
     """
 
     states: FiniteSet
@@ -361,8 +364,6 @@ class ActionModel:
     process: TotalMap
 
     def __post_init__(self):
-        if isinstance(self.outcomes, FiniteSet):
-            object.__setattr__(self, "outcomes", FactoredSpace.from_set(self.outcomes))
         gens = dict(self.generators)
         if ID_LABEL not in gens:
             gens[ID_LABEL] = TotalMap.identity(self.states)

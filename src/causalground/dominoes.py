@@ -35,7 +35,6 @@ from .core import (
     FiniteSet,
     TotalMap,
     check_enumeration_bound,
-    join_values,
 )
 from .abstraction import ModelMorphism
 
@@ -395,8 +394,8 @@ def build_bounded_model(
 ) -> tuple[ActionModel, ActionModel, ModelMorphism]:
     """Enumerate a family into (micro model, abstract model, morphism).
 
-    The micro outcome set is restricted to the outcomes the process
-    actually realizes, so the micro process is surjective by construction.
+    The micro outcomes, the values of one variable ``Ybar``, are those the
+    process actually realizes, so the micro process is surjective.
     The abstract model forgets nuisance tags; its outcome space is the
     factored per-domino status space, on which impossible joint outcomes
     become visible.
@@ -423,7 +422,8 @@ def build_bounded_model(
     names = [OUTCOME_SEP.join(s[i] for i in family.ids) for s in status]
 
     micro_states = FiniteSet("Xbar", tuple(map(family.label, codes)))
-    micro_outcomes = FiniteSet("Ybar", tuple(sorted(set(names))))
+    ybar = FiniteSet("Ybar", tuple(sorted(set(names))))
+    micro_space = FactoredSpace((("Ybar", ybar),))
 
     def gather(transform) -> list[int]:
         """Each state's image position under a transform on codes."""
@@ -436,12 +436,12 @@ def build_bounded_model(
         return images
 
     micro_gens = {a: gather(transforms[a]) for a in family.actions}
-    name_codes = [micro_outcomes._positions[name] for name in names]
+    name_codes = micro_space._code([(name,) for name in names])
     micro = ActionModel(
         micro_states,
-        micro_outcomes,
+        micro_space,
         {a: TotalMap._of(micro_states, micro_states, g) for a, g in micro_gens.items()},
-        TotalMap._of(micro_states, micro_outcomes, [name_codes[j] for j in x_codes]),
+        TotalMap._of(micro_states, micro_space.total, [name_codes[j] for j in x_codes]),
     )
 
     abstract_states = FiniteSet("X", tuple(map(family.label, classes)))
@@ -449,7 +449,7 @@ def build_bounded_model(
         tuple((i, FiniteSet(f"Y({i})", STATUSES)) for i in family.ids)
     )
     total = abstract_space.total
-    joint = [total._positions[join_values([s[i] for i in family.ids])] for s in status]
+    joint = abstract_space._code([[s[i] for i in family.ids] for s in status])
     abstract_gens = {
         a: TotalMap._of(abstract_states, abstract_states, [x_codes[g[k]] for k in reps])
         for a, g in micro_gens.items()
@@ -462,7 +462,7 @@ def build_bounded_model(
         micro,
         abstract,
         TotalMap._of(micro_states, abstract_states, x_codes),
-        TotalMap._of(micro_outcomes, total, [joint_of[y] for y in micro_outcomes.elements]),
+        TotalMap._of(micro_space.total, total, [joint_of[y] for y in ybar.elements]),
     )
     return micro, abstract, morphism
 

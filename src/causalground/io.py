@@ -74,7 +74,8 @@ def to_json(data: Any) -> str:
 
 
 def _expect(data: Any, typ, file: str, path: str, what: str):
-    if not isinstance(data, typ):
+    # bool subclasses int, but a JSON true is not an integer
+    if not isinstance(data, typ) or (typ is int and isinstance(data, bool)):
         raise SchemaError(file, path, f"expected {what}")
     return data
 
@@ -125,12 +126,44 @@ def _table(
         raise SchemaError(file, f"{path}.{exc.element}", str(exc)) from None
 
 
-def _joint_value(data: Any, arity: int, file: str, path: str) -> str:
-    """A list of one value per variable, joined into a total-set element."""
-    values = _string_list(data, file, path)
-    if len(values) != arity:
-        raise SchemaError(file, path, f"expected {arity} values, got {len(values)}")
-    return join_values(values)
+def _outcome_table(
+    data: Any, domain: FiniteSet, space: FactoredSpace, file: str, path: str
+) -> TotalMap:
+    """A loaded table of value rows, one value per variable of ``space``,
+    coded in one pass.  Only a table that pass rejects is checked entry by
+    entry: each row's shape in file order, then the joined labels."""
+    table = _expect(data, dict, file, path, "an object")
+    arity = len(space.variables)
+    try:
+        rows = [table[x] for x in domain.elements]
+        shaped = all(isinstance(row, list) and len(row) == arity for row in rows)
+        if shaped and len(table) == len(rows):
+            return TotalMap._of(domain, space.total, space._code(rows))
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        pass
+    joined = {}
+    for x, row in table.items():
+        values = _string_list(row, file, f"{path}.{x}")
+        if len(values) != arity:
+            reason = f"expected {arity} values, got {len(values)}"
+            raise SchemaError(file, f"{path}.{x}", reason)
+        joined[x] = join_values(values)
+    return _table(joined, domain, space.total, file, path)
+
+
+def _variable(
+    entry: Any, file: str, path: str, reserved: tuple[str, ...] = ()
+) -> tuple[str, FiniteSet]:
+    """A variable's id and domain; values must avoid the reserved tokens."""
+    _expect(entry, dict, file, path, "an object")
+    vid = _string(entry.get("id"), file, f"{path}.id")
+    values = _string_list(entry.get("values"), file, f"{path}.values")
+    tokens = (SEP,) + reserved
+    for value in values:
+        if SEP in value or value in reserved:
+            reason = f"value {value!r} clashes with the reserved tokens {tokens}"
+            raise SchemaError(file, f"{path}.values", reason)
+    return vid, _finite_set(vid, values, file, f"{path}.values")
 
 
 def _finite_set(name: str, elements: list[str], file: str, path: str) -> FiniteSet:
@@ -155,24 +188,15 @@ def model_from_dict(data: Any, file: str = "<inline>") -> ActionModel:
     variables = _expect(data["variables"], list, file, "variables", "a list")
     if not variables:
         raise SchemaError(file, "variables", "must not be empty")
-    var_pairs = []
-    for i, entry in enumerate(variables):
-        path = f"variables[{i}]"
-        _expect(entry, dict, file, path, "an object")
-        vid = _string(entry.get("id"), file, f"{path}.id")
-        values = _string_list(entry.get("values"), file, f"{path}.values")
-        var_pairs.append((vid, _finite_set(vid, values, file, f"{path}.values")))
+    var_pairs = tuple(
+        _variable(entry, file, f"variables[{i}]") for i, entry in enumerate(variables)
+    )
     try:
-        space = FactoredSpace(tuple(var_pairs))
+        space = FactoredSpace(var_pairs)
     except (ValueError, CausalGroundError) as exc:
         raise SchemaError(file, "variables", str(exc)) from None
 
-    process_data = _expect(data["process"], dict, file, "process", "an object")
-    table = {
-        x: _joint_value(value, len(var_pairs), file, f"process.{x}")
-        for x, value in process_data.items()
-    }
-    process = _table(table, states, space.total, file, "process")
+    process = _outcome_table(data["process"], states, space, file, "process")
 
     gen_data = _expect(data["generators"], dict, file, "generators", "an object")
     generators = {}
@@ -234,14 +258,8 @@ def load_morphism(path: str) -> ModelMorphism:
     state_map = _table(
         data["state_map"], source.states, target.states, path, "state_map"
     )
-    out_data = _expect(data["outcome_map"], dict, path, "outcome_map", "an object")
-    arity = len(target.outcomes.variables)
-    table = {
-        y: _joint_value(value, arity, path, f"outcome_map.{y}")
-        for y, value in out_data.items()
-    }
-    outcome_map = _table(
-        table, source.outcomes.total, target.outcomes.total, path, "outcome_map"
+    outcome_map = _outcome_table(
+        data["outcome_map"], source.outcomes.total, target.outcomes, path, "outcome_map"
     )
 
     alphabet = data.get("alphabet_map")
@@ -272,21 +290,6 @@ def morphism_to_dict(
 
 # --- SCMs --------------------------------------------------------------------
 
-def _scm_variable(
-    entry: Any, file: str, path: str, reserved: tuple[str, ...]
-) -> tuple[str, FiniteSet]:
-    """An SCM variable's id and domain; values must avoid the reserved tokens."""
-    _expect(entry, dict, file, path, "an object")
-    vid = _string(entry.get("id"), file, f"{path}.id")
-    values = _string_list(entry.get("values"), file, f"{path}.values")
-    tokens = (SEP,) + reserved
-    for value in values:
-        if SEP in value or value in reserved:
-            reason = f"value {value!r} clashes with the reserved tokens {tokens}"
-            raise SchemaError(file, f"{path}.values", reason)
-    return vid, _finite_set(vid, values, file, f"{path}.values")
-
-
 def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
     _expect(data, dict, file, "$", "an object")
     endo_data = _expect(data.get("endogenous"), list, file, "endogenous", "a list")
@@ -300,7 +303,7 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
         )
 
     exogenous = [
-        _scm_variable(entry, file, f"exogenous[{i}]", ())
+        _variable(entry, file, f"exogenous[{i}]")
         for i, entry in enumerate(exo_data)
     ]
     endogenous = []
@@ -308,7 +311,7 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
     functions = {}
     for i, entry in enumerate(endo_data):
         path = f"endogenous[{i}]"
-        vid, dom = _scm_variable(entry, file, path, (DEFAULT_SLOT,))
+        vid, dom = _variable(entry, file, path, (DEFAULT_SLOT,))
         _label_part(vid, file, f"{path}.id", "variable id")
         _label_part("".join(dom.elements), file, f"{path}.values", "value")
         endogenous.append((vid, dom))
@@ -368,7 +371,7 @@ def scm_to_dict(scm: Scm) -> dict:
 
 def _cell(data: Any, file: str, path: str) -> tuple[int, int]:
     _expect(data, list, file, path, "a [x, y] pair")
-    if len(data) != 2 or not all(isinstance(v, int) for v in data):
+    if len(data) != 2 or not all(type(v) is int for v in data):  # not a bool
         raise SchemaError(file, path, "expected two integers")
     return (data[0], data[1])
 

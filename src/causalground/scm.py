@@ -231,15 +231,10 @@ def encode_scm(scm: Scm) -> ActionModel:
     states = FiniteSet("MxU", space.total.elements)
     outcomes = FactoredSpace(scm.exogenous + scm.endogenous)
     n = len(endo)
-    process = []  # each state's outcome position, in mixed radix
-    digits = [(vid, len(dom), dom._positions) for vid, dom in outcomes.variables]
+    rows = []  # each state's outcome: its u, then the potential response
     for row in product(*(dom.elements for _, dom in space.variables)):
-        slots, u = dict(zip(endo, row[:n])), dict(zip(exo, row[n:]))
-        values = {**u, **_solve(scm, slots, u)}
-        code = 0
-        for vid, radix, position in digits:
-            code = code * radix + position[values[vid]]
-        process.append(code)
+        values = _solve(scm, dict(zip(endo, row[:n])), dict(zip(exo, row[n:])))
+        rows.append(row[n:] + tuple(values[vid] for vid in endo))
     sizes = [len(dom) for _, dom in space.variables]
 
     def write(at: int, width: int, code: int) -> TotalMap:
@@ -255,7 +250,7 @@ def encode_scm(scm: Scm) -> ActionModel:
     for i, vid in enumerate(endo):
         for k, value in enumerate(scm.domain_of(vid).elements, 1):
             generators[set_label(vid, value)] = write(i, 1, k)
-    process_map = TotalMap._of(states, outcomes.total, process)
+    process_map = TotalMap._of(states, outcomes.total, outcomes._code(rows))
     return ActionModel(states, outcomes, generators, process_map)
 
 
@@ -292,14 +287,14 @@ def _mechanism_witness(
     u = scm.noise_id(vid)
     dom_ids = space.normalize_vars((u,) + scm.parents[vid])
     sub = space.subspace(dom_ids)
-    target_total = space.subspace((vid,)).total
+    target = space.subspace((vid,))
     if slot != DEFAULT_SLOT:
-        return TotalMap.constant(sub.total, target_total, slot)
-    codes = []
+        return TotalMap.constant(sub.total, target.total, slot)
+    rows = []
     for values in product(*(dom.elements for _, dom in sub.variables)):  # sub.total order
         row = dict(zip(dom_ids, values))
-        codes.append(target_total._positions[scm.evaluate(vid, row, row[u])])
-    return TotalMap._of(sub.total, target_total, codes)
+        rows.append((scm.evaluate(vid, row, row[u]),))
+    return TotalMap._of(sub.total, target.total, target._code(rows))
 
 
 def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:

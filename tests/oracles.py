@@ -272,7 +272,9 @@ def reference_build_bounded_model(family: LineFamily):
         name = OUTCOME_SEP.join(status[i] for i in family.ids)
         outcome_of[label] = name
         factored_of[name] = join_values([status[i] for i in family.ids])
-    micro_outcomes = FiniteSet("Ybar", tuple(sorted(set(outcome_of.values()))))
+    ybar = FiniteSet("Ybar", tuple(sorted(set(outcome_of.values()))))
+    micro_space = FactoredSpace((("Ybar", ybar),))
+    micro_outcomes = micro_space.total
 
     def table_for(transform):
         table = {}
@@ -287,7 +289,7 @@ def reference_build_bounded_model(family: LineFamily):
 
     micro = ActionModel(
         micro_states,
-        micro_outcomes,
+        micro_space,
         {
             a: TotalMap(micro_states, micro_states, table_for(transforms[a]))
             for a in family.actions

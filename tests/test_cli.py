@@ -568,12 +568,20 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "family.layouts.pair.chain"),
         (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), 3),
          "family.layouts.pair.chain"),
+        # a JSON true is not an integer, though Python's bool subclasses int
+        (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), True),
+         "family.layouts.pair.chain"),
+        (SIMULATE, "scenario_chain3.json", _set(("grid",), [3, True]), "grid"),
+        (BUILD, "family_tiny.json", _set(("family", "length"), True), "family.length"),
+        (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), [True]),
+         "family.barrier_edges[0]"),
     ],
     ids=["violated-by", "record-map-table", "scenario-barriers", "barrier-edges", "layout-barriers",
          "state-map", "alphabet-map", "witness-table", "outcome-map-arity",
          "remove-without-id", "place-without-cell", "push-without-dir",
          "barrier-without-edge", "unknown-action", "place-off-grid", "push-bad-dir",
-         "place-bad-routing", "negative-chain", "chain-beyond-ids"],
+         "place-bad-routing", "negative-chain", "chain-beyond-ids", "bool-chain",
+         "bool-grid", "bool-length", "bool-barrier-edge"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")

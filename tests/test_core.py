@@ -91,6 +91,30 @@ def test_separator_rejected_in_variable_values():
         FactoredSpace((("p", FiniteSet("p", (f"a{SEP}b",))),))
 
 
+def test_code_is_the_position_in_total_on_random_spaces():
+    # mixed radices, 1-4 variables; each variable has its own value labels,
+    # so a value in another variable's column is outside its domain
+    rng = random.Random(17)
+    for _ in range(40):
+        space = FactoredSpace(tuple(
+            (f"v{i}", FiniteSet(f"v{i}", tuple(f"{i}.{k}" for k in range(rng.randint(1, 4)))))
+            for i in range(rng.randint(1, 4))
+        ))
+        total = space.total
+        rows = [space.split(e) for e in total.elements]
+        assert space._code(rows) == list(range(len(total)))
+        order = list(range(len(total)))
+        rng.shuffle(order)
+        assert space._code([rows[k] for k in order]) == order
+        row = list(rng.choice(rows))
+        row[rng.randrange(len(row))] = "outside"
+        with pytest.raises(KeyError):
+            space._code([row])
+        if len(row) > 1:  # a row in the wrong variable order
+            with pytest.raises(KeyError):
+                space._code([rows[-1][::-1]])
+
+
 def test_projection_coherence_random_spaces():
     # pi^J_I . pi_J = pi_I for all I subset of J, spaces of up to 4 variables
     rng = random.Random(7)
@@ -251,16 +275,6 @@ def test_outcome_map_projects(pair_model):
 def test_context_of(pair_model):
     assert compose(pair_model, ()).image() == list(pair_model.states.elements)
     assert compose(pair_model, ("const",)).image() == ["x1"]
-
-
-def test_bare_outcome_set_is_wrapped():
-    states = FiniteSet("X", ("x1", "x2"))
-    outcomes = FiniteSet("Y", ("y1", "y2"))
-    process = TotalMap(states, FactoredSpace.from_set(outcomes).total,
-                       {"x1": "y1", "x2": "y2"})
-    model = ActionModel(states, outcomes, {}, process)
-    assert model.outcomes.var_ids == ("Y",)
-    assert outcome_map(model, ()).table == {"x1": "y1", "x2": "y2"}
 
 
 def test_composition_is_functorial_on_random_models():

@@ -3,13 +3,22 @@ import os
 
 import pytest
 
+from causalground import io as cgio
 from causalground.abstraction import check_naturality
 from causalground.checkers import (
     check_determination,
     check_effectiveness,
     discover_mechanisms,
 )
-from causalground.dominoes import IDENTITY_ROUTING, build_bounded_model, micro_proc
+from causalground.cli import run
+from causalground.dominoes import (
+    IDENTITY_ROUTING,
+    build_bounded_model,
+    five_chain_family,
+    four_chain_family,
+    micro_proc,
+    three_chain_family,
+)
 from causalground.io import (
     SchemaError,
     dump_json,
@@ -327,3 +336,124 @@ def test_table_loaders_report_a_non_string_value_first(tmp_path, pair_model, val
             load({last: table[last]})
         assert err.value.path == f"{path}.{first}", name
         assert "missing entry" in err.value.reason, name
+
+
+def _outcome_table_loaders(tmp_path):
+    """(name, valid table, load(table), JSON path of the table, map name) for
+    the two loaders that read tables of value rows: a model's ``process``
+    and a morphism's ``outcome_map``.  In both, the first key's row is
+    ["0", "0"] and the last key's row is ["1", "1"]."""
+
+    def process(table):
+        data = base_model_dict()
+        data["process"] = table
+        model_from_dict(data, "m.json")
+
+    def outcome_map(table):
+        data = {
+            "source_model": base_model_dict(),
+            "target_model": base_model_dict(),
+            "state_map": {"x1": "x1", "x2": "x2"},
+            "outcome_map": table,
+        }
+        # json.dumps keeps the table's key order, which the faults rely on
+        (tmp_path / "morphism.json").write_text(json.dumps(data))
+        load_morphism(str(tmp_path / "morphism.json"))
+
+    rows = {y: y.split("|") for y in ("0|0", "0|1", "1|0", "1|1")}
+    return [
+        ("process", {"x1": ["0", "0"], "x2": ["1", "1"]}, process, "process",
+         "'X' -> 'v1xv2'"),
+        ("outcome_map", rows, outcome_map, "outcome_map", "'v1xv2' -> 'v1xv2'"),
+    ]
+
+
+def _without(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+# (fault, bad table from the valid table t and its first and last keys a
+# and z, key the error names or "" for the table, reason).  The shape of
+# every row is checked in file order before any fault of the map as a
+# whole; the map's faults come in TotalMap's order.
+OUTCOME_TABLE_FAULTS = [
+    ("not-an-object", lambda t, a, z: [a], "", "expected an object"),
+    ("row-not-a-list", lambda t, a, z: {**t, z: "1|1"}, "{z}",
+     "expected a list of strings"),
+    ("int-value", lambda t, a, z: {**t, z: ["1", 1]}, "{z}[1]", "expected a string"),
+    ("null-value", lambda t, a, z: {**t, z: ["1", None]}, "{z}[1]",
+     "expected a string"),
+    ("nested-list-value", lambda t, a, z: {**t, z: ["1", ["1"]]}, "{z}[1]",
+     "expected a string"),
+    ("wrong-arity", lambda t, a, z: {**t, z: ["1"]}, "{z}", "expected 2 values, got 1"),
+    ("missing-entry", lambda t, a, z: _without(t, z), "{z}",
+     "map {map} is not total: missing entry for '{z}'"),
+    ("extra-entry", lambda t, a, z: {**t, "x9": ["0", "0"]}, "x9",
+     "map {map} has an entry outside its domain: 'x9'"),
+    ("value-outside-domain", lambda t, a, z: {**t, z: ["1", "7"]}, "{z}",
+     "map {map} sends '{z}' to '1|7', which is not in the codomain"),
+    ("separator-in-a-value", lambda t, a, z: {**t, z: ["1|1", "1"]}, "{z}",
+     "map {map} sends '{z}' to '1|1|1', which is not in the codomain"),
+    ("codomain-faults-in-file-order",
+     lambda t, a, z: {z: ["1", "7"], **_without(t, z), a: ["0", "9"]}, "{z}",
+     "map {map} sends '{z}' to '1|7', which is not in the codomain"),
+    ("shape-fault-after-codomain-fault",
+     lambda t, a, z: {**t, a: ["0", "7"], z: ["1"]}, "{z}",
+     "expected 2 values, got 1"),
+    ("shape-fault-after-missing-entry", lambda t, a, z: {**_without(t, a), z: 5},
+     "{z}", "expected a list of strings"),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, edit, at, reason", OUTCOME_TABLE_FAULTS,
+    ids=[case[0] for case in OUTCOME_TABLE_FAULTS],
+)
+def test_outcome_table_loaders_report_the_first_fault(tmp_path, fault, edit, at, reason):
+    for name, table, load, path, map_name in _outcome_table_loaders(tmp_path):
+        first, last = list(table)[0], list(table)[-1]
+        with pytest.raises(SchemaError) as err:
+            load(edit(table, first, last))
+        key = at.format(z=last)
+        assert (err.value.path, err.value.reason) == (
+            f"{path}.{key}" if key else path,
+            reason.format(map=map_name, z=last),
+        ), name
+
+
+def test_model_variable_value_with_the_separator_is_named_at_its_values():
+    data = base_model_dict()
+    data["variables"][1]["values"] = ["0", "1|2"]
+    with pytest.raises(SchemaError) as err:
+        model_from_dict(data, "m.json")
+    assert (err.value.path, err.value.reason) == (
+        "variables[1].values", "value '1|2' clashes with the reserved tokens ('|',)"
+    )
+
+
+def test_model_round_trip_over_the_corpus(model_corpus):
+    # up to three variables of up to three values: a row read in the wrong
+    # variable order would load another model
+    for model, _ in model_corpus:
+        assert model_from_dict(model_to_dict(model)) == model
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [("three_chain", three_chain_family), ("four_chain", four_chain_family),
+     ("five_chain", five_chain_family)],
+    ids=["three_chain", "four_chain", "five_chain"],
+)
+def test_built_chain_files_load_as_the_built_morphism(
+    request, tmp_path, monkeypatch, capsys, name, make
+):
+    morphism = request.getfixturevalue(name)[2]
+    # the named families have no family file: hand build-model the family
+    monkeypatch.setattr(cgio, "load_family", lambda path: make())
+    out = tmp_path / "models"
+    assert run(["build-model", "--family", "family.json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    loaded = load_morphism(str(out / "morphism.json"))
+    # ModelMorphism compares by identity, so compare its fields
+    for field in ("source", "target", "state_map", "outcome_map", "alphabet_map"):
+        assert getattr(loaded, field) == getattr(morphism, field), field
