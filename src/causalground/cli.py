@@ -195,7 +195,7 @@ def _cmd_scm(args, write_model: bool = False) -> tuple[int, dict]:
         "laws": {**cgio.serialize(laws), "checked": dict(laws.checked)},
     }
     if write_model:
-        cgio.dump_json(cgio.model_to_dict(model), args.out)
+        cgio.dump_json(model, args.out)
         payload.update(model_file=args.out, generators=len(model.generators))
     return (0 if laws.ok else 1), payload
 
@@ -217,12 +217,9 @@ def _cmd_build_model(args) -> tuple[int, dict]:
     micro_path = os.path.join(args.out, "micro_model.json")
     abstract_path = os.path.join(args.out, "abstract_model.json")
     morphism_path = os.path.join(args.out, "morphism.json")
-    cgio.dump_json(cgio.model_to_dict(micro), micro_path)
-    cgio.dump_json(cgio.model_to_dict(abstract), abstract_path)
-    cgio.dump_json(
-        cgio.morphism_to_dict(morphism, "micro_model.json", "abstract_model.json"),
-        morphism_path,
-    )
+    cgio.dump_json(micro, micro_path)
+    cgio.dump_json(abstract, abstract_path)
+    cgio.dump_json(morphism, morphism_path, "micro_model.json", "abstract_model.json")
     payload = {
         "files": [micro_path, abstract_path, morphism_path],
         "micro_states": len(micro.states),

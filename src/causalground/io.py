@@ -4,7 +4,9 @@ Every loader validates the full schema before any computation starts and
 reports violations as SchemaError naming the file, the JSON path of the
 offending entry, and the reason.  Writers produce deterministic output
 (sorted keys, fixed list orders) so reports and emitted files are
-byte-stable across runs.
+byte-stable across runs.  Model and morphism files are rendered from the
+positions of their maps, byte for byte as ``json.dumps(data, indent=2,
+sort_keys=True)`` lays out their data.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import json
 import os
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
-from typing import Any, Callable, Mapping, Optional
+from json.encoder import encode_basestring_ascii as _enc
+from typing import Any, Callable, Mapping
 
 from .core import (
     ActionModel,
@@ -64,13 +67,59 @@ def load_json(path: str) -> Any:
         raise SchemaError(path, "$", f"invalid JSON: {exc}") from None
 
 
-def dump_json(data: Any, path: str) -> None:
+def dump_json(data: Any, path: str, *refs: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(data))
+        fh.write(to_json(data, *refs))
 
 
-def to_json(data: Any) -> str:
+def to_json(data: Any, *refs: str) -> str:
+    """JSON text, indent 2, keys sorted.  Models and morphisms are rendered from
+    positions; a morphism's models are inline unless ``refs`` names their files."""
+    if isinstance(data, ActionModel):
+        return "".join(_model(data, 0) + ["\n"])
+    if isinstance(data, ModelMorphism):
+        return "".join(_morphism(data, *refs) + ["\n"])
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _block(items: list[str], depth: int) -> str:
+    """A list of rendered items at ``depth``, laid out as indent=2."""
+    inner = "\n" + "  " * (depth + 1)
+    return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]" if items else "[]"
+
+
+def _object(items: dict[str, list[str]], depth: int) -> list[str]:
+    """The pieces of an object at ``depth``, keys sorted, from its values' pieces."""
+    inner, pieces = ",\n" + "  " * (depth + 1), []
+    for key, value in sorted(items.items()):
+        pieces += [f"{inner}{_enc(key)}: ", *value]
+    close = "\n" + "  " * depth + "}"
+    return ["{" + pieces[0][1:], *pieces[1:], close] if pieces else ["{}"]
+
+
+class _Keys:
+    """A set's labels JSON-encoded once, in sorted order, and entry prefixes per depth."""
+
+    def __init__(self, s: FiniteSet):
+        self.encoded = list(map(_enc, s.elements))
+        self.order = sorted(range(len(s)), key=s.elements.__getitem__)
+        self.prefixes: dict[int, list[str]] = {}
+
+    def table(self, codes: list[int], values: Any, depth: int) -> list[str]:
+        """The pieces of the object at ``depth`` sending i to ``values[codes[i]]``."""
+        if depth not in self.prefixes:
+            sep = ",\n" + "  " * (depth + 1)
+            self.prefixes[depth] = [f"{sep}{self.encoded[i]}: " for i in self.order]
+        parts = self.prefixes[depth] * 2
+        parts[::2] = self.prefixes[depth]
+        parts[1::2] = map(values.__getitem__, map(codes.__getitem__, self.order))
+        return ["{" + parts[0][1:], *parts[1:], "\n" + "  " * depth + "}"]
+
+
+def _rows(space: FactoredSpace, codes: list[int], depth: int) -> dict[int, str]:
+    """The value row of each code in ``codes`` as a list at ``depth``."""
+    total = space.total.elements
+    return {c: _block([*map(_enc, space.split(total[c]))], depth) for c in set(codes)}
 
 
 def _expect(data: Any, typ, file: str, path: str, what: str):
@@ -86,8 +135,9 @@ def _string(data: Any, file: str, path: str) -> str:
 
 def _string_list(data: Any, file: str, path: str) -> list[str]:
     _expect(data, list, file, path, "a list of strings")
-    for i, item in enumerate(data):
-        _string(item, file, f"{path}[{i}]")
+    if not set(map(type, data)) <= {str}:  # one pass; the first bad entry only on failure
+        for i, item in enumerate(data):
+            _string(item, file, f"{path}[{i}]")
     return data
 
 
@@ -215,23 +265,21 @@ def load_model(path: str) -> ActionModel:
     return model_from_dict(load_json(path), path)
 
 
-def model_to_dict(model: ActionModel) -> dict:
-    space = model.outcomes
-    return {
-        "states": list(model.states.elements),
-        "variables": [
-            {"id": vid, "values": list(dom.elements)}
-            for vid, dom in space.variables
-        ],
-        "process": {
-            x: list(space.split(y)) for x, y in model.process.table.items()
-        },
-        "generators": {
-            label: gen.table
-            for label, gen in model.generators.items()
-            if label != ID_LABEL
-        },
-    }
+def _model(model: ActionModel, depth: int) -> list[str]:
+    keys, codes, space = _Keys(model.states), model.process._codes, model.outcomes
+    variables = [
+        {"id": [_enc(v)], "values": [_block([*map(_enc, d.elements)], depth + 3)]}
+        for v, d in space.variables
+    ]
+    return _object({
+        "generators": _object({
+            label: keys.table(gen._codes, keys.encoded, depth + 2)
+            for label, gen in model.generators.items() if label != ID_LABEL
+        }, depth + 1),
+        "process": keys.table(codes, _rows(space, codes, depth + 2), depth + 1),
+        "states": [_block(keys.encoded, depth + 1)],
+        "variables": [_block(["".join(_object(v, depth + 2)) for v in variables], depth + 1)],
+    }, depth)
 
 
 # --- morphisms ---------------------------------------------------------------
@@ -271,21 +319,16 @@ def load_morphism(path: str) -> ModelMorphism:
         raise SchemaError(path, "$", str(exc)) from None
 
 
-def morphism_to_dict(
-    m: ModelMorphism,
-    source_ref: Optional[str] = None,
-    target_ref: Optional[str] = None,
-) -> dict:
-    space = m.target.outcomes
-    return {
-        "source_model": source_ref or model_to_dict(m.source),
-        "target_model": target_ref or model_to_dict(m.target),
-        "state_map": m.state_map.table,
-        "outcome_map": {
-            y: list(space.split(v)) for y, v in m.outcome_map.table.items()
-        },
-        "alphabet_map": dict(m.alphabet_map),
-    }
+def _morphism(m: ModelMorphism, source_ref: str = "", target_ref: str = "") -> list[str]:
+    codes, targets = m.outcome_map._codes, [*map(_enc, m.target.states.elements)]
+    rows = _rows(m.target.outcomes, codes, 2)
+    return _object({
+        "alphabet_map": _object({a: [_enc(b)] for a, b in m.alphabet_map.items()}, 1),
+        "outcome_map": _Keys(m.source.outcomes.total).table(codes, rows, 1),
+        "source_model": [_enc(source_ref)] if source_ref else _model(m.source, 1),
+        "state_map": _Keys(m.source.states).table(m.state_map._codes, targets, 1),
+        "target_model": [_enc(target_ref)] if target_ref else _model(m.target, 1),
+    }, 0)
 
 
 # --- SCMs --------------------------------------------------------------------
@@ -345,26 +388,6 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
 
 def load_scm(path: str) -> Scm:
     return scm_from_dict(load_json(path), path)
-
-
-def scm_to_dict(scm: Scm) -> dict:
-    return {
-        "exogenous": [
-            {"id": uid, "values": list(dom.elements)} for uid, dom in scm.exogenous
-        ],
-        "endogenous": [
-            {
-                "id": vid,
-                "values": list(dom.elements),
-                "parents": list(scm.parents[vid]),
-                "function_table": {
-                    "|".join(key): value
-                    for key, value in sorted(scm.functions[vid].items())
-                },
-            }
-            for vid, dom in scm.endogenous
-        ],
-    }
 
 
 # --- domino scenarios and families -------------------------------------------

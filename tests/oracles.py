@@ -12,11 +12,15 @@ generator squares.  The reference checkers run on label tables (the
 string kernel the library used before its integer coding), one state at a
 time.  The reference SCM encoding builds every table from split labels
 instead of writing positions.  The barrier-blind morphism is a sabotage
-fixture that naturality must refute.
+fixture that naturality must refute.  The reference writers build a
+model's, a morphism's or an SCM's file data as a dict from the label
+tables; ``reference_text`` lays that out with the stdlib encoder, the
+text the library renders from positions.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -41,6 +45,7 @@ from causalground.checkers import (
     discover_mechanisms,
 )
 from causalground.core import (
+    ID_LABEL,
     SEP,
     UNIT_ELEMENT,
     ActionModel,
@@ -914,3 +919,66 @@ def assert_kernel_agrees(
             assert_same(
                 check_surgical, reference_check_surgical, model, action, records, word
             )
+
+
+# --- reference writers ----------------------------------------------------------
+
+def model_to_dict(model: ActionModel) -> dict:
+    space = model.outcomes
+    return {
+        "states": list(model.states.elements),
+        "variables": [
+            {"id": vid, "values": list(dom.elements)}
+            for vid, dom in space.variables
+        ],
+        "process": {
+            x: list(space.split(y)) for x, y in model.process.table.items()
+        },
+        "generators": {
+            label: gen.table
+            for label, gen in model.generators.items()
+            if label != ID_LABEL
+        },
+    }
+
+
+def morphism_to_dict(
+    m: ModelMorphism,
+    source_ref: Optional[str] = None,
+    target_ref: Optional[str] = None,
+) -> dict:
+    space = m.target.outcomes
+    return {
+        "source_model": source_ref or model_to_dict(m.source),
+        "target_model": target_ref or model_to_dict(m.target),
+        "state_map": m.state_map.table,
+        "outcome_map": {
+            y: list(space.split(v)) for y, v in m.outcome_map.table.items()
+        },
+        "alphabet_map": dict(m.alphabet_map),
+    }
+
+
+def scm_to_dict(scm: Scm) -> dict:
+    return {
+        "exogenous": [
+            {"id": uid, "values": list(dom.elements)} for uid, dom in scm.exogenous
+        ],
+        "endogenous": [
+            {
+                "id": vid,
+                "values": list(dom.elements),
+                "parents": list(scm.parents[vid]),
+                "function_table": {
+                    "|".join(key): value
+                    for key, value in sorted(scm.functions[vid].items())
+                },
+            }
+            for vid, dom in scm.endogenous
+        ],
+    }
+
+
+def reference_text(data: dict) -> str:
+    """A file's text as the stdlib encoder lays out its data."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"

@@ -13,8 +13,6 @@ from causalground.io import (
     dump_json,
     load_family,
     load_model,
-    model_to_dict,
-    morphism_to_dict,
     serialize,
 )
 from causalground.scm import default_mechanism_records, encode_scm
@@ -229,7 +227,7 @@ def test_discover_and_check_surgical(workspace, capsys):
 
 def test_check_surgical_pass_with_default_records(workspace, capsys, xor_scm):
     model = encode_scm(xor_scm)
-    dump_json(model_to_dict(model), "xor_model.json")
+    dump_json(model, "xor_model.json")
     records = default_mechanism_records(xor_scm, model)
     dump_json([serialize(r) for r in records], "defaults.json")
     code, out = run_twice_and_compare(
@@ -278,7 +276,7 @@ def test_check_naturality_sabotaged(workspace, capsys):
     family = load_family("family_tiny.json")
     micro, abstract, morphism = build_bounded_model(family)
     bad = barrier_blind_morphism(family, morphism)
-    dump_json(morphism_to_dict(bad), "sabotaged.json")
+    dump_json(bad, "sabotaged.json")
     code, out = run_twice_and_compare(
         ["check-naturality", "--morphism", "sabotaged.json", "--format", "json"],
         capsys,

@@ -1,4 +1,3 @@
-import json
 import os
 import random
 from dataclasses import replace
@@ -28,9 +27,15 @@ from causalground.dominoes import (
     remove_domino,
     three_chain_family,
 )
-from causalground.io import load_family, model_to_dict, morphism_to_dict, to_json
+from causalground.io import load_family, to_json
 
-from oracles import reference_action_transforms, reference_build_bounded_model
+from oracles import (
+    model_to_dict,
+    morphism_to_dict,
+    reference_action_transforms,
+    reference_build_bounded_model,
+    reference_text,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -241,31 +246,41 @@ def test_determination_of_next_by_previous(three_chain):
 
 # --- the code build against the MicroState reference build -----------------
 
-def serialized(triple) -> str:
-    """The three build-model files as one string; key order counts."""
-    micro, abstract, morphism = triple
-    return json.dumps(
-        [model_to_dict(micro), model_to_dict(abstract), morphism_to_dict(morphism)]
-    )
+REFS = ("micro_model.json", "abstract_model.json")
+
+
+def assert_same_build(built, reference):
+    """Equal models and morphism maps, generator and alphabet order included."""
+    for got, want in zip(built[:2], reference[:2]):
+        assert got == want
+        assert list(got.generators) == list(want.generators)
+    got, want = built[2], reference[2]
+    for field in ("source", "target", "state_map", "outcome_map"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert list(got.alphabet_map.items()) == list(want.alphabet_map.items())
 
 
 def written(triple) -> list[str]:
-    """The bytes of the three files ``build-model`` writes."""
+    """The bytes of the three files ``build-model`` writes, then of the
+    morphism with both models inline."""
     micro, abstract, morphism = triple
-    refs = ("micro_model.json", "abstract_model.json")
-    return [
-        to_json(model_to_dict(micro)),
-        to_json(model_to_dict(abstract)),
-        to_json(morphism_to_dict(morphism, *refs)),
-    ]
+    return [to_json(micro), to_json(abstract), to_json(morphism, *REFS), to_json(morphism)]
+
+
+def reference_written(triple) -> list[str]:
+    """The same four texts, laid out by the stdlib from the reference dicts."""
+    micro, abstract, morphism = triple
+    data = [model_to_dict(micro), model_to_dict(abstract),
+            morphism_to_dict(morphism, *REFS), morphism_to_dict(morphism)]
+    return [reference_text(d) for d in data]
 
 
 def assert_matches_reference(family):
-    """The build's files equal the reference build's, as data with its key
-    order and as the bytes ``build-model`` writes."""
+    """The build equals the reference build, and the files rendered from it
+    equal the stdlib's text of the reference build's dicts."""
     built, reference = build_bounded_model(family), reference_build_bounded_model(family)
-    assert serialized(built) == serialized(reference)
-    assert written(built) == written(reference)
+    assert_same_build(built, reference)
+    assert written(built) == reference_written(reference)
 
 
 def family_tiny_file() -> LineFamily:

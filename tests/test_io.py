@@ -29,16 +29,15 @@ from causalground.io import (
     load_scenario,
     load_scm,
     model_from_dict,
-    model_to_dict,
-    morphism_to_dict,
     records_from_dict,
     scenario_from_dict,
     scm_from_dict,
-    scm_to_dict,
     serialize,
+    to_json,
     witness_from_dict,
 )
 from causalground.scm import encode_scm, potential_response, verify_scm_laws
+from oracles import scm_to_dict
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -57,7 +56,7 @@ def test_model_round_trip():
     assert model.states.elements == ("x1", "x2")
     assert model.outcomes.var_ids == ("v1", "v2")
     assert "id" in model.generators  # synthesized
-    again = model_from_dict(model_to_dict(model))
+    again = model_from_dict(json.loads(to_json(model)))
     assert again == model
 
 
@@ -101,6 +100,27 @@ def test_model_bad_identity_rejected():
     with pytest.raises(SchemaError) as err:
         model_from_dict(data)
     assert err.value.path == "generators.id"
+
+
+@pytest.mark.parametrize(
+    "states, path, reason",
+    [
+        ("x1", "states", "expected a list of strings"),
+        ({"x1": 0}, "states", "expected a list of strings"),
+        (["x1", 2, None], "states[1]", "expected a string"),
+        (["x1", "x2", ["x3"]], "states[2]", "expected a string"),
+        (["x1", True], "states[1]", "expected a string"),
+        ([], "states", "finite set 'X' must not be empty"),
+        (["x1", "x1"], "states", "finite set 'X' has duplicate elements"),
+    ],
+    ids=["string", "object", "int", "list", "bool", "empty", "repeated"],
+)
+def test_model_bad_states_named_at_the_first_bad_entry(states, path, reason):
+    data = base_model_dict()
+    data["states"] = states
+    with pytest.raises(SchemaError) as err:
+        model_from_dict(data, "m.json")
+    assert str(err.value) == f"m.json: at {path}: {reason}"
 
 
 def test_model_missing_file():
@@ -221,12 +241,9 @@ def test_family_layouts_must_be_an_object():
 def test_morphism_file_round_trip(tmp_path):
     family = load_family(data_path("family_tiny.json"))
     micro, abstract, morphism = build_bounded_model(family)
-    dump_json(model_to_dict(micro), tmp_path / "micro.json")
-    dump_json(model_to_dict(abstract), tmp_path / "abstract.json")
-    dump_json(
-        morphism_to_dict(morphism, "micro.json", "abstract.json"),
-        tmp_path / "morphism.json",
-    )
+    dump_json(micro, tmp_path / "micro.json")
+    dump_json(abstract, tmp_path / "abstract.json")
+    dump_json(morphism, tmp_path / "morphism.json", "micro.json", "abstract.json")
     loaded = load_morphism(str(tmp_path / "morphism.json"))
     assert loaded.source == micro
     assert loaded.target == abstract
@@ -237,7 +254,7 @@ def test_morphism_file_round_trip(tmp_path):
 def test_morphism_inline_models(tmp_path):
     family = load_family(data_path("family_tiny.json"))
     micro, abstract, morphism = build_bounded_model(family)
-    dump_json(morphism_to_dict(morphism), tmp_path / "inline.json")
+    dump_json(morphism, tmp_path / "inline.json")
     loaded = load_morphism(str(tmp_path / "inline.json"))
     assert check_naturality(loaded).natural
 
@@ -245,7 +262,7 @@ def test_morphism_inline_models(tmp_path):
 def test_morphism_missing_state_entry(tmp_path):
     family = load_family(data_path("family_tiny.json"))
     micro, abstract, morphism = build_bounded_model(family)
-    data = morphism_to_dict(morphism)
+    data = json.loads(to_json(morphism))
     first = next(iter(data["state_map"]))
     del data["state_map"][first]
     dump_json(data, tmp_path / "bad.json")
@@ -435,7 +452,7 @@ def test_model_round_trip_over_the_corpus(model_corpus):
     # up to three variables of up to three values: a row read in the wrong
     # variable order would load another model
     for model, _ in model_corpus:
-        assert model_from_dict(model_to_dict(model)) == model
+        assert model_from_dict(json.loads(to_json(model))) == model
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,11 @@
 The sha256 of each file ``build-model`` writes for the three chain
 families and ``tests/data/family_tiny.json``, and of ``encode-scm``'s
 model for seeds 0-4, are pinned: a writer change that moves a single byte
-fails here.
+fails here.  The text ``io.to_json`` renders from positions must equal the
+stdlib's layout of the reference writers' dicts in ``tests/oracles.py``,
+here over the random model corpus and seeded SCMs; ``tests/test_dominoes``
+checks the four domino families (morphisms with references and inline) and
+``tests/test_render_labels`` labels that need escaping.
 """
 
 import hashlib
@@ -18,6 +22,9 @@ from causalground.dominoes import (
     four_chain_family,
     three_chain_family,
 )
+from causalground.io import to_json
+from causalground.scm import encode_scm, random_scm
+from oracles import model_to_dict, reference_text
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -81,3 +88,14 @@ def test_encode_scm_model_file_keeps_its_bytes(seed, tmp_path, capsys):
     run(["encode-scm", "--seed", str(seed), "--out", str(out)])
     capsys.readouterr()
     assert sha256(out) == ENCODED[seed]
+
+
+def test_rendered_models_match_the_reference_over_the_corpus(model_corpus):
+    for model, _ in model_corpus:
+        assert to_json(model) == reference_text(model_to_dict(model))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rendered_scm_model_matches_the_reference(seed):
+    model = encode_scm(random_scm(seed))
+    assert to_json(model) == reference_text(model_to_dict(model))
