@@ -151,10 +151,10 @@ class TotalMap:
     ``TotalMap(domain, codomain, table)`` validates a label table, which
     must define exactly one codomain element for every domain element.
     Maps the library computes itself are built from positions and not
-    validated again.  ``table`` is the label view, built on first use.
-    Equality is position equality (plus matching domain/codomain), which
-    is what every checker in this package ultimately reduces to.  Maps are
-    not changed after construction: never mutate ``table``.
+    validated again.  Only positions are kept: ``table`` is the label
+    view, built from them on first use.  Equality is position equality
+    (plus matching domain/codomain), to which every checker here reduces.
+    Maps are not changed after construction: never mutate ``table``.
     """
 
     def __init__(self, domain: FiniteSet, codomain: FiniteSet, table: dict[str, str]):
@@ -163,7 +163,7 @@ class TotalMap:
 
     def __post_init__(self):
         table, elements = self._table, self.domain.elements
-        codomain = self.codomain._positions
+        codomain, self._table = self.codomain._positions, None
         try:
             self._codes = [codomain[table[x]] for x in elements]
             if len(table) == len(elements):
@@ -197,7 +197,7 @@ class TotalMap:
         return self._table
 
     def __call__(self, element: str) -> str:
-        return self.table[element]
+        return self.codomain.elements[self._codes[self.domain._positions[element]]]
 
     def __eq__(self, other):
         if not isinstance(other, TotalMap):

@@ -251,9 +251,13 @@ class LineFamily:
         for i in self.barrier_edges:
             if not 1 <= i < self.length:
                 raise ValueError(f"barrier edge {i} out of range")
+        if len(set(self.barrier_edges)) != len(self.barrier_edges):
+            raise ValueError("barrier edges must be distinct")
         for d in self.push_dirs:
             if d not in DIRECTIONS:
                 raise ValueError(f"bad push direction {d!r}")
+        if len(set(self.push_dirs)) != len(self.push_dirs):
+            raise ValueError("push directions must be distinct")
         if not self.actions:
             object.__setattr__(self, "actions", tuple(self.code_transforms()))
 
@@ -402,8 +406,6 @@ def build_bounded_model(
     """
     codes = family.codes()
     position = {code: k for k, code in enumerate(codes)}
-    if len(position) != len(codes):
-        raise CausalGroundError("family state labels are not distinct")
 
     transforms = family.code_transforms()
     unknown = [a for a in family.actions if a not in transforms]

@@ -63,7 +63,7 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(path, "$", "file not found") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(path, "$", f"invalid JSON: {exc}") from None
 
 
@@ -170,7 +170,7 @@ def _table(
     reported first, as ``_string_map`` reports it."""
     _expect(table, dict, file, path, "an object of strings")
     try:
-        return TotalMap(domain, codomain, dict(table))
+        return TotalMap(domain, codomain, table)
     except (MapTableError, TypeError) as exc:  # TypeError: an unhashable value
         _string_map(table, file, path)
         raise SchemaError(file, f"{path}.{exc.element}", str(exc)) from None
@@ -254,7 +254,7 @@ def model_from_dict(data: Any, file: str = "<inline>") -> ActionModel:
         path = f"generators.{label}"
         _label_part(label, file, path)
         gen = _table(gen_table, states, states, file, path)
-        if label == ID_LABEL and any(k != v for k, v in gen.table.items()):
+        if label == ID_LABEL and gen != TotalMap.identity(states):
             raise SchemaError(file, path, "must be the identity map")
         generators[label] = gen
 
@@ -587,6 +587,20 @@ def serialize(value: Any, rename: Mapping[str, str] = {}) -> Any:
     return value
 
 
+def _words(
+    data: Any, model: ActionModel, file: str, path: str, sep: str = ","
+) -> tuple[str, ...]:
+    """A list of words, each ``sep``-joined from the model's generator labels.
+    A context lists one label per entry: its ``sep`` is empty."""
+    words = tuple(_string_list(data, file, path))
+    for j, word in enumerate(words):
+        for part in word.split(sep) if sep else (word,):
+            if part not in model.generators:
+                reason = f"unknown generator label {part!r}"
+                raise SchemaError(file, f"{path}[{j}]", reason)
+    return words
+
+
 def records_from_dict(
     data: Any, model: ActionModel, file: str = "<inline>"
 ) -> list[MechanismRecord]:
@@ -607,9 +621,9 @@ def records_from_dict(
         witness = _table(
             map_data.get("table"), domain, codomain, file, f"[{i}].map.table"
         )
-        context = tuple(_string_list(entry.get("context", []), file, f"[{i}].context"))
-        invariant = tuple(
-            _string_list(entry.get("invariant_under", []), file, f"[{i}].invariant_under")
+        context = _words(entry.get("context", []), model, file, f"[{i}].context", "")
+        invariant = _words(
+            entry.get("invariant_under", []), model, file, f"[{i}].invariant_under"
         )
         violated = []
         violated_data = _expect(
@@ -622,6 +636,7 @@ def records_from_dict(
                     file, f"[{i}].violated_by[{j}]", "expected [word, state]"
                 )
             violated.append((pair[0], pair[1]))
+        _words([word for word, _ in violated], model, file, f"[{i}].violated_by")
         records.append(
             MechanismRecord(target, parents, witness, context, invariant, tuple(violated))
         )

@@ -486,8 +486,11 @@ def test_check_surgical_context_mismatch_exits_two(workspace, capsys):
         ({"tags": ["0", "-"]}, "other than '-'"),
         ({"ids": ["d1", "d1"]}, "ids must be distinct"),
         ({"max_dominoes": -1}, "max_dominoes must be non-negative"),
+        ({"barrier_edges": [1, 1]}, "barrier edges must be distinct"),
+        ({"push_dirs": ["E", "E"]}, "push directions must be distinct"),
     ],
-    ids=["absent-marker-tag", "duplicate-ids", "negative-max-dominoes"],
+    ids=["absent-marker-tag", "duplicate-ids", "negative-max-dominoes",
+         "repeated-barrier-edge", "repeated-push-dir"],
 )
 def test_malformed_family_exits_two(workspace, capsys, change, reason):
     with open("family_tiny.json") as fh:
@@ -525,6 +528,15 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
     [
         (SURGICAL, "mechs.json", _set((0, "violated_by"), 5), "[0].violated_by"),
         (SURGICAL, "mechs.json", _set((0, "map", "table", "*"), "7"), "[0].map.table.*"),
+        # every part of a recorded word must be a generator of the model
+        (SURGICAL, "mechs.json", _set((0, "invariant_under", 1), "nope"),
+         "[0].invariant_under[1]"),
+        (SURGICAL, "mechs.json", _set((0, "invariant_under", 0), "const,"),
+         "[0].invariant_under[0]"),
+        (SURGICAL, "mechs.json", _set((0, "violated_by", 0, 0), "swap,nope"),
+         "[0].violated_by[0]"),
+        # a context lists one label per entry
+        (SURGICAL, "mechs.json", _set((0, "context", 0), "const,id"), "[0].context[0]"),
         (SIMULATE, "scenario_chain3.json", _set(("barriers",), 5), "barriers"),
         (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), ["x"]),
          "family.barrier_edges[0]"),
@@ -574,7 +586,9 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), [True]),
          "family.barrier_edges[0]"),
     ],
-    ids=["violated-by", "record-map-table", "scenario-barriers", "barrier-edges", "layout-barriers",
+    ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
+         "invariant-under-empty-part", "violated-by-unknown-label",
+         "context-joined-labels", "scenario-barriers", "barrier-edges", "layout-barriers",
          "state-map", "alphabet-map", "witness-table", "outcome-map-arity",
          "remove-without-id", "place-without-cell", "push-without-dir",
          "barrier-without-edge", "unknown-action", "place-off-grid", "push-bad-dir",

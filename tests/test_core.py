@@ -61,6 +61,21 @@ def test_total_map_validation():
         assert (err.value.element, str(err.value)) == (element, message), table
 
 
+def test_built_map_does_not_alias_its_label_table():
+    s, t = FiniteSet("S", ("x", "y")), FiniteSet("T", ("0", "1"))
+    table = {"x": "0", "y": "1"}
+    m = TotalMap(s, t, table)
+    table["x"] = "zzz"
+    table["w"] = "1"
+    assert m("x") == "0"
+    assert m.table == {"x": "0", "y": "1"}
+    assert m.image() == ["0", "1"]
+    assert m == TotalMap(s, t, {"x": "0", "y": "1"})
+    assert m != TotalMap(s, t, {"x": "1", "y": "1"})
+    with pytest.raises(KeyError):
+        m("w")
+
+
 def test_map_composition_and_image():
     s = FiniteSet("S", ("a", "b"))
     swap = TotalMap(s, s, {"a": "b", "b": "a"})

@@ -6,6 +6,8 @@ separator inserted, two adjacent strings of a list fused with ``|``) and
 with one flag value replaced.  Whatever the input, ``cli.run`` must return
 0, 1 or 2 and raise nothing else: 2 for bad input, never a traceback.  A
 model file that ``encode-scm`` or ``build-model`` writes must load again.
+A file that cannot be read as JSON at all (not UTF-8, or nested deeper
+than the decoder recurses) is bad input too.
 """
 
 import json
@@ -72,6 +74,9 @@ WRITTEN = {
     "encode-scm": ["xor_model.json"],
     "build-model": ["models/micro_model.json", "models/abstract_model.json"],
 }
+
+# Byte-level edits that leave no JSON document to read.
+BYTE_PREFIXES = {"invalid-utf8": b"\xff\xfe", "deep-nesting": b"[" * 100_000}
 
 REPLACEMENTS = [None, True, 0, -1, 5, "", "x", "|", ",", "default", [], ["x"],
                 [5], [[0, 0]], {}, {"x": "y"}, {"x": ["y"]}]
@@ -189,3 +194,18 @@ def test_exit_code_contract(tmp_path, capsys, inputs, target, argv, data):
     if code == 0:
         for path in written:
             load_model(str(path))
+
+
+@pytest.mark.parametrize("prefix", sorted(BYTE_PREFIXES))
+@pytest.mark.parametrize(
+    "target, argv", [pytest.param(t, a, id=n) for n, t, a in CASES]
+)
+def test_unreadable_file_exits_two(tmp_path, capsys, inputs, target, argv, prefix):
+    for filename, doc in inputs.items():
+        with open(tmp_path / filename, "w") as fh:
+            json.dump(doc, fh)
+    path = tmp_path / target
+    path.write_bytes(BYTE_PREFIXES[prefix] + path.read_bytes())
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    assert run(argv) == 2
+    assert f"{target}: at $: invalid JSON" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from causalground.checkers import (
     discover_mechanisms,
 )
 from causalground.cli import run
+from causalground.core import join_values
 from causalground.dominoes import (
     IDENTITY_ROUTING,
     build_bounded_model,
@@ -453,6 +454,18 @@ def test_model_round_trip_over_the_corpus(model_corpus):
     # variable order would load another model
     for model, _ in model_corpus:
         assert model_from_dict(json.loads(to_json(model))) == model
+
+
+def test_loaded_maps_keep_no_label_table_until_read(model_corpus):
+    for model, _ in model_corpus:
+        data = json.loads(to_json(model))
+        loaded = model_from_dict(data)
+        maps = [loaded.process, *loaded.generators.values()]
+        assert all(m._table is None for m in maps)
+        rows = {x: join_values(row) for x, row in data["process"].items()}
+        assert loaded.process.table == rows
+        for label, table in data["generators"].items():
+            assert loaded.generators[label].table == table
 
 
 @pytest.mark.parametrize(
