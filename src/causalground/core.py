@@ -414,8 +414,9 @@ class ActionModel:
         positions decoded with the last variable varying fastest."""
         columns, stride = {}, 1
         for v, dom in reversed(self.outcomes.variables):
-            columns[v] = [c // stride % len(dom) for c in self.process._codes]
-            stride *= len(dom)
+            radix = len(dom)
+            columns[v] = [c // stride % radix for c in self.process._codes]
+            stride *= radix
         return columns
 
     def _compose(self, word: Word, table: Optional[list[int]] = None) -> list[int]:
@@ -455,12 +456,18 @@ class _Image:
     ``table`` is the context composed on every state; later checks
     compose, project and scan ``reached`` only.  Position k names the
     first state that reaches ``reached[k]``, as a scan of every state does.
+    The model keeps the lists of the last context it was imaged in, so
+    consecutive checks in one context compose it once.
     """
 
     def __init__(self, model: ActionModel, word: Word):
-        self.model = model
-        self.table = model._compose(word)
-        self.reached = list(dict.fromkeys(self.table))
+        self.model, word = model, tuple(word)
+        last = getattr(model, "_last_image", None)
+        if last is None or last[0] != word:
+            table = model._compose(word)
+            last = (word, table, list(dict.fromkeys(table)))
+            object.__setattr__(model, "_last_image", last)
+        _, self.table, self.reached = last
 
     def state(self, k: int) -> str:
         """The first state whose image under the context is ``reached[k]``."""

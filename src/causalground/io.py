@@ -635,6 +635,9 @@ def records_from_dict(
                 raise SchemaError(
                     file, f"[{i}].violated_by[{j}]", "expected [word, state]"
                 )
+            if pair[1] not in model.states:
+                reason = f"unknown state {pair[1]!r}"
+                raise SchemaError(file, f"[{i}].violated_by[{j}]", reason)
             violated.append((pair[0], pair[1]))
         _words([word for word, _ in violated], model, file, f"[{i}].violated_by")
         records.append(

@@ -1,8 +1,10 @@
 """Hand-made mutants of the integer-coded checker kernel.
 
 Each fixture patches one kernel function with ``monkeypatch`` for the
-length of a test; ``test_metamorphic.test_kernel_mutant_is_caught`` asserts
-that the oracle cross-check or a metamorphic relation catches each one.
+length of a test (the compose mutant also patches ``_Image``, which would
+otherwise reuse an image a model keeps);
+``test_metamorphic.test_kernel_mutant_is_caught`` asserts that the oracle
+cross-check or a metamorphic relation catches each one.
 """
 
 import dataclasses
@@ -20,7 +22,15 @@ def composition_left_to_right(monkeypatch):
             table = g if table is None else [g[y] for y in table]
         return self.generators[ID_LABEL]._codes if table is None else table
 
+    def image(self, model, word):
+        self.model, self.table = model, model._compose(word)
+        self.reached = list(dict.fromkeys(self.table))
+
     monkeypatch.setattr(ActionModel, "_compose", compose)
+    # A model keeps the image of its last context.  Image afresh, so that
+    # no image composed before the patch is read and none composed under
+    # it is left on a model that outlives the patch.
+    monkeypatch.setattr(_Image, "__init__", image)
 
 
 def projection_columns_swapped(monkeypatch):

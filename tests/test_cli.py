@@ -535,6 +535,9 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "[0].invariant_under[0]"),
         (SURGICAL, "mechs.json", _set((0, "violated_by", 0, 0), "swap,nope"),
          "[0].violated_by[0]"),
+        # the state of a [word, state] pair must be a state of the model
+        (SURGICAL, "mechs.json", _set((0, "violated_by", 0, 1), "no-such-state"),
+         "[0].violated_by[0]"),
         # a context lists one label per entry
         (SURGICAL, "mechs.json", _set((0, "context", 0), "const,id"), "[0].context[0]"),
         (SIMULATE, "scenario_chain3.json", _set(("barriers",), 5), "barriers"),
@@ -588,6 +591,7 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
     ],
     ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
          "invariant-under-empty-part", "violated-by-unknown-label",
+         "violated-by-unknown-state",
          "context-joined-labels", "scenario-barriers", "barrier-edges", "layout-barriers",
          "state-map", "alphabet-map", "witness-table", "outcome-map-arity",
          "remove-without-id", "place-without-cell", "push-without-dir",

@@ -4,19 +4,27 @@ Every checker's result object must equal the one its reference in
 ``oracles`` builds from label tables, one state at a time: determination,
 effectiveness, invariance, commute/overwrite, discovery, surgicality,
 mechanism records and the SCM law report.  Errors must match in type and
-message.
+message.  A model keeps the image of the last context it was checked in;
+checks on one shared model must equal the same checks on fresh copies.
 """
 
+import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
 from causalground.checkers import (
     check_determination,
+    check_effectiveness,
+    check_invariance,
+    check_surgical,
     discover_mechanisms,
     probe_record,
 )
-from causalground.core import ActionModel, TotalMap
+from causalground.core import ActionModel, TotalMap, UnknownLabelError, _Image
+from causalground.io import serialize
 from causalground.dominoes import (
     build_bounded_model,
     five_chain_family,
@@ -32,6 +40,7 @@ from causalground.scm import (
     verify_scm_laws,
 )
 from oracles import (
+    _outcome,
     all_subset_pairs,
     assert_kernel_agrees,
     assert_same,
@@ -115,3 +124,126 @@ def test_domino_families_match_reference(family):
         # line6 micro has 49 634 states: one query of each kind is enough.
         pairs = 1 if len(model.states) > 20_000 else 3
         assert_kernel_agrees(model, random_word(rng, model), rng, 1, pairs)
+
+
+# --- the image a model keeps --------------------------------------------------
+
+
+def mixed_calls(model: ActionModel, contexts, rng: random.Random, max_parents: int):
+    """Seeded checker calls over ``contexts``, shuffled, as (checker, args).
+
+    Witnesses and mechanism records are computed on a fresh copy, so the
+    model the calls run on starts with whatever image it already keeps.
+    Every context is also queried through an unknown label.
+    """
+    fresh = dataclasses.replace(model)
+    labels = sorted(model.generators)
+    var_ids = model.outcomes.var_ids
+    pairs = all_subset_pairs(var_ids)
+    calls = []
+    for context in contexts:
+        calls.append((check_determination, (("nope",) + context, var_ids[:1], ())))
+        for vars_i, vars_j in rng.sample(pairs, min(4, len(pairs))):
+            calls.append((check_determination, (context, vars_i, vars_j)))
+            calls.append((check_effectiveness, ((rng.choice(labels),), vars_j, context)))
+            result = check_determination(fresh, context, vars_i, vars_j)
+            if not result.holds:
+                continue
+            for later in (random_word(rng, model), ("nope",)):
+                args = (context, result.witness, vars_i, vars_j, later)
+                calls.append((check_invariance, args))
+            if len(vars_j) == 1:
+                args = (vars_j[0], vars_i, result.witness, context)
+                calls.append((probe_record, args))
+        calls.append((discover_mechanisms, (context, max_parents)))
+        records = discover_mechanisms(fresh, context, max_parents)
+        if records:
+            for action in rng.sample(labels, min(2, len(labels))):
+                calls.append((check_surgical, (action, records, context)))
+    rng.shuffle(calls)
+    return calls
+
+
+def assert_shared_model_matches_fresh_copies(model, contexts, seed, max_parents):
+    calls = mixed_calls(model, contexts, random.Random(seed), max_parents)
+    for checker, args in calls:
+        shared = serialize(_outcome(checker, model, *args))
+        fresh = serialize(_outcome(checker, dataclasses.replace(model), *args))
+        assert shared == fresh, (checker.__name__, args)
+
+
+def test_shared_corpus_models_match_fresh_copies(model_corpus):
+    rng = random.Random(17)
+    for seed, (model, word) in enumerate(model_corpus[:120]):
+        contexts = [word, (), random_word(rng, model, 3), word]
+        n_vars = len(model.outcomes.var_ids)
+        assert_shared_model_matches_fresh_copies(model, contexts, seed, n_vars)
+
+
+def test_shared_five_chain_models_match_fresh_copies(five_chain):
+    micro, abstract, _ = five_chain
+    # init-chain5 reaches one state; the other contexts reach 256 to 5 632.
+    base = ("choose-push-d3-W", "remove-d2")
+    contexts = [base, ("choose-push-d1-E", "init-chain5"), (), base, ("remove-d2",)]
+    for seed, model in enumerate((abstract, micro)):
+        assert_shared_model_matches_fresh_copies(model, contexts, seed, 1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shared_scm_models_match_fresh_copies(seed):
+    model = encode_scm(random_scm(seed))
+    setter = next(label for label in model.generators if label.startswith("set-"))
+    contexts = [(INIT_LABEL,), (), (setter, INIT_LABEL), (INIT_LABEL,)]
+    assert_shared_model_matches_fresh_copies(model, contexts, seed, 2)
+
+
+def test_a_batch_leaves_the_kept_image_unchanged(five_chain):
+    _, abstract, _ = five_chain
+    model = dataclasses.replace(abstract)
+    context = ("choose-push-d3-W", "remove-d2")
+    image = _Image(model, context)
+    table, reached = list(image.table), list(image.reached)
+    for checker, args in mixed_calls(model, [context], random.Random(5), 2):
+        _outcome(checker, model, *args)
+    assert image.table == table and image.reached == reached
+    # Consecutive checks in one context share its lists.
+    shared = _Image(model, context)
+    check_determination(model, context, ("d1",), ("d2",))
+    again = _Image(model, context)
+    assert again.table is shared.table and again.reached is shared.reached
+    assert shared.table == table and shared.reached == reached
+
+
+def test_an_unknown_label_leaves_the_kept_image(five_chain):
+    _, abstract, _ = five_chain
+    model = dataclasses.replace(abstract)
+    context = ("init-chain5",)
+    image = _Image(model, context)
+    with pytest.raises(UnknownLabelError):
+        check_determination(model, ("nope",) + context, ("d1",), ("d2",))
+    with pytest.raises(UnknownLabelError):
+        discover_mechanisms(model, ("nope",), 1)
+    assert _Image(model, context).table is image.table
+    witness = check_determination(model, context, ("d1",), ("d2",)).witness
+    with pytest.raises(UnknownLabelError):
+        check_invariance(model, context, witness, ("d1",), ("d2",), ("nope",))
+    assert _Image(model, context).reached is image.reached
+
+
+def test_a_checked_model_is_freed_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = random_action_model(3)
+        word = random_word(random.Random(3), model)
+        result = check_determination(model, word, (), model.outcomes.var_ids)
+        check_determination(model, word, model.outcomes.var_ids, ())
+        discover_mechanisms(model, word, 1)
+        if result.holds:
+            check_invariance(model, word, result.witness, (), model.outcomes.var_ids, ())
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -385,3 +385,31 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         # Decoding the process is checked against the oracle's label
         # tables, which split each outcome label instead.
         assert caught["oracle"]
+
+
+def test_compose_mutant_neither_reads_nor_leaves_a_kept_image(model_corpus):
+    # A model keeps the image of the last context it was checked in, and
+    # the corpus models outlive every test.  Under the compose mutant each
+    # image is composed by the mutant, whatever was kept before it; once
+    # the mutant is undone, every result equals that of a fresh copy.
+    rng = random.Random(23)
+    cases = [
+        (model, word, random_word(rng, model, 3) + word)
+        for model, word in model_corpus[:60]
+    ]
+    for model, word, _ in cases:
+        _Image(model, word)
+    with pytest.MonkeyPatch.context() as patch:
+        MUTANTS["composition_left_to_right"](patch)
+        for model, word, context in cases:
+            assert _Image(model, word).table == model._compose(word), word
+            check_determination(model, context, (), model.outcomes.var_ids)
+    for model, _, context in cases:
+        fresh = dataclasses.replace(model)
+        for vars_i, vars_j in all_subset_pairs(model.outcomes.var_ids):
+            result = check_determination(model, context, vars_i, vars_j)
+            assert result == check_determination(fresh, context, vars_i, vars_j)
+            if result.holds:
+                later = random_word(rng, model)
+                args = (context, result.witness, vars_i, vars_j, later)
+                assert check_invariance(model, *args) == check_invariance(fresh, *args)
