@@ -20,6 +20,7 @@ from .core import (
     Word,
     _first_mismatch,
     _Image,
+    _rows,
     outcome_map,  # noqa: F401  still bound here; bench/tracing.py patches it
 )
 
@@ -153,15 +154,15 @@ class _Prediction:
     def violation(self, image: _Image, word: Word) -> Optional[tuple[str, str, str]]:
         """First (state, predicted, actual) where doing ``word`` after the
         context of ``image`` breaks the witness, or None."""
-        model = image.model
-        table = model._compose(word, image.reached)
-        codes_i = model._project(self.ids_i, table)
-        codes_j = model._project(self.ids_j, table)
-        predicted = list(map(self.predicted.__getitem__, codes_i))
-        k = _first_mismatch(predicted, codes_j)
+        model, space = image.model, image.model.outcomes
+        codes, rows = _rows(model, model._compose(word, image.reached))
+        predicted = [self.predicted[c] for c in space._project(self.ids_i, rows)]
+        actual = space._project(self.ids_j, rows)
+        k = _first_mismatch(predicted, actual)
         if k is None:
             return None
-        return image.state(k), self.codomain[predicted[k]], self.codomain[codes_j[k]]
+        state = image.state(codes.index(rows[k]))
+        return state, self.codomain[predicted[k]], self.codomain[actual[k]]
 
     def require(self, image: _Image, what: str) -> None:
         """Raise ``BaseDeterminationError`` opening with ``what`` unless
@@ -183,16 +184,16 @@ def _scan_determination(
     codes_i: list[int],
     codes_j: list[int],
 ) -> DeterminationResult:
-    """Decide I -> J from the I- and J-codes of the states ``image`` reaches.
+    """Decide I -> J from the I- and J-codes of the rows ``image`` reaches.
 
-    Each I-code is bound to the J-code of the first state that has it; the
-    first state the binding mispredicts refutes I -> J, paired with that
-    first state.
+    Each I-code is bound to the J-code of the first row that has it; the
+    first row the binding mispredicts refutes I -> J, paired with that
+    first row.  Each row is named by the first state that has it.
     """
     bound = dict(zip(reversed(codes_i), reversed(codes_j)))
     k = _first_mismatch(list(map(bound.__getitem__, codes_i)), codes_j)
     if k is not None:
-        pair = (image.state(codes_i.index(codes_i[k])), image.state(k))
+        pair = (image.row_state(codes_i.index(codes_i[k])), image.row_state(k))
         return DeterminationResult(False, None, None, pair)
     domain, codomain = (model.outcomes.subspace(ids).total for ids in (ids_i, ids_j))
     witness = TotalMap._of(domain, codomain, [bound.get(c, 0) for c in range(len(domain))])
@@ -213,7 +214,7 @@ def check_determination(
     ids_i = space.normalize_vars(vars_i)
     ids_j = space.normalize_vars(vars_j)
     image = _Image(model, word)
-    codes_i, codes_j = (model._project(ids, image.reached) for ids in (ids_i, ids_j))
+    codes_i, codes_j = (space._project(ids, image.rows) for ids in (ids_i, ids_j))
     return _scan_determination(model, image, ids_i, ids_j, codes_i, codes_j)
 
 
@@ -336,10 +337,10 @@ def _minimal_mechanism(
     """
     space = model.outcomes
     others = [v for v in space.var_ids if v != target]
-    codes_j = model._project((target,), image.reached)
-    for size in range(0, max_parents + 1):
+    codes_j = space._project((target,), image.rows)
+    for size in range(min(max_parents, len(others)) + 1):
         for parents in combinations(others, size):
-            codes_i = model._project(parents, image.reached)
+            codes_i = space._project(parents, image.rows)
             result = _scan_determination(
                 model, image, parents, (target,), codes_i, codes_j
             )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -265,7 +264,6 @@ class FactoredSpace:
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "_positions", {v: i for i, v in enumerate(ids)})
         object.__setattr__(self, "_subspaces", {})
-        size = 1
         for var_id, dom in self.variables:
             for value in dom.elements:
                 if SEP in value:
@@ -273,7 +271,10 @@ class FactoredSpace:
                         f"value {value!r} of variable {var_id!r} contains the "
                         f"reserved separator {SEP!r}"
                     )
-            size *= len(dom)
+        strides, size = {}, 1  # each variable's (stride, radix) in ``total``
+        for var_id, dom in reversed(self.variables):
+            strides[var_id], size = (size, len(dom)), size * len(dom)
+        object.__setattr__(self, "_strides", strides)
         if not self.variables:
             object.__setattr__(self, "total", unit_set())
             return
@@ -348,6 +349,15 @@ class FactoredSpace:
             codes = [c * radix + positions[row[i]] for c, row in zip(codes, rows)]
         return codes
 
+    def _project(self, ids: tuple[str, ...], codes: Sequence[int]) -> list[int]:
+        """The position in ``subspace(ids).total`` of each position of
+        ``total`` in ``codes``; ``ids`` are in declared order."""
+        projected = [0] * len(codes)
+        for v in ids:
+            stride, radix = self._strides[v]  # type: ignore[attr-defined]
+            projected = [p * radix + c // stride % radix for p, c in zip(projected, codes)]
+        return projected
+
 
 @dataclass(frozen=True, eq=False)
 class ActionModel:
@@ -404,20 +414,8 @@ class ActionModel:
             raise UnknownLabelError(label, self.generators) from None
 
     # The checkers run on positions.  A word's table is one gather per
-    # letter.  A projection combines process columns into a mixed-radix
-    # code: the projected element's position in ``outcomes.subspace(ids)
-    # .total``.  Tables handed out are shared: never mutate one.
-
-    @cached_property
-    def _columns(self) -> dict[str, list[int]]:
-        """Each state's value position, per outcome variable: the process
-        positions decoded with the last variable varying fastest."""
-        columns, stride = {}, 1
-        for v, dom in reversed(self.outcomes.variables):
-            radix = len(dom)
-            columns[v] = [c // stride % radix for c in self.process._codes]
-            stride *= radix
-        return columns
+    # letter; an outcome check decides on rows, the process positions of
+    # the states it reaches.  Tables handed out are shared: never mutate one.
 
     def _compose(self, word: Word, table: Optional[list[int]] = None) -> list[int]:
         """The table of ``word`` acting after ``table`` (default: the
@@ -430,18 +428,6 @@ class ActionModel:
             table = g if table is None else [g[y] for y in table]
         return self.generators[ID_LABEL]._codes if table is None else table
 
-    def _project(self, ids: tuple[str, ...], table: list[int]) -> list[int]:
-        """Codes of project_ids . process . table, combined only at the
-        states ``table`` lists."""
-        if not ids:
-            return [0] * len(table)
-        column = self._columns[ids[0]]
-        code = [column[y] for y in table]
-        for v in ids[1:]:
-            radix, column = len(self.outcomes.domain_of(v)), self._columns[v]
-            code = [c * radix + column[y] for c, y in zip(code, table)]
-        return code
-
 
 def _first_mismatch(a: list[int], b: list[int]) -> Optional[int]:
     """First position where two equally long code lists differ, or None."""
@@ -450,14 +436,22 @@ def _first_mismatch(a: list[int], b: list[int]) -> Optional[int]:
     return next(x for x, (p, q) in enumerate(zip(a, b)) if p != q)
 
 
+def _rows(model: ActionModel, table: list[int]) -> tuple[list[int], list[int]]:
+    """The row of each state in ``table``, and the distinct ones in order."""
+    codes = list(map(model.process._codes.__getitem__, table))
+    return codes, list(dict.fromkeys(codes))
+
+
 class _Image:
-    """The distinct states a context reaches, in first-occurrence order.
+    """The distinct states a context reaches, and their rows, in
+    first-occurrence order.
 
     ``table`` is the context composed on every state; later checks
-    compose, project and scan ``reached`` only.  Position k names the
-    first state that reaches ``reached[k]``, as a scan of every state does.
-    The model keeps the lists of the last context it was imaged in, so
-    consecutive checks in one context compose it once.
+    compose ``reached`` only.  ``codes`` is the row of each reached state,
+    and an outcome check scans the distinct ``rows`` only.  Position k
+    names the first state that reaches ``reached[k]``, as a scan of every
+    state does.  The model keeps the lists of the last context it was
+    imaged in, so consecutive checks in one context compose it once.
     """
 
     def __init__(self, model: ActionModel, word: Word):
@@ -465,13 +459,18 @@ class _Image:
         last = getattr(model, "_last_image", None)
         if last is None or last[0] != word:
             table = model._compose(word)
-            last = (word, table, list(dict.fromkeys(table)))
+            reached = list(dict.fromkeys(table))
+            last = (word, table, reached, *_rows(model, reached))
             object.__setattr__(model, "_last_image", last)
-        _, self.table, self.reached = last
+        _, self.table, self.reached, self.codes, self.rows = last
 
     def state(self, k: int) -> str:
         """The first state whose image under the context is ``reached[k]``."""
         return self.model.states.elements[self.table.index(self.reached[k])]
+
+    def row_state(self, r: int) -> str:
+        """The first state whose row under the context is ``rows[r]``."""
+        return self.state(self.codes.index(self.rows[r]))
 
 
 def compose(model: ActionModel, word: Word) -> TotalMap:
@@ -490,5 +489,7 @@ def outcome_map(
     """
     space = model.outcomes
     ids = space.normalize_vars(variables)
-    codes = model._project(ids, model._compose(word))
+    codes, rows = _rows(model, model._compose(word))
+    projected = dict(zip(rows, space._project(ids, rows)))
+    codes = [projected[c] for c in codes]
     return TotalMap._of(model.states, space.subspace(ids).total, codes)

@@ -312,7 +312,9 @@ def load_morphism(path: str) -> ModelMorphism:
 
     alphabet = data.get("alphabet_map")
     if alphabet is not None:
-        _string_map(alphabet, path, "alphabet_map")
+        for a in _string_map(alphabet, path, "alphabet_map"):
+            if a not in source.generators:
+                raise SchemaError(path, f"alphabet_map.{a}", "unknown in the source")
     try:
         return ModelMorphism(source, target, state_map, outcome_map, alphabet)
     except ValueError as exc:

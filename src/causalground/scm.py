@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
-from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     TotalMap,
     _first_mismatch,
     _Image,
+    outcome_map,
 )
 from .checkers import (
     MechanismRecord,
@@ -235,21 +235,17 @@ def encode_scm(scm: Scm) -> ActionModel:
     for row in product(*(dom.elements for _, dom in space.variables)):
         values = _solve(scm, dict(zip(endo, row[:n])), dict(zip(exo, row[n:])))
         rows.append(row[n:] + tuple(values[vid] for vid in endo))
-    sizes = [len(dom) for _, dom in space.variables]
-
-    def write(at: int, width: int, code: int) -> TotalMap:
-        """The generator setting the ``width`` coordinates from ``at`` on
-        to the block of mixed-radix code ``code``, on state positions."""
-        low = prod(sizes[at + width:])
-        high = low * prod(sizes[at:at + width])
-        table = [p - p % high + code * low + p % low for p in range(len(states))]
-        return TotalMap._of(states, states, table)
-
+    strides, positions = space._strides, range(len(states))  # type: ignore[attr-defined]
     # A slot's position 0 is the default, then come the variable's values.
-    generators = {INIT_LABEL: write(0, n, 0)}
-    for i, vid in enumerate(endo):
+    # The slots lead each state, so init keeps only the exogenous digits.
+    low = strides[endo[-1]][0] if endo else 1
+    tables = {INIT_LABEL: [p % low for p in positions]}
+    for vid in endo:
+        stride, radix = strides[vid]
+        default = [p - p // stride % radix * stride for p in positions]
         for k, value in enumerate(scm.domain_of(vid).elements, 1):
-            generators[set_label(vid, value)] = write(i, 1, k)
+            tables[set_label(vid, value)] = [p + k * stride for p in default]
+    generators = {a: TotalMap._of(states, states, t) for a, t in tables.items()}
     process_map = TotalMap._of(states, outcomes.total, outcomes._code(rows))
     return ActionModel(states, outcomes, generators, process_map)
 
@@ -341,11 +337,10 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
     ))
 
     states = model.states.elements
-    exo = model.outcomes.normalize_vars(scm.exo_ids)
-    before = model._project(exo, model._compose(()))
+    before = outcome_map(model, (), scm.exo_ids)._codes  # decoded once per row
 
     def u_changed(label: str) -> Optional[str]:
-        x = _first_mismatch(model._project(exo, model._compose((label,))), before)
+        x = _first_mismatch([before[y] for y in model._compose((label,))], before)
         return None if x is None else states[x]
 
     tally(LAW_U_INVARIANT, ((label, u_changed(label)) for label in model.generators))

@@ -1,8 +1,8 @@
 """Hand-made mutants of the integer-coded checker kernel.
 
 Each fixture patches one kernel function with ``monkeypatch`` for the
-length of a test (the compose mutant also patches ``_Image``, which would
-otherwise reuse an image a model keeps);
+length of a test (the compose and rows mutants patch ``_Image``, which
+would otherwise reuse, or leave behind, an image a model keeps);
 ``test_metamorphic.test_kernel_mutant_is_caught`` asserts that the oracle
 cross-check or a metamorphic relation catches each one.
 """
@@ -10,7 +10,14 @@ cross-check or a metamorphic relation catches each one.
 import dataclasses
 
 from causalground import checkers
-from causalground.core import ID_LABEL, ActionModel, _first_mismatch, _Image
+from causalground.core import (
+    ID_LABEL,
+    ActionModel,
+    FactoredSpace,
+    _first_mismatch,
+    _Image,
+    _rows,
+)
 
 
 def composition_left_to_right(monkeypatch):
@@ -25,6 +32,7 @@ def composition_left_to_right(monkeypatch):
     def image(self, model, word):
         self.model, self.table = model, model._compose(word)
         self.reached = list(dict.fromkeys(self.table))
+        self.codes, self.rows = _rows(model, self.reached)
 
     monkeypatch.setattr(ActionModel, "_compose", compose)
     # A model keeps the image of its last context.  Image afresh, so that
@@ -34,33 +42,49 @@ def composition_left_to_right(monkeypatch):
 
 
 def projection_columns_swapped(monkeypatch):
-    """The first two columns of a projection trade places in its code."""
-    project = ActionModel._project
+    """The first two variables of a projection trade places in its code."""
+    project = FactoredSpace._project
 
-    def swapped(self, ids, table):
-        return project(self, tuple(ids[1::-1]) + tuple(ids[2:]), table)
+    def swapped(self, ids, codes):
+        return project(self, tuple(ids[1::-1]) + tuple(ids[2:]), codes)
 
-    monkeypatch.setattr(ActionModel, "_project", swapped)
+    monkeypatch.setattr(FactoredSpace, "_project", swapped)
 
 
-def columns_first_variable_fastest(monkeypatch):
-    """The process columns are decoded with the first outcome variable
-    varying fastest, not the last."""
+def projection_first_variable_fastest(monkeypatch):
+    """A projection decodes positions with the first variable varying
+    fastest, not the last."""
 
-    def columns(self):
-        decoded, stride = {}, 1
-        for v, dom in self.outcomes.variables:
-            decoded[v] = [c // stride % len(dom) for c in self.process._codes]
-            stride *= len(dom)
-        return decoded
+    def project(self, ids, codes):
+        strides, stride = {}, 1
+        for v, dom in self.variables:
+            strides[v], stride = (stride, len(dom)), stride * len(dom)
+        projected = [0] * len(codes)
+        for v in ids:
+            stride, radix = strides[v]
+            projected = [p * radix + c // stride % radix for p, c in zip(projected, codes)]
+        return projected
 
-    # A property wins over a value cached in the instance dict, so the
-    # patch also covers models whose columns were decoded before it.
-    monkeypatch.setattr(ActionModel, "_columns", property(columns))
+    monkeypatch.setattr(FactoredSpace, "_project", project)
+
+
+def rows_in_last_occurrence_order(monkeypatch):
+    """An image lists its distinct rows in last-occurrence order, not
+    first-occurrence order."""
+
+    def image(self, model, word):
+        self.model, self.table = model, model._compose(word)
+        self.reached = list(dict.fromkeys(self.table))
+        self.codes, _ = _rows(model, self.reached)
+        self.rows = list(dict.fromkeys(reversed(self.codes)))[::-1]
+
+    # Image afresh, as the compose mutant does: no rows kept before the
+    # patch are read, and none built under it outlive it.
+    monkeypatch.setattr(_Image, "__init__", image)
 
 
 def scan_skips_last_state(monkeypatch):
-    """The determination scan never looks at the last reached state."""
+    """The determination scan never looks at the last reached row."""
     scan = checkers._scan_determination
 
     def short_scan(model, image, ids_i, ids_j, codes_i, codes_j):
@@ -94,7 +118,7 @@ def binds_last_j_code(monkeypatch):
         k = _first_mismatch([bound[c] for c in codes_i], codes_j)
         if k is None:  # the binding holds, so first and last agree
             return scan(model, image, ids_i, ids_j, codes_i, codes_j)
-        pair = (image.state(codes_i.index(codes_i[k])), image.state(k))
+        pair = (image.row_state(codes_i.index(codes_i[k])), image.row_state(k))
         return checkers.DeterminationResult(False, None, None, pair)
 
     monkeypatch.setattr(checkers, "_scan_determination", last_binding)
@@ -117,7 +141,8 @@ MUTANTS = {
     for mutant in (
         composition_left_to_right,
         projection_columns_swapped,
-        columns_first_variable_fastest,
+        projection_first_variable_fastest,
+        rows_in_last_occurrence_order,
         scan_skips_last_state,
         unique_on_codomain,
         counterexample_from_last_reacher,

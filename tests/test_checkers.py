@@ -1,7 +1,10 @@
+import os
 import random
+from itertools import combinations
 
 import pytest
 
+from causalground import checkers
 from causalground.checkers import (
     BaseDeterminationError,
     MechanismRecord,
@@ -23,6 +26,7 @@ from causalground.core import (
     UnknownVariableError,
     outcome_map,
 )
+from causalground.io import load_model
 from oracles import (
     brute_force_determination,
     candidate_map_count,
@@ -276,6 +280,26 @@ def test_discover_finds_copy_mechanism():
     assert by_target["v2"].parents == ("v1",)
     assert by_target["v2"].map.table == {"0": "0", "1": "1"}
     assert by_target["v1"].parents == ("v2",)
+
+
+def test_discover_tries_no_parent_set_larger_than_the_other_variables(monkeypatch):
+    # v2 has no mechanism in context (), so the search for it runs out of
+    # sets.  A budget past the other variables must end it there, not count
+    # on through sizes that have no sets.
+    path = os.path.join(os.path.dirname(__file__), "data", "model_nodet.json")
+    model = load_model(path)
+    var_ids = model.outcomes.var_ids
+    expected = discover_mechanisms(model, (), len(var_ids) - 1)
+    sizes = []
+
+    def counting(items, size):
+        sizes.append(size)
+        assert len(sizes) <= len(var_ids) ** 2, "parent-set sizes are not capped"
+        return combinations(items, size)
+
+    monkeypatch.setattr(checkers, "combinations", counting)
+    assert discover_mechanisms(model, (), 10**6) == expected
+    assert max(sizes) == len(var_ids) - 1
 
 
 def test_probe_record_rejects_invalid_base(pair_model):

@@ -550,6 +550,9 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "state_map.x1"),
         (NATURALITY, "morphism.json", _set(("alphabet_map", "swap"), ["swap"]),
          "alphabet_map.swap"),
+        # every key must be a generator of the source model
+        (NATURALITY, "morphism.json", _set(("alphabet_map", "no-such-label"), "id"),
+         "alphabet_map.no-such-label"),
         (INVARIANCE, "witness.json", _set(("table", "0"), ["0"]), "table.0"),
         # one |-joined string is not one value per target variable
         (NATURALITY, "morphism.json", _set(("outcome_map", "0|1"), ["0|1"]),
@@ -593,7 +596,7 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "invariant-under-empty-part", "violated-by-unknown-label",
          "violated-by-unknown-state",
          "context-joined-labels", "scenario-barriers", "barrier-edges", "layout-barriers",
-         "state-map", "alphabet-map", "witness-table", "outcome-map-arity",
+         "state-map", "alphabet-map", "alphabet-map-unknown-label", "witness-table", "outcome-map-arity",
          "remove-without-id", "place-without-cell", "push-without-dir",
          "barrier-without-edge", "unknown-action", "place-off-grid", "push-bad-dir",
          "place-bad-routing", "negative-chain", "chain-beyond-ids", "bool-chain",

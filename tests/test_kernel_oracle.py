@@ -110,6 +110,8 @@ def test_seeded_scms_match_reference(seed):
             model, record.target, record.parents, record.map, record.context
         )
     assert_kernel_agrees(model, (INIT_LABEL,), random.Random(seed), 2, pairs=8)
+    # Context () reaches every state, and many states share one row.
+    assert_kernel_agrees(model, (), random.Random(seed), 2, pairs=8)
 
 
 @pytest.mark.parametrize(
@@ -124,6 +126,8 @@ def test_domino_families_match_reference(family):
         # line6 micro has 49 634 states: one query of each kind is enough.
         pairs = 1 if len(model.states) > 20_000 else 3
         assert_kernel_agrees(model, random_word(rng, model), rng, 1, pairs)
+    # Context () reaches every abstract state, and many share one row.
+    assert_kernel_agrees(abstract, (), rng, 1, 3)
 
 
 # --- the image a model keeps --------------------------------------------------
@@ -197,21 +201,26 @@ def test_shared_scm_models_match_fresh_copies(seed):
     assert_shared_model_matches_fresh_copies(model, contexts, seed, 2)
 
 
+# The lists an image keeps on its model.
+KEPT = ("table", "reached", "codes", "rows")
+
+
 def test_a_batch_leaves_the_kept_image_unchanged(five_chain):
     _, abstract, _ = five_chain
     model = dataclasses.replace(abstract)
     context = ("choose-push-d3-W", "remove-d2")
     image = _Image(model, context)
-    table, reached = list(image.table), list(image.reached)
+    kept = {name: list(getattr(image, name)) for name in KEPT}
     for checker, args in mixed_calls(model, [context], random.Random(5), 2):
         _outcome(checker, model, *args)
-    assert image.table == table and image.reached == reached
+    assert {name: getattr(image, name) for name in KEPT} == kept
     # Consecutive checks in one context share its lists.
     shared = _Image(model, context)
     check_determination(model, context, ("d1",), ("d2",))
     again = _Image(model, context)
-    assert again.table is shared.table and again.reached is shared.reached
-    assert shared.table == table and shared.reached == reached
+    for name in KEPT:
+        assert getattr(again, name) is getattr(shared, name), name
+        assert getattr(shared, name) == kept[name], name
 
 
 def test_an_unknown_label_leaves_the_kept_image(five_chain):
@@ -227,7 +236,8 @@ def test_an_unknown_label_leaves_the_kept_image(five_chain):
     witness = check_determination(model, context, ("d1",), ("d2",)).witness
     with pytest.raises(UnknownLabelError):
         check_invariance(model, context, witness, ("d1",), ("d2",), ("nope",))
-    assert _Image(model, context).reached is image.reached
+    for name in KEPT:
+        assert getattr(_Image(model, context), name) is getattr(image, name), name
 
 
 def test_a_checked_model_is_freed_without_the_cycle_collector():

@@ -313,21 +313,29 @@ def test_identity_and_composite_morphisms_are_natural(data):
 def test_image_dedupes_its_table_and_names_first_reachers():
     # ``reached`` is the context's table with repeats dropped, whatever the
     # word, and position k names the first state whose image is
-    # ``reached[k]``.  A later word composed on the reached states reaches
-    # what the image of the whole word reaches, in the same order.
+    # ``reached[k]``; ``rows`` are the reached rows with repeats dropped,
+    # and row r is named by the first state whose row is ``rows[r]``.  A
+    # later word composed on the reached states reaches what the image of
+    # the whole word reaches, in the same order.
     for seed in range(40):
         model = random_action_model(seed)
-        states = model.states.elements
+        states, process = model.states.elements, model.process._codes
         labels = sorted(model.generators)  # includes id
         words = [w for n in range(3) for w in product(labels, repeat=n)]
         for word in words:
             image = _Image(model, word)
             assert image.reached == list(dict.fromkeys(image.table)), (seed, word)
-            first = {}
+            assert image.codes == [process[y] for y in image.reached], (seed, word)
+            assert image.rows == list(dict.fromkeys(image.codes)), (seed, word)
+            first, first_row = {}, {}
             for x, y in enumerate(image.table):
                 first.setdefault(y, states[x])
+                first_row.setdefault(process[y], states[x])
             assert [image.state(k) for k in range(len(image.reached))] == [
                 first[y] for y in image.reached
+            ], (seed, word)
+            assert [image.row_state(r) for r in range(len(image.rows))] == [
+                first_row[c] for c in image.rows
             ], (seed, word)
             for later in words:
                 whole = _Image(model, later + word)
@@ -377,21 +385,26 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         "relations": _fails(lambda: _relations(100)),
     }
     assert any(caught.values()), f"mutant {name} survived"
-    if name in ("counterexample_from_last_reacher", "binds_last_j_code"):
+    if name in (
+        "counterexample_from_last_reacher",
+        "binds_last_j_code",
+        "rows_in_last_occurrence_order",
+    ):
         # Verdicts stay right and only the named states move, which no
         # relation sees: the oracle cross-check must catch it.
         assert caught["oracle"]
-    if name == "columns_first_variable_fastest":
-        # Decoding the process is checked against the oracle's label
+    if name == "projection_first_variable_fastest":
+        # Decoding positions is checked against the oracle's label
         # tables, which split each outcome label instead.
         assert caught["oracle"]
 
 
-def test_compose_mutant_neither_reads_nor_leaves_a_kept_image(model_corpus):
-    # A model keeps the image of the last context it was checked in, and
-    # the corpus models outlive every test.  Under the compose mutant each
-    # image is composed by the mutant, whatever was kept before it; once
-    # the mutant is undone, every result equals that of a fresh copy.
+def _assert_image_mutant_leaves_nothing(model_corpus, name, imaged_afresh) -> None:
+    """A model keeps the image of the last context it was checked in, and
+    the corpus models outlive every test.  Under mutant ``name`` each
+    image is built by the mutant, whatever was kept before it, which
+    ``imaged_afresh(model, word, image)`` confirms; once the mutant is
+    undone, every result equals that of a fresh copy."""
     rng = random.Random(23)
     cases = [
         (model, word, random_word(rng, model, 3) + word)
@@ -400,9 +413,9 @@ def test_compose_mutant_neither_reads_nor_leaves_a_kept_image(model_corpus):
     for model, word, _ in cases:
         _Image(model, word)
     with pytest.MonkeyPatch.context() as patch:
-        MUTANTS["composition_left_to_right"](patch)
+        MUTANTS[name](patch)
         for model, word, context in cases:
-            assert _Image(model, word).table == model._compose(word), word
+            assert imaged_afresh(model, word, _Image(model, word)), word
             check_determination(model, context, (), model.outcomes.var_ids)
     for model, _, context in cases:
         fresh = dataclasses.replace(model)
@@ -413,3 +426,21 @@ def test_compose_mutant_neither_reads_nor_leaves_a_kept_image(model_corpus):
                 later = random_word(rng, model)
                 args = (context, result.witness, vars_i, vars_j, later)
                 assert check_invariance(model, *args) == check_invariance(fresh, *args)
+
+
+def test_compose_mutant_neither_reads_nor_leaves_a_kept_image(model_corpus):
+    _assert_image_mutant_leaves_nothing(
+        model_corpus,
+        "composition_left_to_right",
+        lambda model, word, image: image.table == model._compose(word),
+    )
+
+
+def test_rows_mutant_neither_reads_nor_leaves_kept_rows(model_corpus):
+    _assert_image_mutant_leaves_nothing(
+        model_corpus,
+        "rows_in_last_occurrence_order",
+        lambda model, word, image: (
+            image.rows == list(dict.fromkeys(reversed(image.codes)))[::-1]
+        ),
+    )
