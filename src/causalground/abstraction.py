@@ -56,6 +56,8 @@ class ModelMorphism:
                 raise ValueError(
                     f"alphabet map sends {a!r} to {b!r}, unknown in the target"
                 )
+        for a in sorted(self.alphabet_map.keys() - self.source.generators.keys()):
+            raise ValueError(f"alphabet map key {a!r} is not a source generator")
 
     def translate(self, word: Word) -> tuple[str, ...]:
         return tuple(self.alphabet_map[a] for a in word)

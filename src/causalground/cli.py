@@ -367,8 +367,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         rendered = "\n".join(_render_text(report)) + "\n"
 
     if args.out and args.command not in _ARTIFACT_COMMANDS:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return code

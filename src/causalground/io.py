@@ -507,6 +507,8 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
     spec = _expect(data.get("family"), dict, file, "family", "an object")
     length = _expect(spec.get("length"), int, file, "family.length", "an integer")
     ids = tuple(_string_list(spec.get("ids"), file, "family.ids"))
+    if not ids:
+        raise SchemaError(file, "family.ids", "must not be empty")
     for i, did in enumerate(ids):
         _label_part(did, file, f"family.ids[{i}]", "domino id")
     max_dominoes = _expect(

@@ -185,21 +185,18 @@ def potential_response(
     for uid, dom in scm.exogenous:
         if uid not in u or u[uid] not in dom:
             raise ValueError(f"exogenous assignment is missing or invalid for {uid!r}")
-    values = _solve(scm, slots, u)
-    return {vid: values[vid] for vid in scm.endo_ids}
+    columns = {v: [slots[v]] for v in scm.endo_ids} | {v: [u[v]] for v in scm.exo_ids}
+    _solve(scm, columns)
+    return {vid: columns[vid][0] for vid in scm.endo_ids}
 
 
-def _solve(scm: Scm, slots: Mapping[str, str], u: Mapping[str, str]) -> dict[str, str]:
-    """Each endogenous value, in topological order, under slot and noise
-    assignments that are known to be valid."""
-    values: dict[str, str] = {}
+def _solve(scm: Scm, columns: dict[str, list[str]]) -> None:
+    """Replace, in topological order, each endogenous variable's column of
+    valid slots with its values, read off the parent and noise columns."""
     for vid in scm.topo_order:
-        slot = slots[vid]
-        if slot == DEFAULT_SLOT:
-            values[vid] = scm.evaluate(vid, values, u[scm.noise_id(vid)])
-        else:
-            values[vid] = slot
-    return values
+        f, slots = scm.functions[vid], columns[vid]
+        keys = zip(*(columns[p] for p in scm.parents[vid]), columns[scm.noise_id(vid)])
+        columns[vid] = [f[k] if s == DEFAULT_SLOT else s for s, k in zip(slots, keys)]
 
 
 def slot_domain(scm: Scm, vid: str) -> FiniteSet:
@@ -215,8 +212,8 @@ def encode_scm(scm: Scm) -> ActionModel:
     """Encode an SCM as an action model.
 
     States are (mechanism assignment, exogenous assignment) pairs: the
-    product of one slot variable per endogenous variable, then the
-    exogenous variables, with the id ``MxU``.  The outcome space is the
+    ``total`` of the product of one slot variable per endogenous variable,
+    then the exogenous variables.  The outcome space is the
     exogenous variables followed by the endogenous ones; the process
     records u together with the potential response.
     Generators: the identity, ``init`` (reset every slot to default,
@@ -224,18 +221,21 @@ def encode_scm(scm: Scm) -> ActionModel:
     slot, keeping u and the other slots).  No generator touches u; the
     exogenous values vary only across initial states.
     """
-    endo, exo = scm.endo_ids, scm.exo_ids
-    space = FactoredSpace(
-        tuple((vid, slot_domain(scm, vid)) for vid in endo) + scm.exogenous
-    )
-    states = FiniteSet("MxU", space.total.elements)
-    outcomes = FactoredSpace(scm.exogenous + scm.endogenous)
-    n = len(endo)
-    rows = []  # each state's outcome: its u, then the potential response
-    for row in product(*(dom.elements for _, dom in space.variables)):
-        values = _solve(scm, dict(zip(endo, row[:n])), dict(zip(exo, row[n:])))
-        rows.append(row[n:] + tuple(values[vid] for vid in endo))
+    endo = scm.endo_ids
+    slot_vars = tuple((vid, slot_domain(scm, vid)) for vid in endo)
+    space = FactoredSpace(slot_vars + scm.exogenous)
+    states, outcomes = space.total, FactoredSpace(scm.exogenous + scm.endogenous)
     strides, positions = space._strides, range(len(states))  # type: ignore[attr-defined]
+    columns = {}  # each variable's value at every state, in ``total`` order
+    for vid, dom in space.variables:
+        stride, radix = strides[vid]
+        block = [x for x in dom.elements for _ in range(stride)]
+        columns[vid] = block * (len(states) // (stride * radix))
+    _solve(scm, columns)
+    # Outcomes: u, then the response; with no variables, one empty row.
+    rows = list(zip(*(columns[v] for v in outcomes.var_ids))) or [()]
+    process_map = TotalMap._of(states, outcomes.total, outcomes._code(rows))
+    del columns, rows  # freed before the generator tables are built
     # A slot's position 0 is the default, then come the variable's values.
     # The slots lead each state, so init keeps only the exogenous digits.
     low = strides[endo[-1]][0] if endo else 1
@@ -246,7 +246,6 @@ def encode_scm(scm: Scm) -> ActionModel:
         for k, value in enumerate(scm.domain_of(vid).elements, 1):
             tables[set_label(vid, value)] = [p + k * stride for p in default]
     generators = {a: TotalMap._of(states, states, t) for a, t in tables.items()}
-    process_map = TotalMap._of(states, outcomes.total, outcomes._code(rows))
     return ActionModel(states, outcomes, generators, process_map)
 
 

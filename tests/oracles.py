@@ -514,6 +514,14 @@ def reference_verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
     return LawReport(not violations, tuple(checked), tuple(violations))
 
 
+def reversed_declaration(scm: Scm) -> Scm:
+    """The same SCM with its (exogenous, endogenous) pairs declared in
+    reverse order.  When some variable has a parent, children are then
+    declared before their parents, so a solver that follows the declared
+    order instead of a topological one reads unsolved parents."""
+    return Scm(scm.exogenous[::-1], scm.endogenous[::-1], scm.parents, scm.functions)
+
+
 def brute_force_response(
     scm: Scm, slots: Mapping[str, str], u: Mapping[str, str]
 ) -> list[dict[str, str]]:

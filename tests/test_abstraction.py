@@ -70,6 +70,19 @@ def test_alphabet_map_must_cover_source(pair_model, three_chain):
         )
 
 
+def test_alphabet_map_keys_must_be_source_generators(pair_model):
+    alphabet = {a: a for a in pair_model.generators}
+    alphabet["no-such-label"] = "id"
+    with pytest.raises(ValueError, match="'no-such-label' is not a source generator"):
+        ModelMorphism(
+            pair_model,
+            pair_model,
+            TotalMap.identity(pair_model.states),
+            TotalMap.identity(pair_model.outcomes.total),
+            alphabet,
+        )
+
+
 def test_domain_mismatch_rejected(pair_model):
     wrong = TotalMap.identity(pair_model.outcomes.total)
     with pytest.raises(ValueError):

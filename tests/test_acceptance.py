@@ -31,10 +31,12 @@ from oracles import (
     brute_force_determination,
     brute_force_response,
     candidate_map_count,
+    reversed_declaration,
     witness_satisfies,
 )
 
 N_SCMS = 200
+N_REVERSED = 40  # of those, declared again out of topological order
 ORACLE_BUDGET = 1000  # candidate maps enumerated per (I, J) pair
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -46,7 +48,10 @@ def report(line: str) -> None:
 
 @pytest.fixture(scope="module")
 def scm_corpus():
-    return [random_scm(seed) for seed in range(N_SCMS)]
+    """Seeds 0..N_SCMS-1, then the first N_REVERSED of them with their
+    variables declared in reverse, children before parents."""
+    scms = [random_scm(seed) for seed in range(N_SCMS)]
+    return scms + [reversed_declaration(scm) for scm in scms[:N_REVERSED]]
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +69,7 @@ def test_criterion_1_scm_law_suite(scm_corpus):
         assert laws.ok, f"seed {seed}: {laws.violations[:3]}"
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"law suite took {elapsed:.1f}s"
-    report(f"1 scm-law-suite ({N_SCMS} SCMs, {elapsed:.1f}s)")
+    report(f"1 scm-law-suite ({len(scm_corpus)} SCMs, {elapsed:.1f}s)")
 
 
 def test_criterion_2_potential_response_oracle(scm_corpus):

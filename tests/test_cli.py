@@ -427,6 +427,20 @@ def test_out_flag_writes_report(workspace, capsys):
         assert json.load(fh)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("model, verdict", [("model_pair.json", 0), ("model_nodet.json", 1)],
+                         ids=["pass", "fail"])
+@pytest.mark.parametrize("out", ["missing_dir/report.json", "."], ids=["missing-dir", "dir"])
+def test_unwritable_out_exits_two(workspace, capsys, model, verdict, out):
+    # exit 1 would read as a failed check, whatever the verdict was
+    argv = ["check-determination", "--model", model, "--vars-i", "v1", "--vars-j", "v2"]
+    assert invoke(argv, capsys)[0] == verdict
+    code = run(argv + ["--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_exit_code_two_cases(workspace, capsys):
     # missing file
     assert invoke(
@@ -591,6 +605,9 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         (BUILD, "family_tiny.json", _set(("family", "length"), True), "family.length"),
         (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), [True]),
          "family.barrier_edges[0]"),
+        # a family without dominoes writes a model with no outcome variables
+        (BUILD, "family_tiny.json", _set(("family",), {"length": 2, "ids": []}),
+         "family.ids"),
     ],
     ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
          "invariant-under-empty-part", "violated-by-unknown-label",
@@ -600,7 +617,7 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "remove-without-id", "place-without-cell", "push-without-dir",
          "barrier-without-edge", "unknown-action", "place-off-grid", "push-bad-dir",
          "place-bad-routing", "negative-chain", "chain-beyond-ids", "bool-chain",
-         "bool-grid", "bool-length", "bool-barrier-edge"],
+         "bool-grid", "bool-length", "bool-barrier-edge", "empty-ids"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")

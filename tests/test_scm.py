@@ -26,6 +26,7 @@ from oracles import (
     reference_encode_scm,
     reference_text,
     reference_verify_scm_laws,
+    reversed_declaration,
     scm_to_dict,
 )
 
@@ -148,6 +149,42 @@ def test_encoding_writes_the_label_reference_bytes():
     for scm in scms:
         got = to_json(encode_scm(scm))
         assert got == reference_text(model_to_dict(reference_encode_scm(scm)))
+
+
+def test_empty_scm_encodes_to_one_lawful_state():
+    scm = Scm((), (), {}, {})
+    model = encode_scm(scm)
+    assert len(model.states) == 1 and len(model.outcomes.total) == 1
+    assert sorted(model.generators) == ["id", "init"]
+    assert verify_scm_laws(model, scm).ok
+
+
+def test_encoding_evaluates_no_equation_per_state(monkeypatch, xor_scm):
+    calls = []
+    evaluate = Scm.evaluate
+    monkeypatch.setattr(Scm, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
+    for scm in [xor_scm] + [random_scm(s, 5, 3, 3) for s in range(5)]:
+        calls.clear()
+        model = encode_scm(scm)
+        assert len(calls) <= sum(map(len, scm.functions.values())) < len(model.states)
+
+
+# Seeds whose reversed declaration puts some child before one of its parents.
+OUT_OF_ORDER_SEEDS = [0, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17]
+
+
+@pytest.mark.parametrize("seed", OUT_OF_ORDER_SEEDS)
+def test_out_of_order_declaration_is_solved_topologically(seed):
+    scm = reversed_declaration(random_scm(seed))
+    order = scm.endo_ids
+    assert any(order.index(p) > order.index(v) for v in order for p in scm.parents[v])
+    model = encode_scm(scm)
+    for state, outcome in model.process.table.items():
+        slots, u = decode_state(scm, state)
+        (response,) = brute_force_response(scm, slots, u)
+        assert outcome.split(SEP) == list(u.values()) + list(response.values())
+    report = verify_scm_laws(model, scm)
+    assert report.ok and report == reference_verify_scm_laws(model, scm)
 
 
 def test_encoded_generator_tables(xor_scm):
