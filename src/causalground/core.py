@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 #: Reserved separator used to serialize tuples of a factored space into
@@ -279,12 +278,8 @@ class FactoredSpace:
             object.__setattr__(self, "total", unit_set())
             return
         check_enumeration_bound(size, "factored space total set")
-        elements = tuple(
-            join_values(combo)
-            for combo in product(*(dom.elements for _, dom in self.variables))
-        )
-        name = "x".join(ids)
-        object.__setattr__(self, "total", FiniteSet(name, elements))
+        elements = map(SEP.join, zip(*self._columns().values()))
+        object.__setattr__(self, "total", FiniteSet("x".join(ids), tuple(elements)))
 
     def __eq__(self, other):
         if not isinstance(other, FactoredSpace):
@@ -339,14 +334,25 @@ class FactoredSpace:
         positions = self._positions  # type: ignore[attr-defined]
         return join_values([values[positions[v]] for v in ids])
 
-    def _code(self, rows: Sequence[Sequence[str]]) -> list[int]:
-        """Each row's position in ``total``, in mixed radix.  A row holds one
-        value per variable, in declared order; the last variable varies
-        fastest.  A value outside its domain raises KeyError."""
-        codes = [0] * len(rows)
-        for i, (_, dom) in enumerate(self.variables):
+    def _columns(self) -> dict[str, list[str]]:
+        """Each variable's value at every element of ``total``, the last
+        variable fastest: the one enumeration of the space.  Fresh lists."""
+        columns, blocks = {}, 1
+        for var_id, dom in self.variables:
+            stride, radix = self._strides[var_id]  # type: ignore[attr-defined]
+            columns[var_id] = column = [x for x in dom.elements for _ in range(stride)]
+            column *= blocks  # in place: no second list of the column's size
+            blocks *= radix
+        return columns
+
+    def _code(self, columns: Sequence[Sequence[str]]) -> list[int]:
+        """The position in ``total`` of each element given as one value
+        column per variable, in declared order (no column: the one position,
+        0).  A value outside its domain raises KeyError."""
+        codes = [0] * (len(columns[0]) if columns else 1)
+        for (_, dom), column in zip(self.variables, columns):
             radix, positions = len(dom), dom._positions
-            codes = [c * radix + positions[row[i]] for c, row in zip(codes, rows)]
+            codes = [c * radix + positions[x] for c, x in zip(codes, column)]
         return codes
 
     def _project(self, ids: tuple[str, ...], codes: Sequence[int]) -> list[int]:

@@ -258,8 +258,9 @@ class LineFamily:
                 raise ValueError(f"bad push direction {d!r}")
         if len(set(self.push_dirs)) != len(self.push_dirs):
             raise ValueError("push directions must be distinct")
+        transforms = self.code_transforms()  # raises on a label two actions share
         if not self.actions:
-            object.__setattr__(self, "actions", tuple(self.code_transforms()))
+            object.__setattr__(self, "actions", tuple(transforms))
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -345,28 +346,34 @@ class LineFamily:
         return f"{tokens}/b{''.join(map(str, bits))}/p{push_token}"
 
     def code_transforms(self) -> dict[str, Callable[[Code], Optional[Code]]]:
-        """Every registrable action label with its transform on codes.
+        """Every registrable action label with its transform on codes.  A
+        label that two actions would share raises ValueError.
 
         A layout with no code, or with a code outside the family, never
         matches a state, so its ``init-*`` action fails the closure check.
         """
-        transforms: dict[str, Callable[[Code], Optional[Code]]] = {"id": lambda c: c}
+        transforms: dict[str, Callable[[Code], Optional[Code]]] = {}
+
+        def add(label: str, transform: Callable[[Code], Optional[Code]]) -> None:
+            if label in transforms:
+                raise ValueError(f"two family actions share the label {label!r}")
+            transforms[label] = transform
+
+        add("id", lambda c: c)
         for name, layout in self.layouts:
-            transforms[f"init-{name}"] = lambda c, t=self.encode(layout): t
+            add(f"init-{name}", lambda c, t=self.encode(layout): t)
         for k, i in enumerate(self.ids):
             for d in self.push_dirs:
-                transforms[f"choose-push-{i}-{d}"] = lambda c, k=k, p=(i, d): (
+                add(f"choose-push-{i}-{d}", lambda c, k=k, p=(i, d): (
                     c[0], c[1], None if c[0][k] is None else p
-                )
-            transforms[f"remove-{i}"] = lambda c, k=k: _with_tag(c, k, None)
-            transforms[f"place-{i}"] = lambda c, k=k: _place(
-                c, k, self.tags[0], self.max_dominoes
-            )
+                ))
+            add(f"remove-{i}", lambda c, k=k: _with_tag(c, k, None))
+            add(f"place-{i}", lambda c, k=k: _place(c, k, self.tags[0], self.max_dominoes))
         for i in self.barrier_edges:
             for verb, bit in (("add", 1), ("remove", 0)):
-                transforms[f"{verb}-barrier-{i}-{i + 1}"] = lambda c, i=i, bit=bit: (
+                add(f"{verb}-barrier-{i}-{i + 1}", lambda c, i=i, bit=bit: (
                     _with_barrier(c, self.barrier_edges, i, bit)
-                )
+                ))
         return transforms
 
 
@@ -438,7 +445,7 @@ def build_bounded_model(
         return images
 
     micro_gens = {a: gather(transforms[a]) for a in family.actions}
-    name_codes = micro_space._code([(name,) for name in names])
+    name_codes = micro_space._code([names])
     micro = ActionModel(
         micro_states,
         micro_space,
@@ -451,7 +458,7 @@ def build_bounded_model(
         tuple((i, FiniteSet(f"Y({i})", STATUSES)) for i in family.ids)
     )
     total = abstract_space.total
-    joint = abstract_space._code([[s[i] for i in family.ids] for s in status])
+    joint = abstract_space._code([[s[i] for s in status] for i in family.ids])
     abstract_gens = {
         a: TotalMap._of(abstract_states, abstract_states, [x_codes[g[k]] for k in reps])
         for a, g in micro_gens.items()

@@ -149,8 +149,9 @@ def _string_map(data: Any, file: str, path: str) -> dict[str, str]:
 
 
 def _label_part(text: str, file: str, path: str, what: str = "label") -> None:
-    """Words are written and parsed comma-joined, so a generator label, or
-    any string that becomes part of one, must not contain ','."""
+    """Words and variable flags are written and parsed comma-joined, so a
+    generator label, any string that becomes part of one, and a variable
+    id must not contain ','."""
     if "," in text:
         raise SchemaError(file, path, f"{what} must not contain ','")
 
@@ -180,15 +181,16 @@ def _outcome_table(
     data: Any, domain: FiniteSet, space: FactoredSpace, file: str, path: str
 ) -> TotalMap:
     """A loaded table of value rows, one value per variable of ``space``,
-    coded in one pass.  Only a table that pass rejects is checked entry by
-    entry: each row's shape in file order, then the joined labels."""
+    coded as columns in one pass.  Only a table that pass rejects is checked
+    entry by entry: each row's shape in file order, then the joined labels."""
     table = _expect(data, dict, file, path, "an object")
     arity = len(space.variables)
     try:
         rows = [table[x] for x in domain.elements]
         shaped = all(isinstance(row, list) and len(row) == arity for row in rows)
         if shaped and len(table) == len(rows):
-            return TotalMap._of(domain, space.total, space._code(rows))
+            columns = [[row[i] for row in rows] for i in range(arity)]
+            return TotalMap._of(domain, space.total, space._code(columns))
     except (KeyError, TypeError):  # TypeError: an unhashable value
         pass
     joined = {}
@@ -207,6 +209,7 @@ def _variable(
     """A variable's id and domain; values must avoid the reserved tokens."""
     _expect(entry, dict, file, path, "an object")
     vid = _string(entry.get("id"), file, f"{path}.id")
+    _label_part(vid, file, f"{path}.id", "variable id")
     values = _string_list(entry.get("values"), file, f"{path}.values")
     tokens = (SEP,) + reserved
     for value in values:
@@ -357,7 +360,6 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
     for i, entry in enumerate(endo_data):
         path = f"endogenous[{i}]"
         vid, dom = _variable(entry, file, path, (DEFAULT_SLOT,))
-        _label_part(vid, file, f"{path}.id", "variable id")
         _label_part("".join(dom.elements), file, f"{path}.values", "value")
         endogenous.append((vid, dom))
         parents[vid] = tuple(
@@ -370,7 +372,7 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
         arity = len(parents[vid]) + 1
         for key, value in table_data.items():
             at = f"{path}.function_table.{key}"
-            parts = tuple(key.split("|"))
+            parts = tuple(key.split(SEP))
             if len(parts) != arity:
                 raise SchemaError(file, at, f"key must have {arity} separated values")
             table[parts] = _string(value, file, at)

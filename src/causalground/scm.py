@@ -154,10 +154,6 @@ class Scm:
         except KeyError:
             raise ValueError(f"unknown endogenous variable {vid!r}") from None
 
-    def evaluate(self, vid: str, parent_values: Mapping[str, str], u_value: str) -> str:
-        key = tuple(parent_values[p] for p in self.parents[vid]) + (u_value,)
-        return self.functions[vid][key]
-
 
 def _check_assignment(
     what: str, assignment: Mapping[str, str], doms: Sequence[tuple[str, FiniteSet]]
@@ -225,17 +221,12 @@ def encode_scm(scm: Scm) -> ActionModel:
     slot_vars = tuple((vid, slot_domain(scm, vid)) for vid in endo)
     space = FactoredSpace(slot_vars + scm.exogenous)
     states, outcomes = space.total, FactoredSpace(scm.exogenous + scm.endogenous)
-    strides, positions = space._strides, range(len(states))  # type: ignore[attr-defined]
-    columns = {}  # each variable's value at every state, in ``total`` order
-    for vid, dom in space.variables:
-        stride, radix = strides[vid]
-        block = [x for x in dom.elements for _ in range(stride)]
-        columns[vid] = block * (len(states) // (stride * radix))
+    columns = space._columns()
     _solve(scm, columns)
-    # Outcomes: u, then the response; with no variables, one empty row.
-    rows = list(zip(*(columns[v] for v in outcomes.var_ids))) or [()]
-    process_map = TotalMap._of(states, outcomes.total, outcomes._code(rows))
-    del columns, rows  # freed before the generator tables are built
+    # u, then the response, popped: no label column outlives the coding.
+    codes = outcomes._code([columns.pop(v) for v in outcomes.var_ids])
+    process_map = TotalMap._of(states, outcomes.total, codes)
+    strides, positions = space._strides, range(len(states))  # type: ignore[attr-defined]
     # A slot's position 0 is the default, then come the variable's values.
     # The slots lead each state, so init keeps only the exogenous digits.
     low = strides[endo[-1]][0] if endo else 1
@@ -277,19 +268,19 @@ def _mechanism_witness(
 
     Its domain is the outcome subspace of vid's paired noise and parents
     (in declared order), its codomain vid's own subspace.  The default slot
-    reads the structural function; a value slot is the constant map.
+    gives vid's potential response over that subspace's columns, every other
+    variable held by a value slot; a value slot is the constant map.
     """
-    u = scm.noise_id(vid)
-    dom_ids = space.normalize_vars((u,) + scm.parents[vid])
-    sub = space.subspace(dom_ids)
+    sub = space.subspace((scm.noise_id(vid),) + scm.parents[vid])
     target = space.subspace((vid,))
     if slot != DEFAULT_SLOT:
         return TotalMap.constant(sub.total, target.total, slot)
-    rows = []
-    for values in product(*(dom.elements for _, dom in sub.variables)):  # sub.total order
-        row = dict(zip(dom_ids, values))
-        rows.append((scm.evaluate(vid, row, row[u]),))
-    return TotalMap._of(sub.total, target.total, target._code(rows))
+    n = len(sub.total)
+    columns = {v: [dom.elements[0]] * n for v, dom in scm.exogenous + scm.endogenous}
+    columns |= sub._columns()
+    columns[vid] = [DEFAULT_SLOT] * n
+    _solve(scm, columns)
+    return TotalMap._of(sub.total, target.total, target._code([columns[vid]]))
 
 
 def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:

@@ -8,6 +8,7 @@ cross-check or a metamorphic relation catches each one.
 """
 
 import dataclasses
+import math
 
 from causalground import checkers
 from causalground.core import (
@@ -66,6 +67,30 @@ def projection_first_variable_fastest(monkeypatch):
         return projected
 
     monkeypatch.setattr(FactoredSpace, "_project", project)
+
+
+def columns_first_variable_fastest(monkeypatch):
+    """A space enumerates ``total`` with the first variable varying
+    fastest, not the last, while its projections still decode the last
+    variable fastest."""
+
+    def columns(self):
+        size, out, stride = math.prod(len(dom) for _, dom in self.variables), {}, 1
+        for v, dom in self.variables:
+            block = [x for x in dom.elements for _ in range(stride)]
+            out[v], stride = block * (size // len(block)), stride * len(dom)
+        return out
+
+    def subspace(self, var_ids):
+        ids = self.normalize_vars(var_ids)
+        if ids == self.var_ids:
+            return self
+        return FactoredSpace(tuple((v, self.domain_of(v)) for v in ids))
+
+    monkeypatch.setattr(FactoredSpace, "_columns", columns)
+    # A space keeps each subspace it builds.  Build afresh, so that no
+    # subspace enumerated under the patch is left on a space that outlives it.
+    monkeypatch.setattr(FactoredSpace, "subspace", subspace)
 
 
 def rows_in_last_occurrence_order(monkeypatch):
@@ -140,6 +165,7 @@ MUTANTS = {
     mutant.__name__: mutant
     for mutant in (
         composition_left_to_right,
+        columns_first_variable_fastest,
         projection_columns_swapped,
         projection_first_variable_fastest,
         rows_in_last_occurrence_order,

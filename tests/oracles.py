@@ -539,7 +539,8 @@ def brute_force_response(
         for vid in scm.endo_ids:
             slot = slots[vid]
             if slot == DEFAULT_SLOT:
-                expected = scm.evaluate(vid, assignment, u[scm.noise_id(vid)])
+                key = tuple(assignment[p] for p in scm.parents[vid])
+                expected = scm.functions[vid][key + (u[scm.noise_id(vid)],)]
             else:
                 expected = slot
             if assignment[vid] != expected:

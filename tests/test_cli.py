@@ -532,6 +532,9 @@ SURGICAL = ["check-surgical", "--model", "model_pair.json", "--word", "swap",
 BUILD = ["build-model", "--family", "family_tiny.json", "--out", "models"]
 NATURALITY = ["check-naturality", "--morphism", "morphism.json"]
 SIMULATE = ["simulate", "--scenario", "scenario_chain3.json"]
+ENCODE = ["encode-scm", "--scm", "scm_xor.json", "--out", "xor_model.json"]
+DETERMINATION = ["check-determination", "--model", "model_pair.json",
+                 "--vars-i", "v1", "--vars-j", "v2"]
 INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "const",
               "--word", "swap", "--vars-i", "v1", "--vars-j", "v2",
               "--witness", "witness.json"]
@@ -608,6 +611,14 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         # a family without dominoes writes a model with no outcome variables
         (BUILD, "family_tiny.json", _set(("family",), {"length": 2, "ids": []}),
          "family.ids"),
+        # "remove-barrier-1-2" would remove the domino and clear the barrier
+        (BUILD, "family_tiny.json",
+         _set(("family",), {"length": 3, "ids": ["barrier-1-2", "d2"], "barrier_edges": [1]}),
+         "family"),
+        # --vars-i and --vars-j are comma-split, so no flag could name these
+        (DETERMINATION, "model_pair.json", _set(("variables", 0, "id"), "a,b"),
+         "variables[0].id"),
+        (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), "U,1"), "exogenous[0].id"),
     ],
     ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
          "invariant-under-empty-part", "violated-by-unknown-label",
@@ -617,7 +628,8 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "remove-without-id", "place-without-cell", "push-without-dir",
          "barrier-without-edge", "unknown-action", "place-off-grid", "push-bad-dir",
          "place-bad-routing", "negative-chain", "chain-beyond-ids", "bool-chain",
-         "bool-grid", "bool-length", "bool-barrier-edge", "empty-ids"],
+         "bool-grid", "bool-length", "bool-barrier-edge", "empty-ids",
+         "shared-action-label", "comma-model-variable-id", "comma-exogenous-id"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")
@@ -680,11 +692,6 @@ def _copy_generator(doc):
     doc["generators"]["a,b"] = doc["generators"]["swap"]
 
 
-ENCODE = ["encode-scm", "--scm", "scm_xor.json", "--out", "xor_model.json"]
-DETERMINATION = ["check-determination", "--model", "model_pair.json",
-                 "--vars-i", "v1", "--vars-j", "v2"]
-
-
 @pytest.mark.parametrize(
     "argv, name, edit, path, what",
     [
@@ -714,16 +721,16 @@ def test_comma_in_a_generator_label_exits_two(workspace, capsys, argv, name, edi
     assert f"{name}: at {path}: {what} must not contain ','" in err
 
 
-def test_comma_in_exogenous_names_is_accepted(workspace, capsys):
-    # exogenous ids and values never become generator labels
+def test_comma_in_exogenous_values_is_accepted(workspace, capsys):
+    # exogenous values never become generator labels or flag entries
     with open("scm_xor.json") as fh:
         doc = json.load(fh)
-    doc["exogenous"][0] = {"id": "U,1", "values": ["0", "a,b"]}
+    doc["exogenous"][0] = {"id": "U1", "values": ["0", "a,b"]}
     doc["endogenous"][0]["function_table"] = {"0": "0", "a,b": "1"}
     with open("scm_xor.json", "w") as fh:
         json.dump(doc, fh)
     assert invoke(ENCODE, capsys)[0] == 0
-    assert "U,1" in load_model("xor_model.json").outcomes.var_ids
+    assert load_model("xor_model.json").outcomes.domain_of("U1").elements == ("0", "a,b")
 
 
 def test_schema_error_names_file_and_path(workspace, capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -106,28 +107,36 @@ def test_separator_rejected_in_variable_values():
         FactoredSpace((("p", FiniteSet("p", (f"a{SEP}b",))),))
 
 
-def test_code_is_the_position_in_total_on_random_spaces():
-    # mixed radices, 1-4 variables; each variable has its own value labels,
-    # so a value in another variable's column is outside its domain
+def test_columns_enumerate_total_as_the_product_on_random_spaces():
+    # mixed radices, 0-4 variables; each variable has its own value labels,
+    # so a value in another variable's column is outside its domain.  The
+    # reference is the product of the domains, the last variable fastest.
     rng = random.Random(17)
     for _ in range(40):
         space = FactoredSpace(tuple(
             (f"v{i}", FiniteSet(f"v{i}", tuple(f"{i}.{k}" for k in range(rng.randint(1, 4)))))
-            for i in range(rng.randint(1, 4))
+            for i in range(rng.randint(0, 4))
         ))
+        rows = list(product(*(dom.elements for _, dom in space.variables)))
         total = space.total
-        rows = [space.split(e) for e in total.elements]
-        assert space._code(rows) == list(range(len(total)))
+        assert total.elements == tuple(SEP.join(row) or "*" for row in rows)
+        columns = space._columns()
+        assert list(columns) == list(space.var_ids)
+        assert [tuple(column) for column in columns.values()] == list(zip(*rows))
+        assert space._code(list(columns.values())) == list(range(len(total)))
+        if not space.variables:
+            continue
         order = list(range(len(total)))
         rng.shuffle(order)
-        assert space._code([rows[k] for k in order]) == order
-        row = list(rng.choice(rows))
-        row[rng.randrange(len(row))] = "outside"
+        shuffled = [[column[k] for k in order] for column in columns.values()]
+        assert space._code(shuffled) == order
+        bad = [list(column) for column in shuffled]
+        bad[rng.randrange(len(bad))][rng.randrange(len(total))] = "outside"
         with pytest.raises(KeyError):
-            space._code([row])
-        if len(row) > 1:  # a row in the wrong variable order
+            space._code(bad)
+        if len(shuffled) > 1:  # columns in the wrong variable order
             with pytest.raises(KeyError):
-                space._code([rows[-1][::-1]])
+                space._code(shuffled[::-1])
 
 
 def test_projection_coherence_random_spaces():

@@ -163,6 +163,13 @@ def test_unknown_action_label_rejected():
         build_bounded_model(family)
 
 
+@pytest.mark.parametrize("actions", [(), ("id",)])
+def test_actions_sharing_a_label_are_rejected(actions):
+    # "remove domino barrier-1-2" and "remove the barrier on edge 1"
+    with pytest.raises(ValueError, match="'remove-barrier-1-2'"):
+        LineFamily(3, ("barrier-1-2", "d2"), 2, barrier_edges=(1,), actions=actions)
+
+
 def test_three_chain_model_shapes(three_chain):
     micro, abstract, morphism = three_chain
     assert len(micro.states) == 224

@@ -444,3 +444,16 @@ def test_rows_mutant_neither_reads_nor_leaves_kept_rows(model_corpus):
             image.rows == list(dict.fromkeys(reversed(image.codes)))[::-1]
         ),
     )
+
+
+def test_columns_mutant_leaves_no_kept_subspace(model_corpus):
+    # A space keeps each subspace it builds, and the corpus spaces outlive
+    # every test: no subspace enumerated under the mutant may be kept.
+    with pytest.MonkeyPatch.context() as patch:
+        MUTANTS["columns_first_variable_fastest"](patch)
+        assert _fails(lambda: _oracle(model_corpus[:60]))
+    for model, _ in model_corpus[:60]:
+        space = model.outcomes
+        for ids in dict.fromkeys(i for i, _ in all_subset_pairs(space.var_ids)):
+            fresh = FactoredSpace(tuple((v, space.domain_of(v)) for v in ids))
+            assert space.subspace(ids).total.elements == fresh.total.elements

@@ -159,14 +159,19 @@ def test_empty_scm_encodes_to_one_lawful_state():
     assert verify_scm_laws(model, scm).ok
 
 
-def test_encoding_evaluates_no_equation_per_state(monkeypatch, xor_scm):
+def test_one_solve_per_encoding_and_per_default_mechanism(monkeypatch, xor_scm):
+    # the encoder solves every state in one call, and each default
+    # mechanism witness is the potential response solved by the same code
     calls = []
-    evaluate = Scm.evaluate
-    monkeypatch.setattr(Scm, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
+    solve = scm_module._solve
+    monkeypatch.setattr(scm_module, "_solve", lambda *a: calls.append(a) or solve(*a))
     for scm in [xor_scm] + [random_scm(s, 5, 3, 3) for s in range(5)]:
         calls.clear()
         model = encode_scm(scm)
-        assert len(calls) <= sum(map(len, scm.functions.values())) < len(model.states)
+        assert len(calls) == 1
+        calls.clear()
+        default_mechanism_records(scm, model)
+        assert len(calls) == len(scm.endo_ids)
 
 
 # Seeds whose reversed declaration puts some child before one of its parents.
