@@ -20,7 +20,6 @@ from .core import (
     Word,
     _first_mismatch,
     _Image,
-    _rows,
     outcome_map,  # noqa: F401  still bound here; bench/tracing.py patches it
 )
 
@@ -154,8 +153,8 @@ class _Prediction:
     def violation(self, image: _Image, word: Word) -> Optional[tuple[str, str, str]]:
         """First (state, predicted, actual) where doing ``word`` after the
         context of ``image`` breaks the witness, or None."""
-        model, space = image.model, image.model.outcomes
-        codes, rows = _rows(model, model._compose(word, image.reached))
+        space = image.model.outcomes
+        codes, rows = image.after(word)
         predicted = [self.predicted[c] for c in space._project(self.ids_i, rows)]
         actual = space._project(self.ids_j, rows)
         k = _first_mismatch(predicted, actual)
@@ -177,7 +176,6 @@ class _Prediction:
 
 
 def _scan_determination(
-    model: ActionModel,
     image: _Image,
     ids_i: tuple[str, ...],
     ids_j: tuple[str, ...],
@@ -195,7 +193,7 @@ def _scan_determination(
     if k is not None:
         pair = (image.row_state(codes_i.index(codes_i[k])), image.row_state(k))
         return DeterminationResult(False, None, None, pair)
-    domain, codomain = (model.outcomes.subspace(ids).total for ids in (ids_i, ids_j))
+    domain, codomain = (image.model.outcomes.subspace(ids).total for ids in (ids_i, ids_j))
     witness = TotalMap._of(domain, codomain, [bound.get(c, 0) for c in range(len(domain))])
     return DeterminationResult(True, witness, len(bound) == len(domain), None)
 
@@ -215,7 +213,7 @@ def check_determination(
     ids_j = space.normalize_vars(vars_j)
     image = _Image(model, word)
     codes_i, codes_j = (space._project(ids, image.rows) for ids in (ids_i, ids_j))
-    return _scan_determination(model, image, ids_i, ids_j, codes_i, codes_j)
+    return _scan_determination(image, ids_i, ids_j, codes_i, codes_j)
 
 
 def check_effectiveness(
@@ -283,22 +281,16 @@ def check_overwrite(model: ActionModel, a: str, b: str) -> CommutationResult:
     return _first_difference(model, (a, b), (a,))
 
 
-def _probe(
-    model: ActionModel,
-    target: str,
-    prediction: _Prediction,
-    context: Word,
-    image: _Image,
-) -> MechanismRecord:
-    """The record of a determination that holds in ``context``, of image
+def _probe(prediction: _Prediction, image: _Image) -> MechanismRecord:
+    """The record of a determination that holds in the context of
     ``image``: each generator, in label order, probed once after it."""
-    labels = sorted(model.generators)
+    labels = sorted(image.model.generators)
     hits = [prediction.violation(image, (a,)) for a in labels]
     return MechanismRecord(
-        target,
+        prediction.ids_j[0],
         prediction.ids_i,
         prediction.witness,
-        tuple(context),
+        image.word,
         tuple(a for a, hit in zip(labels, hits) if hit is None),
         tuple((a, hit[0]) for a, hit in zip(labels, hits) if hit is not None),
     )
@@ -319,34 +311,28 @@ def probe_record(
     prediction = _Prediction(model, parents, [target], witness)
     image = _Image(model, context)
     prediction.require(image, f"record for {target!r} is invalid")
-    return _probe(model, target, prediction, context, image)
+    return _probe(prediction, image)
 
 
 def _minimal_mechanism(
-    model: ActionModel,
-    target: str,
-    max_parents: int,
-    context: Word,
-    image: _Image,
+    image: _Image, target: str, max_parents: int
 ) -> Optional[MechanismRecord]:
     """The probed record of the smallest parent set uniquely determining
-    the target in ``context``, of image ``image``, or None.
+    the target in the context of ``image``, or None.
 
     Ties break lexicographically in variable order, smallest cardinality
     first, so results are reproducible.
     """
-    space = model.outcomes
+    model, space = image.model, image.model.outcomes
     others = [v for v in space.var_ids if v != target]
     codes_j = space._project((target,), image.rows)
     for size in range(min(max_parents, len(others)) + 1):
         for parents in combinations(others, size):
             codes_i = space._project(parents, image.rows)
-            result = _scan_determination(
-                model, image, parents, (target,), codes_i, codes_j
-            )
+            result = _scan_determination(image, parents, (target,), codes_i, codes_j)
             if result.holds and result.unique:
                 prediction = _Prediction(model, parents, (target,), result.witness)
-                return _probe(model, target, prediction, context, image)
+                return _probe(prediction, image)
     return None
 
 
@@ -366,10 +352,7 @@ def discover_mechanisms(
     if max_parents < 0:
         raise PreconditionError("max_parents must be non-negative")
     image = _Image(model, context)
-    found = (
-        _minimal_mechanism(model, target, max_parents, context, image)
-        for target in model.outcomes.var_ids
-    )
+    found = (_minimal_mechanism(image, v, max_parents) for v in model.outcomes.var_ids)
     return [record for record in found if record is not None]
 
 
@@ -391,14 +374,13 @@ def check_surgical(
     if not mechanisms:
         raise PreconditionError("surgicality is relative to a non-empty mechanism set")
     model.generator(action)
-    ctx = tuple(context)
-    image = _Image(model, ctx)
+    image = _Image(model, context)
     predictions = []
     for record in mechanisms:
         name = record.describe()
-        if record.context != ctx:
+        if record.context != image.word:
             raise PreconditionError(
-                f"record {name} was built in context {record.context!r}, not {ctx!r}"
+                f"record {name} was built in context {record.context!r}, not {image.word!r}"
             )
         try:
             prediction = _Prediction(model, record.parents, (record.target,), record.map)
@@ -407,7 +389,7 @@ def check_surgical(
         prediction.require(image, f"record {name} does not hold in its own context")
         predictions.append(prediction)
 
-    new_image = _Image(model, (action,) + ctx)
+    new_image = _Image(model, (action,) + image.word)
     broken: list[MechanismRecord] = []
     survived: list[tuple[MechanismRecord, _Prediction]] = []
     for record, prediction in zip(mechanisms, predictions):
@@ -423,9 +405,7 @@ def check_surgical(
     target = broken[0].target if len(broken) == 1 else None
     new_record: Optional[MechanismRecord] = None
     if target is not None:
-        new_record = _minimal_mechanism(
-            model, target, len(model.outcomes.var_ids) - 1, (action,) + ctx, new_image
-        )
+        new_record = _minimal_mechanism(new_image, target, len(model.outcomes.var_ids) - 1)
         if new_record is None:
             reasons.append(
                 f"no unique determination for {target!r} in the new context"

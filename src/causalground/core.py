@@ -1,9 +1,10 @@
 """Finite sets, total maps, factored outcome spaces, and action models.
 
 Everything here is exact and exhaustively enumerable: sets carry explicit
-ordered element lists, maps carry explicit tables, and map equality is
-table equality.  All types are immutable after construction; every
-operation is a pure function of its arguments.
+ordered element lists, maps carry positions (their label table is a view
+built on first read), and map equality is position equality.  Nothing
+changes after construction but two caches that never change a result: a
+model keeps the image of its last context, and a space its subspaces.
 
 Word convention (used consistently across the whole package): a word is a
 sequence of generator labels in which the RIGHTMOST label acts first, so
@@ -449,15 +450,16 @@ def _rows(model: ActionModel, table: list[int]) -> tuple[list[int], list[int]]:
 
 
 class _Image:
-    """The distinct states a context reaches, and their rows, in
-    first-occurrence order.
+    """The context ``word`` and the distinct states it reaches, and their
+    rows, in first-occurrence order.
 
-    ``table`` is the context composed on every state; later checks
-    compose ``reached`` only.  ``codes`` is the row of each reached state,
-    and an outcome check scans the distinct ``rows`` only.  Position k
-    names the first state that reaches ``reached[k]``, as a scan of every
-    state does.  The model keeps the lists of the last context it was
-    imaged in, so consecutive checks in one context compose it once.
+    ``table`` is the context composed on every state; ``after`` composes
+    a later word on ``reached`` only.  ``codes`` is the row of each
+    reached state, and an outcome check scans the distinct ``rows`` only.
+    Position k names the first state that reaches ``reached[k]``, as a
+    scan of every state does.  The model keeps the lists of the last
+    context it was imaged in, so consecutive checks in one context
+    compose it once.
     """
 
     def __init__(self, model: ActionModel, word: Word):
@@ -468,7 +470,12 @@ class _Image:
             reached = list(dict.fromkeys(table))
             last = (word, table, reached, *_rows(model, reached))
             object.__setattr__(model, "_last_image", last)
-        _, self.table, self.reached, self.codes, self.rows = last
+        self.word, self.table, self.reached, self.codes, self.rows = last
+
+    def after(self, word: Word) -> tuple[list[int], list[int]]:
+        """The row of each reached state once ``word`` acts after the
+        context, and the distinct ones in order."""
+        return _rows(self.model, self.model._compose(word, self.reached))
 
     def state(self, k: int) -> str:
         """The first state whose image under the context is ``reached[k]``."""

@@ -301,7 +301,7 @@ class LineFamily:
     def state_count(self) -> int:
         n = len(self.ids)
         presence = sum(
-            comb(n, k) * len(self.tags) ** k for k in range(self.max_dominoes + 1)
+            comb(n, k) * len(self.tags) ** k for k in range(min(self.max_dominoes, n) + 1)
         )
         pushes = 1 + n * len(self.push_dirs)
         return presence * pushes * 2 ** len(self.barrier_edges)
@@ -310,7 +310,7 @@ class LineFamily:
         """Every state code, by presence and tags, then barriers, then push."""
         check_enumeration_bound(self.state_count(), "line family state set")
         rows = []
-        for k in range(self.max_dominoes + 1):
+        for k in range(min(self.max_dominoes, len(self.ids)) + 1):
             for chosen in combinations(self.ids, k):
                 for tags in product(self.tags, repeat=k):
                     present = dict(zip(chosen, tags))

@@ -226,16 +226,17 @@ def encode_scm(scm: Scm) -> ActionModel:
     # u, then the response, popped: no label column outlives the coding.
     codes = outcomes._code([columns.pop(v) for v in outcomes.var_ids])
     process_map = TotalMap._of(states, outcomes.total, codes)
-    strides, positions = space._strides, range(len(states))  # type: ignore[attr-defined]
+    strides = space._strides  # type: ignore[attr-defined]
+    positions = list(range(len(states)))  # shared: no table holds a fresh int
     # A slot's position 0 is the default, then come the variable's values.
     # The slots lead each state, so init keeps only the exogenous digits.
     low = strides[endo[-1]][0] if endo else 1
-    tables = {INIT_LABEL: [p % low for p in positions]}
+    tables = {INIT_LABEL: [positions[p % low] for p in positions]}
     for vid in endo:
         stride, radix = strides[vid]
         default = [p - p // stride % radix * stride for p in positions]
         for k, value in enumerate(scm.domain_of(vid).elements, 1):
-            tables[set_label(vid, value)] = [p + k * stride for p in default]
+            tables[set_label(vid, value)] = [positions[p + k * stride] for p in default]
     generators = {a: TotalMap._of(states, states, t) for a, t in tables.items()}
     return ActionModel(states, outcomes, generators, process_map)
 

@@ -31,7 +31,7 @@ def composition_left_to_right(monkeypatch):
         return self.generators[ID_LABEL]._codes if table is None else table
 
     def image(self, model, word):
-        self.model, self.table = model, model._compose(word)
+        self.model, self.word, self.table = model, tuple(word), model._compose(word)
         self.reached = list(dict.fromkeys(self.table))
         self.codes, self.rows = _rows(model, self.reached)
 
@@ -98,7 +98,7 @@ def rows_in_last_occurrence_order(monkeypatch):
     first-occurrence order."""
 
     def image(self, model, word):
-        self.model, self.table = model, model._compose(word)
+        self.model, self.word, self.table = model, tuple(word), model._compose(word)
         self.reached = list(dict.fromkeys(self.table))
         self.codes, _ = _rows(model, self.reached)
         self.rows = list(dict.fromkeys(reversed(self.codes)))[::-1]
@@ -112,8 +112,8 @@ def scan_skips_last_state(monkeypatch):
     """The determination scan never looks at the last reached row."""
     scan = checkers._scan_determination
 
-    def short_scan(model, image, ids_i, ids_j, codes_i, codes_j):
-        return scan(model, image, ids_i, ids_j, codes_i[:-1], codes_j[:-1])
+    def short_scan(image, ids_i, ids_j, codes_i, codes_j):
+        return scan(image, ids_i, ids_j, codes_i[:-1], codes_j[:-1])
 
     monkeypatch.setattr(checkers, "_scan_determination", short_scan)
 
@@ -123,11 +123,11 @@ def unique_on_codomain(monkeypatch):
     I-outcome onto Y_I."""
     scan = checkers._scan_determination
 
-    def codomain_scan(model, image, ids_i, ids_j, codes_i, codes_j):
-        result = scan(model, image, ids_i, ids_j, codes_i, codes_j)
+    def codomain_scan(image, ids_i, ids_j, codes_i, codes_j):
+        result = scan(image, ids_i, ids_j, codes_i, codes_j)
         if not result.holds:
             return result
-        onto = len(set(codes_j)) == len(model.outcomes.subspace(ids_j).total)
+        onto = len(set(codes_j)) == len(image.model.outcomes.subspace(ids_j).total)
         return dataclasses.replace(result, unique=onto)
 
     monkeypatch.setattr(checkers, "_scan_determination", codomain_scan)
@@ -138,11 +138,11 @@ def binds_last_j_code(monkeypatch):
     state that has it, not the first."""
     scan = checkers._scan_determination
 
-    def last_binding(model, image, ids_i, ids_j, codes_i, codes_j):
+    def last_binding(image, ids_i, ids_j, codes_i, codes_j):
         bound = dict(zip(codes_i, codes_j))
         k = _first_mismatch([bound[c] for c in codes_i], codes_j)
         if k is None:  # the binding holds, so first and last agree
-            return scan(model, image, ids_i, ids_j, codes_i, codes_j)
+            return scan(image, ids_i, ids_j, codes_i, codes_j)
         pair = (image.row_state(codes_i.index(codes_i[k])), image.row_state(k))
         return checkers.DeterminationResult(False, None, None, pair)
 
@@ -161,6 +161,15 @@ def counterexample_from_last_reacher(monkeypatch):
     monkeypatch.setattr(_Image, "state", last)
 
 
+def after_skips_the_last_reached_state(monkeypatch):
+    """A later word acts on every state the context reaches but the last."""
+
+    def after(self, word):
+        return _rows(self.model, self.model._compose(word, self.reached[:-1]))
+
+    monkeypatch.setattr(_Image, "after", after)
+
+
 MUTANTS = {
     mutant.__name__: mutant
     for mutant in (
@@ -173,5 +182,6 @@ MUTANTS = {
         unique_on_codomain,
         counterexample_from_last_reacher,
         binds_last_j_code,
+        after_skips_the_last_reached_state,
     )
 }

@@ -1,10 +1,12 @@
 import os
 import random
 from dataclasses import replace
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from causalground import dominoes
 from causalground.checkers import (
     check_commute,
     check_determination,
@@ -146,6 +148,30 @@ def test_family_counts_match_formula():
     expected = sum(comb(n, k) * t**k for k in range(3)) * (1 + n * dirs) * 2**edges
     assert family.state_count() == expected
     assert len(family.enumerate_states()) == expected
+
+
+def test_a_domino_budget_past_the_ids_counts_no_larger_sets(monkeypatch):
+    # No presence set is larger than the ids, so a budget past them must
+    # stop there, not count on through sizes that have no sets.
+    family = LineFamily(4, ("d1", "d2", "d3"), 10**6, ("0", "1"), (1, 3), ("E",))
+    capped = replace(family, max_dominoes=3)
+    expected = capped.state_count(), capped.codes()
+    calls = []
+
+    def counting(f):
+        def wrapped(*args):
+            calls.append(args)
+            assert len(calls) <= 20, "presence sizes are not capped"
+            return f(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(dominoes, "comb", counting(comb))
+    monkeypatch.setattr(dominoes, "combinations", counting(combinations))
+    assert (family.state_count(), family.codes()) == expected
+    monkeypatch.undo()
+    built, built_capped = (build_bounded_model(f)[2] for f in (family, capped))
+    assert to_json(morphism_to_dict(built)) == to_json(morphism_to_dict(built_capped))
 
 
 def test_zero_domino_family_is_trivial():

@@ -311,12 +311,14 @@ def test_identity_and_composite_morphisms_are_natural(data):
 
 
 def test_image_dedupes_its_table_and_names_first_reachers():
-    # ``reached`` is the context's table with repeats dropped, whatever the
-    # word, and position k names the first state whose image is
-    # ``reached[k]``; ``rows`` are the reached rows with repeats dropped,
-    # and row r is named by the first state whose row is ``rows[r]``.  A
-    # later word composed on the reached states reaches what the image of
-    # the whole word reaches, in the same order.
+    # An image records its context ``word``.  ``reached`` is the context's
+    # table with repeats dropped, whatever the word, and position k names
+    # the first state whose image is ``reached[k]``; ``rows`` are the
+    # reached rows with repeats dropped, and row r is named by the first
+    # state whose row is ``rows[r]``.  ``after(later)`` is the row of each
+    # reached state once the later word acts, and those rows with repeats
+    # dropped.  A later word composed on the reached states reaches what
+    # the image of the whole word reaches, in the same order.
     for seed in range(40):
         model = random_action_model(seed)
         states, process = model.states.elements, model.process._codes
@@ -324,6 +326,7 @@ def test_image_dedupes_its_table_and_names_first_reachers():
         words = [w for n in range(3) for w in product(labels, repeat=n)]
         for word in words:
             image = _Image(model, word)
+            assert image.word == tuple(word), (seed, word)
             assert image.reached == list(dict.fromkeys(image.table)), (seed, word)
             assert image.codes == [process[y] for y in image.reached], (seed, word)
             assert image.rows == list(dict.fromkeys(image.codes)), (seed, word)
@@ -338,8 +341,12 @@ def test_image_dedupes_its_table_and_names_first_reachers():
                 first_row[c] for c in image.rows
             ], (seed, word)
             for later in words:
-                whole = _Image(model, later + word)
                 on_reached = model._compose(later, image.reached)
+                codes = [process[y] for y in on_reached]
+                assert image.after(later) == (codes, list(dict.fromkeys(codes))), (
+                    seed, word, later
+                )
+                whole = _Image(model, later + word)
                 assert whole.reached == list(dict.fromkeys(on_reached)), (
                     seed, word, later
                 )

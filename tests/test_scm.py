@@ -174,6 +174,15 @@ def test_one_solve_per_encoding_and_per_default_mechanism(monkeypatch, xor_scm):
         assert len(calls) == len(scm.endo_ids)
 
 
+def test_generator_tables_share_one_int_per_position():
+    # Every entry of the init and set- tables is one of len(states) shared
+    # ints, not a fresh int per entry.
+    for scm in [random_scm(s, 5, 3, 3) for s in range(5)]:
+        model = encode_scm(scm)
+        tables = [m._codes for a, m in model.generators.items() if a != "id"]
+        assert len({id(p) for table in tables for p in table}) <= len(model.states)
+
+
 # Seeds whose reversed declaration puts some child before one of its parents.
 OUT_OF_ORDER_SEEDS = [0, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17]
 
