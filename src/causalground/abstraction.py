@@ -9,7 +9,7 @@ enumeration over the micro states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import ActionModel, TotalMap, Word
@@ -33,7 +33,7 @@ class ModelMorphism:
     target: ActionModel
     state_map: TotalMap
     outcome_map: TotalMap
-    alphabet_map: dict[str, str] = field(default=None)  # type: ignore[assignment]
+    alphabet_map: Optional[dict[str, str]] = None
 
     def __post_init__(self):
         if self.alphabet_map is None:

@@ -365,6 +365,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         rendered = cgio.to_json(report)
     else:
         rendered = "\n".join(_render_text(report)) + "\n"
+        # a lone surrogate, valid in a JSON string, as the escape JSON writes
+        rendered = rendered.encode("utf-8", "backslashreplace").decode("utf-8")
 
     if args.out and args.command not in _ARTIFACT_COMMANDS:
         try:

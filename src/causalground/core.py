@@ -3,8 +3,9 @@
 Everything here is exact and exhaustively enumerable: sets carry explicit
 ordered element lists, maps carry positions (their label table is a view
 built on first read), and map equality is position equality.  Nothing
-changes after construction but two caches that never change a result: a
-model keeps the image of its last context, and a space its subspaces.
+changes after construction but two caches that never change a result, a
+model's image of its last context and a space's subspaces, both declared
+``init=False, compare=False``: ``replace`` starts them empty, ``==`` skips them.
 
 Word convention (used consistently across the whole package): a word is a
 sequence of generator labels in which the RIGHTMOST label acts first, so
@@ -109,7 +110,7 @@ class FiniteSet:
     set loaded from a file compares equal to the set it was saved from.
     """
 
-    id: str
+    id: str = field(compare=False)
     elements: tuple[str, ...]
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -129,20 +130,13 @@ class FiniteSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteSet):
-            return NotImplemented
-        return self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
-
 
 def unit_set() -> FiniteSet:
     """The one-object set, target of every empty projection."""
     return FiniteSet("1", (UNIT_ELEMENT,))
 
 
+@dataclass(init=False, repr=False)
 class TotalMap:
     """A function between finite sets, stored as the codomain position of
     each domain element, in domain order.
@@ -155,6 +149,11 @@ class TotalMap:
     (plus matching domain/codomain), to which every checker here reduces.
     Maps are not changed after construction: never mutate ``table``.
     """
+
+    domain: FiniteSet
+    codomain: FiniteSet
+    _codes: list[int]
+    _table: Optional[dict[str, str]] = field(compare=False)
 
     def __init__(self, domain: FiniteSet, codomain: FiniteSet, table: dict[str, str]):
         self.domain, self.codomain, self._table = domain, codomain, table
@@ -198,17 +197,6 @@ class TotalMap:
     def __call__(self, element: str) -> str:
         return self.codomain.elements[self._codes[self.domain._positions[element]]]
 
-    def __eq__(self, other):
-        if not isinstance(other, TotalMap):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self._codes == other._codes
-        )
-
-    __hash__ = None  # maps are compared, never hashed
-
     def after(self, other: "TotalMap") -> "TotalMap":
         """Composite self . other (apply ``other`` first)."""
         if other.codomain != self.domain:
@@ -243,7 +231,7 @@ def join_values(values: Sequence[str]) -> str:
     return SEP.join(values) if values else UNIT_ELEMENT
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FactoredSpace:
     """A product of named variable domains with all its projection maps.
 
@@ -254,16 +242,21 @@ class FactoredSpace:
     """
 
     variables: tuple[tuple[str, FiniteSet], ...]
-    total: FiniteSet = field(init=False)
+    total: FiniteSet = field(init=False, compare=False)
+    var_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    _strides: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _subspaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    __hash__ = None
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         ids = tuple(v for v, _ in self.variables)
         if len(set(ids)) != len(ids):
             raise ValueError("factored space has duplicate variable ids")
-        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "var_ids", ids)
         object.__setattr__(self, "_positions", {v: i for i, v in enumerate(ids)})
-        object.__setattr__(self, "_subspaces", {})
         for var_id, dom in self.variables:
             for value in dom.elements:
                 if SEP in value:
@@ -282,19 +275,8 @@ class FactoredSpace:
         elements = map(SEP.join, zip(*self._columns().values()))
         object.__setattr__(self, "total", FiniteSet("x".join(ids), tuple(elements)))
 
-    def __eq__(self, other):
-        if not isinstance(other, FactoredSpace):
-            return NotImplemented
-        return self.variables == other.variables
-
-    __hash__ = None
-
-    @property
-    def var_ids(self) -> tuple[str, ...]:
-        return self._ids  # type: ignore[attr-defined]
-
     def domain_of(self, var_id: str) -> FiniteSet:
-        position = self._positions.get(var_id)  # type: ignore[attr-defined]
+        position = self._positions.get(var_id)
         if position is None:
             raise UnknownVariableError(var_id, self.var_ids)
         return self.variables[position][1]
@@ -303,7 +285,7 @@ class FactoredSpace:
         """Validate a variable subset and put it in canonical (declared) order."""
         if var_ids is None:
             return self.var_ids
-        positions = self._positions  # type: ignore[attr-defined]
+        positions = self._positions
         wanted = set()
         for v in var_ids:
             if v not in positions:
@@ -316,7 +298,7 @@ class FactoredSpace:
         ids = self.normalize_vars(var_ids)
         if ids == self.var_ids:
             return self
-        spaces = self._subspaces  # type: ignore[attr-defined]
+        spaces = self._subspaces
         if ids not in spaces:
             spaces[ids] = FactoredSpace(tuple((v, self.domain_of(v)) for v in ids))
         return spaces[ids]
@@ -332,7 +314,7 @@ class FactoredSpace:
         """Project a single total-set element onto a variable subset."""
         ids = self.normalize_vars(var_ids)
         values = self.split(element)
-        positions = self._positions  # type: ignore[attr-defined]
+        positions = self._positions
         return join_values([values[positions[v]] for v in ids])
 
     def _columns(self) -> dict[str, list[str]]:
@@ -340,7 +322,7 @@ class FactoredSpace:
         variable fastest: the one enumeration of the space.  Fresh lists."""
         columns, blocks = {}, 1
         for var_id, dom in self.variables:
-            stride, radix = self._strides[var_id]  # type: ignore[attr-defined]
+            stride, radix = self._strides[var_id]
             columns[var_id] = column = [x for x in dom.elements for _ in range(stride)]
             column *= blocks  # in place: no second list of the column's size
             blocks *= radix
@@ -361,12 +343,12 @@ class FactoredSpace:
         ``total`` in ``codes``; ``ids`` are in declared order."""
         projected = [0] * len(codes)
         for v in ids:
-            stride, radix = self._strides[v]  # type: ignore[attr-defined]
+            stride, radix = self._strides[v]
             projected = [p * radix + c // stride % radix for p, c in zip(projected, codes)]
         return projected
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ActionModel:
     """A state set, an outcome space, generator actions, and a process map.
 
@@ -379,6 +361,9 @@ class ActionModel:
     outcomes: FactoredSpace
     generators: dict[str, TotalMap]
     process: TotalMap
+    _last_image: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    __hash__ = None
 
     def __post_init__(self):
         gens = dict(self.generators)
@@ -397,18 +382,6 @@ class ActionModel:
             raise ValueError("process domain must be the state set")
         if self.process.codomain != self.outcomes.total:
             raise ValueError("process codomain must be the outcome set")
-
-    def __eq__(self, other):
-        if not isinstance(other, ActionModel):
-            return NotImplemented
-        return (
-            self.states == other.states
-            and self.outcomes == other.outcomes
-            and self.generators == other.generators
-            and self.process == other.process
-        )
-
-    __hash__ = None
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -464,7 +437,7 @@ class _Image:
 
     def __init__(self, model: ActionModel, word: Word):
         self.model, word = model, tuple(word)
-        last = getattr(model, "_last_image", None)
+        last = model._last_image
         if last is None or last[0] != word:
             table = model._compose(word)
             reached = list(dict.fromkeys(table))

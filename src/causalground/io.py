@@ -63,7 +63,7 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(path, "$", "file not found") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # decode errors are ValueErrors
         raise SchemaError(path, "$", f"invalid JSON: {exc}") from None
 
 

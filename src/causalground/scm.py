@@ -53,7 +53,7 @@ def set_label(var_id: str, value: str) -> str:
     return f"set-{var_id}={value}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scm:
     """A finite structural causal model (U, V, F).
 
@@ -67,7 +67,11 @@ class Scm:
     endogenous: tuple[tuple[str, FiniteSet], ...]
     parents: dict[str, tuple[str, ...]]
     functions: dict[str, dict[tuple[str, ...], str]]
-    topo_order: tuple[str, ...] = field(init=False)
+    topo_order: tuple[str, ...] = field(init=False, compare=False)
+    _domains: dict[str, FiniteSet] = field(init=False, repr=False, compare=False)
+    _noise: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    __hash__ = None
 
     def __post_init__(self):
         object.__setattr__(self, "exogenous", tuple(self.exogenous))
@@ -118,18 +122,6 @@ class Scm:
                         f"outside its domain"
                     )
 
-    def __eq__(self, other):
-        if not isinstance(other, Scm):
-            return NotImplemented
-        return (
-            self.exogenous == other.exogenous
-            and self.endogenous == other.endogenous
-            and self.parents == other.parents
-            and self.functions == other.functions
-        )
-
-    __hash__ = None
-
     @property
     def exo_ids(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.exogenous)
@@ -140,7 +132,7 @@ class Scm:
 
     def domain_of(self, vid: str) -> FiniteSet:
         try:
-            return self._domains[vid]  # type: ignore[attr-defined]
+            return self._domains[vid]
         except KeyError:
             raise ValueError(f"unknown SCM variable {vid!r}") from None
 
@@ -150,7 +142,7 @@ class Scm:
 
     def noise_id(self, vid: str) -> str:
         try:
-            return self._noise[vid]  # type: ignore[attr-defined]
+            return self._noise[vid]
         except KeyError:
             raise ValueError(f"unknown endogenous variable {vid!r}") from None
 
@@ -226,7 +218,7 @@ def encode_scm(scm: Scm) -> ActionModel:
     # u, then the response, popped: no label column outlives the coding.
     codes = outcomes._code([columns.pop(v) for v in outcomes.var_ids])
     process_map = TotalMap._of(states, outcomes.total, codes)
-    strides = space._strides  # type: ignore[attr-defined]
+    strides = space._strides
     positions = list(range(len(states)))  # shared: no table holds a fresh int
     # A slot's position 0 is the default, then come the variable's values.
     # The slots lead each state, so init keeps only the exogenous digits.

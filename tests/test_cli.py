@@ -441,6 +441,22 @@ def test_unwritable_out_exits_two(workspace, capsys, model, verdict, out):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def test_text_report_escapes_a_lone_surrogate(workspace, capsys):
+    # "\ud800" is a valid JSON string but no UTF-8 text: the text report
+    # writes it as the escape the JSON report uses, and exits with the verdict
+    model = {"states": ["\ud800", "x"], "variables": [{"id": "v", "values": ["0", "1"]}],
+             "process": {"\ud800": ["0"], "x": ["1"]}, "generators": {}}
+    with open("surrogate.json", "w") as fh:
+        json.dump(model, fh)
+    argv = ["check-determination", "--model", "surrogate.json", "--vars-i", "", "--vars-j", "v"]
+    code, out = invoke(argv, capsys)
+    assert code == 1
+    assert "counterexample[0]: \\ud800\n" in out
+    assert run(argv + ["--out", "report.txt"]) == 1
+    with open("report.txt", encoding="utf-8") as fh:
+        assert "counterexample[0]: \\ud800\n" in fh.read()
+
+
 def test_exit_code_two_cases(workspace, capsys):
     # missing file
     assert invoke(

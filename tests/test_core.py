@@ -1,8 +1,10 @@
+import dataclasses
 import random
 from itertools import product
 
 import pytest
 
+from causalground.checkers import check_determination
 from causalground.core import (
     SEP,
     ActionModel,
@@ -250,6 +252,23 @@ def test_enumeration_guardrail(monkeypatch):
 def test_model_synthesizes_identity(pair_model):
     assert "id" in pair_model.generators
     assert pair_model.generators["id"] == TotalMap.identity(pair_model.states)
+
+
+def test_equality_ignores_set_ids_and_kept_caches(pair_model, xor_scm):
+    a, b = FiniteSet("A", ("0", "1")), FiniteSet("B", ("0", "1"))
+    assert a == b and hash(a) == hash(b)
+    space = FactoredSpace((("p", a), ("q", b)))
+    space.subspace(("q",))
+    assert space._subspaces and space == FactoredSpace((("p", b), ("q", a)))
+    # ``replace`` starts the kept image empty: the premise of every
+    # "fresh copy" cross-check in the oracle and metamorphic tests
+    check_determination(pair_model, ("const",), (), ("v1",))
+    assert pair_model._last_image is not None
+    fresh = dataclasses.replace(pair_model)
+    assert fresh._last_image is None and fresh == pair_model
+    for value in (TotalMap.identity(a), space, pair_model, xor_scm):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 def test_model_rejects_wrong_identity():

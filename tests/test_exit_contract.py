@@ -76,7 +76,11 @@ WRITTEN = {
 }
 
 # Byte-level edits that leave no JSON document to read.
-BYTE_PREFIXES = {"invalid-utf8": b"\xff\xfe", "deep-nesting": b"[" * 100_000}
+BYTE_PREFIXES = {
+    "invalid-utf8": b"\xff\xfe",
+    "deep-nesting": b"[" * 100_000,
+    "huge-integer": b"[" + b"9" * 5000 + b",",
+}
 
 REPLACEMENTS = [None, True, 0, -1, 5, "", "x", "|", ",", "default", [], ["x"],
                 [5], [[0, 0]], {}, {"x": "y"}, {"x": ["y"]}]
