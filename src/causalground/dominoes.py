@@ -30,7 +30,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     ActionModel,
-    CausalGroundError,
     FactoredSpace,
     FiniteSet,
     TotalMap,
@@ -258,7 +257,13 @@ class LineFamily:
                 raise ValueError(f"bad push direction {d!r}")
         if len(set(self.push_dirs)) != len(self.push_dirs):
             raise ValueError("push directions must be distinct")
+        for name, layout in self.layouts:
+            if self.encode(layout) is None:
+                raise ValueError(f"layout {name!r} is not a state of the family")
         transforms = self.code_transforms()  # raises on a label two actions share
+        for a in self.actions:
+            if a not in transforms:
+                raise ValueError(f"unknown family action label {a!r}")
         if not self.actions:
             object.__setattr__(self, "actions", tuple(transforms))
 
@@ -332,8 +337,13 @@ class LineFamily:
         return self.state(present, [e for e, b in zip(self.barrier_edges, bits) if b], push)
 
     def encode(self, state: MicroState) -> Optional[Code]:
-        """Code of ``state``, or None when no code decodes to it."""
+        """Code of ``state``, or None when it is not a state of the family."""
         tags = {d.id: d.tag for d in state.dominoes}
+        pushes = [None, *product(self.ids, self.push_dirs)]
+        if len(tags) > self.max_dominoes or state.push not in pushes or any(
+            t not in self.tags for t in tags.values()
+        ):
+            return None
         bits = tuple(int(self.edge(e) in state.barriers) for e in self.barrier_edges)
         code = (tuple(tags.get(i) for i in self.ids), bits, state.push)
         return code if self.decode(code) == state else None
@@ -347,11 +357,7 @@ class LineFamily:
 
     def code_transforms(self) -> dict[str, Callable[[Code], Optional[Code]]]:
         """Every registrable action label with its transform on codes.  A
-        label that two actions would share raises ValueError.
-
-        A layout with no code, or with a code outside the family, never
-        matches a state, so its ``init-*`` action fails the closure check.
-        """
+        label that two actions would share raises ValueError."""
         transforms: dict[str, Callable[[Code], Optional[Code]]] = {}
 
         def add(label: str, transform: Callable[[Code], Optional[Code]]) -> None:
@@ -413,11 +419,7 @@ def build_bounded_model(
     """
     codes = family.codes()
     position = {code: k for k, code in enumerate(codes)}
-
     transforms = family.code_transforms()
-    unknown = [a for a in family.actions if a not in transforms]
-    if unknown:
-        raise CausalGroundError(f"unknown family action label {unknown[0]!r}")
 
     # Abstract quotient: one state per tag-forgotten class, represented by
     # the first micro state enumerated in it.  The process never reads
@@ -434,17 +436,8 @@ def build_bounded_model(
     ybar = FiniteSet("Ybar", tuple(sorted(set(names))))
     micro_space = FactoredSpace((("Ybar", ybar),))
 
-    def gather(transform) -> list[int]:
-        """Each state's image position under a transform on codes."""
-        images = [position.get(transform(code)) for code in codes]
-        if None in images:
-            label = micro_states.elements[images.index(None)]
-            raise CausalGroundError(
-                f"family is not closed under its actions at state {label!r}"
-            )
-        return images
-
-    micro_gens = {a: gather(transforms[a]) for a in family.actions}
+    # The family checked its layouts and actions, so every image is a state.
+    micro_gens = {a: [position[transforms[a](c)] for c in codes] for a in family.actions}
     name_codes = micro_space._code([names])
     micro = ActionModel(
         micro_states,

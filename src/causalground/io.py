@@ -148,12 +148,15 @@ def _string_map(data: Any, file: str, path: str) -> dict[str, str]:
     return data
 
 
-def _label_part(text: str, file: str, path: str, what: str = "label") -> None:
+def _label_part(text: str, file: str, path: str, what="label", whole=True) -> None:
     """Words and variable flags are written and parsed comma-joined, so a
     generator label, any string that becomes part of one, and a variable
-    id must not contain ','."""
+    id must not contain ','.  A ``whole`` label or id must not be empty
+    either: an empty flag names the empty word or the empty subset."""
     if "," in text:
         raise SchemaError(file, path, f"{what} must not contain ','")
+    if whole and not text:
+        raise SchemaError(file, path, f"{what} must not be empty")
 
 
 def _int_list(data: Any, file: str, path: str) -> list[int]:
@@ -289,6 +292,8 @@ def _model(model: ActionModel, depth: int) -> list[str]:
 
 def _resolve_model(entry: Any, file: str, path: str, base_dir: str) -> ActionModel:
     if isinstance(entry, str):
+        if "\0" in entry:
+            raise SchemaError(file, path, "file reference must not contain a NUL character")
         ref = entry if os.path.isabs(entry) else os.path.join(base_dir, entry)
         return load_model(ref)
     if isinstance(entry, dict):
@@ -360,7 +365,7 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
     for i, entry in enumerate(endo_data):
         path = f"endogenous[{i}]"
         vid, dom = _variable(entry, file, path, (DEFAULT_SLOT,))
-        _label_part("".join(dom.elements), file, f"{path}.values", "value")
+        _label_part("".join(dom.elements), file, f"{path}.values", "value", False)
         endogenous.append((vid, dom))
         parents[vid] = tuple(
             _string_list(entry.get("parents", []), file, f"{path}.parents")
@@ -379,10 +384,8 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
         functions[vid] = table
 
     # Pad with unit exogenous variables where the SCM declares none.
-    while len(exogenous) < len(endogenous):
-        vid = endogenous[len(exogenous)][0]
-        uid = f"U_{vid}"
-        exogenous.append((uid, FiniteSet(uid, ("*",))))
+    for vid, _ in endogenous[len(exogenous):]:
+        exogenous.append((f"U_{vid}", FiniteSet(f"U_{vid}", ("*",))))
 
     try:
         return Scm(tuple(exogenous), tuple(endogenous), parents, functions)
@@ -532,7 +535,7 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
     layouts = []
     for name, layout_data in layouts_data.items():
         path = f"family.layouts.{name}"
-        _label_part(name, file, path, "layout name")
+        _label_part(name, file, path, "layout name", False)
         _expect(layout_data, dict, file, path, "an object")
         if "chain" in layout_data:
             count = _expect(layout_data["chain"], int, file, f"{path}.chain", "an integer")
@@ -553,7 +556,10 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
             raise SchemaError(file, path, str(exc)) from None
 
     actions = tuple(_string_list(spec.get("actions", []), file, "family.actions"))
-    return replace(family, layouts=tuple(layouts), actions=actions)
+    try:
+        return replace(family, layouts=tuple(layouts), actions=actions)
+    except ValueError as exc:
+        raise SchemaError(file, "family", str(exc)) from None
 
 
 def load_family(path: str) -> LineFamily:

@@ -70,6 +70,7 @@ class Scm:
     topo_order: tuple[str, ...] = field(init=False, compare=False)
     _domains: dict[str, FiniteSet] = field(init=False, repr=False, compare=False)
     _noise: dict[str, str] = field(init=False, repr=False, compare=False)
+    _set_labels: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     __hash__ = None
 
@@ -102,6 +103,8 @@ class Scm:
                 f"parent relation has a cycle through {exc.args[1][0]!r}"
             ) from None
         for vid, dom in self.endogenous:
+            if DEFAULT_SLOT in dom:
+                raise ValueError(f"domain of {vid!r} holds the slot token {DEFAULT_SLOT!r}")
             table = self.functions.get(vid)
             if table is None:
                 raise ValueError(f"no function table for {vid!r}")
@@ -121,6 +124,13 @@ class Scm:
                         f"function for {vid!r} returns {value!r} at {key!r}, "
                         f"outside its domain"
                     )
+        # One label per intervention: "A=0" set to "1" and "A" set to "0=1" clash.
+        labels = {v: tuple(set_label(v, x) for x in d.elements) for v, d in self.endogenous}
+        flat = [label for row in labels.values() for label in row]
+        if len(set(flat)) < len(flat):
+            shared = next(label for label in flat if flat.count(label) > 1)
+            raise ValueError(f"two interventions share the label {shared!r}")
+        object.__setattr__(self, "_set_labels", labels)
 
     @property
     def exo_ids(self) -> tuple[str, ...]:
@@ -188,12 +198,7 @@ def _solve(scm: Scm, columns: dict[str, list[str]]) -> None:
 
 
 def slot_domain(scm: Scm, vid: str) -> FiniteSet:
-    dom = scm.domain_of(vid)
-    if DEFAULT_SLOT in dom:
-        raise ValueError(
-            f"domain of {vid!r} contains the reserved slot token {DEFAULT_SLOT!r}"
-        )
-    return FiniteSet(f"M({vid})", (DEFAULT_SLOT,) + dom.elements)
+    return FiniteSet(f"M({vid})", (DEFAULT_SLOT,) + scm.domain_of(vid).elements)
 
 
 def encode_scm(scm: Scm) -> ActionModel:
@@ -227,8 +232,8 @@ def encode_scm(scm: Scm) -> ActionModel:
     for vid in endo:
         stride, radix = strides[vid]
         default = [p - p // stride % radix * stride for p in positions]
-        for k, value in enumerate(scm.domain_of(vid).elements, 1):
-            tables[set_label(vid, value)] = [positions[p + k * stride] for p in default]
+        for k, label in enumerate(scm._set_labels[vid], 1):
+            tables[label] = [positions[p + k * stride] for p in default]
     generators = {a: TotalMap._of(states, states, t) for a, t in tables.items()}
     return ActionModel(states, outcomes, generators, process_map)
 
@@ -289,11 +294,7 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
     ``probe_record`` and ``check_invariance`` use; each violation names
     the first offending state.
     """
-    endo = scm.endo_ids
-    set_labels = {
-        vid: [set_label(vid, value) for value in scm.domain_of(vid).elements]
-        for vid in endo
-    }
+    endo, set_labels = scm.endo_ids, scm._set_labels
     if set(model.generators) != {INIT_LABEL, ID_LABEL}.union(*set_labels.values()):
         raise ValueError("model generators do not match the SCM encoding")
     violations: list[LawViolation] = []

@@ -518,9 +518,18 @@ def test_check_surgical_context_mismatch_exits_two(workspace, capsys):
         ({"max_dominoes": -1}, "max_dominoes must be non-negative"),
         ({"barrier_edges": [1, 1]}, "barrier edges must be distinct"),
         ({"push_dirs": ["E", "E"]}, "push directions must be distinct"),
+        ({"actions": ["id", "remove-d9"]}, "unknown family action label 'remove-d9'"),
+        # a layout that is not a state of the family: a foreign tag, more
+        # dominoes than max_dominoes, a push direction outside push_dirs
+        ({"layouts": {"p": {"present": {"d1": "7"}}}, "actions": ["id"]},
+         "layout 'p' is not a state of the family"),
+        ({"max_dominoes": 1}, "layout 'pair' is not a state of the family"),
+        ({"layouts": {"p": {"present": {"d1": "0"}, "push": ["d1", "W"]}}},
+         "layout 'p' is not a state of the family"),
     ],
     ids=["absent-marker-tag", "duplicate-ids", "negative-max-dominoes",
-         "repeated-barrier-edge", "repeated-push-dir"],
+         "repeated-barrier-edge", "repeated-push-dir", "unknown-action",
+         "layout-foreign-tag", "layout-too-many", "layout-push-outside-push-dirs"],
 )
 def test_malformed_family_exits_two(workspace, capsys, change, reason):
     with open("family_tiny.json") as fh:
@@ -635,6 +644,18 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         (DETERMINATION, "model_pair.json", _set(("variables", 0, "id"), "a,b"),
          "variables[0].id"),
         (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), "U,1"), "exogenous[0].id"),
+        # a NUL character names no file
+        (NATURALITY, "morphism.json", _set(("source_model",), "a\u0000b.json"),
+         "source_model"),
+        # --word "" is the empty word and --vars-i "" the empty subset, so no
+        # flag could name an empty label or id
+        (DETERMINATION, "model_pair.json", _set(("generators", ""), {"x1": "x1", "x2": "x2"}),
+         "generators."),
+        (DETERMINATION, "model_pair.json", _set(("variables", 0, "id"), ""),
+         "variables[0].id"),
+        (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), ""), "exogenous[0].id"),
+        (ENCODE, "scm_xor.json", _set(("endogenous", 0, "id"), ""), "endogenous[0].id"),
+        (BUILD, "family_tiny.json", _set(("family", "ids", 0), ""), "family.ids[0]"),
     ],
     ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
          "invariant-under-empty-part", "violated-by-unknown-label",
@@ -645,7 +666,9 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "barrier-without-edge", "unknown-action", "place-off-grid", "push-bad-dir",
          "place-bad-routing", "negative-chain", "chain-beyond-ids", "bool-chain",
          "bool-grid", "bool-length", "bool-barrier-edge", "empty-ids",
-         "shared-action-label", "comma-model-variable-id", "comma-exogenous-id"],
+         "shared-action-label", "comma-model-variable-id", "comma-exogenous-id",
+         "nul-reference", "empty-generator-label", "empty-model-variable-id",
+         "empty-exogenous-id", "empty-endogenous-id", "empty-family-id"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")
@@ -693,6 +716,22 @@ def test_reserved_scm_value_exits_two(workspace, capsys, command, section, index
     err = capsys.readouterr().err
     assert code == 2
     assert f"scm_xor.json: at {section}[{index}].values: value {value!r}" in err
+
+
+def test_shared_intervention_label_exits_two(workspace, capsys):
+    # set-A=0=1 would name both A=0 set to 1 and A set to 0=1
+    with open("scm_xor.json") as fh:
+        data = json.load(fh)
+    data["endogenous"][0].update({"id": "A=0", "values": ["1", "2"],
+                                  "function_table": {"0": "1", "1": "2"}})
+    data["endogenous"][1].update({"id": "A", "values": ["0=1", "x"], "parents": [],
+                                  "function_table": {"0": "x", "1": "x"}})
+    with open("scm_xor.json", "w") as fh:
+        json.dump(data, fh)
+    code = run(ENCODE)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "scm_xor.json: at $: two interventions share the label 'set-A=0=1'" in err
 
 
 def _own_actions(key, value):

@@ -183,6 +183,25 @@ def test_generator_tables_share_one_int_per_position():
         assert len({id(p) for table in tables for p in table}) <= len(model.states)
 
 
+def test_one_generator_per_intervention():
+    for scm in [random_scm(s, 5, 3, 3) for s in range(40)]:
+        sizes = [len(dom) for _, dom in scm.endogenous]
+        assert len(encode_scm(scm).generators) == 2 + sum(sizes)
+    # set-A=0=1 would name both A=0 set to 1 and A set to 0=1
+    unit = FiniteSet("U", ("*",))
+    endogenous = (("A=0", FiniteSet("A=0", ("1", "2"))), ("A", FiniteSet("A", ("0=1", "x"))))
+    functions = {"A=0": {("*",): "1"}, "A": {("*",): "x"}}
+    with pytest.raises(ValueError, match="share the label 'set-A=0=1'"):
+        Scm((("U1", unit), ("U2", unit)), endogenous, {"A=0": (), "A": ()}, functions)
+
+
+def test_default_value_is_rejected_by_the_scm():
+    unit = FiniteSet("U", ("*",))
+    with pytest.raises(ValueError, match="slot token 'default'"):
+        Scm((("U1", unit),), (("V1", FiniteSet("V1", ("0", "default"))),),
+            {"V1": ()}, {"V1": {("*",): "0"}})
+
+
 # Seeds whose reversed declaration puts some child before one of its parents.
 OUT_OF_ORDER_SEEDS = [0, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 17]
 
