@@ -37,11 +37,14 @@ from .dominoes import build_bounded_model, micro_proc
 from .scm import encode_scm, random_scm, verify_scm_laws
 
 
-def parse_list(raw: Optional[str]) -> tuple[str, ...]:
-    """Split a comma-separated flag value (a word or a variable subset)."""
-    if not raw:
-        return ()
-    return tuple(part for part in raw.split(",") if part)
+def parse_list(args, name: str) -> tuple[str, ...]:
+    """Split the comma-separated value of flag ``name`` (a word or a
+    variable subset).  ``""`` is the empty list; no part may be empty."""
+    raw = getattr(args, name)
+    parts = tuple(raw.split(",")) if raw else ()
+    if "" in parts:
+        raise CausalGroundError(f"--{name.replace('_', '-')} {raw!r} has an empty part")
+    return parts
 
 
 def _require_vars(args, *names: str) -> None:
@@ -81,7 +84,7 @@ def _cmd_check_determination(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
     _require_vars(args, "vars_i", "vars_j")
     result = check_determination(
-        model, parse_list(args.word), parse_list(args.vars_i), parse_list(args.vars_j)
+        model, *(parse_list(args, n) for n in ("word", "vars_i", "vars_j"))
     )
     return (0 if result.holds else 1), cgio.serialize(result)
 
@@ -90,7 +93,7 @@ def _cmd_check_effectiveness(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
     _require_vars(args, "vars_j")
     result = check_effectiveness(
-        model, parse_list(args.word), parse_list(args.vars_j), parse_list(args.context)
+        model, *(parse_list(args, n) for n in ("word", "vars_j", "context"))
     )
     return (0 if result.effective else 1), cgio.serialize(result)
 
@@ -98,9 +101,9 @@ def _cmd_check_effectiveness(args) -> tuple[int, dict]:
 def _cmd_check_invariance(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
     _require_vars(args, "vars_i", "vars_j")
-    base = parse_list(args.context)
-    vars_i = parse_list(args.vars_i)
-    vars_j = parse_list(args.vars_j)
+    base = parse_list(args, "context")
+    vars_i = parse_list(args, "vars_i")
+    vars_j = parse_list(args, "vars_j")
     space = model.outcomes
     if args.witness:
         witness = cgio.witness_from_dict(
@@ -118,7 +121,7 @@ def _cmd_check_invariance(args) -> tuple[int, dict]:
             )
         witness = base_result.witness
     result = check_invariance(
-        model, base, witness, vars_i, vars_j, parse_list(args.word)
+        model, base, witness, vars_i, vars_j, parse_list(args, "word")
     )
     payload = cgio.serialize(result)
     payload["witness"] = cgio.serialize(witness)
@@ -126,7 +129,7 @@ def _cmd_check_invariance(args) -> tuple[int, dict]:
 
 
 def _pair_from_word(args) -> tuple[str, str]:
-    labels = parse_list(args.word)
+    labels = parse_list(args, "word")
     if len(labels) != 2:
         raise CausalGroundError(
             "--word must name exactly two generators, e.g. --word a,b"
@@ -150,14 +153,14 @@ def _cmd_check_overwrite(args) -> tuple[int, dict]:
 
 def _cmd_check_surgical(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
-    labels = parse_list(args.word)
+    labels = parse_list(args, "word")
     if len(labels) != 1:
         raise CausalGroundError("--word must name exactly one generator")
     data = cgio.load_json(args.mechanisms)
     if isinstance(data, dict) and "mechanisms" in data:
         data = data["mechanisms"]
     records = cgio.records_from_dict(data, model, args.mechanisms)
-    verdict = check_surgical(model, labels[0], records, parse_list(args.context))
+    verdict = check_surgical(model, labels[0], records, parse_list(args, "context"))
     return (0 if verdict.surgical else 1), cgio.serialize(verdict)
 
 
@@ -174,7 +177,7 @@ def _cmd_check_naturality(args) -> tuple[int, dict]:
 def _cmd_discover(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
     records = discover_mechanisms(
-        model, parse_list(args.context), args.max_parents
+        model, parse_list(args, "context"), args.max_parents
     )
     return 0, {"mechanisms": cgio.serialize(records)}
 
@@ -231,8 +234,8 @@ def _cmd_build_model(args) -> tuple[int, dict]:
 
 def _cmd_image(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
-    variables = parse_list(args.vars_i) if args.vars_i is not None else None
-    f = outcome_map(model, parse_list(args.word), variables)
+    variables = parse_list(args, "vars_i") if args.vars_i is not None else None
+    f = outcome_map(model, parse_list(args, "word"), variables)
     im = f.image()
     return 0, {"image": im, "count": len(im), "codomain_size": len(f.codomain)}
 

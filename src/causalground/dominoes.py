@@ -8,10 +8,10 @@ domino falls at most once, so propagation terminates.
 
 Bounded model building enumerates a single-row family of states (home
 cells per domino id, optional nuisance tags, a set of allowed barrier
-edges and push designations) into a micro action model, its tag-forgetting
-abstract model over per-domino status variables, and the morphism between
-them.  Nuisance tags exist purely so the state map is non-injective and
-naturality says something.
+edges and push designations), each held as its state label, into a micro
+action model, its tag-forgetting abstract model over per-domino status
+variables, and the morphism between them.  Nuisance tags exist purely so
+the state map is non-injective and naturality says something.
 
 Resolution rules keeping every action total: removing an absent domino is
 a no-op; placing onto an occupied cell, an already-present id, or a full
@@ -211,10 +211,6 @@ def routing_from_mapping(mapping: Optional[Mapping[str, str]]) -> tuple[str, ...
 
 # --- bounded single-row families --------------------------------------------
 
-#: A family state: (tag or None per id, barrier bit per allowed edge, push).
-Code = tuple[tuple[Optional[str], ...], tuple[int, ...], Optional[tuple[str, str]]]
-
-
 @dataclass(frozen=True)
 class LineFamily:
     """An enumerable family of states on a 1 x length grid.
@@ -223,8 +219,9 @@ class LineFamily:
     vary presence (up to ``max_dominoes``), per-domino nuisance tags,
     barriers on the allowed edges, and the push designation.  Barrier edge
     ``i`` (1-based) separates the i-th and (i+1)-th cells and is labelled
-    ``add-barrier-i-(i+1)``.  Model building runs on state codes;
-    ``decode`` gives the ``MicroState`` of a code.
+    ``add-barrier-i-(i+1)``.  A state's code is its label
+    ``<tag or - per id>/b<bit per edge>/p<id><dir or ->``, and each action
+    rewrites one field of it; ``decode`` gives the ``MicroState`` of a label.
     """
 
     length: int
@@ -311,99 +308,81 @@ class LineFamily:
         pushes = 1 + n * len(self.push_dirs)
         return presence * pushes * 2 ** len(self.barrier_edges)
 
-    def codes(self) -> list[Code]:
-        """Every state code, by presence and tags, then barriers, then push."""
+    def codes(self) -> list[str]:
+        """Every state label, by presence and tags, then barriers, then push."""
         check_enumeration_bound(self.state_count(), "line family state set")
         rows = []
         for k in range(min(self.max_dominoes, len(self.ids)) + 1):
             for chosen in combinations(self.ids, k):
                 for tags in product(self.tags, repeat=k):
                     present = dict(zip(chosen, tags))
-                    rows.append(tuple(present.get(i) for i in self.ids))
+                    rows.append("".join(present.get(i, "-") for i in self.ids))
         bit_rows = [
-            tuple(int(e in edges) for e in self.barrier_edges)
+            "".join("1" if e in edges else "0" for e in self.barrier_edges)
             for k in range(len(self.barrier_edges) + 1)
             for edges in combinations(self.barrier_edges, k)
         ]
-        pushes = [None] + [(i, d) for i in self.ids for d in self.push_dirs]
-        return [(row, bits, push) for row in rows for bits in bit_rows for push in pushes]
+        pushes = ["-"] + [i + d for i in self.ids for d in self.push_dirs]
+        return [f"{r}/b{b}/p{p}" for r in rows for b in bit_rows for p in pushes]
 
     def enumerate_states(self) -> list[MicroState]:
         return [self.decode(code) for code in self.codes()]
 
-    def decode(self, code: Code) -> MicroState:
-        tags, bits, push = code
-        present = {i: t for i, t in zip(self.ids, tags) if t is not None}
-        return self.state(present, [e for e, b in zip(self.barrier_edges, bits) if b], push)
+    def decode(self, label: str) -> MicroState:
+        """The state of a label, read at fixed offsets: an id may hold '/'."""
+        n, m = len(self.ids), len(self.barrier_edges)
+        present = {i: t for i, t in zip(self.ids, label[:n]) if t != "-"}
+        bits = label[n + 2:n + 2 + m]
+        push = label[n + m + 4:]
+        return self.state(
+            present,
+            [e for e, b in zip(self.barrier_edges, bits) if b == "1"],
+            None if push == "-" else (push[:-1], push[-1]),
+        )
 
-    def encode(self, state: MicroState) -> Optional[Code]:
-        """Code of ``state``, or None when it is not a state of the family."""
+    def encode(self, state: MicroState) -> Optional[str]:
+        """The label (code) of ``state``, or None if it is not in the family."""
         tags = {d.id: d.tag for d in state.dominoes}
         pushes = [None, *product(self.ids, self.push_dirs)]
         if len(tags) > self.max_dominoes or state.push not in pushes or any(
             t not in self.tags for t in tags.values()
         ):
             return None
-        bits = tuple(int(self.edge(e) in state.barriers) for e in self.barrier_edges)
-        code = (tuple(tags.get(i) for i in self.ids), bits, state.push)
-        return code if self.decode(code) == state else None
+        bits = "".join(str(int(self.edge(e) in state.barriers)) for e in self.barrier_edges)
+        push = "-" if state.push is None else state.push[0] + state.push[1]
+        label = f"{''.join(tags.get(i, '-') for i in self.ids)}/b{bits}/p{push}"
+        return label if self.decode(label) == state else None
 
-    def label(self, code: Code) -> str:
-        """State label ``<tag or - per id>/b<bits>/p<id><dir or ->``."""
-        tags, bits, push = code
-        tokens = "".join("-" if t is None else t for t in tags)
-        push_token = "-" if push is None else push[0] + push[1]
-        return f"{tokens}/b{''.join(map(str, bits))}/p{push_token}"
+    def code_transforms(self) -> dict[str, Callable[[str], str]]:
+        """Every registrable action label with its transform on state codes
+        (labels).  A label that two actions would share raises ValueError."""
+        transforms: dict[str, Callable[[str], str]] = {}
 
-    def code_transforms(self) -> dict[str, Callable[[Code], Optional[Code]]]:
-        """Every registrable action label with its transform on codes.  A
-        label that two actions would share raises ValueError."""
-        transforms: dict[str, Callable[[Code], Optional[Code]]] = {}
-
-        def add(label: str, transform: Callable[[Code], Optional[Code]]) -> None:
+        def add(label: str, transform: Callable[[str], str]) -> None:
             if label in transforms:
                 raise ValueError(f"two family actions share the label {label!r}")
             transforms[label] = transform
 
-        add("id", lambda c: c)
+        n, m = len(self.ids), len(self.barrier_edges)
+        add("id", lambda s: s)
         for name, layout in self.layouts:
-            add(f"init-{name}", lambda c, t=self.encode(layout): t)
+            add(f"init-{name}", lambda s, t=self.encode(layout): t)
         for k, i in enumerate(self.ids):
             for d in self.push_dirs:
-                add(f"choose-push-{i}-{d}", lambda c, k=k, p=(i, d): (
-                    c[0], c[1], None if c[0][k] is None else p
+                add(f"choose-push-{i}-{d}", lambda s, k=k, p=i + d: (
+                    s[:n + m + 4] + ("-" if s[k] == "-" else p)
                 ))
-            add(f"remove-{i}", lambda c, k=k: _with_tag(c, k, None))
-            add(f"place-{i}", lambda c, k=k: _place(c, k, self.tags[0], self.max_dominoes))
-        for i in self.barrier_edges:
-            for verb, bit in (("add", 1), ("remove", 0)):
-                add(f"{verb}-barrier-{i}-{i + 1}", lambda c, i=i, bit=bit: (
-                    _with_barrier(c, self.barrier_edges, i, bit)
+            add(f"remove-{i}", lambda s, k=k: s[:k] + "-" + s[k + 1:])
+            add(f"place-{i}", lambda s, k=k: (
+                s if s[k] != "-" or n - s.count("-", 0, n) >= self.max_dominoes
+                else s[:k] + self.tags[0] + s[k + 1:]
+            ))
+        for j, i in enumerate(self.barrier_edges, n + 2):
+            for verb, bit in (("add", "1"), ("remove", "0")):
+                add(f"{verb}-barrier-{i}-{i + 1}", lambda s, j=j, bit=bit: (
+                    s[:j] + bit + s[j + 1:]
                 ))
         return transforms
-
-
-def _with_tag(code: Code, k: int, tag: Optional[str]) -> Code:
-    tags, bits, push = code
-    return (tags[:k] + (tag,) + tags[k + 1:], bits, push)
-
-
-def _place(code: Code, k: int, tag: str, max_dominoes: int) -> Code:
-    tags = code[0]
-    if tags[k] is not None or len(tags) - tags.count(None) >= max_dominoes:
-        return code
-    return _with_tag(code, k, tag)
-
-
-def _with_barrier(code: Code, edges: Sequence[int], edge: int, bit: int) -> Code:
-    tags, bits, push = code
-    return (tags, tuple(bit if e == edge else b for e, b in zip(edges, bits)), push)
-
-
-def _forget_tags(code: Code) -> Code:
-    """Code of a state's tag-free class; its label is the abstract label."""
-    tags, bits, push = code
-    return (tuple(None if t is None else "x" for t in tags), bits, push)
 
 
 def build_bounded_model(
@@ -417,27 +396,32 @@ def build_bounded_model(
     factored per-domino status space, on which impossible joint outcomes
     become visible.
     """
-    codes = family.codes()
-    position = {code: k for k, code in enumerate(codes)}
+    labels = family.codes()
+    n = len(family.ids)
     transforms = family.code_transforms()
 
     # Abstract quotient: one state per tag-forgotten class, represented by
     # the first micro state enumerated in it.  The process never reads
     # tags, so it runs once per class.
-    classes: dict[Code, int] = {}  # tag-forgotten code -> abstract position
-    x_codes = [classes.setdefault(_forget_tags(code), len(classes)) for code in codes]
+    forget = str.maketrans(dict.fromkeys(family.tags, "x"))
+    classes: dict[str, int] = {}  # abstract label -> abstract position
+    x_codes = [
+        classes.setdefault(label[:n].translate(forget) + label[n:], len(classes))
+        for label in labels
+    ]
     reps = [0] * len(classes)
-    for k in reversed(range(len(codes))):
+    for k in reversed(range(len(labels))):
         reps[x_codes[k]] = k
-    status = [micro_proc(family.decode(codes[k]), family.ids) for k in reps]
+    status = [micro_proc(family.decode(labels[k]), family.ids) for k in reps]
     names = [OUTCOME_SEP.join(s[i] for i in family.ids) for s in status]
 
-    micro_states = FiniteSet("Xbar", tuple(map(family.label, codes)))
+    micro_states = FiniteSet("Xbar", labels)
     ybar = FiniteSet("Ybar", tuple(sorted(set(names))))
     micro_space = FactoredSpace((("Ybar", ybar),))
 
     # The family checked its layouts and actions, so every image is a state.
-    micro_gens = {a: [position[transforms[a](c)] for c in codes] for a in family.actions}
+    position = micro_states._positions
+    micro_gens = {a: [position[transforms[a](s)] for s in labels] for a in family.actions}
     name_codes = micro_space._code([names])
     micro = ActionModel(
         micro_states,
@@ -446,7 +430,7 @@ def build_bounded_model(
         TotalMap._of(micro_states, micro_space.total, [name_codes[j] for j in x_codes]),
     )
 
-    abstract_states = FiniteSet("X", tuple(map(family.label, classes)))
+    abstract_states = FiniteSet("X", tuple(classes))
     abstract_space = FactoredSpace(
         tuple((i, FiniteSet(f"Y({i})", STATUSES)) for i in family.ids)
     )

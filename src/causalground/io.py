@@ -624,11 +624,14 @@ def records_from_dict(
         target = _string(entry.get("target"), file, f"[{i}].target")
         parents = tuple(_string_list(entry.get("parents", []), file, f"[{i}].parents"))
         try:
-            parents = space.normalize_vars(parents)
+            declared = space.normalize_vars(parents)
             domain = space.subspace(parents).total
             codomain = space.subspace((target,)).total
         except CausalGroundError as exc:
             raise SchemaError(file, f"[{i}]", str(exc)) from None
+        if parents != declared:  # the map's keys list the parents in this order
+            reason = f"parents must be distinct and in declared order {list(declared)}"
+            raise SchemaError(file, f"[{i}].parents", reason)
         map_data = _expect(entry.get("map"), dict, file, f"[{i}].map", "an object")
         witness = _table(
             map_data.get("table"), domain, codomain, file, f"[{i}].map.table"

@@ -656,6 +656,8 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), ""), "exogenous[0].id"),
         (ENCODE, "scm_xor.json", _set(("endogenous", 0, "id"), ""), "endogenous[0].id"),
         (BUILD, "family_tiny.json", _set(("family", "ids", 0), ""), "family.ids[0]"),
+        # a record's map keys list its parents in declared order, once each
+        (SURGICAL, "mechs.json", _set((0, "parents"), ["v2", "v2"]), "[0].parents"),
     ],
     ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
          "invariant-under-empty-part", "violated-by-unknown-label",
@@ -668,7 +670,8 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "bool-grid", "bool-length", "bool-barrier-edge", "empty-ids",
          "shared-action-label", "comma-model-variable-id", "comma-exogenous-id",
          "nul-reference", "empty-generator-label", "empty-model-variable-id",
-         "empty-exogenous-id", "empty-endogenous-id", "empty-family-id"],
+         "empty-exogenous-id", "empty-endogenous-id", "empty-family-id",
+         "repeated-parent"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")
@@ -695,6 +698,24 @@ def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     err = capsys.readouterr().err
     assert code == 2
     assert f"{name}: at {path}:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check-commute", "--model", "model_pair.json", "--word", "swap,,const"],
+         "--word 'swap,,const'"),
+        (DETERMINATION[:3] + ["--vars-i", "v1,", "--vars-j", "v2"], "--vars-i 'v1,'"),
+        (["check-effectiveness", "--model", "model_pair.json", "--word", "swap",
+          "--vars-j", "v2", "--context", "const,"], "--context 'const,'"),
+    ],
+    ids=["word", "vars-i", "context"],
+)
+def test_flag_value_with_an_empty_part_exits_two(workspace, capsys, argv, flag):
+    """A flag value is not shortened: "" is the empty list, but a
+    non-empty value names no empty label or id."""
+    assert run(argv) == 2
+    assert f"{flag} has an empty part" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -320,6 +320,17 @@ def family_tiny_file() -> LineFamily:
     return load_family(os.path.join(DATA, "family_tiny.json"))
 
 
+def odd_ids_family() -> LineFamily:
+    """Ids that a label parser splitting at '/' or '-', or reading a push
+    token as the id's last letter, would misread: 3380 states."""
+    family = LineFamily(5, ("d/1", "-", "xE", "b"), 3, ("0", "x"), (2, 4), ("E", "W", "N"))
+    layouts = (
+        ("chain", family.chain(3)),
+        ("odd", family.state({"-": "x", "b": "0"}, [4], ("-", "N"))),
+    )
+    return replace(family, layouts=layouts, actions=())
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -328,6 +339,7 @@ def family_tiny_file() -> LineFamily:
         five_chain_family,
         line6_family,
         family_tiny_file,
+        odd_ids_family,
     ],
 )
 def test_named_families_match_reference(make):

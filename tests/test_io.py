@@ -290,6 +290,37 @@ def test_witness_and_records_round_trip(pair_model):
     assert loaded_records == records
 
 
+def test_record_parents_out_of_declared_order_are_rejected(tmp_path, capsys):
+    # C = A.  A record listing its parents as B, A writes its map keys in
+    # that order; read in the declared order A, B it would not hold.
+    states = ["s00", "s01", "s10", "s11"]
+    model = {
+        "states": states,
+        "variables": [{"id": v, "values": ["0", "1"]} for v in "ABC"],
+        "process": {s: [s[1], s[2], s[1]] for s in states},
+        "generators": {"g": {s: s for s in states}},
+    }
+    record = {"target": "C", "parents": ["B", "A"],
+              "map": {"table": {"0|0": "0", "0|1": "1", "1|0": "0", "1|1": "1"}},
+              "context": [], "invariant_under": [], "violated_by": []}
+    model_path, records_path = str(tmp_path / "m.json"), str(tmp_path / "r.json")
+    dump_json(model, model_path)
+    argv = ["check-surgical", "--model", model_path, "--word", "g",
+            "--mechanisms", records_path]
+    dump_json([record], records_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{records_path}: at [0].parents: parents must be distinct and in " \
+        "declared order ['A', 'B']" in err
+    # written in declared order, the record holds and survives g, which
+    # breaks no mechanism, so g is not surgical
+    record.update(parents=["A", "B"], map={"table": {"0|0": "0", "0|1": "0",
+                                                     "1|0": "1", "1|1": "1"}})
+    dump_json([record], records_path)
+    assert run(argv) == 1
+    assert "survived[0]: C~(A,B)" in capsys.readouterr().out
+
+
 def test_scm_laws_after_file_round_trip(tmp_path, xor_scm):
     dump_json(scm_to_dict(xor_scm), tmp_path / "xor.json")
     scm = load_scm(str(tmp_path / "xor.json"))
