@@ -32,7 +32,7 @@ from .checkers import (
     check_surgical,
     discover_mechanisms,
 )
-from .core import CausalGroundError, outcome_map
+from .core import CausalGroundError, UnknownVariableError, outcome_map
 from .dominoes import build_bounded_model, micro_proc
 from .scm import encode_scm, random_scm, verify_scm_laws
 
@@ -344,7 +344,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code, payload = handler(args)
     except (CausalGroundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an unknown label or id is named with the first flag that holds it
+        token, names = getattr(exc, "label", None), ("word", "context")
+        if isinstance(exc, UnknownVariableError):
+            token, names = exc.var_id, ("vars_i", "vars_j")
+        held = [n for n in names if token in (getattr(args, n, None) or "").split(",")]
+        flag = f"--{held[0].replace('_', '-')}: " if held else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
 
     # An absent flag is not an input, nor is an empty --word or --context

@@ -1,12 +1,12 @@
 """JSON file formats: models, morphisms, SCMs, scenarios, families, records.
 
-Every loader validates the full schema before any computation starts and
-reports violations as SchemaError naming the file, the JSON path of the
-offending entry, and the reason.  Writers produce deterministic output
-(sorted keys, fixed list orders) so reports and emitted files are
-byte-stable across runs.  Model and morphism files are rendered from the
-positions of their maps, byte for byte as ``json.dumps(data, indent=2,
-sort_keys=True)`` lays out their data.
+Every loader checks the whole file before any computation starts: the shape
+itself, each object's rules through its constructor, called by ``_build``.
+A violation is a SchemaError naming the file, the JSON path and the reason.
+Writers produce deterministic output (sorted keys, fixed list orders), so
+reports and emitted files are byte-stable.  Model and morphism files are
+rendered from their maps' positions, byte for byte as ``json.dumps(data,
+indent=2, sort_keys=True)`` lays out their data.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ def load_json(path: str) -> Any:
 
 
 def dump_json(data: Any, path: str, *refs: str) -> None:
+    text = to_json(data, *refs)  # written 1 MB at a time, so never encoded whole
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(data, *refs))
+        fh.writelines(text[k:k + (1 << 20)] for k in range(0, len(text), 1 << 20))
 
 
 def to_json(data: Any, *refs: str) -> str:
@@ -219,14 +220,15 @@ def _variable(
         if SEP in value or value in reserved:
             reason = f"value {value!r} clashes with the reserved tokens {tokens}"
             raise SchemaError(file, f"{path}.values", reason)
-    return vid, _finite_set(vid, values, file, f"{path}.values")
+    return vid, _build(file, f"{path}.values", FiniteSet, vid, values)
 
 
-def _finite_set(name: str, elements: list[str], file: str, path: str) -> FiniteSet:
-    """A FiniteSet; an empty or repeated element list is reported at ``path``."""
+def _build(file: str, path: str, make: Callable, *args, **kwargs) -> Any:
+    """``make(*args, **kwargs)``, whose ValueError or CausalGroundError is a
+    SchemaError at ``path``.  Never a loader: its SchemaError names its path."""
     try:
-        return FiniteSet(name, tuple(elements))
-    except ValueError as exc:
+        return make(*args, **kwargs)
+    except (ValueError, CausalGroundError) as exc:
         raise SchemaError(file, path, str(exc)) from None
 
 
@@ -239,7 +241,7 @@ def model_from_dict(data: Any, file: str = "<inline>") -> ActionModel:
             raise SchemaError(file, f"$.{key}", "missing required key")
 
     states = _string_list(data["states"], file, "states")
-    states = _finite_set("X", states, file, "states")
+    states = _build(file, "states", FiniteSet, "X", states)
 
     variables = _expect(data["variables"], list, file, "variables", "a list")
     if not variables:
@@ -247,10 +249,7 @@ def model_from_dict(data: Any, file: str = "<inline>") -> ActionModel:
     var_pairs = tuple(
         _variable(entry, file, f"variables[{i}]") for i, entry in enumerate(variables)
     )
-    try:
-        space = FactoredSpace(var_pairs)
-    except (ValueError, CausalGroundError) as exc:
-        raise SchemaError(file, "variables", str(exc)) from None
+    space = _build(file, "variables", FactoredSpace, var_pairs)
 
     process = _outcome_table(data["process"], states, space, file, "process")
 
@@ -311,9 +310,7 @@ def load_morphism(path: str) -> ModelMorphism:
     source = _resolve_model(data["source_model"], path, "source_model", base_dir)
     target = _resolve_model(data["target_model"], path, "target_model", base_dir)
 
-    state_map = _table(
-        data["state_map"], source.states, target.states, path, "state_map"
-    )
+    state_map = _table(data["state_map"], source.states, target.states, path, "state_map")
     outcome_map = _outcome_table(
         data["outcome_map"], source.outcomes.total, target.outcomes, path, "outcome_map"
     )
@@ -323,10 +320,9 @@ def load_morphism(path: str) -> ModelMorphism:
         for a in _string_map(alphabet, path, "alphabet_map"):
             if a not in source.generators:
                 raise SchemaError(path, f"alphabet_map.{a}", "unknown in the source")
-    try:
-        return ModelMorphism(source, target, state_map, outcome_map, alphabet)
-    except ValueError as exc:
-        raise SchemaError(path, "$", str(exc)) from None
+    return _build(
+        path, "$", ModelMorphism, source, target, state_map, outcome_map, alphabet
+    )
 
 
 def _morphism(m: ModelMorphism, source_ref: str = "", target_ref: str = "") -> list[str]:
@@ -387,10 +383,7 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
     for vid, _ in endogenous[len(exogenous):]:
         exogenous.append((f"U_{vid}", FiniteSet(f"U_{vid}", ("*",))))
 
-    try:
-        return Scm(tuple(exogenous), tuple(endogenous), parents, functions)
-    except (ValueError, CausalGroundError) as exc:
-        raise SchemaError(file, "$", str(exc)) from None
+    return _build(file, "$", Scm, tuple(exogenous), tuple(endogenous), parents, functions)
 
 
 def load_scm(path: str) -> Scm:
@@ -412,10 +405,7 @@ def _edge(data: Any, file: str, path: str):
         raise SchemaError(file, path, "expected two cells")
     a = _cell(data[0], file, f"{path}[0]")
     b = _cell(data[1], file, f"{path}[1]")
-    try:
-        return edge_between(a, b)
-    except ValueError as exc:
-        raise SchemaError(file, path, str(exc)) from None
+    return _build(file, path, edge_between, a, b)
 
 
 def _required(entry: dict, key: str, parse: Callable, file: str, path: str) -> Any:
@@ -441,10 +431,7 @@ def _domino(entry: Any, grid: tuple[int, int], file: str, path: str) -> Domino:
     routing = entry.get("routing")
     if routing is not None:
         _expect(routing, dict, file, f"{path}.routing", "an object")
-    try:
-        routing = routing_from_mapping(routing)
-    except ValueError as exc:
-        raise SchemaError(file, f"{path}.routing", str(exc)) from None
+    routing = _build(file, f"{path}.routing", routing_from_mapping, routing)
     return Domino(did, (x, y), routing, str(entry.get("tag", "0")))
 
 
@@ -496,11 +483,7 @@ def scenario_from_dict(data: Any, file: str = "<inline>"):
     edits = tuple(
         _action(entry, grid, file, f"actions[{i}]") for i, entry in enumerate(actions)
     )
-    try:
-        state = MicroState(grid, dominoes, frozenset(barriers), push)
-    except ValueError as exc:
-        raise SchemaError(file, "$", str(exc)) from None
-    return state, edits
+    return _build(file, "$", MicroState, grid, dominoes, frozenset(barriers), push), edits
 
 
 def load_scenario(path: str):
@@ -524,10 +507,9 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
     push_dirs = tuple(
         _string_list(spec.get("push_dirs", ["E", "W"]), file, "family.push_dirs")
     )
-    try:
-        family = LineFamily(length, ids, max_dominoes, tags, tuple(edges), push_dirs)
-    except ValueError as exc:
-        raise SchemaError(file, "family", str(exc)) from None
+    family = _build(
+        file, "family", LineFamily, length, ids, max_dominoes, tags, tuple(edges), push_dirs
+    )
 
     layouts_data = _expect(
         spec.get("layouts", {}), dict, file, "family.layouts", "an object"
@@ -550,16 +532,11 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
             push = tuple(_string_list(push, file, f"{path}.push"))
             if len(push) != 2:
                 raise SchemaError(file, f"{path}.push", "expected [id, dir]")
-        try:
-            layouts.append((name, family.state(present_data, barriers, push)))
-        except (ValueError, KeyError) as exc:
-            raise SchemaError(file, path, str(exc)) from None
+        state = _build(file, path, family.state, present_data, barriers, push)
+        layouts.append((name, state))
 
     actions = tuple(_string_list(spec.get("actions", []), file, "family.actions"))
-    try:
-        return replace(family, layouts=tuple(layouts), actions=actions)
-    except ValueError as exc:
-        raise SchemaError(file, "family", str(exc)) from None
+    return _build(file, "family", replace, family, layouts=tuple(layouts), actions=actions)
 
 
 def load_family(path: str) -> LineFamily:
@@ -623,14 +600,14 @@ def records_from_dict(
         _expect(entry, dict, file, f"[{i}]", "an object")
         target = _string(entry.get("target"), file, f"[{i}].target")
         parents = tuple(_string_list(entry.get("parents", []), file, f"[{i}].parents"))
-        try:
-            declared = space.normalize_vars(parents)
-            domain = space.subspace(parents).total
-            codomain = space.subspace((target,)).total
-        except CausalGroundError as exc:
-            raise SchemaError(file, f"[{i}]", str(exc)) from None
+        declared = _build(file, f"[{i}]", space.normalize_vars, parents)
+        domain = _build(file, f"[{i}]", space.subspace, parents).total
+        codomain = _build(file, f"[{i}]", space.subspace, (target,)).total
         if parents != declared:  # the map's keys list the parents in this order
             reason = f"parents must be distinct and in declared order {list(declared)}"
+            raise SchemaError(file, f"[{i}].parents", reason)
+        if target in parents:
+            reason = f"parents must not include the target {target!r}"
             raise SchemaError(file, f"[{i}].parents", reason)
         map_data = _expect(entry.get("map"), dict, file, f"[{i}].map", "an object")
         witness = _table(
@@ -647,9 +624,7 @@ def records_from_dict(
         for j, pair in enumerate(violated_data):
             pair = _string_list(pair, file, f"[{i}].violated_by[{j}]")
             if len(pair) != 2:
-                raise SchemaError(
-                    file, f"[{i}].violated_by[{j}]", "expected [word, state]"
-                )
+                raise SchemaError(file, f"[{i}].violated_by[{j}]", "expected [word, state]")
             if pair[1] not in model.states:
                 reason = f"unknown state {pair[1]!r}"
                 raise SchemaError(file, f"[{i}].violated_by[{j}]", reason)

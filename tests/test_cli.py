@@ -526,10 +526,14 @@ def test_check_surgical_context_mismatch_exits_two(workspace, capsys):
         ({"max_dominoes": 1}, "layout 'pair' is not a state of the family"),
         ({"layouts": {"p": {"present": {"d1": "0"}, "push": ["d1", "W"]}}},
          "layout 'p' is not a state of the family"),
+        ({"length": 1}, "more domino ids than cells"),
+        ({"barrier_edges": [9]}, "barrier edge 9 out of range"),
+        ({"push_dirs": ["Q"]}, "bad push direction 'Q'"),
     ],
     ids=["absent-marker-tag", "duplicate-ids", "negative-max-dominoes",
          "repeated-barrier-edge", "repeated-push-dir", "unknown-action",
-         "layout-foreign-tag", "layout-too-many", "layout-push-outside-push-dirs"],
+         "layout-foreign-tag", "layout-too-many", "layout-push-outside-push-dirs",
+         "too-short", "barrier-edge-out-of-range", "bad-push-dir"],
 )
 def test_malformed_family_exits_two(workspace, capsys, change, reason):
     with open("family_tiny.json") as fh:
@@ -549,6 +553,15 @@ def _set(path, value):
         for key in path[:-1]:
             doc = doc[key]
         doc[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    """An edit that removes the key at a key path of a JSON document."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
     return edit
 
 
@@ -658,6 +671,24 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         (BUILD, "family_tiny.json", _set(("family", "ids", 0), ""), "family.ids[0]"),
         # a record's map keys list its parents in declared order, once each
         (SURGICAL, "mechs.json", _set((0, "parents"), ["v2", "v2"]), "[0].parents"),
+        # a mechanism does not determine its target from the target itself
+        (SURGICAL, "mechs.json", _set((0,), {"target": "v2", "parents": ["v2"],
+                                          "map": {"table": {"0": "0", "1": "1"}}}),
+         "[0].parents"),
+        (SURGICAL, "mechs.json", _set((0, "target"), "v9"), "[0]"),
+        (SURGICAL, "mechs.json", _set((0, "parents"), ["v9"]), "[0]"),
+        (DETERMINATION, "model_pair.json", _set(("variables", 0, "values"), ["0", "0"]),
+         "variables[0].values"),
+        (DETERMINATION, "model_pair.json", _set(("variables", 1, "id"), "v1"), "variables"),
+        (DETERMINATION, "model_pair.json", _set(("variables",), []), "variables"),
+        (NATURALITY, "morphism.json", _drop(("state_map",)), "$.state_map"),
+        (NATURALITY, "morphism.json", _set(("alphabet_map", "swap"), "warp"), "$"),
+        (NATURALITY, "morphism.json", _drop(("alphabet_map", "const")), "$"),
+        (ENCODE, "scm_xor.json", _set(("endogenous",), []), "endogenous"),
+        # [0, 0] and [2, 0] are not neighbours
+        (SIMULATE, "scenario_chain3.json", _set(("barriers",), [[[0, 0], [2, 0]]]),
+         "barriers[0]"),
+        (SIMULATE, "scenario_chain3.json", _set(("dominoes", 1, "cell"), [0, 0]), "$"),
     ],
     ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
          "invariant-under-empty-part", "violated-by-unknown-label",
@@ -671,7 +702,10 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "shared-action-label", "comma-model-variable-id", "comma-exogenous-id",
          "nul-reference", "empty-generator-label", "empty-model-variable-id",
          "empty-exogenous-id", "empty-endogenous-id", "empty-family-id",
-         "repeated-parent"],
+         "repeated-parent", "target-among-parents", "unknown-target", "unknown-parent",
+         "repeated-value", "repeated-variable-id", "no-variables", "no-state-map",
+         "alphabet-map-unknown-value", "alphabet-map-not-covering", "no-endogenous",
+         "non-adjacent-barrier", "shared-cell"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")
@@ -716,6 +750,60 @@ def test_flag_value_with_an_empty_part_exits_two(workspace, capsys, argv, flag):
     non-empty value names no empty label or id."""
     assert run(argv) == 2
     assert f"{flag} has an empty part" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, message",
+    [
+        (DETERMINATION + ["--word", "zz"], "--word", "unknown generator label 'zz'"),
+        (DETERMINATION[:3] + ["--vars-i", "v9", "--vars-j", "v2"], "--vars-i",
+         "unknown variable id 'v9'"),
+        (DETERMINATION[:5] + ["--vars-j", "v1,v9"], "--vars-j", "unknown variable id 'v9'"),
+        # an id is looked for in the id flags only, though --word holds it too
+        (DETERMINATION[:3] + ["--word", "swap", "--vars-i", "swap", "--vars-j", "v2"],
+         "--vars-i", "unknown variable id 'swap'"),
+        (["check-effectiveness", "--model", "model_pair.json", "--word", "swap",
+          "--vars-j", "v2", "--context", "zz"], "--context", "unknown generator label 'zz'"),
+        (["check-effectiveness", "--model", "model_pair.json", "--word", "zz",
+          "--vars-j", "v2"], "--word", "unknown generator label 'zz'"),
+        (["image", "--model", "model_pair.json", "--word", "swap", "--vars-i", "v9"],
+         "--vars-i", "unknown variable id 'v9'"),
+        (["image", "--model", "model_pair.json", "--word", "swap,zz"], "--word",
+         "unknown generator label 'zz'"),
+        (SURGICAL[:4] + ["zz"] + SURGICAL[5:], "--word", "unknown generator label 'zz'"),
+        (SURGICAL[:-1] + ["zz"], "--context", "unknown generator label 'zz'"),
+    ],
+    ids=["determination-word", "determination-vars-i", "determination-vars-j", "id-in-word",
+         "effectiveness-context", "effectiveness-word", "image-vars-i", "image-word",
+         "surgical-word", "surgical-context"],
+)
+def test_unknown_label_or_id_names_its_flag(workspace, capsys, argv, flag, message):
+    assert invoke(
+        ["discover", "--model", "model_pair.json", "--context", "const",
+         "--max-parents", "1", "--format", "json", "--out", "mechs.json"],
+        capsys,
+    )[0] == 0
+    assert run(argv) == 2
+    assert f"error: {flag}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, limit, message",
+    [
+        (ENCODE[:-2], None, "error: encode-scm requires --out for the model file"),
+        (BUILD[:-2], None, "error: build-model requires --out DIRECTORY"),
+        (DETERMINATION, "0", "CAUSAL_GROUND_MAX_TABLE must be positive, got 0"),
+        # the state set is the first table the model file asks for
+        (DETERMINATION, "1",
+         "error: model_pair.json: at states: finite set 'X' would need 2 table entries"),
+    ],
+    ids=["encode-without-out", "build-without-out", "limit-zero", "limit-at-states"],
+)
+def test_usage_or_limit_error_exits_two(workspace, capsys, monkeypatch, argv, limit, message):
+    if limit is not None:
+        monkeypatch.setenv("CAUSAL_GROUND_MAX_TABLE", limit)
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
