@@ -32,7 +32,7 @@ from .checkers import (
     check_surgical,
     discover_mechanisms,
 )
-from .core import CausalGroundError, UnknownVariableError, outcome_map
+from .core import CausalGroundError, UnknownVariableError, max_table_entries, outcome_map
 from .dominoes import build_bounded_model, micro_proc
 from .scm import encode_scm, random_scm, verify_scm_laws
 
@@ -342,6 +342,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     handler, _, flags = _COMMANDS[args.command]
     started = time.monotonic()
     try:
+        max_table_entries()  # a bad limit is the environment's error, not a file's
         code, payload = handler(args)
     except (CausalGroundError, OSError) as exc:
         # an unknown label or id is named with the first flag that holds it

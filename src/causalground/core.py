@@ -226,11 +226,6 @@ class TotalMap:
         return cls._of(domain, codomain, [codomain._positions[value]] * len(domain))
 
 
-def join_values(values: Sequence[str]) -> str:
-    """Canonical serialization of a tuple of variable values."""
-    return SEP.join(values) if values else UNIT_ELEMENT
-
-
 @dataclass(frozen=True)
 class FactoredSpace:
     """A product of named variable domains with all its projection maps.
@@ -303,19 +298,13 @@ class FactoredSpace:
             spaces[ids] = FactoredSpace(tuple((v, self.domain_of(v)) for v in ids))
         return spaces[ids]
 
-    def split(self, element: str) -> tuple[str, ...]:
-        parts = tuple(element.split(SEP)) if self.variables else ()
-        if len(parts) != len(self.variables):
-            arity = len(self.variables)
-            raise ValueError(f"element {element!r} does not split into {arity} values")
-        return parts
-
     def project_element(self, element: str, var_ids: Iterable[str]) -> str:
         """Project a single total-set element onto a variable subset."""
         ids = self.normalize_vars(var_ids)
-        values = self.split(element)
-        positions = self._positions
-        return join_values([values[positions[v]] for v in ids])
+        position = self.total._positions.get(element)
+        if position is None:
+            raise ValueError(f"{element!r} is not an element of {self.total.id!r}")
+        return self.subspace(ids).total.elements[self._project(ids, [position])[0]]
 
     def _columns(self) -> dict[str, list[str]]:
         """Each variable's value at every element of ``total``, the last
@@ -373,6 +362,8 @@ class ActionModel:
             raise ValueError(f"generator {ID_LABEL!r} must be the identity map")
         object.__setattr__(self, "generators", gens)
         for label, m in gens.items():
+            if "," in label:  # words are written comma-joined
+                raise ValueError(f"generator label {label!r} must not contain ','")
             if m.domain != self.states or m.codomain != self.states:
                 raise ValueError(
                     f"generator {label!r} must map states to states, got "

@@ -27,7 +27,6 @@ from .core import (
     MapTableError,
     SEP,
     TotalMap,
-    join_values,
 )
 from .abstraction import ModelMorphism
 from .checkers import MechanismRecord
@@ -119,8 +118,12 @@ class _Keys:
 
 def _rows(space: FactoredSpace, codes: list[int], depth: int) -> dict[int, str]:
     """The value row of each code in ``codes`` as a list at ``depth``."""
-    total = space.total.elements
-    return {c: _block([*map(_enc, space.split(total[c]))], depth) for c in set(codes)}
+    distinct = [*set(codes)]
+    columns = [
+        [_enc(dom.elements[k]) for k in space._project((v,), distinct)]
+        for v, dom in space.variables
+    ]  # no variables: every row is empty
+    return {c: _block([col[r] for col in columns], depth) for r, c in enumerate(distinct)}
 
 
 def _expect(data: Any, typ, file: str, path: str, what: str):
@@ -203,7 +206,7 @@ def _outcome_table(
         if len(values) != arity:
             reason = f"expected {arity} values, got {len(values)}"
             raise SchemaError(file, f"{path}.{x}", reason)
-        joined[x] = join_values(values)
+        joined[x] = SEP.join(values)
     return _table(joined, domain, space.total, file, path)
 
 
@@ -380,7 +383,11 @@ def scm_from_dict(data: Any, file: str = "<inline>") -> Scm:
         functions[vid] = table
 
     # Pad with unit exogenous variables where the SCM declares none.
-    for vid, _ in endogenous[len(exogenous):]:
+    declared = {vid for vid, _ in exogenous + endogenous}
+    for i, (vid, _) in enumerate(endogenous[len(exogenous):], len(exogenous)):
+        if f"U_{vid}" in declared:
+            reason = f"the noise id 'U_{vid}' padded for {vid!r} is declared already"
+            raise SchemaError(file, f"endogenous[{i}]", reason)
         exogenous.append((f"U_{vid}", FiniteSet(f"U_{vid}", ("*",))))
 
     return _build(file, "$", Scm, tuple(exogenous), tuple(endogenous), parents, functions)

@@ -14,8 +14,9 @@ time.  The reference SCM encoding builds every table from split labels
 instead of writing positions.  The barrier-blind morphism is a sabotage
 fixture that naturality must refute.  The reference writers build a
 model's, a morphism's or an SCM's file data as a dict from the label
-tables; ``reference_text`` lays that out with the stdlib encoder, the
-text the library renders from positions.
+tables, split with the oracles' own label codec; ``reference_text`` lays
+that out with the stdlib encoder, the text the library renders from
+positions.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from causalground.core import (
     FiniteSet,
     TotalMap,
     compose,
-    join_values,
     outcome_map,
 )
 from causalground.scm import (
@@ -86,6 +86,18 @@ from causalground.dominoes import (
     remove_barrier,
     remove_domino,
 )
+
+
+def split_values(space: FactoredSpace, element: str) -> tuple[str, ...]:
+    """The values of a total-set element, one per variable, split from its
+    label.  This label codec is the oracles' own: the library reads values
+    from positions only."""
+    return tuple(element.split(SEP)) if space.variables else ()
+
+
+def join_values(values) -> str:
+    """The total-set label of a tuple of values; no values: the unit element."""
+    return SEP.join(values) if values else UNIT_ELEMENT
 
 
 def reference_project(space: FactoredSpace, element: str, var_ids) -> str:
@@ -357,7 +369,7 @@ def reference_encode_scm(scm: Scm) -> ActionModel:
     states = FiniteSet("MxU", space.total.elements)
     outcomes = FactoredSpace(scm.exogenous + scm.endogenous)
     n = len(endo)
-    rows = {label: space.split(label) for label in states.elements}
+    rows = {label: split_values(space, label) for label in states.elements}
     process_table = {}
     for label, row in rows.items():
         slots, u = dict(zip(endo, row[:n])), dict(zip(exo, row[n:]))
@@ -941,7 +953,7 @@ def model_to_dict(model: ActionModel) -> dict:
             for vid, dom in space.variables
         ],
         "process": {
-            x: list(space.split(y)) for x, y in model.process.table.items()
+            x: list(split_values(space, y)) for x, y in model.process.table.items()
         },
         "generators": {
             label: gen.table
@@ -962,7 +974,7 @@ def morphism_to_dict(
         "target_model": target_ref or model_to_dict(m.target),
         "state_map": m.state_map.table,
         "outcome_map": {
-            y: list(space.split(v)) for y, v in m.outcome_map.table.items()
+            y: list(split_values(space, v)) for y, v in m.outcome_map.table.items()
         },
         "alphabet_map": dict(m.alphabet_map),
     }

@@ -12,7 +12,6 @@ from causalground.core import (
     FactoredSpace,
     FiniteSet,
     TotalMap,
-    join_values,
     outcome_map,
 )
 from causalground.dominoes import (
@@ -20,7 +19,12 @@ from causalground.dominoes import (
     build_bounded_model,
 )
 
-from oracles import barrier_blind_morphism, naturality_closure_check
+from oracles import (
+    barrier_blind_morphism,
+    join_values,
+    naturality_closure_check,
+    split_values,
+)
 
 
 def identity_morphism(model):
@@ -87,6 +91,25 @@ def test_domain_mismatch_rejected(pair_model):
     wrong = TotalMap.identity(pair_model.outcomes.total)
     with pytest.raises(ValueError):
         ModelMorphism(pair_model, pair_model, wrong, wrong)
+
+
+@pytest.mark.parametrize(
+    "maps, message",
+    [
+        (lambda x, y: (TotalMap.constant(x, y, "0|0"), TotalMap.identity(y)),
+         "state map codomain must be the target state set"),
+        (lambda x, y: (TotalMap.identity(x), TotalMap.identity(x)),
+         "outcome map domain must be the source outcome set"),
+        (lambda x, y: (TotalMap.identity(x), TotalMap.constant(y, x, "x1")),
+         "outcome map codomain must be the target outcome set"),
+    ],
+    ids=["state-map-codomain", "outcome-map-domain", "outcome-map-codomain"],
+)
+def test_map_mismatch_rejected(pair_model, maps, message):
+    states, outcomes = pair_model.states, pair_model.outcomes.total
+    with pytest.raises(ValueError) as err:
+        ModelMorphism(pair_model, pair_model, *maps(states, outcomes))
+    assert str(err.value) == message
 
 
 def test_tag_forgetting_morphism_is_natural(tiny):
@@ -231,7 +254,7 @@ def test_composition_of_natural_morphisms_is_natural(tiny):
         space.total,
         coarse_space.total,
         {
-            e: join_values([coarsen(v) for v in space.split(e)])
+            e: join_values([coarsen(v) for v in split_values(space, e)])
             for e in space.total.elements
         },
     )

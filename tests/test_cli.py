@@ -565,6 +565,13 @@ def _drop(path):
     return edit
 
 
+def _padded_noise_clash(doc):
+    """Endogenous A and U_A and no exogenous key: the noise padded for A is U_A."""
+    del doc["exogenous"]
+    doc["endogenous"][0]["id"] = "A"
+    doc["endogenous"][1].update({"id": "U_A", "parents": ["A"]})
+
+
 SURGICAL = ["check-surgical", "--model", "model_pair.json", "--word", "swap",
             "--mechanisms", "mechs.json", "--context", "const"]
 BUILD = ["build-model", "--family", "family_tiny.json", "--out", "models"]
@@ -573,6 +580,7 @@ SIMULATE = ["simulate", "--scenario", "scenario_chain3.json"]
 ENCODE = ["encode-scm", "--scm", "scm_xor.json", "--out", "xor_model.json"]
 DETERMINATION = ["check-determination", "--model", "model_pair.json",
                  "--vars-i", "v1", "--vars-j", "v2"]
+LAWS = ["verify-scm-laws", "--seed", "1"]
 INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "const",
               "--word", "swap", "--vars-i", "v1", "--vars-j", "v2",
               "--witness", "witness.json"]
@@ -689,6 +697,11 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         (SIMULATE, "scenario_chain3.json", _set(("barriers",), [[[0, 0], [2, 0]]]),
          "barriers[0]"),
         (SIMULATE, "scenario_chain3.json", _set(("dominoes", 1, "cell"), [0, 0]), "$"),
+        (BUILD, "family_tiny.json",
+         _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "push": ["d1", "Q"]}),
+         "family.layouts.pair"),
+        (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), "V1"), "$"),
+        (ENCODE, "scm_xor.json", _padded_noise_clash, "endogenous[0]"),
     ],
     ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
          "invariant-under-empty-part", "violated-by-unknown-label",
@@ -705,7 +718,8 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "repeated-parent", "target-among-parents", "unknown-target", "unknown-parent",
          "repeated-value", "repeated-variable-id", "no-variables", "no-state-map",
          "alphabet-map-unknown-value", "alphabet-map-not-covering", "no-endogenous",
-         "non-adjacent-barrier", "shared-cell"],
+         "non-adjacent-barrier", "shared-cell", "layout-push-bad-dir", "shared-u-and-v-id",
+         "padded-noise-clash"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")
@@ -792,18 +806,24 @@ def test_unknown_label_or_id_names_its_flag(workspace, capsys, argv, flag, messa
     [
         (ENCODE[:-2], None, "error: encode-scm requires --out for the model file"),
         (BUILD[:-2], None, "error: build-model requires --out DIRECTORY"),
-        (DETERMINATION, "0", "CAUSAL_GROUND_MAX_TABLE must be positive, got 0"),
+        # a bad limit is read before any file, so no file or path is blamed
+        (DETERMINATION, "0", "error: CAUSAL_GROUND_MAX_TABLE must be positive, got 0"),
+        (DETERMINATION, "bogus",
+         "error: CAUSAL_GROUND_MAX_TABLE must be an integer, got 'bogus'"),
+        (LAWS, "0", "error: CAUSAL_GROUND_MAX_TABLE must be positive, got 0"),
+        (LAWS, "bogus", "error: CAUSAL_GROUND_MAX_TABLE must be an integer, got 'bogus'"),
         # the state set is the first table the model file asks for
         (DETERMINATION, "1",
          "error: model_pair.json: at states: finite set 'X' would need 2 table entries"),
     ],
-    ids=["encode-without-out", "build-without-out", "limit-zero", "limit-at-states"],
+    ids=["encode-without-out", "build-without-out", "limit-zero", "limit-bogus",
+         "laws-limit-zero", "laws-limit-bogus", "limit-at-states"],
 )
 def test_usage_or_limit_error_exits_two(workspace, capsys, monkeypatch, argv, limit, message):
     if limit is not None:
         monkeypatch.setenv("CAUSAL_GROUND_MAX_TABLE", limit)
     assert run(argv) == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(message)
 
 
 @pytest.mark.parametrize(

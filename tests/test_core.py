@@ -280,6 +280,49 @@ def test_model_rejects_wrong_identity():
         ActionModel(states, space, {"id": bad_id}, process)
 
 
+_S, _T = FiniteSet("S", ("a", "b")), FiniteSet("T", ("x",))
+_PQ = FactoredSpace((("p", FiniteSet("p", ("0", "1"))), ("q", FiniteSet("q", ("a", "b")))))
+
+
+def _model(generators, process=None):
+    process = process or TotalMap.constant(_S, _PQ.total, "0|a")
+    return ActionModel(_S, _PQ, generators, process)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        # words are written comma-joined, so a record's probe "a,b" would split
+        (lambda: _model({"a,b": TotalMap.identity(_S), "c": TotalMap.identity(_S)}),
+         ValueError, "generator label 'a,b' must not contain ','"),
+        (lambda: _model({"g": TotalMap.constant(_S, _T, "x")}),
+         ValueError, "generator 'g' must map states to states, got 'S' -> 'T'"),
+        (lambda: _model({"g": TotalMap.constant(_T, _S, "a")}),
+         ValueError, "generator 'g' must map states to states, got 'T' -> 'S'"),
+        (lambda: _model({}, TotalMap.constant(_T, _PQ.total, "0|a")),
+         ValueError, "process domain must be the state set"),
+        (lambda: _model({}, TotalMap.constant(_S, _T, "x")),
+         ValueError, "process codomain must be the outcome set"),
+        (lambda: TotalMap.identity(_S).after(TotalMap.identity(_T)),
+         ValueError, "cannot compose: 'T'->'T' then 'S'->'S'"),
+        (lambda: TotalMap.constant(_S, _T, "y"),
+         ValueError, "constant value 'y' not in 'T'"),
+        (lambda: _PQ.domain_of("r"), UnknownVariableError,
+         "unknown variable id 'r' (known: p, q)"),
+        # a non-element is not projected, though it splits into two values
+        (lambda: _PQ.project_element("1|c", ("p",)), ValueError,
+         "'1|c' is not an element of 'pxq'"),
+    ],
+    ids=["comma-generator-label", "generator-codomain", "generator-domain",
+         "process-domain", "process-codomain", "after-mismatch", "constant-outside",
+         "unknown-domain-of", "project-non-element"],
+)
+def test_constructor_rejects_a_broken_rule(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_compose_empty_word_is_identity(pair_model):
     assert compose(pair_model, ()) == TotalMap.identity(pair_model.states)
 

@@ -11,7 +11,6 @@ from causalground.checkers import (
     discover_mechanisms,
 )
 from causalground.cli import run
-from causalground.core import join_values
 from causalground.dominoes import (
     IDENTITY_ROUTING,
     build_bounded_model,
@@ -38,7 +37,7 @@ from causalground.io import (
     witness_from_dict,
 )
 from causalground.scm import encode_scm, potential_response, verify_scm_laws
-from oracles import scm_to_dict
+from oracles import join_values, scm_to_dict
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

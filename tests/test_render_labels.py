@@ -49,9 +49,11 @@ def models(draw, max_generators: int = 3) -> ActionModel:
     def table(codomain: FiniteSet) -> dict:
         return {x: draw(st.sampled_from(codomain.elements)) for x in states.elements}
 
+    # a generator label holds no ',', as words are written comma-joined
+    generator_labels = draw(labels(0, max_generators, exclude=(ID_LABEL,)))
     generators = {
         label: TotalMap(states, states, table(states))
-        for label in draw(labels(0, max_generators, exclude=(ID_LABEL,)))
+        for label in generator_labels if "," not in label
     }
     process = TotalMap(states, space.total, table(space.total))
     return ActionModel(states, space, generators, process)

@@ -94,6 +94,40 @@ def test_function_table_totality_checked():
     assert "not total" in str(err.value)
 
 
+def _rebuilt(scm, **changes):
+    """``scm``'s fields with ``changes``, through the constructor again."""
+    fields = dict(exogenous=scm.exogenous, endogenous=scm.endogenous,
+                  parents=scm.parents, functions=scm.functions)
+    return Scm(**(fields | changes))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda s: _rebuilt(s, exogenous=s.exogenous[:1]),
+         "each endogenous variable needs exactly one paired exogenous variable: "
+         "got 2 endogenous, 1 exogenous"),
+        (lambda s: _rebuilt(s, parents={"V1": ()}), "no parent list for 'V2'"),
+        (lambda s: _rebuilt(s, functions={"V1": s.functions["V1"]}),
+         "no function table for 'V2'"),
+        (lambda s: s.domain_of("W"), "unknown SCM variable 'W'"),
+        (lambda s: s.noise_id("U1"), "unknown endogenous variable 'U1'"),
+        (lambda s: potential_response(s, {"V1": "0"}, {"U1": "0", "U2": "0"}),
+         "slot assignment is missing 'V2'"),
+        (lambda s: potential_response(s, {"V1": "0", "V2": "2"}, {"U1": "0", "U2": "0"}),
+         "slot assignment sets 'V2' to '2', outside its domain"),
+        (lambda s: potential_response(s, {"V1": "0", "V2": "0"}, {"U1": "0", "U2": "2"}),
+         "exogenous assignment is missing or invalid for 'U2'"),
+    ],
+    ids=["unpaired-noise", "no-parent-list", "no-function-table", "unknown-domain",
+         "unknown-noise", "missing-slot", "slot-outside-domain", "bad-exogenous-value"],
+)
+def test_scm_rejects_a_broken_rule(xor_scm, call, message):
+    with pytest.raises(ValueError) as err:
+        call(xor_scm)
+    assert str(err.value) == message
+
+
 def test_potential_response_full_intervention_ignores_functions(xor_scm):
     result = potential_response(
         xor_scm, {"V1": "1", "V2": "0"}, {"U1": "0", "U2": "0"}
