@@ -324,6 +324,11 @@ class FactoredSpace:
         codes = [0] * (len(columns[0]) if columns else 1)
         for (_, dom), column in zip(self.variables, columns):
             radix, positions = len(dom), dom._positions
+            if radix == 1:  # the pass would add 0 to every code: only check
+                only = dom.elements[0]
+                if column.count(only) != len(column):
+                    raise KeyError(next(x for x in column if x != only))
+                continue
             codes = [c * radix + positions[x] for c, x in zip(codes, column)]
         return codes
 

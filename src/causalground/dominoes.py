@@ -308,8 +308,9 @@ class LineFamily:
         pushes = 1 + n * len(self.push_dirs)
         return presence * pushes * 2 ** len(self.barrier_edges)
 
-    def codes(self) -> list[str]:
-        """Every state label, by presence and tags, then barriers, then push."""
+    def _fields(self) -> tuple[list[str], list[str], list[str]]:
+        """The row, bits and push values of the labels, each in enumeration
+        order: rows by presence size, then ids, then tags."""
         check_enumeration_bound(self.state_count(), "line family state set")
         rows = []
         for k in range(min(self.max_dominoes, len(self.ids)) + 1):
@@ -323,7 +324,11 @@ class LineFamily:
             for edges in combinations(self.barrier_edges, k)
         ]
         pushes = ["-"] + [i + d for i in self.ids for d in self.push_dirs]
-        return [f"{r}/b{b}/p{p}" for r in rows for b in bit_rows for p in pushes]
+        return rows, bit_rows, pushes
+
+    def codes(self) -> list[str]:
+        """Every state label, by row, then bits, then push."""
+        return _labels(*self._fields())
 
     def enumerate_states(self) -> list[MicroState]:
         return [self.decode(code) for code in self.codes()]
@@ -353,36 +358,67 @@ class LineFamily:
         label = f"{''.join(tags.get(i, '-') for i in self.ids)}/b{bits}/p{push}"
         return label if self.decode(label) == state else None
 
-    def code_transforms(self) -> dict[str, Callable[[str], str]]:
-        """Every registrable action label with its transform on state codes
-        (labels).  A label that two actions would share raises ValueError."""
-        transforms: dict[str, Callable[[str], str]] = {}
+    def _rewrites(self) -> dict[str, tuple[str, object]]:
+        """Every registrable action label with what it does to a label:
+        ``("id", None)``; ``("init", label)``; ``("row", f)`` or
+        ``("bits", f)``, which rewrite that field by ``f``; or
+        ``("push", f)``, whose push value ``f`` reads from the row.  A label
+        that two actions would share raises ValueError."""
+        rewrites: dict[str, tuple[str, object]] = {}
 
-        def add(label: str, transform: Callable[[str], str]) -> None:
-            if label in transforms:
+        def add(label: str, kind: str, how: object = None) -> None:
+            if label in rewrites:
                 raise ValueError(f"two family actions share the label {label!r}")
-            transforms[label] = transform
+            rewrites[label] = (kind, how)
 
-        n, m = len(self.ids), len(self.barrier_edges)
-        add("id", lambda s: s)
+        n, cap, tag = len(self.ids), self.max_dominoes, self.tags[0]
+        add("id", "id")
         for name, layout in self.layouts:
-            add(f"init-{name}", lambda s, t=self.encode(layout): t)
+            add(f"init-{name}", "init", self.encode(layout))
         for k, i in enumerate(self.ids):
             for d in self.push_dirs:
-                add(f"choose-push-{i}-{d}", lambda s, k=k, p=i + d: (
-                    s[:n + m + 4] + ("-" if s[k] == "-" else p)
-                ))
-            add(f"remove-{i}", lambda s, k=k: s[:k] + "-" + s[k + 1:])
-            add(f"place-{i}", lambda s, k=k: (
-                s if s[k] != "-" or n - s.count("-", 0, n) >= self.max_dominoes
-                else s[:k] + self.tags[0] + s[k + 1:]
+                add(f"choose-push-{i}-{d}", "push",
+                    lambda r, k=k, p=i + d: "-" if r[k] == "-" else p)
+            add(f"remove-{i}", "row", lambda r, k=k: r[:k] + "-" + r[k + 1:])
+            add(f"place-{i}", "row", lambda r, k=k: (
+                r if r[k] != "-" or n - r.count("-") >= cap else r[:k] + tag + r[k + 1:]
             ))
-        for j, i in enumerate(self.barrier_edges, n + 2):
+        for j, i in enumerate(self.barrier_edges):
             for verb, bit in (("add", "1"), ("remove", "0")):
-                add(f"{verb}-barrier-{i}-{i + 1}", lambda s, j=j, bit=bit: (
-                    s[:j] + bit + s[j + 1:]
-                ))
-        return transforms
+                add(f"{verb}-barrier-{i}-{i + 1}", "bits",
+                    lambda b, j=j, bit=bit: b[:j] + bit + b[j + 1:])
+        return rewrites
+
+    def code_transforms(self) -> dict[str, Callable[[str], str]]:
+        """Every registrable action label with its transform on state codes
+        (labels): split at ``decode``'s offsets, one field rewritten,
+        rejoined.  A label that two actions would share raises ValueError."""
+        n, m = len(self.ids), len(self.barrier_edges)
+
+        def on_labels(kind: str, how) -> Callable[[str], str]:
+            if kind == "id":
+                return lambda s: s
+            if kind == "init":
+                return lambda s: how
+
+            def transform(s: str) -> str:
+                row, bits, push = s[:n], s[n + 2:n + 2 + m], s[n + m + 4:]
+                if kind == "row":
+                    row = how(row)
+                elif kind == "bits":
+                    bits = how(bits)
+                else:
+                    push = how(row)
+                return f"{row}/b{bits}/p{push}"
+
+            return transform
+
+        return {a: on_labels(*r) for a, r in self._rewrites().items()}
+
+
+def _labels(rows: Iterable[str], bit_rows: list[str], pushes: list[str]) -> list[str]:
+    """The label of every (row, bits, push), the push fastest."""
+    return [f"{r}/b{b}/p{p}" for r in rows for b in bit_rows for p in pushes]
 
 
 def build_bounded_model(
@@ -396,41 +432,75 @@ def build_bounded_model(
     factored per-domino status space, on which impossible joint outcomes
     become visible.
     """
-    labels = family.codes()
-    n = len(family.ids)
-    transforms = family.code_transforms()
+    rows, bit_rows, pushes = family._fields()
+    labels = _labels(rows, bit_rows, pushes)
+    width, block = len(pushes), len(bit_rows) * len(pushes)  # states per bits, per row
+    micro_states = FiniteSet("Xbar", labels)
+    # The state at (row, bits, push) sits at (row * len(bit_rows) + bits) *
+    # width + push.  Every table entry is one of these shared int objects.
+    shared = list(micro_states._positions.values())
+    count = len(shared)
 
-    # Abstract quotient: one state per tag-forgotten class, represented by
-    # the first micro state enumerated in it.  The process never reads
-    # tags, so it runs once per class.
+    def runs(starts: Iterable[int], length: int, source: list[int] = shared) -> list[int]:
+        """The ``length``-long runs of ``source`` at ``starts``, joined."""
+        table: list[int] = []
+        for start in starts:
+            table += source[start:start + length]
+        return table
+
+    # Each rewrite runs once per distinct value of the field it reads.
+    row_at, bits_at, push_at = (
+        {v: k for k, v in enumerate(f)} for f in (rows, bit_rows, pushes)
+    )
+
+    def expand(kind: str, how) -> list[int]:
+        if kind == "id":
+            return shared
+        if kind == "init":
+            return [shared[micro_states._positions[how]]] * count
+        if kind == "row":
+            return runs([row_at[how(r)] * block for r in rows], block)
+        row_starts = range(0, count, block)
+        if kind == "bits":
+            offsets = [bits_at[how(b)] * width for b in bit_rows]
+            return runs([start + o for start in row_starts for o in offsets], width)
+        table: list[int] = []
+        for start, p in zip(row_starts, [push_at[how(r)] for r in rows]):
+            for k in range(start + p, start + block, width):
+                table += [shared[k]] * width
+        return table
+
+    # Abstract quotient: one state per tag-forgotten row, bits and push, the
+    # rows numbered by first occurrence; each is represented by the first
+    # micro state enumerated in it.  The process never reads tags, so it
+    # runs once per class.
     forget = str.maketrans(dict.fromkeys(family.tags, "x"))
-    classes: dict[str, int] = {}  # abstract label -> abstract position
-    x_codes = [
-        classes.setdefault(label[:n].translate(forget) + label[n:], len(classes))
-        for label in labels
-    ]
-    reps = [0] * len(classes)
-    for k in reversed(range(len(labels))):
-        reps[x_codes[k]] = k
+    xrows = [r.translate(forget) for r in rows]
+    first: dict[str, int] = {}  # tag-forgotten row -> its first row
+    for k, x in enumerate(xrows):
+        first.setdefault(x, k)
+    number = {x: c for c, x in enumerate(first)}
+    class_starts = [number[x] * block for x in xrows]
+    x_codes = runs(class_starts, block)
+    reps = runs([k * block for k in first.values()], block)
     status = [micro_proc(family.decode(labels[k]), family.ids) for k in reps]
     names = [OUTCOME_SEP.join(s[i] for i in family.ids) for s in status]
 
-    micro_states = FiniteSet("Xbar", labels)
     ybar = FiniteSet("Ybar", tuple(sorted(set(names))))
     micro_space = FactoredSpace((("Ybar", ybar),))
 
     # The family checked its layouts and actions, so every image is a state.
-    position = micro_states._positions
-    micro_gens = {a: [position[transforms[a](s)] for s in labels] for a in family.actions}
-    name_codes = micro_space._code([names])
+    rewrites = family._rewrites()
+    micro_gens = {a: expand(*rewrites[a]) for a in family.actions}
     micro = ActionModel(
         micro_states,
         micro_space,
         {a: TotalMap._of(micro_states, micro_states, g) for a, g in micro_gens.items()},
-        TotalMap._of(micro_states, micro_space.total, [name_codes[j] for j in x_codes]),
+        TotalMap._of(micro_states, micro_space.total,
+                     runs(class_starts, block, micro_space._code([names]))),
     )
 
-    abstract_states = FiniteSet("X", tuple(classes))
+    abstract_states = FiniteSet("X", _labels(first, bit_rows, pushes))
     abstract_space = FactoredSpace(
         tuple((i, FiniteSet(f"Y({i})", STATUSES)) for i in family.ids)
     )

@@ -86,6 +86,14 @@ class Scm:
         ids = [v for v, _ in self.exogenous] + [v for v, _ in self.endogenous]
         if len(set(ids)) != len(ids):
             raise ValueError("variable ids must be distinct across U and V")
+        # An endogenous id and its values become part of set-<id>=<value>
+        # labels, and words join labels with ",".
+        for vid, dom in self.endogenous:
+            if "," in vid:
+                raise ValueError(f"endogenous id {vid!r} must not contain ','")
+            comma = next((x for x in dom.elements if "," in x), None)
+            if comma is not None:
+                raise ValueError(f"value {comma!r} of {vid!r} must not contain ','")
         object.__setattr__(self, "_domains", dict(self.exogenous + self.endogenous))
         noise = {v: u for (v, _), (u, _) in zip(self.endogenous, self.exogenous)}
         object.__setattr__(self, "_noise", noise)

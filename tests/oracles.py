@@ -207,7 +207,7 @@ def all_subset_pairs(var_ids):
     return [(i, j) for i in subsets for j in subsets]
 
 
-def _reference_states(family: LineFamily) -> list[MicroState]:
+def reference_states(family: LineFamily) -> list[MicroState]:
     """Every family state as a MicroState, in the family's enumeration order."""
     pushes = [None] + [(i, d) for i in family.ids for d in family.push_dirs]
     edge_sets = [
@@ -226,7 +226,7 @@ def _reference_states(family: LineFamily) -> list[MicroState]:
     return states
 
 
-def _reference_label(family: LineFamily, state: MicroState, abstract: bool) -> str:
+def reference_label(family: LineFamily, state: MicroState, abstract: bool) -> str:
     by_id = {d.id: d for d in state.dominoes}
     tokens = "".join(
         ("x" if abstract else by_id[i].tag) if i in by_id else "-"
@@ -270,8 +270,8 @@ def reference_build_bounded_model(family: LineFamily):
     Runs the simulator on every micro state and once per variable of
     every abstract state, and looks each action result up by state.
     """
-    states = _reference_states(family)
-    labels = [_reference_label(family, s, False) for s in states]
+    states = reference_states(family)
+    labels = [reference_label(family, s, False) for s in states]
     index = dict(zip(states, labels))
     if len(index) != len(states):
         raise CausalGroundError("family state labels are not distinct")
@@ -318,7 +318,7 @@ def reference_build_bounded_model(family: LineFamily):
     rep = {}
     x_table = {}
     for s, label in zip(states, labels):
-        ab = _reference_label(family, s, True)
+        ab = reference_label(family, s, True)
         if ab not in rep:
             rep[ab] = s
             ab_labels.append(ab)
@@ -332,7 +332,7 @@ def reference_build_bounded_model(family: LineFamily):
             abstract_states,
             abstract_states,
             {
-                ab: _reference_label(family, transforms[a](rep[ab]), True)
+                ab: reference_label(family, transforms[a](rep[ab]), True)
                 for ab in ab_labels
             },
         )

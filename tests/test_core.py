@@ -141,6 +141,19 @@ def test_columns_enumerate_total_as_the_product_on_random_spaces():
                 space._code(shuffled[::-1])
 
 
+def test_code_checks_the_one_value_variables_it_skips():
+    # a one-value variable adds nothing to a code, but its values are checked
+    space = FactoredSpace((
+        ("a", FiniteSet("a", ("0", "1"))),
+        ("u", FiniteSet("u", ("k",))),
+        ("w", FiniteSet("w", ("k",))),
+    ))
+    assert space._code([["1", "0"], ["k", "k"], ["k", "k"]]) == [1, 0]
+    with pytest.raises(KeyError) as err:
+        space._code([["1", "0"], ["k", "k"], ["k", "z"]])
+    assert err.value.args == ("z",)
+
+
 def test_projection_coherence_random_spaces():
     # pi^J_I . pi_J = pi_I for all I subset of J, spaces of up to 4 variables
     rng = random.Random(7)

@@ -36,6 +36,8 @@ from oracles import (
     morphism_to_dict,
     reference_action_transforms,
     reference_build_bounded_model,
+    reference_label,
+    reference_states,
     reference_text,
 )
 
@@ -344,6 +346,55 @@ def odd_ids_family() -> LineFamily:
 )
 def test_named_families_match_reference(make):
     assert_matches_reference(make())
+
+
+@pytest.mark.parametrize("make", [family_tiny_file, odd_ids_family])
+def test_code_transforms_agree_with_the_reference_transforms(make):
+    """The label adapter, which the build does not call, rewrites every
+    state's label to the label of the reference action's result."""
+    family = make()
+    transforms, reference = family.code_transforms(), reference_action_transforms(family)
+    assert list(transforms) == list(reference)
+    for state in reference_states(family):
+        label = reference_label(family, state, False)
+        for a, transform in transforms.items():
+            want = reference_label(family, reference[a](state), False)
+            assert transform(label) == want, (a, label)
+
+
+def test_build_calls_each_rewrite_once_per_field_value(monkeypatch):
+    family = odd_ids_family()
+    rows, bit_rows, pushes = family._fields()
+    rewrites, calls = family._rewrites(), {}
+
+    def counted(label, kind, how):
+        if not callable(how):
+            return kind, how
+
+        def rewrite(value):
+            calls[label] = calls.get(label, 0) + 1
+            return how(value)
+
+        return kind, rewrite
+
+    monkeypatch.setattr(LineFamily, "_rewrites", lambda self: {
+        a: counted(a, *r) for a, r in rewrites.items()
+    })
+    assert_matches_reference(family)
+    assert calls == {
+        a: len(bit_rows if kind == "bits" else rows)
+        for a, (kind, how) in rewrites.items() if callable(how)
+    }
+    assert len(rows) * 2 < family.state_count()
+
+
+def test_micro_generator_tables_share_one_int_per_state():
+    """Every table entry is one of a single set of int objects, so the
+    tables hold no int object of their own."""
+    micro = build_bounded_model(five_chain_family())[0]
+    assert len(micro.generators) == 30
+    held = {id(code) for g in micro.generators.values() for code in g._codes}
+    assert len(held) <= len(micro.states)
 
 
 def random_family(rng: random.Random, max_dominoes: int, base: LineFamily):

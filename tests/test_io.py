@@ -94,6 +94,25 @@ def test_model_value_outside_domain():
     assert err.value.path == "process.x1"
 
 
+@pytest.mark.parametrize(
+    "row, path, reason",
+    [
+        (["1", "z"], "process.x2",
+         "map 'X' -> 'v1xc' sends 'x2' to '1|z', which is not in the codomain"),
+        (["1", ["k"]], "process.x2[1]", "expected a string"),
+    ],
+    ids=["foreign-value", "non-string-value"],
+)
+def test_model_one_value_variable_outside_its_domain(row, path, reason):
+    # the loader's codec skips a one-value variable's pass but not its check
+    data = base_model_dict()
+    data["variables"][1] = {"id": "c", "values": ["k"]}
+    data["process"] = {"x1": ["0", "k"], "x2": row}
+    with pytest.raises(SchemaError) as err:
+        model_from_dict(data, "m.json")
+    assert (err.value.path, err.value.reason) == (path, reason)
+
+
 def test_model_bad_identity_rejected():
     data = base_model_dict()
     data["generators"]["id"] = {"x1": "x2", "x2": "x1"}

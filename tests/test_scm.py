@@ -110,6 +110,11 @@ def _rebuilt(scm, **changes):
         (lambda s: _rebuilt(s, parents={"V1": ()}), "no parent list for 'V2'"),
         (lambda s: _rebuilt(s, functions={"V1": s.functions["V1"]}),
          "no function table for 'V2'"),
+        (lambda s: _rebuilt(s, endogenous=(("V,1", binary("V,1")), s.endogenous[1])),
+         "endogenous id 'V,1' must not contain ','"),
+        (lambda s: _rebuilt(s, endogenous=(s.endogenous[0],
+                                           ("V2", FiniteSet("V2", ("0", "1,0"))))),
+         "value '1,0' of 'V2' must not contain ','"),
         (lambda s: s.domain_of("W"), "unknown SCM variable 'W'"),
         (lambda s: s.noise_id("U1"), "unknown endogenous variable 'U1'"),
         (lambda s: potential_response(s, {"V1": "0"}, {"U1": "0", "U2": "0"}),
@@ -119,7 +124,8 @@ def _rebuilt(scm, **changes):
         (lambda s: potential_response(s, {"V1": "0", "V2": "0"}, {"U1": "0", "U2": "2"}),
          "exogenous assignment is missing or invalid for 'U2'"),
     ],
-    ids=["unpaired-noise", "no-parent-list", "no-function-table", "unknown-domain",
+    ids=["unpaired-noise", "no-parent-list", "no-function-table", "comma-in-id",
+         "comma-in-value", "unknown-domain",
          "unknown-noise", "missing-slot", "slot-outside-domain", "bad-exogenous-value"],
 )
 def test_scm_rejects_a_broken_rule(xor_scm, call, message):
