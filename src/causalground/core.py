@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 #: Reserved separator used to serialize tuples of a factored space into
@@ -136,6 +138,12 @@ def unit_set() -> FiniteSet:
     return FiniteSet("1", (UNIT_ELEMENT,))
 
 
+def _gather(table: dict, keys: tuple) -> tuple:
+    """``table[k]`` for each of at least one key, in order, in one C-level pass."""
+    values = itemgetter(*keys)(table)
+    return values if len(keys) > 1 else (values,)  # one key: the bare value
+
+
 @dataclass(init=False, repr=False)
 class TotalMap:
     """A function between finite sets, stored as the codomain position of
@@ -163,7 +171,7 @@ class TotalMap:
         table, elements = self._table, self.domain.elements
         codomain, self._table = self.codomain._positions, None
         try:
-            self._codes = [codomain[table[x]] for x in elements]
+            self._codes = list(map(codomain.__getitem__, _gather(table, elements)))
             if len(table) == len(elements):
                 return
         except (KeyError, TypeError):
@@ -267,7 +275,7 @@ class FactoredSpace:
             object.__setattr__(self, "total", unit_set())
             return
         check_enumeration_bound(size, "factored space total set")
-        elements = map(SEP.join, zip(*self._columns().values()))
+        elements = map(SEP.join, product(*(dom.elements for _, dom in self.variables)))
         object.__setattr__(self, "total", FiniteSet("x".join(ids), tuple(elements)))
 
     def domain_of(self, var_id: str) -> FiniteSet:
@@ -308,7 +316,7 @@ class FactoredSpace:
 
     def _columns(self) -> dict[str, list[str]]:
         """Each variable's value at every element of ``total``, the last
-        variable fastest: the one enumeration of the space.  Fresh lists."""
+        variable fastest, as ``total`` enumerates the product.  Fresh lists."""
         columns, blocks = {}, 1
         for var_id, dom in self.variables:
             stride, radix = self._strides[var_id]

@@ -23,7 +23,7 @@ memory, not on the table); the process then topples nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -232,6 +232,11 @@ class LineFamily:
     push_dirs: tuple[str, ...] = ("E", "W")
     layouts: tuple[tuple[str, MicroState], ...] = ()
     actions: tuple[str, ...] = ()
+    # decode's shared parts: dominoes by (id, tag), their tuples by row,
+    # barrier sets by bits, pushes by push field
+    _parts: tuple[dict, dict, dict, dict] = field(
+        default_factory=lambda: ({}, {}, {}, {}), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.ids) > self.length:
@@ -334,16 +339,25 @@ class LineFamily:
         return [self.decode(code) for code in self.codes()]
 
     def decode(self, label: str) -> MicroState:
-        """The state of a label, read at fixed offsets: an id may hold '/'."""
+        """The state of a label, read at fixed offsets: an id may hold '/'.
+        Decoded states share their parts, each built on first use: one
+        ``Domino`` per (id, tag), one tuple of them per row field, one
+        barrier set per bits field and one push per push field."""
         n, m = len(self.ids), len(self.barrier_edges)
-        present = {i: t for i, t in zip(self.ids, label[:n]) if t != "-"}
-        bits = label[n + 2:n + 2 + m]
-        push = label[n + m + 4:]
-        return self.state(
-            present,
-            [e for e, b in zip(self.barrier_edges, bits) if b == "1"],
-            None if push == "-" else (push[:-1], push[-1]),
-        )
+        row, bits, push = label[:n], label[n + 2:n + 2 + m], label[n + m + 4:]
+        dominoes, rows, barriers, pushes = self._parts
+        if row not in rows:
+            present = [(i, t) for i, t in zip(self.ids, row) if t != "-"]
+            for i, t in present:
+                if (i, t) not in dominoes:
+                    dominoes[i, t] = Domino(i, self.home_cell(i), IDENTITY_ROUTING, t)
+            rows[row] = tuple(map(dominoes.__getitem__, present))
+        if bits not in barriers:
+            edges = [e for e, b in zip(self.barrier_edges, bits) if b == "1"]
+            barriers[bits] = frozenset(map(self.edge, edges))
+        if push not in pushes:
+            pushes[push] = None if push == "-" else (push[:-1], push[-1])
+        return MicroState(self.grid, rows[row], barriers[bits], pushes[push])
 
     def encode(self, state: MicroState) -> Optional[str]:
         """The label (code) of ``state``, or None if it is not in the family."""

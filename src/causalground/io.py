@@ -27,6 +27,7 @@ from .core import (
     MapTableError,
     SEP,
     TotalMap,
+    _gather,
 )
 from .abstraction import ModelMorphism
 from .checkers import MechanismRecord
@@ -67,19 +68,27 @@ def load_json(path: str) -> Any:
 
 
 def dump_json(data: Any, path: str, *refs: str) -> None:
-    text = to_json(data, *refs)  # written 1 MB at a time, so never encoded whole
+    # Rendered before the file is opened, so a render error leaves it as it
+    # was.  Each table is rendered as one string and the file is written
+    # piece by piece, so the whole text is never held at once.
+    pieces = _pieces(data, *refs)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(text[k:k + (1 << 20)] for k in range(0, len(text), 1 << 20))
+        fh.writelines(pieces)
 
 
 def to_json(data: Any, *refs: str) -> str:
     """JSON text, indent 2, keys sorted.  Models and morphisms are rendered from
     positions; a morphism's models are inline unless ``refs`` names their files."""
+    return "".join(_pieces(data, *refs))
+
+
+def _pieces(data: Any, *refs: str) -> list[str]:
+    """The pieces of ``to_json(data, *refs)``, in order."""
     if isinstance(data, ActionModel):
-        return "".join(_model(data, 0) + ["\n"])
+        return _model(data, 0) + ["\n"]
     if isinstance(data, ModelMorphism):
-        return "".join(_morphism(data, *refs) + ["\n"])
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return _morphism(data, *refs) + ["\n"]
+    return [json.dumps(data, indent=2, sort_keys=True), "\n"]
 
 
 def _block(items: list[str], depth: int) -> str:
@@ -105,15 +114,17 @@ class _Keys:
         self.order = sorted(range(len(s)), key=s.elements.__getitem__)
         self.prefixes: dict[int, list[str]] = {}
 
-    def table(self, codes: list[int], values: Any, depth: int) -> list[str]:
-        """The pieces of the object at ``depth`` sending i to ``values[codes[i]]``."""
+    def table(self, codes: list[int], values: Any, depth: int) -> str:
+        """The object at ``depth`` sending i to ``values[codes[i]]``, as one string."""
         if depth not in self.prefixes:
             sep = ",\n" + "  " * (depth + 1)
             self.prefixes[depth] = [f"{sep}{self.encoded[i]}: " for i in self.order]
         parts = self.prefixes[depth] * 2
         parts[::2] = self.prefixes[depth]
-        parts[1::2] = map(values.__getitem__, map(codes.__getitem__, self.order))
-        return ["{" + parts[0][1:], *parts[1:], "\n" + "  " * depth + "}"]
+        parts[1::2] = [values[codes[i]] for i in self.order]
+        parts[0] = "{" + parts[0][1:]
+        parts.append("\n" + "  " * depth + "}")
+        return "".join(parts)
 
 
 def _rows(space: FactoredSpace, codes: list[int], depth: int) -> dict[int, str]:
@@ -193,8 +204,8 @@ def _outcome_table(
     table = _expect(data, dict, file, path, "an object")
     arity = len(space.variables)
     try:
-        rows = [table[x] for x in domain.elements]
-        shaped = all(isinstance(row, list) and len(row) == arity for row in rows)
+        rows = _gather(table, domain.elements)
+        shaped = set(map(type, rows)) == {list} and set(map(len, rows)) == {arity}
         if shaped and len(table) == len(rows):
             columns = [[row[i] for row in rows] for i in range(arity)]
             return TotalMap._of(domain, space.total, space._code(columns))
@@ -281,10 +292,10 @@ def _model(model: ActionModel, depth: int) -> list[str]:
     ]
     return _object({
         "generators": _object({
-            label: keys.table(gen._codes, keys.encoded, depth + 2)
+            label: [keys.table(gen._codes, keys.encoded, depth + 2)]
             for label, gen in model.generators.items() if label != ID_LABEL
         }, depth + 1),
-        "process": keys.table(codes, _rows(space, codes, depth + 2), depth + 1),
+        "process": [keys.table(codes, _rows(space, codes, depth + 2), depth + 1)],
         "states": [_block(keys.encoded, depth + 1)],
         "variables": [_block(["".join(_object(v, depth + 2)) for v in variables], depth + 1)],
     }, depth)
@@ -333,9 +344,9 @@ def _morphism(m: ModelMorphism, source_ref: str = "", target_ref: str = "") -> l
     rows = _rows(m.target.outcomes, codes, 2)
     return _object({
         "alphabet_map": _object({a: [_enc(b)] for a, b in m.alphabet_map.items()}, 1),
-        "outcome_map": _Keys(m.source.outcomes.total).table(codes, rows, 1),
+        "outcome_map": [_Keys(m.source.outcomes.total).table(codes, rows, 1)],
         "source_model": [_enc(source_ref)] if source_ref else _model(m.source, 1),
-        "state_map": _Keys(m.source.states).table(m.state_map._codes, targets, 1),
+        "state_map": [_Keys(m.source.states).table(m.state_map._codes, targets, 1)],
         "target_model": [_enc(target_ref)] if target_ref else _model(m.target, 1),
     }, 0)
 

@@ -70,9 +70,9 @@ def projection_first_variable_fastest(monkeypatch):
 
 
 def columns_first_variable_fastest(monkeypatch):
-    """A space enumerates ``total`` with the first variable varying
-    fastest, not the last, while its projections still decode the last
-    variable fastest."""
+    """A space's value columns, which SCM encoding reads, run with the
+    first variable varying fastest, not the last, while ``total`` and the
+    projections still run the last variable fastest."""
 
     def columns(self):
         size, out, stride = math.prod(len(dom) for _, dom in self.variables), {}, 1

@@ -64,6 +64,26 @@ def test_total_map_validation():
         assert (err.value.element, str(err.value)) == (element, message), table
 
 
+def test_total_map_over_a_one_element_domain():
+    # A one-key gather yields the bare value, not a 1-tuple: a tuple value
+    # must not be read as a row of two entries.
+    o, t = FiniteSet("O", ("o",)), FiniteSet("T", ("x", "y"))
+    m = TotalMap(o, t, {"o": "y"})
+    assert (m._codes, m.table, m("o")) == ([1], {"o": "y"}, "y")
+    cases = [
+        ({}, "o", "map 'O' -> 'T' is not total: missing entry for 'o'"),
+        ({"p": "x"}, "o", "map 'O' -> 'T' is not total: missing entry for 'o'"),
+        ({"o": "x", "p": "x"}, "p", "map 'O' -> 'T' has an entry outside its domain: 'p'"),
+        ({"o": "z"}, "o", "map 'O' -> 'T' sends 'o' to 'z', which is not in the codomain"),
+        ({"o": ("x", "y")}, "o",
+         "map 'O' -> 'T' sends 'o' to ('x', 'y'), which is not in the codomain"),
+    ]
+    for table, element, message in cases:
+        with pytest.raises(MapTableError) as err:
+            TotalMap(o, t, table)
+        assert (err.value.element, str(err.value)) == (element, message), table
+
+
 def test_built_map_does_not_alias_its_label_table():
     s, t = FiniteSet("S", ("x", "y")), FiniteSet("T", ("0", "1"))
     table = {"x": "0", "y": "1"}

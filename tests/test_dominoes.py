@@ -362,6 +362,25 @@ def test_code_transforms_agree_with_the_reference_transforms(make):
             assert transform(label) == want, (a, label)
 
 
+@pytest.mark.parametrize("make", [family_tiny_file, odd_ids_family])
+def test_decode_matches_fresh_states_and_shares_their_parts(make):
+    family = make()
+    labels, states = family.codes(), reference_states(family)  # built by family.state
+    assert labels == [reference_label(family, s, False) for s in states]
+    decoded = [family.decode(label) for label in labels]
+    assert decoded == states
+    dominoes, barriers, pushes = {}, {}, {}
+    for label, state in zip(labels, decoded):
+        for d in state.dominoes:
+            assert dominoes.setdefault((d.id, d.tag), d) is d, label
+        assert barriers.setdefault(state.barriers, state.barriers) is state.barriers, label
+        assert pushes.setdefault(state.push, state.push) is state.push, label
+    assert len(dominoes) == len(family.ids) * len(family.tags)
+    # the shared parts are a cache: a copy has its own, and equality ignores them
+    copy = replace(family)
+    assert copy == family and copy._parts[0] is not family._parts[0]
+
+
 def test_build_calls_each_rewrite_once_per_field_value(monkeypatch):
     family = odd_ids_family()
     rows, bit_rows, pushes = family._fields()

@@ -536,3 +536,37 @@ def test_built_chain_files_load_as_the_built_morphism(
     # ModelMorphism compares by identity, so compare its fields
     for field in ("source", "target", "state_map", "outcome_map", "alphabet_map"):
         assert getattr(loaded, field) == getattr(morphism, field), field
+
+
+def _dumped(data, path, *refs) -> str:
+    dump_json(data, path, *refs)
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8")
+
+
+def test_dump_json_writes_the_to_json_text_of_corpus_models_and_dicts(
+    tmp_path, model_corpus
+):
+    path = tmp_path / "out.json"
+    for model, _ in model_corpus:
+        assert _dumped(model, path) == to_json(model)
+    data = {"b": [1, "é", None], "a": {"z": True, "y": 0.5}}
+    assert _dumped(data, path) == to_json(data)
+
+
+@pytest.mark.parametrize("name", ["three_chain", "four_chain", "five_chain"])
+def test_dump_json_writes_the_to_json_text_of_chain_morphisms(request, tmp_path, name):
+    morphism, path = request.getfixturevalue(name)[2], tmp_path / "morphism.json"
+    for refs in [(), ("micro_model.json", "abstract_model.json")]:
+        assert _dumped(morphism, path, *refs) == to_json(morphism, *refs)
+
+
+def test_dump_json_render_error_leaves_the_file(tmp_path, three_chain):
+    # the pieces are rendered before the file is opened for writing
+    path = tmp_path / "kept.json"
+    path.write_bytes(b'{"kept": true}\n')
+    with pytest.raises(TypeError):
+        dump_json({"a": object()}, path)
+    with pytest.raises(TypeError):  # a file reference must be a string
+        dump_json(three_chain[2], path, 1, 2)
+    assert path.read_bytes() == b'{"kept": true}\n'

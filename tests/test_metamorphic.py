@@ -47,12 +47,14 @@ from causalground.core import (  # noqa: E402
     _Image,
     outcome_map,
 )
+from causalground.scm import encode_scm, random_scm  # noqa: E402
 from mutants import MUTANTS  # noqa: E402
 from oracles import (  # noqa: E402
     all_subset_pairs,
     assert_kernel_agrees,
     random_action_model,
     random_word,
+    reference_encode_scm,
 )
 
 SETTINGS = settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -384,14 +386,26 @@ def _oracle(corpus) -> None:
         assert_kernel_agrees(model, word, rng, len(model.outcomes.var_ids))
 
 
+def _scm_oracle(n_scms: int = 5) -> None:
+    """SCM encoding, which reads a space's value columns, against the
+    reference encoding built from ``total``'s labels one state at a time."""
+    for seed in range(n_scms):
+        scm = random_scm(seed)
+        assert encode_scm(scm) == reference_encode_scm(scm), seed
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
     MUTANTS[name](monkeypatch)
     caught = {
         "oracle": _fails(lambda: _oracle(model_corpus[:200])),
         "relations": _fails(lambda: _relations(100)),
+        "scm": _fails(_scm_oracle),
     }
     assert any(caught.values()), f"mutant {name} survived"
+    if name == "columns_first_variable_fastest":
+        # ``total`` does not read the columns: only SCM encoding does.
+        assert caught["scm"]
     if name in (
         "counterexample_from_last_reacher",
         "binds_last_j_code",
@@ -458,7 +472,8 @@ def test_columns_mutant_leaves_no_kept_subspace(model_corpus):
     # every test: no subspace enumerated under the mutant may be kept.
     with pytest.MonkeyPatch.context() as patch:
         MUTANTS["columns_first_variable_fastest"](patch)
-        assert _fails(lambda: _oracle(model_corpus[:60]))
+        assert _fails(_scm_oracle)
+        _oracle(model_corpus[:60])  # builds the corpus spaces' subspaces
     for model, _ in model_corpus[:60]:
         space = model.outcomes
         for ids in dict.fromkeys(i for i, _ in all_subset_pairs(space.var_ids)):
