@@ -10,6 +10,7 @@ enumeration over the micro states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .core import ActionModel, TotalMap, Word
@@ -109,7 +110,7 @@ def check_naturality(m: ModelMorphism) -> NaturalityReport:
     failures: list[SquareFailure] = []
     count = 0
     x = m.state_map._codes
-    states = m.source.states.elements
+    states = m.source.states
 
     def square(kind, label, via_source: list[int], target: list[int], codomain):
         """Compare one square at every micro state, on positions; name
@@ -120,10 +121,10 @@ def check_naturality(m: ModelMorphism) -> NaturalityReport:
             return
         bad = [s for s, (p, q) in enumerate(zip(via_source, via_target)) if p != q]
         count += len(bad)
-        names = codomain.elements
+        name = codomain.label
         for s in bad[: _CAP - len(failures)]:
             failures.append(SquareFailure(
-                kind, label, states[s], names[via_source[s]], names[via_target[s]]
+                kind, label, states.label(s), name(via_source[s]), name(via_target[s])
             ))
 
     for a, f_src in m.source.generators.items():
@@ -140,19 +141,20 @@ def check_surjectivity_assumptions(m: ModelMorphism) -> SurjectivityReport:
     """Report surjectivity of the process, state map, and outcome map.
 
     The impossible outcomes are the complement of the image of
-    outcome_map . process in the target outcome set.
+    outcome_map . process in the target outcome set; they are counted on
+    positions, and only the ones the report names are labelled.
     """
     y = m.outcome_map._codes
     realized = {y[v] for v in set(m.source.process._codes)}
     total = m.target.outcomes.total
-    impossible = [e for k, e in enumerate(total.elements) if k not in realized]
+    impossible = (k for k in range(len(total)) if k not in realized)
     return SurjectivityReport(
         process_surjective=m.source.process.is_surjective(),
         state_map_surjective=m.state_map.is_surjective(),
         outcome_map_surjective=m.outcome_map.is_surjective(),
         possible_count=len(realized),
-        impossible_count=len(impossible),
-        impossible_sample=tuple(impossible[:_CAP]),
+        impossible_count=len(total) - len(realized),
+        impossible_sample=tuple(map(total.label, islice(impossible, _CAP))),
     )
 
 

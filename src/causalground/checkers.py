@@ -20,6 +20,7 @@ from .core import (
     Word,
     _first_mismatch,
     _Image,
+    check_enumeration_bound,
     outcome_map,  # noqa: F401  still bound here; bench/tracing.py patches it
 )
 
@@ -194,8 +195,11 @@ def _scan_determination(
         pair = (image.row_state(codes_i.index(codes_i[k])), image.row_state(k))
         return DeterminationResult(False, None, None, pair)
     domain, codomain = (image.model.outcomes.subspace(ids).total for ids in (ids_i, ids_j))
-    witness = TotalMap._of(domain, codomain, [bound.get(c, 0) for c in range(len(domain))])
-    return DeterminationResult(True, witness, len(bound) == len(domain), None)
+    n = len(domain)
+    if n > len(image.model.states):  # no longer than the state set: nothing to count
+        check_enumeration_bound(n, "determination witness")
+    witness = TotalMap._of(domain, codomain, [bound.get(c, 0) for c in range(n)])
+    return DeterminationResult(True, witness, len(bound) == n, None)
 
 
 def check_determination(

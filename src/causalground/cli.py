@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 import time
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Optional, Sequence
 
 from . import io as cgio
@@ -336,9 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``run``'s parser, built once per process: parsing reads it and leaves it
+# as it was.  Kept private: a caller's ``build_parser()`` is its own.
+_parser = cache(build_parser)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler, _, flags = _COMMANDS[args.command]
     started = time.monotonic()
     try:

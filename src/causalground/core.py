@@ -3,9 +3,11 @@
 Everything here is exact and exhaustively enumerable: sets carry explicit
 ordered element lists, maps carry positions (their label table is a view
 built on first read), and map equality is position equality.  Nothing
-changes after construction but two caches that never change a result, a
-model's image of its last context and a space's subspaces, both declared
-``init=False, compare=False``: ``replace`` starts them empty, ``==`` skips them.
+changes after construction but caches that never change a result: a
+model's image of its last context and a space's subspaces, declared
+``init=False, compare=False`` (``replace`` starts them empty, ``==`` skips
+them), and the labels and positions of a space's ``total``, built on
+first read.
 
 Word convention (used consistently across the whole package): a word is a
 sequence of generator labels in which the RIGHTMOST label acts first, so
@@ -18,6 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -101,7 +104,7 @@ def check_enumeration_bound(count: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSet:
     """An explicit finite set: an id plus an ordered tuple of element labels.
 
@@ -116,6 +119,8 @@ class FiniteSet:
     elements: tuple[str, ...]
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
+    domains = None  # a product's factors
+
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         if not self.elements:
@@ -126,11 +131,71 @@ class FiniteSet:
         check_enumeration_bound(len(self.elements), f"finite set {self.id!r}")
         object.__setattr__(self, "_positions", positions)
 
+    def __eq__(self, other) -> bool:
+        """Equal labels in equal order.  Two products compare by their
+        domains, a product and a plain set label by label: comparing
+        never builds a product's labels."""
+        if self is other:
+            return True
+        if not isinstance(other, FiniteSet):
+            return NotImplemented
+        if len(self) != len(other):
+            return False
+        if self.domains is None and other.domains is None:
+            return self.elements == other.elements
+        if self.domains is not None and other.domains is not None:
+            return self.domains == other.domains
+        return all(self.label(k) == other.label(k) for k in range(len(self)))
+
+    def __hash__(self) -> int:  # equal sets share these three
+        return hash((len(self), self.label(0), self.label(len(self) - 1)))
+
     def __contains__(self, element: str) -> bool:
         return element in self._positions
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    def label(self, k: int) -> str:
+        """The element at position ``k``."""
+        return self.elements[k]
+
+
+class _Product(FiniteSet):
+    """The product of ``domains``: its elements are their joint values
+    joined with ``SEP``, the last domain varying fastest.  A view: its
+    length is known at once, its elements and positions are built on
+    first read, which is where the enumeration limit applies, and
+    ``label`` decodes one position without building them."""
+
+    def __init__(self, id: str, domains: tuple[FiniteSet, ...]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "_size", prod(map(len, domains)))
+
+    def __getattr__(self, name: str):  # only reached while ``name`` is unset
+        if name == "elements":
+            check_enumeration_bound(self._size, f"finite set {self.id!r}")
+            value = tuple(map(SEP.join, product(*(d.elements for d in self.domains))))
+        elif name == "_positions":
+            value = {x: k for k, x in enumerate(self.elements)}
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __repr__(self) -> str:  # names the factors: no labels are built
+        return f"_Product(id={self.id!r}, domains={self.domains!r})"
+
+    def label(self, k: int) -> str:
+        values = []
+        for dom in reversed(self.domains):
+            k, r = divmod(k, len(dom))
+            values.append(dom.elements[r])
+        return SEP.join(reversed(values))
 
 
 def unit_set() -> FiniteSet:
@@ -238,10 +303,11 @@ class TotalMap:
 class FactoredSpace:
     """A product of named variable domains with all its projection maps.
 
-    The total set enumerates every joint assignment (variable order is the
+    The total set is every joint assignment (variable order is the
     declared order, values iterate in their domain order), serialized with
-    the reserved separator.  Projections exist for every subset of the
-    variables, including the empty subset whose target is the unit set.
+    the reserved separator; it is a view whose labels are built on first
+    read.  Projections exist for every subset of the variables, including
+    the empty subset whose target is the unit set.
     """
 
     variables: tuple[tuple[str, FiniteSet], ...]
@@ -271,12 +337,9 @@ class FactoredSpace:
         for var_id, dom in reversed(self.variables):
             strides[var_id], size = (size, len(dom)), size * len(dom)
         object.__setattr__(self, "_strides", strides)
-        if not self.variables:
-            object.__setattr__(self, "total", unit_set())
-            return
-        check_enumeration_bound(size, "factored space total set")
-        elements = map(SEP.join, product(*(dom.elements for _, dom in self.variables)))
-        object.__setattr__(self, "total", FiniteSet("x".join(ids), tuple(elements)))
+        domains = tuple(dom for _, dom in self.variables)
+        total = _Product("x".join(ids), domains) if domains else unit_set()
+        object.__setattr__(self, "total", total)
 
     def domain_of(self, var_id: str) -> FiniteSet:
         position = self._positions.get(var_id)
@@ -316,7 +379,9 @@ class FactoredSpace:
 
     def _columns(self) -> dict[str, list[str]]:
         """Each variable's value at every element of ``total``, the last
-        variable fastest, as ``total`` enumerates the product.  Fresh lists."""
+        variable fastest, as ``total`` enumerates the product.  Fresh lists,
+        each as long as ``total``: the enumeration limit applies here."""
+        check_enumeration_bound(len(self.total), "factored space total set")
         columns, blocks = {}, 1
         for var_id, dom in self.variables:
             stride, radix = self._strides[var_id]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
 from json.encoder import encode_basestring_ascii as _enc
@@ -107,7 +108,15 @@ def _object(items: dict[str, list[str]], depth: int) -> list[str]:
 
 
 class _Keys:
-    """A set's labels JSON-encoded once, in sorted order, and entry prefixes per depth."""
+    """A set's labels JSON-encoded once, in sorted order, and entry prefixes
+    per depth.  Built once per set, by ``of``, and kept while the set lives."""
+
+    @classmethod
+    def of(cls, s: FiniteSet) -> "_Keys":
+        keys = _KEPT_KEYS.get(s)
+        if keys is None:
+            keys = _KEPT_KEYS[s] = cls(s)
+        return keys
 
     def __init__(self, s: FiniteSet):
         self.encoded = list(map(_enc, s.elements))
@@ -125,6 +134,10 @@ class _Keys:
         parts[0] = "{" + parts[0][1:]
         parts.append("\n" + "  " * depth + "}")
         return "".join(parts)
+
+
+# Weak keys: an entry goes with its set, so no set's keys outlive it.
+_KEPT_KEYS: "weakref.WeakKeyDictionary[FiniteSet, _Keys]" = weakref.WeakKeyDictionary()
 
 
 def _rows(space: FactoredSpace, codes: list[int], depth: int) -> dict[int, str]:
@@ -285,7 +298,7 @@ def load_model(path: str) -> ActionModel:
 
 
 def _model(model: ActionModel, depth: int) -> list[str]:
-    keys, codes, space = _Keys(model.states), model.process._codes, model.outcomes
+    keys, codes, space = _Keys.of(model.states), model.process._codes, model.outcomes
     variables = [
         {"id": [_enc(v)], "values": [_block([*map(_enc, d.elements)], depth + 3)]}
         for v, d in space.variables
@@ -340,13 +353,13 @@ def load_morphism(path: str) -> ModelMorphism:
 
 
 def _morphism(m: ModelMorphism, source_ref: str = "", target_ref: str = "") -> list[str]:
-    codes, targets = m.outcome_map._codes, [*map(_enc, m.target.states.elements)]
+    codes, targets = m.outcome_map._codes, _Keys.of(m.target.states).encoded
     rows = _rows(m.target.outcomes, codes, 2)
     return _object({
         "alphabet_map": _object({a: [_enc(b)] for a, b in m.alphabet_map.items()}, 1),
-        "outcome_map": [_Keys(m.source.outcomes.total).table(codes, rows, 1)],
+        "outcome_map": [_Keys.of(m.source.outcomes.total).table(codes, rows, 1)],
         "source_model": [_enc(source_ref)] if source_ref else _model(m.source, 1),
-        "state_map": [_Keys(m.source.states).table(m.state_map._codes, targets, 1)],
+        "state_map": [_Keys.of(m.source.states).table(m.state_map._codes, targets, 1)],
         "target_model": [_enc(target_ref)] if target_ref else _model(m.target, 1),
     }, 0)
 

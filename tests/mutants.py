@@ -13,10 +13,12 @@ import math
 from causalground import checkers
 from causalground.core import (
     ID_LABEL,
+    SEP,
     ActionModel,
     FactoredSpace,
     _first_mismatch,
     _Image,
+    _Product,
     _rows,
 )
 
@@ -91,6 +93,20 @@ def columns_first_variable_fastest(monkeypatch):
     # A space keeps each subspace it builds.  Build afresh, so that no
     # subspace enumerated under the patch is left on a space that outlives it.
     monkeypatch.setattr(FactoredSpace, "subspace", subspace)
+
+
+def labels_first_variable_fastest(monkeypatch):
+    """A joint outcome label is decoded from its position with the first
+    variable varying fastest, not the last."""
+
+    def label(self, k):
+        values = []
+        for dom in self.domains:
+            k, r = divmod(k, len(dom))
+            values.append(dom.elements[r])
+        return SEP.join(values)
+
+    monkeypatch.setattr(_Product, "label", label)
 
 
 def rows_in_last_occurrence_order(monkeypatch):
@@ -177,6 +193,7 @@ MUTANTS = {
         columns_first_variable_fastest,
         projection_columns_swapped,
         projection_first_variable_fastest,
+        labels_first_variable_fastest,
         rows_in_last_occurrence_order,
         scan_skips_last_state,
         unique_on_codomain,

@@ -11,8 +11,11 @@ naturality closure check composes whole words instead of single
 generator squares.  The reference checkers run on label tables (the
 string kernel the library used before its integer coding), one state at a
 time.  The reference SCM encoding builds every table from split labels
-instead of writing positions.  The barrier-blind morphism is a sabotage
-fixture that naturality must refute.  The reference writers build a
+instead of writing positions.  The reference labels of a product enumerate
+every joint assignment at once, where the library decodes one position at
+a time, and the reference naturality and surjectivity reports are read
+off label tables.  The barrier-blind morphism is a sabotage fixture that
+naturality must refute.  The reference writers build a
 model's, a morphism's or an SCM's file data as a dict from the label
 tables, split with the oracles' own label codec; ``reference_text`` lays
 that out with the stdlib encoder, the text the library renders from
@@ -27,7 +30,12 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Mapping, Optional
 
-from causalground.abstraction import ModelMorphism
+from causalground.abstraction import (
+    ModelMorphism,
+    NaturalityReport,
+    SquareFailure,
+    SurjectivityReport,
+)
 from causalground.checkers import (
     BaseDeterminationError,
     CommutationResult,
@@ -617,6 +625,64 @@ def barrier_blind_morphism(
         morphism.outcome_map,
         dict(morphism.alphabet_map),
     )
+
+def reference_labels(domains) -> tuple[str, ...]:
+    """Every label of the product of ``domains``, enumerated eagerly:
+    ``SEP.join`` over the product of their elements; none: the unit set."""
+    if not domains:
+        return (UNIT_ELEMENT,)
+    return tuple(map(SEP.join, product(*(dom.elements for dom in domains))))
+
+
+def assert_labels_decode(space: FactoredSpace) -> None:
+    """Each subspace's ``total`` decodes every position to its reference label."""
+    ids = space.var_ids
+    for size in range(len(ids) + 1):
+        for subset in combinations(ids, size):
+            total = space.subspace(subset).total
+            labels = reference_labels([space.domain_of(v) for v in subset])
+            assert len(total) == len(labels), subset
+            assert [total.label(k) for k in range(len(total))] == list(labels), subset
+
+
+def reference_check_naturality(m: ModelMorphism, cap: int = 20) -> NaturalityReport:
+    """Every square at every micro state, on label tables."""
+    x, via = m.state_map.table, m.outcome_map.table
+    squares = [
+        ("action", a, {s: x[y] for s, y in f.table.items()},
+         {s: m.target.generators[m.alphabet_map[a]].table[x[s]] for s in x})
+        for a, f in m.source.generators.items()
+    ]
+    squares.append(("process", None, {s: via[y] for s, y in m.source.process.table.items()},
+                    {s: m.target.process.table[x[s]] for s in x}))
+    failures = [
+        SquareFailure(kind, label, s, source[s], target[s])
+        for kind, label, source, target in squares
+        for s in m.source.states.elements if source[s] != target[s]
+    ]
+    return NaturalityReport(
+        not failures, tuple(failures[:cap]), len(failures), len(failures) > cap
+    )
+
+
+def reference_check_surjectivity_assumptions(
+    m: ModelMorphism, cap: int = 20
+) -> SurjectivityReport:
+    """Surjectivity and the impossible outcomes, on label tables."""
+    total = reference_labels([d for _, d in m.target.outcomes.variables])
+    realized = {m.outcome_map.table[y] for y in m.source.process.table.values()}
+    impossible = [e for e in total if e not in realized]
+    return SurjectivityReport(
+        process_surjective=set(m.source.process.table.values())
+        == set(m.source.outcomes.total.elements),
+        state_map_surjective=set(m.state_map.table.values())
+        == set(m.target.states.elements),
+        outcome_map_surjective=set(m.outcome_map.table.values()) == set(total),
+        possible_count=len(realized),
+        impossible_count=len(impossible),
+        impossible_sample=tuple(impossible[:cap]),
+    )
+
 
 # --- The string kernel and the checkers on it --------------------------------
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import sys
 import pytest
 
 from causalground.checkers import discover_mechanisms
-from causalground.cli import run
+from causalground import cli
+from causalground.cli import build_parser, run
 from causalground.dominoes import build_bounded_model
 from causalground.io import (
     dump_json,
@@ -815,9 +817,14 @@ def test_unknown_label_or_id_names_its_flag(workspace, capsys, argv, flag, messa
         # the state set is the first table the model file asks for
         (DETERMINATION, "1",
          "error: model_pair.json: at states: finite set 'X' would need 2 table entries"),
+        # an SCM's 36 states are counted before their columns are built
+        (ENCODE, "20", "error: factored space total set would need 36 table entries"),
+        (["verify-scm-laws", "--scm", "scm_xor.json"], "20",
+         "error: factored space total set would need 36 table entries"),
     ],
     ids=["encode-without-out", "build-without-out", "limit-zero", "limit-bogus",
-         "laws-limit-zero", "laws-limit-bogus", "limit-at-states"],
+         "laws-limit-zero", "laws-limit-bogus", "limit-at-states", "encode-limit-at-total",
+         "laws-limit-at-total"],
 )
 def test_usage_or_limit_error_exits_two(workspace, capsys, monkeypatch, argv, limit, message):
     if limit is not None:
@@ -941,6 +948,65 @@ def test_timing_flag_adds_elapsed(workspace, capsys):
     )
     assert code == 0
     assert "elapsed_ms" in json.loads(out)
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout without ``elapsed_ms`` and stderr of one call."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects a usage error this way
+        code = exc.code
+    captured = capsys.readouterr()
+    out = captured.out
+    if out.startswith("{"):
+        report = json.loads(out)
+        report.pop("elapsed_ms", None)
+        out = json.dumps(report, sort_keys=True)
+    return code, out, captured.err
+
+
+def test_one_parser_serves_every_call(workspace, capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()  # a caller's parser is its own
+    determination = ["check-determination", "--model", "model_pair.json",
+                     "--vars-i", "v1", "--vars-j", "v2", "--format", "json"]
+    calls = [
+        ["check-determination", "--vars-i", "v1"],  # --model is required
+        determination + ["--timing"],
+        determination,
+        ["check-commute", "--model", "model_pair.json", "--word", "swap,const"],
+    ]
+    shared = [_outcome(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in shared] == [2, 0, 0, 1]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert shared == [_outcome(argv, capsys) for argv in calls]
+
+
+def test_a_model_with_a_wide_outcome_space_loads_and_checks(workspace, capsys):
+    # 20 binary outcome variables: 1 048 576 joint outcomes, over the default
+    # limit, but only the 1 000 rows the states reach are ever coded.
+    rng = random.Random(20)
+    states = [f"x{i}" for i in range(1000)]
+    ids = [f"v{k}" for k in range(1, 21)]
+    process = {}
+    for x in states:
+        row = [rng.choice("01") for _ in ids]
+        row[2] = "1" if row[0] == row[1] == "1" else "0"  # v3 = v1 and v2
+        process[x] = row
+    shift = {x: states[(i + 1) % len(states)] for i, x in enumerate(states)}
+    with open("wide.json", "w", encoding="utf-8") as fh:
+        json.dump({
+            "states": states,
+            "variables": [{"id": v, "values": ["0", "1"]} for v in ids],
+            "process": process,
+            "generators": {"shift": shift},
+        }, fh)
+    model = load_model("wide.json")
+    assert len(model.outcomes.total) == 2**20
+    argv = ["check-determination", "--model", "wide.json", "--word", "shift"]
+    assert run(argv + ["--vars-i", "v1,v2", "--vars-j", "v3"]) == 0
+    assert run(argv + ["--vars-i", "v1", "--vars-j", "v3"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_module_entry_point(workspace):

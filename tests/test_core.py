@@ -270,16 +270,47 @@ def test_enumeration_guardrail(monkeypatch):
     assert max_table_entries() == 10
     with pytest.raises(EnumerationLimitError):
         FiniteSet("big", tuple(str(i) for i in range(11)))
-    with pytest.raises(EnumerationLimitError):
-        FactoredSpace(
-            (
-                ("a", FiniteSet("a", tuple(str(i) for i in range(4)))),
-                ("b", FiniteSet("b", tuple(str(i) for i in range(4)))),
-            )
-        )
+    # A space's total is a view: it is counted when its labels are built,
+    # on first read of its elements or its positions, not when it is made.
+    domain = FiniteSet("d", tuple(str(i) for i in range(4)))
+    for attribute in ("elements", "_positions"):
+        space = FactoredSpace((("a", domain), ("b", domain)))
+        assert len(space.total) == 16
+        assert repr(space.total).startswith("_Product(id='axb', domains=")
+        with pytest.raises(EnumerationLimitError):
+            getattr(space.total, attribute)
+    # tables as long as the total are counted before they are built
+    with pytest.raises(EnumerationLimitError, match="total set would need 16 table"):
+        space._columns()
     monkeypatch.setenv("CAUSAL_GROUND_MAX_TABLE", "bogus")
     with pytest.raises(EnumerationLimitError):
         max_table_entries()
+
+
+def test_a_determination_witness_is_counted_before_it_is_built(monkeypatch):
+    # 4 states, 5 binary outcome variables: v1..v5 -> v1 holds, and its
+    # witness has one entry per joint outcome, 32
+    ids = tuple(f"v{k}" for k in range(1, 6))
+    space = FactoredSpace(tuple((v, FiniteSet(v, ("0", "1"))) for v in ids))
+    states = FiniteSet("X", ("s0", "s1", "s2", "s3"))
+    process = {x: space.total.elements[7 * k] for k, x in enumerate(states.elements)}
+    model = ActionModel(states, space, {}, TotalMap(states, space.total, process))
+    assert len(check_determination(model, (), ids, ("v1",)).witness.codomain) == 2
+    monkeypatch.setenv("CAUSAL_GROUND_MAX_TABLE", "10")
+    with pytest.raises(EnumerationLimitError, match="witness would need 32 table"):
+        check_determination(model, (), ids, ("v1",))
+
+
+def test_a_product_compares_and_hashes_without_building_its_labels():
+    a, b = FiniteSet("a", ("0", "1")), FiniteSet("b", ("x", "y", "z"))
+    total = FactoredSpace((("a", a), ("b", b))).total
+    plain = FiniteSet("p", tuple(map(SEP.join, product(a.elements, b.elements))))
+    other = FiniteSet("q", plain.elements[:-1] + (SEP.join(("1", "w")),))
+    assert total == plain and plain == total and hash(total) == hash(plain)
+    assert total != other and other != total
+    assert total == FactoredSpace((("c", a), ("d", b))).total
+    assert total != FactoredSpace((("b", b), ("a", a))).total
+    assert "elements" not in vars(total) and "_positions" not in vars(total)
 
 
 def test_model_synthesizes_identity(pair_model):

@@ -1,5 +1,6 @@
 import json
 import os
+import weakref
 
 import pytest
 
@@ -570,3 +571,26 @@ def test_dump_json_render_error_leaves_the_file(tmp_path, three_chain):
     with pytest.raises(TypeError):  # a file reference must be a string
         dump_json(three_chain[2], path, 1, 2)
     assert path.read_bytes() == b'{"kept": true}\n'
+
+
+def test_build_model_renders_each_set_s_keys_once(tmp_path, monkeypatch, capsys):
+    # The morphism file's state_map reuses the keys the micro model's file
+    # built, and its values the abstract model's encoded states.
+    keyed = []
+    init = cgio._Keys.__init__
+
+    def counting(self, s):
+        keyed.append(s)
+        init(self, s)
+
+    monkeypatch.setattr(cgio._Keys, "__init__", counting)
+    monkeypatch.setattr(cgio, "_KEPT_KEYS", weakref.WeakKeyDictionary())  # none kept yet
+    argv = ["build-model", "--family", data_path("family_tiny.json"), "--out", str(tmp_path)]
+    assert run(argv) == 0
+    micro = load_model(str(tmp_path / "micro_model.json"))
+    abstract = load_model(str(tmp_path / "abstract_model.json"))
+    # the micro model's states, the abstract model's, then the micro outcomes
+    assert [len(s) for s in keyed] == [
+        len(micro.states), len(abstract.states), len(micro.outcomes.total)
+    ]
+    capsys.readouterr()

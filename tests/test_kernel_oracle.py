@@ -15,6 +15,7 @@ import weakref
 
 import pytest
 
+from causalground.abstraction import check_naturality, check_surjectivity_assumptions
 from causalground.checkers import (
     check_determination,
     check_effectiveness,
@@ -43,9 +44,14 @@ from oracles import (
     _outcome,
     all_subset_pairs,
     assert_kernel_agrees,
+    assert_labels_decode,
     assert_same,
+    barrier_blind_morphism,
     random_action_model,
     random_word,
+    reference_check_naturality,
+    reference_check_surjectivity_assumptions,
+    reference_labels,
     reference_probe_record,
     reference_verify_scm_laws,
 )
@@ -128,6 +134,47 @@ def test_domino_families_match_reference(family):
         assert_kernel_agrees(model, random_word(rng, model), rng, 1, pairs)
     # Context () reaches every abstract state, and many share one row.
     assert_kernel_agrees(abstract, (), rng, 1, 3)
+
+
+def test_decoded_labels_match_reference(model_corpus, three_chain, four_chain, five_chain):
+    """Every position of every space's and subspace's ``total`` decodes to
+    the eagerly enumerated label, as does every state of an encoded SCM."""
+    for model, _ in model_corpus:
+        assert_labels_decode(model.outcomes)
+    for seed in range(20):
+        model = encode_scm(random_scm(seed))
+        assert_labels_decode(model.outcomes)
+        states = model.states
+        assert [states.label(k) for k in range(len(states))] == list(
+            reference_labels(states.domains)
+        ), seed
+    line6 = build_bounded_model(line6_family())
+    for micro, abstract, _ in (three_chain, four_chain, five_chain, line6):
+        assert_labels_decode(micro.outcomes)
+        assert_labels_decode(abstract.outcomes)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [three_chain_family, four_chain_family, five_chain_family, line6_family],
+    ids=lambda f: f.__name__,
+)
+def test_morphism_reports_match_reference(family):
+    """Naturality and surjectivity name their outcomes by decoding positions;
+    the reports equal the ones read off label tables.  The barrier-blind
+    morphism fails action squares; one whose outcome map is off by one
+    position fails the process square alone."""
+    _, _, morphism = build_bounded_model(family())
+    outcomes = morphism.outcome_map
+    shifted = dataclasses.replace(morphism, outcome_map=TotalMap._of(
+        outcomes.domain, outcomes.codomain,
+        [(c + 1) % len(outcomes.codomain) for c in outcomes._codes],
+    ))
+    for m in (morphism, barrier_blind_morphism(family(), morphism), shifted):
+        assert check_naturality(m) == reference_check_naturality(m)
+        assert check_surjectivity_assumptions(m) == (
+            reference_check_surjectivity_assumptions(m)
+        )
 
 
 # --- the image a model keeps --------------------------------------------------

@@ -52,6 +52,7 @@ from mutants import MUTANTS  # noqa: E402
 from oracles import (  # noqa: E402
     all_subset_pairs,
     assert_kernel_agrees,
+    assert_labels_decode,
     random_action_model,
     random_word,
     reference_encode_scm,
@@ -386,6 +387,13 @@ def _oracle(corpus) -> None:
         assert_kernel_agrees(model, word, rng, len(model.outcomes.var_ids))
 
 
+def _label_oracle(corpus) -> None:
+    """Each corpus space's labels, decoded position by position, against
+    the eager enumeration of its domains' product."""
+    for model, _ in corpus:
+        assert_labels_decode(model.outcomes)
+
+
 def _scm_oracle(n_scms: int = 5) -> None:
     """SCM encoding, which reads a space's value columns, against the
     reference encoding built from ``total``'s labels one state at a time."""
@@ -401,6 +409,7 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         "oracle": _fails(lambda: _oracle(model_corpus[:200])),
         "relations": _fails(lambda: _relations(100)),
         "scm": _fails(_scm_oracle),
+        "labels": _fails(lambda: _label_oracle(model_corpus[:200])),
     }
     assert any(caught.values()), f"mutant {name} survived"
     if name == "columns_first_variable_fastest":
@@ -414,6 +423,9 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         # Verdicts stay right and only the named states move, which no
         # relation sees: the oracle cross-check must catch it.
         assert caught["oracle"]
+    if name == "labels_first_variable_fastest":
+        # Only the labels a report names are decoded: no checker reads one.
+        assert caught["labels"]
     if name == "projection_first_variable_fastest":
         # Decoding positions is checked against the oracle's label
         # tables, which split each outcome label instead.
@@ -479,3 +491,20 @@ def test_columns_mutant_leaves_no_kept_subspace(model_corpus):
         for ids in dict.fromkeys(i for i, _ in all_subset_pairs(space.var_ids)):
             fresh = FactoredSpace(tuple((v, space.domain_of(v)) for v in ids))
             assert space.subspace(ids).total.elements == fresh.total.elements
+
+
+def test_label_mutant_leaves_no_kept_labels(model_corpus):
+    # A space keeps each subspace it builds and a total keeps the labels it
+    # builds on first read, and the corpus spaces outlive every test: no
+    # label read under the mutant may be kept.
+    with pytest.MonkeyPatch.context() as patch:
+        MUTANTS["labels_first_variable_fastest"](patch)
+        assert _fails(lambda: _label_oracle(model_corpus[:60]))
+        _oracle(model_corpus[:60])  # builds the corpus spaces' subspaces
+    for model, _ in model_corpus[:60]:
+        space = model.outcomes
+        for ids in dict.fromkeys(i for i, _ in all_subset_pairs(space.var_ids)):
+            fresh = FactoredSpace(tuple((v, space.domain_of(v)) for v in ids)).total
+            kept = space.subspace(ids).total
+            assert kept.elements == fresh.elements
+            assert [kept.label(k) for k in range(len(kept))] == list(fresh.elements)
