@@ -124,7 +124,7 @@ class _Prediction:
     a context reaches.
 
     A witness not from the I- to the J-subspace raises ``PreconditionError``.
-    ``predicted[c]`` is the J-code the witness gives I-code c.
+    ``predicted[c]`` is the J-code the witness gives I-code c; ``label`` names one.
     """
 
     def __init__(
@@ -148,7 +148,7 @@ class _Prediction:
                 "witness codomain does not match the J-variable subspace"
             )
         self.witness = witness
-        self.codomain = codomain.elements
+        self.label = codomain.label
         self.predicted = witness._codes
 
     def violation(self, image: _Image, word: Word) -> Optional[tuple[str, str, str]]:
@@ -162,7 +162,7 @@ class _Prediction:
         if k is None:
             return None
         state = image.state(codes.index(rows[k]))
-        return state, self.codomain[predicted[k]], self.codomain[actual[k]]
+        return state, self.label(predicted[k]), self.label(actual[k])
 
     def require(self, image: _Image, what: str) -> None:
         """Raise ``BaseDeterminationError`` opening with ``what`` unless
@@ -271,8 +271,8 @@ def _first_difference(
     x = _first_mismatch(f, g)
     if x is None:
         return CommutationResult(True, None, None, None)
-    states = model.states.elements
-    return CommutationResult(False, states[x], states[f[x]], states[g[x]])
+    label = model.states.label
+    return CommutationResult(False, label(x), label(f[x]), label(g[x]))
 
 
 def check_commute(model: ActionModel, a: str, b: str) -> CommutationResult:

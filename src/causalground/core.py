@@ -2,12 +2,12 @@
 
 Everything here is exact and exhaustively enumerable: sets carry explicit
 ordered element lists, maps carry positions (their label table is a view
-built on first read), and map equality is position equality.  Nothing
+built on first read), and map equality is position equality.  A set names
+its k-th element by ``label(k)`` and finds one by ``position(x)``.  Nothing
 changes after construction but caches that never change a result: a
 model's image of its last context and a space's subspaces, declared
 ``init=False, compare=False`` (``replace`` starts them empty, ``==`` skips
-them), and the labels and positions of a space's ``total``, built on
-first read.
+them), and the labels of a space's ``total``, built on first read.
 
 Word convention (used consistently across the whole package): a word is a
 sequence of generator labels in which the RIGHTMOST label acts first, so
@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 #: Reserved separator used to serialize tuples of a factored space into
 #: single element labels.  No variable value may contain it.
@@ -118,6 +119,8 @@ class FiniteSet:
     id: str = field(compare=False)
     elements: tuple[str, ...]
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    #: The position of an element, or None for anything else: the inverse of ``label``.
+    position: Callable[[str], Optional[int]] = field(init=False, repr=False, compare=False)
 
     domains = None  # a product's factors
 
@@ -130,6 +133,7 @@ class FiniteSet:
             raise ValueError(f"finite set {self.id!r} has duplicate elements")
         check_enumeration_bound(len(self.elements), f"finite set {self.id!r}")
         object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "position", positions.get)  # one C-level lookup
 
     def __eq__(self, other) -> bool:
         """Equal labels in equal order.  Two products compare by their
@@ -151,7 +155,7 @@ class FiniteSet:
         return hash((len(self), self.label(0), self.label(len(self) - 1)))
 
     def __contains__(self, element: str) -> bool:
-        return element in self._positions
+        return self.position(element) is not None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -164,25 +168,19 @@ class FiniteSet:
 class _Product(FiniteSet):
     """The product of ``domains``: its elements are their joint values
     joined with ``SEP``, the last domain varying fastest.  A view: its
-    length is known at once, its elements and positions are built on
-    first read, which is where the enumeration limit applies, and
-    ``label`` decodes one position without building them."""
+    length is known at once, ``label`` and ``position`` work value by
+    value, and its elements are built on first read, which is where the
+    enumeration limit applies.  No other code splits a joint label."""
 
     def __init__(self, id: str, domains: tuple[FiniteSet, ...]):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "domains", domains)
         object.__setattr__(self, "_size", prod(map(len, domains)))
 
-    def __getattr__(self, name: str):  # only reached while ``name`` is unset
-        if name == "elements":
-            check_enumeration_bound(self._size, f"finite set {self.id!r}")
-            value = tuple(map(SEP.join, product(*(d.elements for d in self.domains))))
-        elif name == "_positions":
-            value = {x: k for k, x in enumerate(self.elements)}
-        else:
-            raise AttributeError(name)
-        object.__setattr__(self, name, value)
-        return value
+    @cached_property
+    def elements(self) -> tuple[str, ...]:
+        check_enumeration_bound(self._size, f"finite set {self.id!r}")
+        return tuple(map(SEP.join, product(*(d.elements for d in self.domains))))
 
     def __len__(self) -> int:
         return self._size
@@ -196,6 +194,18 @@ class _Product(FiniteSet):
             k, r = divmod(k, len(dom))
             values.append(dom.elements[r])
         return SEP.join(reversed(values))
+
+    def position(self, element: str) -> Optional[int]:
+        values = element.split(SEP) if isinstance(element, str) else ()
+        if len(values) != len(self.domains):
+            return None
+        k = 0
+        for dom, value in zip(self.domains, values):
+            r = dom.position(value)
+            if r is None:
+                return None
+            k = k * len(dom) + r
+        return k
 
 
 def unit_set() -> FiniteSet:
@@ -233,11 +243,11 @@ class TotalMap:
         self.__post_init__()
 
     def __post_init__(self):
-        table, elements = self._table, self.domain.elements
-        codomain, self._table = self.codomain._positions, None
+        table, elements, codomain = self._table, self.domain.elements, self.codomain
+        self._table = None
         try:
-            self._codes = list(map(codomain.__getitem__, _gather(table, elements)))
-            if len(table) == len(elements):
+            self._codes = list(map(codomain.position, _gather(table, elements)))
+            if len(table) == len(elements) and None not in self._codes:
                 return
         except (KeyError, TypeError):
             pass
@@ -263,12 +273,15 @@ class TotalMap:
     @property
     def table(self) -> dict[str, str]:
         if self._table is None:
-            labels = self.codomain.elements
-            self._table = {x: labels[c] for x, c in zip(self.domain.elements, self._codes)}
+            label = self.codomain.label
+            self._table = {x: label(c) for x, c in zip(self.domain.elements, self._codes)}
         return self._table
 
     def __call__(self, element: str) -> str:
-        return self.codomain.elements[self._codes[self.domain._positions[element]]]
+        k = self.domain.position(element)
+        if k is None:
+            raise KeyError(element)
+        return self.codomain.label(self._codes[k])
 
     def after(self, other: "TotalMap") -> "TotalMap":
         """Composite self . other (apply ``other`` first)."""
@@ -282,8 +295,7 @@ class TotalMap:
 
     def image(self) -> list[str]:
         """Exact image, deduplicated, in codomain element order."""
-        hit = set(self._codes)
-        return [y for k, y in enumerate(self.codomain.elements) if k in hit]
+        return list(map(self.codomain.label, sorted(set(self._codes))))
 
     def is_surjective(self) -> bool:
         return len(set(self._codes)) == len(self.codomain)
@@ -294,9 +306,10 @@ class TotalMap:
 
     @classmethod
     def constant(cls, domain: FiniteSet, codomain: FiniteSet, value: str) -> "TotalMap":
-        if value not in codomain:
+        k = codomain.position(value)
+        if k is None:
             raise ValueError(f"constant value {value!r} not in {codomain.id!r}")
-        return cls._of(domain, codomain, [codomain._positions[value]] * len(domain))
+        return cls._of(domain, codomain, [k] * len(domain))
 
 
 @dataclass(frozen=True)
@@ -372,10 +385,10 @@ class FactoredSpace:
     def project_element(self, element: str, var_ids: Iterable[str]) -> str:
         """Project a single total-set element onto a variable subset."""
         ids = self.normalize_vars(var_ids)
-        position = self.total._positions.get(element)
-        if position is None:
+        k = self.total.position(element)
+        if k is None:
             raise ValueError(f"{element!r} is not an element of {self.total.id!r}")
-        return self.subspace(ids).total.elements[self._project(ids, [position])[0]]
+        return self.subspace(ids).total.label(self._project(ids, [k])[0])
 
     def _columns(self) -> dict[str, list[str]]:
         """Each variable's value at every element of ``total``, the last
@@ -521,7 +534,7 @@ class _Image:
 
     def state(self, k: int) -> str:
         """The first state whose image under the context is ``reached[k]``."""
-        return self.model.states.elements[self.table.index(self.reached[k])]
+        return self.model.states.label(self.table.index(self.reached[k]))
 
     def row_state(self, r: int) -> str:
         """The first state whose row under the context is ``rows[r]``."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
     ActionModel,
@@ -262,12 +262,12 @@ class LineFamily:
         for name, layout in self.layouts:
             if self.encode(layout) is None:
                 raise ValueError(f"layout {name!r} is not a state of the family")
-        transforms = self.code_transforms()  # raises on a label two actions share
+        rewrites = self._rewrites()  # raises on a label two actions share
         for a in self.actions:
-            if a not in transforms:
+            if a not in rewrites:
                 raise ValueError(f"unknown family action label {a!r}")
         if not self.actions:
-            object.__setattr__(self, "actions", tuple(transforms))
+            object.__setattr__(self, "actions", tuple(rewrites))
 
     @property
     def grid(self) -> tuple[int, int]:
@@ -403,32 +403,6 @@ class LineFamily:
                     lambda b, j=j, bit=bit: b[:j] + bit + b[j + 1:])
         return rewrites
 
-    def code_transforms(self) -> dict[str, Callable[[str], str]]:
-        """Every registrable action label with its transform on state codes
-        (labels): split at ``decode``'s offsets, one field rewritten,
-        rejoined.  A label that two actions would share raises ValueError."""
-        n, m = len(self.ids), len(self.barrier_edges)
-
-        def on_labels(kind: str, how) -> Callable[[str], str]:
-            if kind == "id":
-                return lambda s: s
-            if kind == "init":
-                return lambda s: how
-
-            def transform(s: str) -> str:
-                row, bits, push = s[:n], s[n + 2:n + 2 + m], s[n + m + 4:]
-                if kind == "row":
-                    row = how(row)
-                elif kind == "bits":
-                    bits = how(bits)
-                else:
-                    push = how(row)
-                return f"{row}/b{bits}/p{push}"
-
-            return transform
-
-        return {a: on_labels(*r) for a, r in self._rewrites().items()}
-
 
 def _labels(rows: Iterable[str], bit_rows: list[str], pushes: list[str]) -> list[str]:
     """The label of every (row, bits, push), the push fastest."""
@@ -471,7 +445,7 @@ def build_bounded_model(
         if kind == "id":
             return shared
         if kind == "init":
-            return [shared[micro_states._positions[how]]] * count
+            return [shared[micro_states.position(how)]] * count
         if kind == "row":
             return runs([row_at[how(r)] * block for r in rows], block)
         row_starts = range(0, count, block)

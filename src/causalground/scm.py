@@ -328,12 +328,11 @@ def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:
         for b in set_labels[vid]
     ))
 
-    states = model.states.elements
     before = outcome_map(model, (), scm.exo_ids)._codes  # decoded once per row
 
     def u_changed(label: str) -> Optional[str]:
         x = _first_mismatch([before[y] for y in model._compose((label,))], before)
-        return None if x is None else states[x]
+        return None if x is None else model.states.label(x)
 
     tally(LAW_U_INVARIANT, ((label, u_changed(label)) for label in model.generators))
 

@@ -16,6 +16,7 @@ from causalground.core import (
     SEP,
     ActionModel,
     FactoredSpace,
+    TotalMap,
     _first_mismatch,
     _Image,
     _Product,
@@ -106,7 +107,33 @@ def labels_first_variable_fastest(monkeypatch):
             values.append(dom.elements[r])
         return SEP.join(values)
 
+    def table(self):
+        return dict(zip(self.domain.elements, map(self.codomain.label, self._codes)))
+
     monkeypatch.setattr(_Product, "label", label)
+    # A map keeps its label table, built through ``label`` on first read.
+    # Build afresh, so that no table built before the patch is read and
+    # none built under it is left on a map that outlives the patch.
+    monkeypatch.setattr(TotalMap, "table", property(table))
+
+
+def positions_first_variable_fastest(monkeypatch):
+    """A joint outcome label is found at the position that reads its
+    values with the first variable varying fastest, not the last."""
+
+    def position(self, element):
+        values = element.split(SEP) if isinstance(element, str) else ()
+        if len(values) != len(self.domains):
+            return None
+        k = 0
+        for dom, value in zip(reversed(self.domains), reversed(values)):
+            r = dom.position(value)
+            if r is None:
+                return None
+            k = k * len(dom) + r
+        return k
+
+    monkeypatch.setattr(_Product, "position", position)
 
 
 def rows_in_last_occurrence_order(monkeypatch):
@@ -172,7 +199,7 @@ def counterexample_from_last_reacher(monkeypatch):
     def last(self, k):
         table = self.table
         x = len(table) - 1 - table[::-1].index(self.reached[k])
-        return self.model.states.elements[x]
+        return self.model.states.label(x)
 
     monkeypatch.setattr(_Image, "state", last)
 
@@ -194,6 +221,7 @@ MUTANTS = {
         projection_columns_swapped,
         projection_first_variable_fastest,
         labels_first_variable_fastest,
+        positions_first_variable_fastest,
         rows_in_last_occurrence_order,
         scan_skips_last_state,
         unique_on_codomain,

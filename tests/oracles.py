@@ -645,6 +645,33 @@ def assert_labels_decode(space: FactoredSpace) -> None:
             assert [total.label(k) for k in range(len(total))] == list(labels), subset
 
 
+def assert_position_inverts_label(total: FiniteSet) -> None:
+    """``position(label(k)) == k`` for every k, and None for non-elements:
+    a label with one value more or one fewer, with an unknown value or an
+    extra separator, and a non-string."""
+    n = len(total)
+    assert [total.position(total.label(k)) for k in range(n)] == list(range(n)), total
+    values = total.label(n - 1).split(SEP)
+    strays = [
+        SEP.join(values + values[:1]),
+        SEP.join(values[:-1] + ["\x00"]),
+        SEP.join(values) + SEP,
+        SEP + SEP.join(values),
+        7,
+        None,
+    ] + [SEP.join(values[:-1])] * (len(values) > 1)
+    for x in strays:
+        assert total.position(x) is None and x not in total, (total, x)
+
+
+def assert_positions_invert_labels(space: FactoredSpace) -> None:
+    """``position`` inverts ``label`` on each subspace's ``total``."""
+    ids = space.var_ids
+    for size in range(len(ids) + 1):
+        for subset in combinations(ids, size):
+            assert_position_inverts_label(space.subspace(subset).total)
+
+
 def reference_check_naturality(m: ModelMorphism, cap: int = 20) -> NaturalityReport:
     """Every square at every micro state, on label tables."""
     x, via = m.state_map.table, m.outcome_map.table

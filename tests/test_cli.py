@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from causalground.checkers import discover_mechanisms
+from causalground.checkers import check_effectiveness, discover_mechanisms
 from causalground import cli
 from causalground.cli import build_parser, run
+from causalground.core import SEP, outcome_map
 from causalground.dominoes import build_bounded_model
 from causalground.io import (
     dump_json,
@@ -982,31 +983,96 @@ def test_one_parser_serves_every_call(workspace, capsys, monkeypatch):
     assert shared == [_outcome(argv, capsys) for argv in calls]
 
 
-def test_a_model_with_a_wide_outcome_space_loads_and_checks(workspace, capsys):
-    # 20 binary outcome variables: 1 048 576 joint outcomes, over the default
-    # limit, but only the 1 000 rows the states reach are ever coded.
-    rng = random.Random(20)
+def _wide_model(n_vars: int, seed: int) -> dict:
+    """A model file's data: 1 000 states, ``n_vars`` binary outcome
+    variables with v3 = v1 and v2, and two permutations of the states."""
+    rng = random.Random(seed)
     states = [f"x{i}" for i in range(1000)]
-    ids = [f"v{k}" for k in range(1, 21)]
+    ids = [f"v{k}" for k in range(1, n_vars + 1)]
     process = {}
     for x in states:
         row = [rng.choice("01") for _ in ids]
         row[2] = "1" if row[0] == row[1] == "1" else "0"  # v3 = v1 and v2
         process[x] = row
-    shift = {x: states[(i + 1) % len(states)] for i, x in enumerate(states)}
-    with open("wide.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "states": states,
-            "variables": [{"id": v, "values": ["0", "1"]} for v in ids],
-            "process": process,
-            "generators": {"shift": shift},
-        }, fh)
+    return {
+        "states": states,
+        "variables": [{"id": v, "values": ["0", "1"]} for v in ids],
+        "process": process,
+        "generators": {
+            "shift": {x: states[(i + 1) % len(states)] for i, x in enumerate(states)},
+            "swap": {x: states[i ^ 1] for i, x in enumerate(states)},
+        },
+    }
+
+
+def _write(name: str, data: dict) -> None:
+    with open(name, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+
+
+def test_a_model_with_a_wide_outcome_space_loads_and_checks(workspace, capsys):
+    # 20 binary outcome variables: 1 048 576 joint outcomes, over the default
+    # limit, but only the 1 000 rows the states reach are ever coded.
+    _write("wide.json", _wide_model(20, 20))
     model = load_model("wide.json")
     assert len(model.outcomes.total) == 2**20
     argv = ["check-determination", "--model", "wide.json", "--word", "shift"]
     assert run(argv + ["--vars-i", "v1,v2", "--vars-j", "v3"]) == 0
     assert run(argv + ["--vars-i", "v1", "--vars-j", "v3"]) == 1
     assert capsys.readouterr().err == ""
+
+
+def test_every_command_runs_on_a_wide_model(workspace, capsys):
+    # 40 binary outcome variables: 2**40 joint outcomes.  A report names the
+    # few it reaches; a witness report writes its codomain whole, so its J
+    # has at most 2 variables.
+    data = _wide_model(40, 40)
+    _write("wide.json", data)
+    every = ",".join(v["id"] for v in data["variables"])
+    model = ["--model", "wide.json"]
+    calls = [
+        (["image", *model, "--word", "shift"], 0),
+        (["check-effectiveness", *model, "--word", "swap", "--vars-j", every], 1),
+        (["check-determination", *model, "--vars-i", "v1,v2", "--vars-j", "v3"], 0),
+        (["check-determination", *model, "--vars-i", "v1", "--vars-j", "v3,v4"], 1),
+        (["check-invariance", *model, "--vars-i", "v1,v2", "--vars-j", "v3",
+          "--word", "shift"], 0),
+        (["check-commute", *model, "--word", "shift,swap"], 1),
+        (["discover", *model, "--max-parents", "1"], 0),
+    ]
+    for argv, expected in calls:
+        assert (run(argv + ["--format", "json"]), argv) == (expected, argv)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if argv[0] == "image":
+            rows = sorted({SEP.join(row) for row in data["process"].values()})
+            assert json.loads(captured.out)["image"] == rows
+
+
+def test_a_wide_model_names_and_finds_outcomes_without_building_them(workspace):
+    data = _wide_model(40, 40)
+    _write("wide.json", data)
+    loaded = load_model("wide.json")
+    space, total = loaded.outcomes, loaded.outcomes.total
+    row = data["process"]["x7"]
+    label = SEP.join(row)
+    assert loaded.process("x7") == label == total.label(total.position(label))
+    assert space.project_element(label, ("v2", "v40")) == SEP.join((row[1], row[39]))
+    assert check_effectiveness(loaded, ("swap",), space.var_ids).effective is False
+    rows = {SEP.join(row) for row in data["process"].values()}
+    assert outcome_map(loaded, ("shift",)).image() == sorted(rows)
+    assert "elements" not in vars(total)
+
+
+def test_a_bad_process_value_in_a_wide_model_names_its_path(workspace, capsys):
+    data = _wide_model(40, 40)
+    data["process"]["x3"][5] = "2"
+    _write("wide.json", data)
+    assert run(["image", "--model", "wide.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: wide.json: at process.x3: ")
+    label = SEP.join(data["process"]["x3"])
+    assert f"sends 'x3' to '{label}', which is not in the codomain" in err
 
 
 def test_module_entry_point(workspace):

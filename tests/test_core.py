@@ -271,14 +271,18 @@ def test_enumeration_guardrail(monkeypatch):
     with pytest.raises(EnumerationLimitError):
         FiniteSet("big", tuple(str(i) for i in range(11)))
     # A space's total is a view: it is counted when its labels are built,
-    # on first read of its elements or its positions, not when it is made.
+    # on first read of its elements, not when it is made.  Naming and
+    # finding one element builds nothing.
     domain = FiniteSet("d", tuple(str(i) for i in range(4)))
-    for attribute in ("elements", "_positions"):
-        space = FactoredSpace((("a", domain), ("b", domain)))
-        assert len(space.total) == 16
-        assert repr(space.total).startswith("_Product(id='axb', domains=")
-        with pytest.raises(EnumerationLimitError):
-            getattr(space.total, attribute)
+    space = FactoredSpace((("a", domain), ("b", domain)))
+    total = space.total
+    assert len(total) == 16
+    assert repr(total).startswith("_Product(id='axb', domains=")
+    assert total.label(6) == "1|2" and total.position("1|2") == 6
+    assert "3|3" in total and "3|4" not in total
+    assert "elements" not in vars(total)
+    with pytest.raises(EnumerationLimitError):
+        total.elements
     # tables as long as the total are counted before they are built
     with pytest.raises(EnumerationLimitError, match="total set would need 16 table"):
         space._columns()

@@ -130,7 +130,7 @@ def test_resolution_rules_keep_actions_total():
     # the family cap turns overflowing placements into no-ops
     capped = LineFamily(3, ("d1", "d2"), 1)
     small = capped.encode(capped.state({"d1": "0"}))
-    assert capped.code_transforms()["place-d2"](small) == small
+    assert build_bounded_model(capped)[0].generators["place-d2"](small) == small
 
 
 def test_state_validation():
@@ -346,20 +346,6 @@ def odd_ids_family() -> LineFamily:
 )
 def test_named_families_match_reference(make):
     assert_matches_reference(make())
-
-
-@pytest.mark.parametrize("make", [family_tiny_file, odd_ids_family])
-def test_code_transforms_agree_with_the_reference_transforms(make):
-    """The label adapter, which the build does not call, rewrites every
-    state's label to the label of the reference action's result."""
-    family = make()
-    transforms, reference = family.code_transforms(), reference_action_transforms(family)
-    assert list(transforms) == list(reference)
-    for state in reference_states(family):
-        label = reference_label(family, state, False)
-        for a, transform in transforms.items():
-            want = reference_label(family, reference[a](state), False)
-            assert transform(label) == want, (a, label)
 
 
 @pytest.mark.parametrize("make", [family_tiny_file, odd_ids_family])

@@ -45,6 +45,8 @@ from oracles import (
     all_subset_pairs,
     assert_kernel_agrees,
     assert_labels_decode,
+    assert_position_inverts_label,
+    assert_positions_invert_labels,
     assert_same,
     barrier_blind_morphism,
     random_action_model,
@@ -118,6 +120,21 @@ def test_seeded_scms_match_reference(seed):
     assert_kernel_agrees(model, (INIT_LABEL,), random.Random(seed), 2, pairs=8)
     # Context () reaches every state, and many states share one row.
     assert_kernel_agrees(model, (), random.Random(seed), 2, pairs=8)
+
+
+def test_positions_invert_labels(model_corpus, three_chain, four_chain, five_chain):
+    """``position`` finds every label ``label`` names, and no non-element,
+    on every space and subspace, and on the state set of an encoded SCM."""
+    for model, _ in model_corpus:
+        assert_positions_invert_labels(model.outcomes)
+    for seed in range(20):
+        model = encode_scm(random_scm(seed))
+        assert_positions_invert_labels(model.outcomes)
+        assert_position_inverts_label(model.states)
+    line6 = build_bounded_model(line6_family())
+    for micro, abstract, _ in (three_chain, four_chain, five_chain, line6):
+        assert_positions_invert_labels(micro.outcomes)
+        assert_positions_invert_labels(abstract.outcomes)
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,7 @@ from oracles import (  # noqa: E402
     all_subset_pairs,
     assert_kernel_agrees,
     assert_labels_decode,
+    assert_positions_invert_labels,
     random_action_model,
     random_word,
     reference_encode_scm,
@@ -394,6 +395,12 @@ def _label_oracle(corpus) -> None:
         assert_labels_decode(model.outcomes)
 
 
+def _position_oracle(corpus) -> None:
+    """Each corpus space's labels, found again position by position."""
+    for model, _ in corpus:
+        assert_positions_invert_labels(model.outcomes)
+
+
 def _scm_oracle(n_scms: int = 5) -> None:
     """SCM encoding, which reads a space's value columns, against the
     reference encoding built from ``total``'s labels one state at a time."""
@@ -410,6 +417,7 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         "relations": _fails(lambda: _relations(100)),
         "scm": _fails(_scm_oracle),
         "labels": _fails(lambda: _label_oracle(model_corpus[:200])),
+        "positions": _fails(lambda: _position_oracle(model_corpus[:200])),
     }
     assert any(caught.values()), f"mutant {name} survived"
     if name == "columns_first_variable_fastest":
@@ -424,8 +432,13 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         # relation sees: the oracle cross-check must catch it.
         assert caught["oracle"]
     if name == "labels_first_variable_fastest":
-        # Only the labels a report names are decoded: no checker reads one.
-        assert caught["labels"]
+        # Witness tables, effectiveness values and violation reports are
+        # named through ``label``: the oracle cross-check sees them.
+        assert caught["labels"] and caught["oracle"]
+    if name == "positions_first_variable_fastest":
+        # A label table is validated through ``position``: the oracle's
+        # witness tables land on other codes.
+        assert caught["positions"] and caught["oracle"]
     if name == "projection_first_variable_fastest":
         # Decoding positions is checked against the oracle's label
         # tables, which split each outcome label instead.
@@ -494,17 +507,39 @@ def test_columns_mutant_leaves_no_kept_subspace(model_corpus):
 
 
 def test_label_mutant_leaves_no_kept_labels(model_corpus):
-    # A space keeps each subspace it builds and a total keeps the labels it
-    # builds on first read, and the corpus spaces outlive every test: no
-    # label read under the mutant may be kept.
+    # A space keeps each subspace it builds, a total keeps the labels it
+    # builds on first read and a map its label table, and the corpus models
+    # outlive every test: no label read under the mutant may be kept.
+    corpus = model_corpus[:60]
     with pytest.MonkeyPatch.context() as patch:
         MUTANTS["labels_first_variable_fastest"](patch)
-        assert _fails(lambda: _label_oracle(model_corpus[:60]))
-        _oracle(model_corpus[:60])  # builds the corpus spaces' subspaces
-    for model, _ in model_corpus[:60]:
+        assert _fails(lambda: _label_oracle(corpus))
+        assert _fails(lambda: _oracle(corpus))
+        for model, word in corpus:  # builds the corpus spaces' subspaces
+            for vars_i, vars_j in all_subset_pairs(model.outcomes.var_ids):
+                check_determination(model, word, vars_i, vars_j)
+            model.process.table
+    for model, _ in corpus:
         space = model.outcomes
         for ids in dict.fromkeys(i for i, _ in all_subset_pairs(space.var_ids)):
             fresh = FactoredSpace(tuple((v, space.domain_of(v)) for v in ids)).total
             kept = space.subspace(ids).total
             assert kept.elements == fresh.elements
             assert [kept.label(k) for k in range(len(kept))] == list(fresh.elements)
+        labels = space.total.elements
+        process = model.process
+        assert process.table == {
+            x: labels[c] for x, c in zip(model.states.elements, process._codes)
+        }
+
+
+def test_position_mutant_is_caught_and_leaves_no_kept_codes(model_corpus):
+    # Under the mutant the position oracle and the oracle cross-check fail;
+    # once it is undone, both pass on the same corpus models.
+    corpus = model_corpus[:60]
+    with pytest.MonkeyPatch.context() as patch:
+        MUTANTS["positions_first_variable_fastest"](patch)
+        assert _fails(lambda: _position_oracle(corpus))
+        assert _fails(lambda: _oracle(corpus))
+    _position_oracle(corpus)
+    _oracle(corpus)

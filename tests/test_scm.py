@@ -528,3 +528,34 @@ def test_laws_match_reference(seed):
         table[state] = rng.choice(model.states.elements)
     broken = with_generator(model, label, table)
     assert verify_scm_laws(broken, scm) == reference_verify_scm_laws(broken, scm)
+
+
+def test_naming_a_state_builds_no_state_labels():
+    # The encoded state set is a product.  A failing commute, a failing
+    # determination and the law suite name their states through ``label``:
+    # the labels are never built, and every name equals the one the same
+    # check gives on a copy whose state set holds the eagerly joined labels.
+    scm = random_scm(7)
+    model = encode_scm(scm)
+    states = model.states
+    n = len(states)
+    init = model.generators["init"]._codes[: n // 2] + [n - 1] * (n - n // 2)
+    gens = {**model.generators, "init": TotalMap._of(states, states, init)}
+    broken = ActionModel(states, model.outcomes, gens, model.process)
+    labels = product(*(dom.elements for dom in states.domains))
+    joined = FiniteSet("J", tuple(map(SEP.join, labels)))
+
+    def eager(m):
+        gens = {a: TotalMap._of(joined, joined, g._codes) for a, g in m.generators.items()}
+        process = TotalMap._of(joined, m.outcomes.total, m.process._codes)
+        return ActionModel(joined, m.outcomes, gens, process)
+
+    query = (("set-V1=1",), ("U1", "V1"), ("V2",))
+    for m, e in ((model, eager(model)), (broken, eager(broken))):
+        assert check_commute(m, "init", "set-V2=1") == check_commute(e, "init", "set-V2=1")
+        assert check_determination(m, *query) == check_determination(e, *query)
+        assert verify_scm_laws(m, scm) == verify_scm_laws(e, scm)
+    assert not check_commute(model, "init", "set-V2=1").holds
+    assert not check_determination(model, *query).holds
+    assert {v.state for v in verify_scm_laws(broken, scm).violations} - {joined.label(0)}
+    assert "elements" not in vars(states)
