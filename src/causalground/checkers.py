@@ -176,30 +176,24 @@ class _Prediction:
             )
 
 
-def _scan_determination(
-    image: _Image,
-    ids_i: tuple[str, ...],
-    ids_j: tuple[str, ...],
-    codes_i: list[int],
-    codes_j: list[int],
-) -> DeterminationResult:
-    """Decide I -> J from the I- and J-codes of the rows ``image`` reaches.
-
-    Each I-code is bound to the J-code of the first row that has it; the
-    first row the binding mispredicts refutes I -> J, paired with that
-    first row.  Each row is named by the first state that has it.
-    """
+def _scan_determination(codes_i: list[int], codes_j: list[int]) -> tuple[dict, Optional[int]]:
+    """Bind each I-code to the J-code of the first row that has it: the
+    binding, and the first row it mispredicts, or None when I -> J holds."""
     bound = dict(zip(reversed(codes_i), reversed(codes_j)))
-    k = _first_mismatch(list(map(bound.__getitem__, codes_i)), codes_j)
-    if k is not None:
-        pair = (image.row_state(codes_i.index(codes_i[k])), image.row_state(k))
-        return DeterminationResult(False, None, None, pair)
-    domain, codomain = (image.model.outcomes.subspace(ids).total for ids in (ids_i, ids_j))
+    return bound, _first_mismatch(list(map(bound.__getitem__, codes_i)), codes_j)
+
+
+def _witness(
+    model: ActionModel, ids_i: tuple[str, ...], ids_j: tuple[str, ...], bound: dict
+) -> tuple[TotalMap, bool]:
+    """The witness of a binding that holds, and whether it is unique: an
+    I-code no row has goes to the first element of Y_J."""
+    domain, codomain = (model.outcomes.subspace(ids).total for ids in (ids_i, ids_j))
     n = len(domain)
-    if n > len(image.model.states):  # no longer than the state set: nothing to count
+    if n > len(model.states):  # no longer than the state set: nothing to count
         check_enumeration_bound(n, "determination witness")
     witness = TotalMap._of(domain, codomain, [bound.get(c, 0) for c in range(n)])
-    return DeterminationResult(True, witness, len(bound) == n, None)
+    return witness, len(bound) == n
 
 
 def check_determination(
@@ -207,17 +201,20 @@ def check_determination(
 ) -> DeterminationResult:
     """Does the I-outcome of a word functionally determine its J-outcome?
 
-    The candidate witness is built by binding f(outcome_I(x)) := outcome_J(x)
-    state by state; a binding conflict refutes determination and yields the
-    conflicting state pair.  Uniqueness of the witness is equivalent to
-    outcome_I being surjective.
+    The witness binds f(outcome_I(x)) := outcome_J(x) row by row; a binding
+    conflict refutes determination and names the first row of the I-code
+    and the conflicting row, each by the first state that has it.
+    Uniqueness of the witness is equivalent to outcome_I being surjective.
     """
     space = model.outcomes
-    ids_i = space.normalize_vars(vars_i)
-    ids_j = space.normalize_vars(vars_j)
+    ids_i, ids_j = space.normalize_vars(vars_i), space.normalize_vars(vars_j)
     image = _Image(model, word)
     codes_i, codes_j = (space._project(ids, image.rows) for ids in (ids_i, ids_j))
-    return _scan_determination(image, ids_i, ids_j, codes_i, codes_j)
+    bound, k = _scan_determination(codes_i, codes_j)
+    if k is None:
+        return DeterminationResult(True, *_witness(model, ids_i, ids_j, bound), None)
+    pair = (image.row_state(codes_i.index(codes_i[k])), image.row_state(k))
+    return DeterminationResult(False, None, None, pair)
 
 
 def check_effectiveness(
@@ -332,11 +329,11 @@ def _minimal_mechanism(
     codes_j = space._project((target,), image.rows)
     for size in range(min(max_parents, len(others)) + 1):
         for parents in combinations(others, size):
-            codes_i = space._project(parents, image.rows)
-            result = _scan_determination(image, parents, (target,), codes_i, codes_j)
-            if result.holds and result.unique:
-                prediction = _Prediction(model, parents, (target,), result.witness)
-                return _probe(prediction, image)
+            bound, k = _scan_determination(space._project(parents, image.rows), codes_j)
+            if k is None:
+                witness, unique = _witness(model, parents, (target,), bound)
+                if unique:
+                    return _probe(_Prediction(model, parents, (target,), witness), image)
     return None
 
 

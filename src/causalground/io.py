@@ -463,7 +463,7 @@ def _domino(entry: Any, grid: tuple[int, int], file: str, path: str) -> Domino:
     if routing is not None:
         _expect(routing, dict, file, f"{path}.routing", "an object")
     routing = _build(file, f"{path}.routing", routing_from_mapping, routing)
-    return Domino(did, (x, y), routing, str(entry.get("tag", "0")))
+    return Domino(did, (x, y), routing, _string(entry.get("tag", "0"), file, f"{path}.tag"))
 
 
 def _action(

@@ -100,9 +100,11 @@ class Scm:
         for vid in noise:
             if vid not in self.parents:
                 raise ValueError(f"no parent list for {vid!r}")
-            for p in self.parents[vid]:
+            for k, p in enumerate(self.parents[vid]):
                 if p not in noise:
                     raise ValueError(f"parent {p!r} of {vid!r} is not endogenous")
+                if p in self.parents[vid][:k]:
+                    raise ValueError(f"parent {p!r} of {vid!r} is listed twice")
         graph = TopologicalSorter({v: self.parents[v] for v in noise})
         try:
             object.__setattr__(self, "topo_order", tuple(graph.static_order()))

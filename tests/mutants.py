@@ -7,7 +7,6 @@ would otherwise reuse, or leave behind, an image a model keeps);
 cross-check or a metamorphic relation catches each one.
 """
 
-import dataclasses
 import math
 
 from causalground import checkers
@@ -152,11 +151,11 @@ def rows_in_last_occurrence_order(monkeypatch):
 
 
 def scan_skips_last_state(monkeypatch):
-    """The determination scan never looks at the last reached row."""
+    """The determination scan never looks at the last row."""
     scan = checkers._scan_determination
 
-    def short_scan(image, ids_i, ids_j, codes_i, codes_j):
-        return scan(image, ids_i, ids_j, codes_i[:-1], codes_j[:-1])
+    def short_scan(codes_i, codes_j):
+        return scan(codes_i[:-1], codes_j[:-1])
 
     monkeypatch.setattr(checkers, "_scan_determination", short_scan)
 
@@ -164,30 +163,23 @@ def scan_skips_last_state(monkeypatch):
 def unique_on_codomain(monkeypatch):
     """``unique`` asks whether the J-outcome is onto Y_J instead of the
     I-outcome onto Y_I."""
-    scan = checkers._scan_determination
+    witness = checkers._witness
 
-    def codomain_scan(image, ids_i, ids_j, codes_i, codes_j):
-        result = scan(image, ids_i, ids_j, codes_i, codes_j)
-        if not result.holds:
-            return result
-        onto = len(set(codes_j)) == len(image.model.outcomes.subspace(ids_j).total)
-        return dataclasses.replace(result, unique=onto)
+    def codomain_witness(model, ids_i, ids_j, bound):
+        built, _ = witness(model, ids_i, ids_j, bound)
+        # The binding holds, so its values are the J-codes of the rows.
+        return built, len(set(bound.values())) == len(model.outcomes.subspace(ids_j).total)
 
-    monkeypatch.setattr(checkers, "_scan_determination", codomain_scan)
+    monkeypatch.setattr(checkers, "_witness", codomain_witness)
 
 
 def binds_last_j_code(monkeypatch):
     """The determination scan binds each I-code to the J-code of the last
-    state that has it, not the first."""
-    scan = checkers._scan_determination
+    row that has it, not the first."""
 
-    def last_binding(image, ids_i, ids_j, codes_i, codes_j):
+    def last_binding(codes_i, codes_j):
         bound = dict(zip(codes_i, codes_j))
-        k = _first_mismatch([bound[c] for c in codes_i], codes_j)
-        if k is None:  # the binding holds, so first and last agree
-            return scan(image, ids_i, ids_j, codes_i, codes_j)
-        pair = (image.row_state(codes_i.index(codes_i[k])), image.row_state(k))
-        return checkers.DeterminationResult(False, None, None, pair)
+        return bound, _first_mismatch([bound[c] for c in codes_i], codes_j)
 
     monkeypatch.setattr(checkers, "_scan_determination", last_binding)
 

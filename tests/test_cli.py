@@ -871,6 +871,23 @@ def test_shared_intervention_label_exits_two(workspace, capsys):
     assert "scm_xor.json: at $: two interventions share the label 'set-A=0=1'" in err
 
 
+def test_repeated_scm_parent_exits_two(workspace, capsys):
+    # With a parent listed twice every key of the full table is accepted,
+    # though half of them name impossible parent values.
+    with open("scm_xor.json") as fh:
+        data = json.load(fh)
+    data["endogenous"][1].update({
+        "parents": ["V1", "V1"],
+        "function_table": {f"{a}|{b}|{u}": "0" for a in "01" for b in "01" for u in "01"},
+    })
+    with open("scm_xor.json", "w") as fh:
+        json.dump(data, fh)
+    code = run(["verify-scm-laws", "--scm", "scm_xor.json"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "scm_xor.json: at $: parent 'V1' of 'V2' is listed twice" in err
+
+
 def _own_actions(key, value):
     """An edit of a family that sets ``key`` and lets the family list its
     own actions."""

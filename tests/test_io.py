@@ -199,7 +199,7 @@ def test_scenario_routing_objects():
         ],
         "push": {"id": "a", "dir": "E"},
         "actions": [{"action": "place", "id": "c", "cell": [1, 1],
-                     "routing": {"S": "W"}, "tag": 2}],
+                     "routing": {"S": "W"}, "tag": "2"}],
     }
     state, edits = scenario_from_dict(data, "s.json")
     assert state.domino("a").route("E") == "S"
@@ -213,6 +213,18 @@ def test_scenario_routing_objects():
         with pytest.raises(SchemaError) as err:
             scenario_from_dict(bad, "s.json")
         assert err.value.path == f"{where}[0].routing"
+
+
+@pytest.mark.parametrize("tag", [1, {"a": [1]}, None], ids=["integer", "object", "null"])
+@pytest.mark.parametrize("where", ["dominoes", "actions"])
+def test_scenario_tag_must_be_a_string(where, tag):
+    domino = {"id": "a", "cell": [0, 0], "tag": tag}
+    data = {"grid": [2, 1], "dominoes": [], "actions": [{"action": "place", **domino}]}
+    if where == "dominoes":
+        data["dominoes"], data["actions"] = [domino], []
+    with pytest.raises(SchemaError) as err:
+        scenario_from_dict(data, "s.json")
+    assert err.value.path == f"{where}[0].tag"
 
 
 def test_family_layout_from_present_barriers_and_push():

@@ -15,6 +15,7 @@ import weakref
 
 import pytest
 
+from causalground import checkers
 from causalground.abstraction import check_naturality, check_surjectivity_assumptions
 from causalground.checkers import (
     check_determination,
@@ -24,8 +25,23 @@ from causalground.checkers import (
     discover_mechanisms,
     probe_record,
 )
-from causalground.core import ActionModel, TotalMap, UnknownLabelError, _Image
-from causalground.io import serialize
+from causalground.core import (
+    ActionModel,
+    TotalMap,
+    UnknownLabelError,
+    _Image,
+    compose,
+    outcome_map,
+)
+from causalground.io import (
+    dump_json,
+    load_model,
+    load_morphism,
+    records_from_dict,
+    serialize,
+    witness_from_dict,
+    witness_to_dict,
+)
 from causalground.dominoes import (
     build_bounded_model,
     five_chain_family,
@@ -321,3 +337,137 @@ def test_a_checked_model_is_freed_without_the_cycle_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+# --- the kernel contract -------------------------------------------------------
+
+
+def brute_force_scan(codes_i, codes_j):
+    """The binding of each I-code to the J-code of its first row, and the
+    first row whose J-code differs from that of the first row with its
+    I-code, read off every pair of rows."""
+    first = {}
+    for k, c in enumerate(codes_i):
+        first.setdefault(c, k)
+    binding = {c: codes_j[k] for c, k in first.items()}
+    bad = [k for k, c in enumerate(codes_i) if codes_j[k] != codes_j[first[c]]]
+    return binding, (bad[0] if bad else None)
+
+
+def test_scan_matches_brute_force():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rows = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12)
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(rows)
+    def check(rows):
+        codes_i, codes_j = map(list, zip(*rows))
+        bound, k = checkers._scan_determination(codes_i, codes_j)
+        binding, first_bad = brute_force_scan(codes_i, codes_j)
+        assert bound == binding
+        determined = all(
+            a_j == b_j for a_i, a_j in rows for b_i, b_j in rows if a_i == b_i
+        )
+        assert (k is None) == determined
+        assert k == first_bad
+
+    check()
+
+
+def test_the_parent_set_search_names_no_row(monkeypatch, model_corpus):
+    """Only ``check_determination`` names a counterexample: discovery and
+    surgicality scan candidates and name no row, also where a candidate
+    fails."""
+    named, refuted = [], []
+    row_state, scan = _Image.row_state, checkers._scan_determination
+
+    def spied_row_state(self, r):
+        named.append(r)
+        return row_state(self, r)
+
+    def spied_scan(codes_i, codes_j):
+        bound, k = scan(codes_i, codes_j)
+        refuted.append(k is not None)
+        return bound, k
+
+    monkeypatch.setattr(_Image, "row_state", spied_row_state)
+    monkeypatch.setattr(checkers, "_scan_determination", spied_scan)
+    for seed in range(20):
+        model = encode_scm(random_scm(seed, 5, 3, 3))
+        for context, max_parents in (((INIT_LABEL,), 3), ((), 2)):
+            records = discover_mechanisms(model, context, max_parents)
+            if seed < 5 and records:
+                for action in sorted(model.generators):
+                    check_surgical(model, action, records, context)
+    assert any(refuted)
+    # On these seeded SCMs every new mechanism is found at once; the
+    # corpus also has surgicality searches that refute a candidate first.
+    searches_refuting = 0
+    rng = random.Random(1)
+    for model, _ in model_corpus[:300]:
+        context = random_word(rng, model)
+        records = discover_mechanisms(model, context, len(model.outcomes.var_ids))
+        for action in sorted(model.generators) if records else ():
+            before = len(refuted)
+            check_surgical(model, action, records, context)
+            searches_refuting += any(refuted[before:])
+    assert searches_refuting
+    assert named == []
+
+
+def assert_ints(codes, what):
+    assert type(codes) is list, what
+    assert all(type(c) is int for c in codes), what
+
+
+def test_each_kernel_returns_the_type_it_promises(tmp_path, model_corpus, three_chain):
+    """Position tables are lists of ints, value columns lists of strings,
+    and the scan a dict with an int or None, wherever they come from."""
+    micro, abstract, morphism = three_chain
+    dump_json(micro, tmp_path / "micro.json")
+    dump_json(abstract, tmp_path / "abstract.json")
+    dump_json(morphism, tmp_path / "morphism.json", "micro.json", "abstract.json")
+    loaded = load_morphism(str(tmp_path / "morphism.json"))
+    scm = random_scm(0)
+    encoded = encode_scm(scm)
+    dump_json(encoded, tmp_path / "scm.json")
+    maps = [morphism.state_map, morphism.outcome_map, loaded.state_map, loaded.outcome_map]
+    maps += (r.map for r in default_mechanism_records(scm, encoded))
+    models = [micro, abstract, loaded.source, loaded.target, encoded,
+              load_model(str(tmp_path / "scm.json"))]
+    models += (model for model, _ in model_corpus[:40])
+    rng = random.Random(3)
+    for model in models:
+        space, word = model.outcomes, random_word(rng, model)
+        maps += (*model.generators.values(), model.process)
+        maps += (compose(model, word), outcome_map(model, word, space.var_ids[:1]))
+        assert_ints(model._compose(word), "_compose")
+        image = _Image(model, word)
+        for name in KEPT:
+            assert_ints(getattr(image, name), name)
+        for codes in image.after(random_word(rng, model)):
+            assert_ints(codes, "after")
+        assert_ints(space._project(space.var_ids[:2], image.rows), "_project")
+        if len(space.total) <= 5_000:
+            columns = space._columns()
+            for column in columns.values():
+                assert type(column) is list and all(type(x) is str for x in column)
+            assert_ints(space._code(list(columns.values())), "_code")
+        for vars_i, vars_j in all_subset_pairs(space.var_ids)[:6]:
+            codes_i, codes_j = (space._project(ids, image.rows) for ids in (vars_i, vars_j))
+            bound, k = checkers._scan_determination(codes_i, codes_j)
+            assert type(bound) is dict and (k is None or type(k) is int)
+            assert all(type(c) is int for c in (*bound, *bound.values()))
+            result = check_determination(model, word, vars_i, vars_j)
+            if result.holds:
+                domain, codomain = result.witness.domain, result.witness.codomain
+                maps += (result.witness, witness_from_dict(
+                    witness_to_dict(result.witness), domain, codomain
+                ))
+        records = discover_mechanisms(model, word, 1)
+        maps += (r.map for r in records)
+        data = [serialize(r) for r in records]
+        maps += (r.map for r in records_from_dict(data, model))
+    for m in maps:
+        assert_ints(m._codes, "_codes")

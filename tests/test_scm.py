@@ -108,6 +108,8 @@ def _rebuilt(scm, **changes):
          "each endogenous variable needs exactly one paired exogenous variable: "
          "got 2 endogenous, 1 exogenous"),
         (lambda s: _rebuilt(s, parents={"V1": ()}), "no parent list for 'V2'"),
+        (lambda s: _rebuilt(s, parents={"V1": (), "V2": ("V1", "V1")}),
+         "parent 'V1' of 'V2' is listed twice"),
         (lambda s: _rebuilt(s, functions={"V1": s.functions["V1"]}),
          "no function table for 'V2'"),
         (lambda s: _rebuilt(s, endogenous=(("V,1", binary("V,1")), s.endogenous[1])),
@@ -124,8 +126,8 @@ def _rebuilt(scm, **changes):
         (lambda s: potential_response(s, {"V1": "0", "V2": "0"}, {"U1": "0", "U2": "2"}),
          "exogenous assignment is missing or invalid for 'U2'"),
     ],
-    ids=["unpaired-noise", "no-parent-list", "no-function-table", "comma-in-id",
-         "comma-in-value", "unknown-domain",
+    ids=["unpaired-noise", "no-parent-list", "repeated-parent", "no-function-table",
+         "comma-in-id", "comma-in-value", "unknown-domain",
          "unknown-noise", "missing-slot", "slot-outside-domain", "bad-exogenous-value"],
 )
 def test_scm_rejects_a_broken_rule(xor_scm, call, message):
