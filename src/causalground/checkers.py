@@ -330,10 +330,10 @@ def _minimal_mechanism(
     for size in range(min(max_parents, len(others)) + 1):
         for parents in combinations(others, size):
             bound, k = _scan_determination(space._project(parents, image.rows), codes_j)
-            if k is None:
-                witness, unique = _witness(model, parents, (target,), bound)
-                if unique:
-                    return _probe(_Prediction(model, parents, (target,), witness), image)
+            # Unique (TANE's |pi(I)| = |Y_I|): the rows reach every I-code.
+            if k is None and len(bound) == len(space.subspace(parents).total):
+                witness, _ = _witness(model, parents, (target,), bound)
+                return _probe(_Prediction(model, parents, (target,), witness), image)
     return None
 
 

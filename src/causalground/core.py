@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -166,45 +165,42 @@ class FiniteSet:
 
 
 class _Product(FiniteSet):
-    """The product of ``domains``: its elements are their joint values
-    joined with ``SEP``, the last domain varying fastest.  A view: its
-    length is known at once, ``label`` and ``position`` work value by
-    value, and its elements are built on first read, which is where the
-    enumeration limit applies.  No other code splits a joint label."""
+    """The product of a space's domains, read off its layout table: value
+    i of position k is ``k // stride % radix`` of the i-th entry, joined
+    with ``SEP``.  A view: its length is known at once, ``label`` and
+    ``position`` work value by value, and its elements are built on first
+    read, where the enumeration limit applies.  No other code splits a joint label."""
 
-    def __init__(self, id: str, domains: tuple[FiniteSet, ...]):
+    def __init__(self, id: str, layout: tuple[tuple[FiniteSet, int, int], ...]):
         object.__setattr__(self, "id", id)
-        object.__setattr__(self, "domains", domains)
-        object.__setattr__(self, "_size", prod(map(len, domains)))
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "domains", tuple(dom for dom, _, _ in layout))
 
     @cached_property
     def elements(self) -> tuple[str, ...]:
-        check_enumeration_bound(self._size, f"finite set {self.id!r}")
+        check_enumeration_bound(len(self), f"finite set {self.id!r}")
         return tuple(map(SEP.join, product(*(d.elements for d in self.domains))))
 
     def __len__(self) -> int:
-        return self._size
+        _, stride, radix = self._layout[0]  # the first variable is the slowest
+        return stride * radix
 
     def __repr__(self) -> str:  # names the factors: no labels are built
         return f"_Product(id={self.id!r}, domains={self.domains!r})"
 
     def label(self, k: int) -> str:
-        values = []
-        for dom in reversed(self.domains):
-            k, r = divmod(k, len(dom))
-            values.append(dom.elements[r])
-        return SEP.join(reversed(values))
+        return SEP.join([dom.elements[k // s % r] for dom, s, r in self._layout])
 
     def position(self, element: str) -> Optional[int]:
         values = element.split(SEP) if isinstance(element, str) else ()
-        if len(values) != len(self.domains):
+        if len(values) != len(self._layout):
             return None
         k = 0
-        for dom, value in zip(self.domains, values):
+        for (dom, stride, _), value in zip(self._layout, values):
             r = dom.position(value)
             if r is None:
                 return None
-            k = k * len(dom) + r
+            k += r * stride
         return k
 
 
@@ -326,19 +322,18 @@ class FactoredSpace:
     variables: tuple[tuple[str, FiniteSet], ...]
     total: FiniteSet = field(init=False, compare=False)
     var_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
-    _strides: dict[str, tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _layout: dict[str, tuple] = field(init=False, repr=False, compare=False)
     _subspaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     __hash__ = None
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        ids = tuple(v for v, _ in self.variables)
-        if len(set(ids)) != len(ids):
+        layout, size = {}, 1  # each variable's (domain, stride, radix) in ``total``
+        for var_id, dom in reversed(self.variables):
+            layout[var_id], size = (dom, size, len(dom)), size * len(dom)
+        if len(layout) != len(self.variables):
             raise ValueError("factored space has duplicate variable ids")
-        object.__setattr__(self, "var_ids", ids)
-        object.__setattr__(self, "_positions", {v: i for i, v in enumerate(ids)})
         for var_id, dom in self.variables:
             for value in dom.elements:
                 if SEP in value:
@@ -346,28 +341,25 @@ class FactoredSpace:
                         f"value {value!r} of variable {var_id!r} contains the "
                         f"reserved separator {SEP!r}"
                     )
-        strides, size = {}, 1  # each variable's (stride, radix) in ``total``
-        for var_id, dom in reversed(self.variables):
-            strides[var_id], size = (size, len(dom)), size * len(dom)
-        object.__setattr__(self, "_strides", strides)
-        domains = tuple(dom for _, dom in self.variables)
-        total = _Product("x".join(ids), domains) if domains else unit_set()
+        layout = dict(reversed(layout.items()))
+        object.__setattr__(self, "_layout", layout)
+        object.__setattr__(self, "var_ids", tuple(layout))
+        total = _Product("x".join(layout), tuple(layout.values())) if layout else unit_set()
         object.__setattr__(self, "total", total)
 
     def domain_of(self, var_id: str) -> FiniteSet:
-        position = self._positions.get(var_id)
-        if position is None:
+        entry = self._layout.get(var_id)
+        if entry is None:
             raise UnknownVariableError(var_id, self.var_ids)
-        return self.variables[position][1]
+        return entry[0]
 
     def normalize_vars(self, var_ids: Optional[Iterable[str]]) -> tuple[str, ...]:
         """Validate a variable subset and put it in canonical (declared) order."""
         if var_ids is None:
             return self.var_ids
-        positions = self._positions
         wanted = set()
         for v in var_ids:
-            if v not in positions:
+            if v not in self._layout:
                 raise UnknownVariableError(v, self.var_ids)
             wanted.add(v)
         return tuple(v for v in self.var_ids if v in wanted)
@@ -395,12 +387,10 @@ class FactoredSpace:
         variable fastest, as ``total`` enumerates the product.  Fresh lists,
         each as long as ``total``: the enumeration limit applies here."""
         check_enumeration_bound(len(self.total), "factored space total set")
-        columns, blocks = {}, 1
-        for var_id, dom in self.variables:
-            stride, radix = self._strides[var_id]
+        columns = {}
+        for var_id, (dom, stride, radix) in self._layout.items():
             columns[var_id] = column = [x for x in dom.elements for _ in range(stride)]
-            column *= blocks  # in place: no second list of the column's size
-            blocks *= radix
+            column *= len(self.total) // (stride * radix)  # in place: no second list
         return columns
 
     def _code(self, columns: Sequence[Sequence[str]]) -> list[int]:
@@ -408,14 +398,14 @@ class FactoredSpace:
         column per variable, in declared order (no column: the one position,
         0).  A value outside its domain raises KeyError."""
         codes = [0] * (len(columns[0]) if columns else 1)
-        for (_, dom), column in zip(self.variables, columns):
-            radix, positions = len(dom), dom._positions
+        for (dom, stride, radix), column in zip(self._layout.values(), columns):
             if radix == 1:  # the pass would add 0 to every code: only check
                 only = dom.elements[0]
                 if column.count(only) != len(column):
                     raise KeyError(next(x for x in column if x != only))
                 continue
-            codes = [c * radix + positions[x] for c, x in zip(codes, column)]
+            positions = dom._positions
+            codes = [c + positions[x] * stride for c, x in zip(codes, column)]
         return codes
 
     def _project(self, ids: tuple[str, ...], codes: Sequence[int]) -> list[int]:
@@ -423,7 +413,7 @@ class FactoredSpace:
         ``total`` in ``codes``; ``ids`` are in declared order."""
         projected = [0] * len(codes)
         for v in ids:
-            stride, radix = self._strides[v]
+            _, stride, radix = self._layout[v]
             projected = [p * radix + c // stride % radix for p, c in zip(projected, codes)]
         return projected
 

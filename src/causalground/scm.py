@@ -233,14 +233,14 @@ def encode_scm(scm: Scm) -> ActionModel:
     # u, then the response, popped: no label column outlives the coding.
     codes = outcomes._code([columns.pop(v) for v in outcomes.var_ids])
     process_map = TotalMap._of(states, outcomes.total, codes)
-    strides = space._strides
+    layout = space._layout
     positions = list(range(len(states)))  # shared: no table holds a fresh int
     # A slot's position 0 is the default, then come the variable's values.
     # The slots lead each state, so init keeps only the exogenous digits.
-    low = strides[endo[-1]][0] if endo else 1
+    low = layout[endo[-1]][1] if endo else 1
     tables = {INIT_LABEL: [positions[p % low] for p in positions]}
     for vid in endo:
-        stride, radix = strides[vid]
+        _, stride, radix = layout[vid]
         default = [p - p // stride % radix * stride for p in positions]
         for k, label in enumerate(scm._set_labels[vid], 1):
             tables[label] = [positions[p + k * stride] for p in default]
@@ -275,18 +275,17 @@ def _mechanism_witness(
     """The mechanism a slot makes active for vid, as a map on outcomes.
 
     Its domain is the outcome subspace of vid's paired noise and parents
-    (in declared order), its codomain vid's own subspace.  The default slot
-    gives vid's potential response over that subspace's columns, every other
-    variable held by a value slot; a value slot is the constant map.
+    (in declared order), its codomain vid's own subspace: vid's solution
+    under ``slot`` over that subspace's columns, every other variable held
+    by a value slot.  A value slot is kept as it is, so it gives the
+    constant map.
     """
     sub = space.subspace((scm.noise_id(vid),) + scm.parents[vid])
     target = space.subspace((vid,))
-    if slot != DEFAULT_SLOT:
-        return TotalMap.constant(sub.total, target.total, slot)
     n = len(sub.total)
     columns = {v: [dom.elements[0]] * n for v, dom in scm.exogenous + scm.endogenous}
     columns |= sub._columns()
-    columns[vid] = [DEFAULT_SLOT] * n
+    columns[vid] = [slot] * n
     _solve(scm, columns)
     return TotalMap._of(sub.total, target.total, target._code([columns[vid]]))
 

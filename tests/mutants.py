@@ -95,6 +95,39 @@ def columns_first_variable_fastest(monkeypatch):
     monkeypatch.setattr(FactoredSpace, "subspace", subspace)
 
 
+def layout_first_variable_fastest(monkeypatch):
+    """A space's layout table gives the first variable stride 1, not the
+    last, and its ``total`` reads that table, while ``total``'s elements
+    still enumerate the product the last variable fastest.  A product's
+    length is read as its largest stride times radix, which either order
+    gives, so the mutant miscodes outcomes instead of crashing."""
+    post_init = FactoredSpace.__post_init__
+
+    def first_fastest(self):
+        post_init(self)
+        layout, stride = {}, 1
+        for v, (dom, _, radix) in self._layout.items():
+            layout[v], stride = (dom, stride, radix), stride * radix
+        object.__setattr__(self, "_layout", layout)
+        if layout:
+            object.__setattr__(self, "total", _Product(self.total.id, tuple(layout.values())))
+
+    def subspace(self, var_ids):
+        ids = self.normalize_vars(var_ids)
+        if ids == self.var_ids:
+            return self
+        return FactoredSpace(tuple((v, self.domain_of(v)) for v in ids))
+
+    def length(self):
+        return max(stride * radix for _, stride, radix in self._layout)
+
+    monkeypatch.setattr(FactoredSpace, "__post_init__", first_fastest)
+    monkeypatch.setattr(_Product, "__len__", length)
+    # A space keeps each subspace it builds.  Build afresh, so that no
+    # space built under the patch is left on a space that outlives it.
+    monkeypatch.setattr(FactoredSpace, "subspace", subspace)
+
+
 def labels_first_variable_fastest(monkeypatch):
     """A joint outcome label is decoded from its position with the first
     variable varying fastest, not the last."""
@@ -210,6 +243,7 @@ MUTANTS = {
     for mutant in (
         composition_left_to_right,
         columns_first_variable_fastest,
+        layout_first_variable_fastest,
         projection_columns_swapped,
         projection_first_variable_fastest,
         labels_first_variable_fastest,

@@ -834,6 +834,32 @@ def test_usage_or_limit_error_exits_two(workspace, capsys, monkeypatch, argv, li
     assert capsys.readouterr().err.startswith(message)
 
 
+def test_a_wide_candidate_that_is_not_unique_builds_no_witness(workspace, capsys, monkeypatch):
+    # v01..v10 determine their parity v12 on 200 states, but reach few of
+    # the 1 024 values of Y_I: the search passes that candidate over
+    # without its witness, which would be over the limit.  A witness a
+    # result reports is still counted against the limit.
+    rng = random.Random(3)
+    ids = [f"v{i:02d}" for i in range(1, 13)]
+    process = {}
+    for k in range(200):
+        bits = [rng.choice("01") for _ in range(11)]
+        process[f"x{k}"] = bits + [str(bits[:10].count("1") % 2)]
+    model = {"states": list(process), "process": process, "generators": {},
+             "variables": [{"id": v, "values": ["0", "1"]} for v in ids]}
+    with open("wide.json", "w") as fh:
+        json.dump(model, fh)
+    monkeypatch.setenv("CAUSAL_GROUND_MAX_TABLE", "1000")
+    assert run(["discover", "--model", "wide.json", "--max-parents", "10"]) == 0
+    capsys.readouterr()
+    argv = ["check-determination", "--model", "wide.json",
+            "--vars-i", ",".join(ids[:10]), "--vars-j", "v12"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: determination witness would need 1024 table entries"
+    )
+
+
 @pytest.mark.parametrize(
     "command, section, index, value",
     [

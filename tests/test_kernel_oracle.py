@@ -416,6 +416,25 @@ def test_the_parent_set_search_names_no_row(monkeypatch, model_corpus):
     assert named == []
 
 
+def test_the_parent_set_search_builds_one_witness_per_record(monkeypatch):
+    """A candidate is accepted by count, when its rows reach every I-code,
+    and only the accepted one gets a witness."""
+    built, witness = [], checkers._witness
+
+    def spied_witness(model, ids_i, ids_j, bound):
+        built.append((ids_i, ids_j))
+        return witness(model, ids_i, ids_j, bound)
+
+    monkeypatch.setattr(checkers, "_witness", spied_witness)
+    records = []
+    for seed in range(20):
+        model = encode_scm(random_scm(seed, 5, 3, 3))
+        for context, max_parents in (((INIT_LABEL,), 3), ((), 2)):
+            records += discover_mechanisms(model, context, max_parents)
+    assert built == [(r.parents, (r.target,)) for r in records]
+    assert len(built) == 99
+
+
 def assert_ints(codes, what):
     assert type(codes) is list, what
     assert all(type(c) is int for c in codes), what

@@ -431,6 +431,11 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         # Verdicts stay right and only the named states move, which no
         # relation sees: the oracle cross-check must catch it.
         assert caught["oracle"]
+    if name == "layout_first_variable_fastest":
+        # ``total`` decodes labels through the table, against the eager
+        # enumeration, and SCM encoding codes its states through it, against
+        # the reference built from ``total``'s enumerated labels.
+        assert caught["labels"] and caught["scm"]
     if name == "labels_first_variable_fastest":
         # Witness tables, effectiveness values and violation reports are
         # named through ``label``: the oracle cross-check sees them.

@@ -216,6 +216,20 @@ def test_one_solve_per_encoding_and_per_default_mechanism(monkeypatch, xor_scm):
         assert len(calls) == len(scm.endo_ids)
 
 
+def test_a_value_slot_solves_to_the_constant_map():
+    # a value slot is solved as the default slot is, and is kept as it is
+    for seed in range(20):
+        scm = random_scm(seed)
+        space = encode_scm(scm).outcomes
+        for vid in scm.endo_ids:
+            sub = space.subspace((scm.noise_id(vid),) + scm.parents[vid])
+            target = space.subspace((vid,))
+            for value in scm.domain_of(vid).elements:
+                assert scm_module._mechanism_witness(scm, space, vid, value) == (
+                    TotalMap.constant(sub.total, target.total, value)
+                ), (seed, vid, value)
+
+
 def test_generator_tables_share_one_int_per_position():
     # Every entry of the init and set- tables is one of len(states) shared
     # ints, not a fresh int per entry.
