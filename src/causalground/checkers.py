@@ -329,9 +329,13 @@ def _minimal_mechanism(
     codes_j = space._project((target,), image.rows)
     for size in range(min(max_parents, len(others)) + 1):
         for parents in combinations(others, size):
+            # Unique (TANE's |pi(I)| = |Y_I|): the rows reach every I-code,
+            # so a candidate with more I-codes than rows is never scanned.
+            n = space._count(parents)
+            if n > len(image.rows):
+                continue
             bound, k = _scan_determination(space._project(parents, image.rows), codes_j)
-            # Unique (TANE's |pi(I)| = |Y_I|): the rows reach every I-code.
-            if k is None and len(bound) == len(space.subspace(parents).total):
+            if k is None and len(bound) == n:
                 witness, _ = _witness(model, parents, (target,), bound)
                 return _probe(_Prediction(model, parents, (target,), witness), image)
     return None

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 import time
-from functools import cache, partial, reduce
+from functools import cache, partial
 from typing import Optional, Sequence
 
 from . import io as cgio
@@ -204,11 +204,13 @@ def _cmd_scm(args, write_model: bool = False) -> tuple[int, dict]:
 
 
 def _cmd_simulate(args) -> tuple[int, dict]:
-    start, edits = cgio.load_scenario(args.scenario)
-    state = reduce(lambda s, edit: edit(s), edits, start)
-    # The census: every id on the grid at the start, then every other id on
-    # the grid after the last action.
-    return 0, {"outcome": micro_proc(state, start.ids() + state.ids())}
+    family = cgio.load_family(args.family)
+    micro = build_bounded_model(family)[0]
+    k = micro.states.position(args.state)
+    if k is None:
+        raise CausalGroundError(f"--state {args.state!r}: no micro state of {args.family}")
+    state = micro.states.label(micro._compose(parse_list(args, "word"), [k])[0])
+    return 0, {"state": state, "outcome": micro_proc(family.decode(state), family.ids)}
 
 
 def _cmd_build_model(args) -> tuple[int, dict]:
@@ -246,8 +248,10 @@ _FLAGS = {
     "morphism": {"required": True, "help": "morphism JSON file"},
     "scm": {"help": "SCM JSON file"},
     "seed": {"type": int, "help": "generate a random SCM instead"},
-    "scenario": {"required": True, "help": "scenario JSON file"},
     "family": {"required": True, "help": "family JSON file"},
+    "state": {
+        "required": True, "help": "micro state label (--state=LABEL if it starts with -)",
+    },
     "word": {
         "default": "", "help": "comma-separated generator labels, rightmost first",
     },
@@ -299,7 +303,8 @@ _COMMANDS = {
         _cmd_scm, "encode an SCM in memory and verify its laws",
         ("scm", "seed")),
     "simulate": (
-        _cmd_simulate, "run the domino process on a scenario", ("scenario",)),
+        _cmd_simulate, "run the domino process on a family state after --word",
+        ("family", "state", "word")),
     "build-model": (
         _cmd_build_model, "enumerate a family into model and morphism files",
         ("family",)),

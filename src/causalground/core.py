@@ -21,6 +21,7 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -373,6 +374,10 @@ class FactoredSpace:
         if ids not in spaces:
             spaces[ids] = FactoredSpace(tuple((v, self.domain_of(v)) for v in ids))
         return spaces[ids]
+
+    def _count(self, ids: Iterable[str]) -> int:
+        """``len(subspace(ids).total)`` for known ``ids``, read off the layout."""
+        return prod(self._layout[v][2] for v in ids)
 
     def project_element(self, element: str, var_ids: Iterable[str]) -> str:
         """Project a single total-set element onto a variable subset."""

@@ -200,15 +200,6 @@ def remove_barrier(state: MicroState, edge: Edge) -> MicroState:
     )
 
 
-def routing_from_mapping(mapping: Optional[Mapping[str, str]]) -> tuple[str, ...]:
-    if not mapping:
-        return IDENTITY_ROUTING
-    for key, value in mapping.items():
-        if key not in DIRECTIONS or value not in DIRECTIONS:
-            raise ValueError(f"bad routing entry {key!r} -> {value!r}")
-    return tuple(mapping.get(d, d) for d in DIRECTIONS)
-
-
 # --- bounded single-row families --------------------------------------------
 
 @dataclass(frozen=True)

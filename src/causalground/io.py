@@ -1,4 +1,4 @@
-"""JSON file formats: models, morphisms, SCMs, scenarios, families, records.
+"""JSON file formats: models, morphisms, SCMs, families, records.
 
 Every loader checks the whole file before any computation starts: the shape
 itself, each object's rules through its constructor, called by ``_build``.
@@ -15,7 +15,6 @@ import json
 import os
 import weakref
 from dataclasses import fields, is_dataclass, replace
-from functools import partial
 from json.encoder import encode_basestring_ascii as _enc
 from typing import Any, Callable, Mapping
 
@@ -32,19 +31,7 @@ from .core import (
 )
 from .abstraction import ModelMorphism
 from .checkers import MechanismRecord
-from .dominoes import (
-    DIRECTIONS,
-    Domino,
-    LineFamily,
-    MicroState,
-    add_barrier,
-    choose_push,
-    edge_between,
-    place_domino,
-    remove_barrier,
-    remove_domino,
-    routing_from_mapping,
-)
+from .dominoes import LineFamily
 from .scm import DEFAULT_SLOT, Scm
 
 
@@ -421,105 +408,7 @@ def load_scm(path: str) -> Scm:
     return scm_from_dict(load_json(path), path)
 
 
-# --- domino scenarios and families -------------------------------------------
-
-def _cell(data: Any, file: str, path: str) -> tuple[int, int]:
-    _expect(data, list, file, path, "a [x, y] pair")
-    if len(data) != 2 or not all(type(v) is int for v in data):  # not a bool
-        raise SchemaError(file, path, "expected two integers")
-    return (data[0], data[1])
-
-
-def _edge(data: Any, file: str, path: str):
-    _expect(data, list, file, path, "a pair of cells")
-    if len(data) != 2:
-        raise SchemaError(file, path, "expected two cells")
-    a = _cell(data[0], file, f"{path}[0]")
-    b = _cell(data[1], file, f"{path}[1]")
-    return _build(file, path, edge_between, a, b)
-
-
-def _required(entry: dict, key: str, parse: Callable, file: str, path: str) -> Any:
-    if key not in entry:
-        raise SchemaError(file, f"{path}.{key}", "missing required key")
-    return parse(entry[key], file, f"{path}.{key}")
-
-
-def _direction(data: Any, file: str, path: str) -> str:
-    if _string(data, file, path) not in DIRECTIONS:
-        raise SchemaError(file, path, f"bad push direction {data!r}")
-    return data
-
-
-def _domino(entry: Any, grid: tuple[int, int], file: str, path: str) -> Domino:
-    """A domino object: an id, an on-grid cell, and optional routing and tag."""
-    _expect(entry, dict, file, path, "an object")
-    did = _required(entry, "id", _string, file, path)
-    x, y = _required(entry, "cell", _cell, file, path)
-    if not (0 <= x < grid[0] and 0 <= y < grid[1]):
-        reason = f"domino {did!r} at [{x}, {y}] is off the grid"
-        raise SchemaError(file, f"{path}.cell", reason)
-    routing = entry.get("routing")
-    if routing is not None:
-        _expect(routing, dict, file, f"{path}.routing", "an object")
-    routing = _build(file, f"{path}.routing", routing_from_mapping, routing)
-    return Domino(did, (x, y), routing, _string(entry.get("tag", "0"), file, f"{path}.tag"))
-
-
-def _action(
-    entry: Any, grid: tuple[int, int], file: str, path: str
-) -> Callable[[MicroState], MicroState]:
-    """A scenario action object as the state edit it names."""
-    _expect(entry, dict, file, path, "an object")
-    kind = _string(entry.get("action"), file, f"{path}.action")
-    if kind == "remove":
-        did = _required(entry, "id", _string, file, path)
-        return partial(remove_domino, domino_id=did)
-    if kind == "place":
-        return partial(place_domino, domino=_domino(entry, grid, file, path))
-    if kind == "choose-push":
-        did = _required(entry, "id", _string, file, path)
-        direction = _required(entry, "dir", _direction, file, path)
-        return partial(choose_push, domino_id=did, direction=direction)
-    if kind == "add-barrier":
-        return partial(add_barrier, edge=_required(entry, "edge", _edge, file, path))
-    if kind == "remove-barrier":
-        return partial(remove_barrier, edge=_required(entry, "edge", _edge, file, path))
-    raise SchemaError(file, f"{path}.action", f"unknown action {kind!r}")
-
-
-def scenario_from_dict(data: Any, file: str = "<inline>"):
-    """Parse a scenario file into (state, one state edit per action)."""
-    _expect(data, dict, file, "$", "an object")
-    grid_data = _expect(data.get("grid"), list, file, "grid", "a [w, h] pair")
-    grid = _cell(grid_data, file, "grid")
-    domino_data = _expect(data.get("dominoes"), list, file, "dominoes", "a list")
-    dominoes = tuple(
-        _domino(entry, grid, file, f"dominoes[{i}]")
-        for i, entry in enumerate(domino_data)
-    )
-    barrier_data = _expect(data.get("barriers", []), list, file, "barriers", "a list")
-    barriers = {
-        _edge(entry, file, f"barriers[{i}]") for i, entry in enumerate(barrier_data)
-    }
-    push = None
-    push_data = data.get("push")
-    if push_data is not None:
-        _expect(push_data, dict, file, "push", "an object")
-        push = (
-            _string(push_data.get("id"), file, "push.id"),
-            _direction(push_data.get("dir"), file, "push.dir"),
-        )
-    actions = _expect(data.get("actions", []), list, file, "actions", "a list")
-    edits = tuple(
-        _action(entry, grid, file, f"actions[{i}]") for i, entry in enumerate(actions)
-    )
-    return _build(file, "$", MicroState, grid, dominoes, frozenset(barriers), push), edits
-
-
-def load_scenario(path: str):
-    return scenario_from_dict(load_json(path), path)
-
+# --- domino families ---------------------------------------------------------
 
 def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
     _expect(data, dict, file, "$", "an object")

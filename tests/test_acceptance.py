@@ -251,7 +251,7 @@ def test_criterion_8_impossible_outcomes(three_chain):
 
 def test_criterion_9_cli_determinism(tmp_path, monkeypatch, capsys):
     for name in ("model_pair.json", "model_nodet.json", "scm_xor.json",
-                 "scenario_chain3.json", "family_tiny.json"):
+                 "family_tiny.json"):
         shutil.copy(os.path.join(DATA, name), tmp_path / name)
     monkeypatch.chdir(tmp_path)
 
@@ -283,7 +283,8 @@ def test_criterion_9_cli_determinism(tmp_path, monkeypatch, capsys):
          "--max-parents", "1"],
         ["encode-scm", "--scm", "scm_xor.json", "--out", "xor_model2.json"],
         ["verify-scm-laws", "--seed", "11"],
-        ["simulate", "--scenario", "scenario_chain3.json"],
+        ["simulate", "--family", "family_tiny.json", "--state", "01/b0/pd1E",
+         "--word", "add-barrier-1-2"],
         ["build-model", "--family", "family_tiny.json", "--out", "models2"],
         ["image", "--model", "model_pair.json", "--word", "swap",
          "--vars-i", "v1"],

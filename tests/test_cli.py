@@ -8,14 +8,15 @@ import sys
 import pytest
 
 from causalground.checkers import check_effectiveness, discover_mechanisms
-from causalground import cli
+from causalground import checkers, cli
 from causalground.cli import build_parser, run
 from causalground.core import SEP, outcome_map
-from causalground.dominoes import build_bounded_model
+from causalground.dominoes import OUTCOME_SEP, build_bounded_model
 from causalground.io import (
     dump_json,
     load_family,
     load_model,
+    model_from_dict,
     serialize,
 )
 from causalground.scm import default_mechanism_records, encode_scm
@@ -29,7 +30,6 @@ DATA_FILES = (
     "model_pair.json",
     "model_nodet.json",
     "scm_xor.json",
-    "scenario_chain3.json",
     "family_tiny.json",
 )
 
@@ -300,88 +300,107 @@ def test_check_naturality_sabotaged(workspace, capsys):
     check_golden("check_naturality_fail.txt", out)
 
 
+SIMULATE = ["simulate", "--family", "family_tiny.json"]
+
+
+def simulate(argv, capsys, family="family_tiny.json") -> dict:
+    code, out = invoke(["simulate", "--family", family, *argv, "--format", "json"], capsys)
+    assert code == 0
+    return json.loads(out)
+
+
 def test_simulate(workspace, capsys):
     code, out = run_twice_and_compare(
-        ["simulate", "--scenario", "scenario_chain3.json", "--format", "json"],
+        SIMULATE + ["--state=01/b0/pd1E", "--word", "add-barrier-1-2", "--format", "json"],
         capsys,
     )
     assert code == 0
     report = json.loads(out)
-    # the scenario's action list adds a barrier between d2 and d3
-    assert report["outcome"] == {
-        "d1": "fallen-E", "d2": "fallen-E", "d3": "upright"
-    }
+    # the barrier between d1 and d2 stops the chain after d1
+    assert report["state"] == "01/b1/pd1E"
+    assert report["outcome"] == {"d1": "fallen-E", "d2": "upright"}
     check_golden("simulate.json", out)
 
 
-EVERY_ACTION = [
-    {"action": "remove", "id": "d2"},
-    {"action": "remove", "id": "d3"},
-    {"action": "place", "id": "d2", "cell": [1, 0], "routing": {"E": "S"}},
-    {"action": "place", "id": "d3", "cell": [1, 1], "routing": {"S": "E"}},
-    {"action": "remove-barrier", "edge": [[0, 0], [1, 0]]},
-    {"action": "add-barrier", "edge": [[1, 1], [2, 1]]},
-    {"action": "choose-push", "id": "d1", "dir": "E"},
-]
+def test_simulate_rechecks_every_named_naturality_failure(workspace, capsys):
+    # each failure names a micro state and the action whose square breaks:
+    # the simulator reaches the state the sabotaged map sends to via_source
+    family = load_family("family_tiny.json")
+    bad = barrier_blind_morphism(family, build_bounded_model(family)[2])
+    with open(os.path.join(GOLDEN, "check_naturality_fail.json")) as fh:
+        failures = json.load(fh)["naturality"]["failures"]
+    assert len(failures) == 20
+    for f in failures:
+        assert f["square"] == "action"
+        reached = simulate([f"--state={f['state']}", "--word", f["generator"]], capsys)
+        assert bad.state_map(reached["state"]) == f["via_source"], f
 
 
-def simulate_outcome(actions, capsys) -> dict:
-    dump_json({
-        "grid": [3, 2],
-        "dominoes": [{"id": f"d{i + 1}", "cell": [i, 0]} for i in range(3)]
-        + [{"id": "d4", "cell": [2, 1]}],
-        "barriers": [[[0, 0], [1, 0]]],
-        "actions": actions,
-    }, "every_action.json")
-    code, out = invoke(
-        ["simulate", "--scenario", "every_action.json", "--format", "json"], capsys
-    )
-    assert code == 0
-    return json.loads(out)["outcome"]
+def test_simulate_matches_the_micro_tables(workspace, capsys):
+    family = load_family("family_tiny.json")
+    micro = build_bounded_model(family)[0]
+    labels = micro.states.elements
+    for a in family.actions:
+        table = micro.generators[a]._codes
+        for k, label in enumerate(labels):
+            report = simulate([f"--state={label}", "--word", a], capsys)
+            assert report["state"] == labels[table[k]], (label, a)
+            values = micro.process(report["state"]).split(OUTCOME_SEP)
+            assert report["outcome"] == dict(zip(family.ids, values)), (label, a)
+    assert len(labels) * len(family.actions) == 54 * 6
+
+
+@pytest.mark.parametrize(
+    "label", ["nope", "xx/b0/pd1E", "01/b00/pd1E"], ids=["unknown", "abstract", "wide-bits"]
+)
+def test_simulate_rejects_a_label_that_is_no_micro_state(workspace, capsys, label):
+    assert run(SIMULATE + ["--state", label]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --state {label!r}: no micro state of family_tiny.json\n"
+
+
+def test_simulate_reads_a_label_that_starts_with_a_dash_after_equals(workspace, capsys):
+    report = simulate(["--state=--/b0/p-", "--word", "init-pair"], capsys)
+    assert report["inputs"]["state"] == "--/b0/p-"
+    assert report["state"] == "00/b0/p-"
+    # argparse reads a separate value that starts with '--' as a flag
+    with pytest.raises(SystemExit) as exc:
+        run(SIMULATE + ["--state", "--/b0/p-"])
+    assert exc.value.code == 2
+    assert "--state: expected one argument" in capsys.readouterr().err
+
+
+# A family with every action (it lists none): its one layout holds d1, d3
+# and d4 and the barrier between d1 and d2.
+EVERY_ACTION_FAMILY = {"family": {
+    "length": 4, "ids": ["d1", "d2", "d3", "d4"], "barrier_edges": [1, 2],
+    "layouts": {"start": {"present": {"d1": "0", "d3": "0", "d4": "0"}, "barriers": [1]}},
+}}
+EVERY_ACTION = ["remove-d4", "choose-push-d1-E", "add-barrier-2-3",
+                "remove-barrier-1-2", "place-d2", "init-start"]  # rightmost first
 
 
 def test_simulate_runs_every_action_kind(workspace, capsys):
-    # d2 and d3 come back rerouted, d1 is pushed through the removed
-    # barrier, and the added one stops d3 from toppling d4
-    outcome = simulate_outcome(EVERY_ACTION, capsys)
-    assert outcome == {
-        "d1": "fallen-E", "d2": "fallen-S", "d3": "fallen-E", "d4": "upright"
+    # from the empty state the layout loads, d2 is placed, the barrier
+    # moves from after d1 to after d2, d1 is pushed and d4 is removed:
+    # d1 and d2 fall, and the barrier keeps d3 upright
+    dump_json(EVERY_ACTION_FAMILY, "every_action.json")
+
+    def outcome(word):
+        argv = ["--state=----/b00/p-", "--word", ",".join(word)]
+        return simulate(argv, capsys, "every_action.json")["outcome"]
+
+    assert outcome(EVERY_ACTION) == {
+        "d1": "fallen-E", "d2": "fallen-E", "d3": "upright", "d4": "absent"
     }
     # each action matters: without it the outcome differs
     for k in range(len(EVERY_ACTION)):
         fewer = EVERY_ACTION[:k] + EVERY_ACTION[k + 1:]
-        assert simulate_outcome(fewer, capsys) != outcome, EVERY_ACTION[k]
+        assert outcome(fewer) != outcome(EVERY_ACTION), EVERY_ACTION[k]
 
 
-def test_simulate_census_covers_placed_and_removed_dominoes(workspace, capsys):
-    # d2 is placed after loading and then falls; d1 stays in the outcome
-    # as absent after it is removed
-    placed = [{"action": "place", "id": "d2", "cell": [1, 0]}]
-    removed = placed + [{"action": "remove", "id": "d1"}]
-    outcomes = []
-    for actions in (placed, removed):
-        dump_json({
-            "grid": [3, 1],
-            "dominoes": [{"id": "d1", "cell": [0, 0]}],
-            "push": {"id": "d1", "dir": "E"},
-            "actions": actions,
-        }, "placed.json")
-        code, out = invoke(
-            ["simulate", "--scenario", "placed.json", "--format", "json"], capsys
-        )
-        assert code == 0
-        outcomes.append(json.loads(out)["outcome"])
-    assert outcomes == [
-        {"d1": "fallen-E", "d2": "fallen-E"},
-        {"d1": "absent", "d2": "upright"},
-    ]
-
-
-def test_text_format_renders_empty_objects(workspace, capsys):
-    dump_json({"grid": [3, 1], "dominoes": []}, "empty.json")
-    code, out = invoke(["simulate", "--scenario", "empty.json"], capsys)
-    assert code == 0
-    assert "outcome: {}" in out.splitlines()
+def test_text_format_renders_empty_objects():
+    assert cli._render_text({"outcome": {}}) == ["outcome: {}"]
 
 
 def test_image(workspace, capsys):
@@ -579,7 +598,6 @@ SURGICAL = ["check-surgical", "--model", "model_pair.json", "--word", "swap",
             "--mechanisms", "mechs.json", "--context", "const"]
 BUILD = ["build-model", "--family", "family_tiny.json", "--out", "models"]
 NATURALITY = ["check-naturality", "--morphism", "morphism.json"]
-SIMULATE = ["simulate", "--scenario", "scenario_chain3.json"]
 ENCODE = ["encode-scm", "--scm", "scm_xor.json", "--out", "xor_model.json"]
 DETERMINATION = ["check-determination", "--model", "model_pair.json",
                  "--vars-i", "v1", "--vars-j", "v2"]
@@ -606,7 +624,6 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "[0].violated_by[0]"),
         # a context lists one label per entry
         (SURGICAL, "mechs.json", _set((0, "context", 0), "const,id"), "[0].context[0]"),
-        (SIMULATE, "scenario_chain3.json", _set(("barriers",), 5), "barriers"),
         (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), ["x"]),
          "family.barrier_edges[0]"),
         (BUILD, "family_tiny.json",
@@ -623,28 +640,6 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         # one |-joined string is not one value per target variable
         (NATURALITY, "morphism.json", _set(("outcome_map", "0|1"), ["0|1"]),
          "outcome_map.0|1"),
-        (SIMULATE, "scenario_chain3.json", _set(("actions", 0), {"action": "remove"}),
-         "actions[0].id"),
-        (SIMULATE, "scenario_chain3.json",
-         _set(("actions", 0), {"action": "place", "id": "d9"}), "actions[0].cell"),
-        (SIMULATE, "scenario_chain3.json",
-         _set(("actions", 0), {"action": "choose-push", "id": "d1"}), "actions[0].dir"),
-        (SIMULATE, "scenario_chain3.json",
-         _set(("actions", 0), {"action": "remove-barrier"}), "actions[0].edge"),
-        (SIMULATE, "scenario_chain3.json",
-         _set(("actions", 0), {"action": "warp", "id": "d1"}), "actions[0].action"),
-        # d1 is on the grid already, so placing it would change nothing
-        (SIMULATE, "scenario_chain3.json",
-         _set(("actions", 0), {"action": "place", "id": "d1", "cell": [5, 0]}),
-         "actions[0].cell"),
-        # d9 is absent, so the push choice would be dropped
-        (SIMULATE, "scenario_chain3.json",
-         _set(("actions", 0), {"action": "choose-push", "id": "d9", "dir": "up"}),
-         "actions[0].dir"),
-        (SIMULATE, "scenario_chain3.json",
-         _set(("actions", 0),
-              {"action": "place", "id": "d9", "cell": [0, 0], "routing": {"E": "Q"}}),
-         "actions[0].routing"),
         # a chain count outside 0..len(ids) names no prefix of the ids
         (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), -1),
          "family.layouts.pair.chain"),
@@ -653,7 +648,6 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         # a JSON true is not an integer, though Python's bool subclasses int
         (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), True),
          "family.layouts.pair.chain"),
-        (SIMULATE, "scenario_chain3.json", _set(("grid",), [3, True]), "grid"),
         (BUILD, "family_tiny.json", _set(("family", "length"), True), "family.length"),
         (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), [True]),
          "family.barrier_edges[0]"),
@@ -696,10 +690,6 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
         (NATURALITY, "morphism.json", _set(("alphabet_map", "swap"), "warp"), "$"),
         (NATURALITY, "morphism.json", _drop(("alphabet_map", "const")), "$"),
         (ENCODE, "scm_xor.json", _set(("endogenous",), []), "endogenous"),
-        # [0, 0] and [2, 0] are not neighbours
-        (SIMULATE, "scenario_chain3.json", _set(("barriers",), [[[0, 0], [2, 0]]]),
-         "barriers[0]"),
-        (SIMULATE, "scenario_chain3.json", _set(("dominoes", 1, "cell"), [0, 0]), "$"),
         (BUILD, "family_tiny.json",
          _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "push": ["d1", "Q"]}),
          "family.layouts.pair"),
@@ -709,19 +699,17 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
     ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
          "invariant-under-empty-part", "violated-by-unknown-label",
          "violated-by-unknown-state",
-         "context-joined-labels", "scenario-barriers", "barrier-edges", "layout-barriers",
+         "context-joined-labels", "barrier-edges", "layout-barriers",
          "state-map", "alphabet-map", "alphabet-map-unknown-label", "witness-table", "outcome-map-arity",
-         "remove-without-id", "place-without-cell", "push-without-dir",
-         "barrier-without-edge", "unknown-action", "place-off-grid", "push-bad-dir",
-         "place-bad-routing", "negative-chain", "chain-beyond-ids", "bool-chain",
-         "bool-grid", "bool-length", "bool-barrier-edge", "empty-ids",
+         "negative-chain", "chain-beyond-ids", "bool-chain",
+         "bool-length", "bool-barrier-edge", "empty-ids",
          "shared-action-label", "comma-model-variable-id", "comma-exogenous-id",
          "nul-reference", "empty-generator-label", "empty-model-variable-id",
          "empty-exogenous-id", "empty-endogenous-id", "empty-family-id",
          "repeated-parent", "target-among-parents", "unknown-target", "unknown-parent",
          "repeated-value", "repeated-variable-id", "no-variables", "no-state-map",
          "alphabet-map-unknown-value", "alphabet-map-not-covering", "no-endogenous",
-         "non-adjacent-barrier", "shared-cell", "layout-push-bad-dir", "shared-u-and-v-id",
+         "layout-push-bad-dir", "shared-u-and-v-id",
          "padded-noise-clash"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
@@ -834,21 +822,28 @@ def test_usage_or_limit_error_exits_two(workspace, capsys, monkeypatch, argv, li
     assert capsys.readouterr().err.startswith(message)
 
 
+PARITY_IDS = [f"v{i:02d}" for i in range(1, 13)]
+
+
+def _parity_model() -> dict:
+    """200 random states of v01..v11, and v12 the parity of v01..v10."""
+    rng = random.Random(3)
+    process = {}
+    for k in range(200):
+        bits = [rng.choice("01") for _ in range(11)]
+        process[f"x{k}"] = bits + [str(bits[:10].count("1") % 2)]
+    return {"states": list(process), "process": process, "generators": {},
+            "variables": [{"id": v, "values": ["0", "1"]} for v in PARITY_IDS]}
+
+
 def test_a_wide_candidate_that_is_not_unique_builds_no_witness(workspace, capsys, monkeypatch):
     # v01..v10 determine their parity v12 on 200 states, but reach few of
     # the 1 024 values of Y_I: the search passes that candidate over
     # without its witness, which would be over the limit.  A witness a
     # result reports is still counted against the limit.
-    rng = random.Random(3)
-    ids = [f"v{i:02d}" for i in range(1, 13)]
-    process = {}
-    for k in range(200):
-        bits = [rng.choice("01") for _ in range(11)]
-        process[f"x{k}"] = bits + [str(bits[:10].count("1") % 2)]
-    model = {"states": list(process), "process": process, "generators": {},
-             "variables": [{"id": v, "values": ["0", "1"]} for v in ids]}
+    ids = PARITY_IDS
     with open("wide.json", "w") as fh:
-        json.dump(model, fh)
+        json.dump(_parity_model(), fh)
     monkeypatch.setenv("CAUSAL_GROUND_MAX_TABLE", "1000")
     assert run(["discover", "--model", "wide.json", "--max-parents", "10"]) == 0
     capsys.readouterr()
@@ -858,6 +853,23 @@ def test_a_wide_candidate_that_is_not_unique_builds_no_witness(workspace, capsys
     assert capsys.readouterr().err.startswith(
         "error: determination witness would need 1024 table entries"
     )
+
+
+def test_the_parent_set_search_scans_no_candidate_with_more_i_codes_than_rows(monkeypatch):
+    # 200 rows: of the 2 047 candidates per target, the 231 of 8 to 10
+    # parents have 256 or more I-codes, so none can be unique.  Their count
+    # is read off the layout, so the search leaves no subspace behind.
+    model = model_from_dict(_parity_model())
+    scan, scans = checkers._scan_determination, [0]
+
+    def counted(codes_i, codes_j):
+        scans[0] += 1
+        return scan(codes_i, codes_j)
+
+    monkeypatch.setattr(checkers, "_scan_determination", counted)
+    assert discover_mechanisms(model, (), 10) == []
+    assert scans[0] == 12 * (2047 - 231) == 21792
+    assert model.outcomes._subspaces == {}
 
 
 @pytest.mark.parametrize(
@@ -1124,7 +1136,7 @@ def test_module_entry_point(workspace):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "causalground", "simulate",
-         "--scenario", "scenario_chain3.json"],
+         "--family", "family_tiny.json", "--state=01/b0/pd1E"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0

@@ -61,8 +61,9 @@ CASES = [
      ["encode-scm", "--scm", "{scm_xor.json}", "--out", "{xor_model.json}"]),
     ("verify-scm-laws", "scm_xor.json",
      ["verify-scm-laws", "--scm", "{scm_xor.json}"]),
-    ("simulate", "scenario_chain3.json",
-     ["simulate", "--scenario", "{scenario_chain3.json}"]),
+    ("simulate", "family_tiny.json",
+     ["simulate", "--family", "{family_tiny.json}", "--state", "01/b0/pd1E",
+      "--word", "add-barrier-1-2"]),
     ("build-model", "family_tiny.json",
      ["build-model", "--family", "{family_tiny.json}", "--out", "{models}"]),
     ("image", MODEL,
@@ -92,7 +93,7 @@ FLAG_VALUES = ["", "x", "|", ",", "a,,b", "v1,v1", "x1", "id,id", "swap", "-1",
 def inputs() -> dict:
     """The unmutated JSON documents, by file name."""
     docs = {}
-    for name in (MODEL, "scm_xor.json", "scenario_chain3.json", "family_tiny.json"):
+    for name in (MODEL, "scm_xor.json", "family_tiny.json"):
         with open(os.path.join(DATA, name)) as fh:
             docs[name] = json.load(fh)
     records = discover_mechanisms(load_model(os.path.join(DATA, MODEL)), ("const",), 1)

@@ -13,11 +13,9 @@ from causalground.checkers import (
 )
 from causalground.cli import run
 from causalground.dominoes import (
-    IDENTITY_ROUTING,
     build_bounded_model,
     five_chain_family,
     four_chain_family,
-    micro_proc,
     three_chain_family,
 )
 from causalground.io import (
@@ -27,11 +25,9 @@ from causalground.io import (
     load_family,
     load_model,
     load_morphism,
-    load_scenario,
     load_scm,
     model_from_dict,
     records_from_dict,
-    scenario_from_dict,
     scm_from_dict,
     serialize,
     to_json,
@@ -171,60 +167,6 @@ def test_scm_bad_function_key():
     with pytest.raises(SchemaError) as err:
         scm_from_dict(data, "scm.json")
     assert "function_table" in err.value.path
-
-
-def test_scenario_load_and_actions():
-    state, edits = load_scenario(data_path("scenario_chain3.json"))
-    census = state.ids()
-    assert census == ("d1", "d2", "d3")
-    assert state.push == ("d1", "E")
-    assert len(edits) == 1
-    assert micro_proc(state, census)["d3"] == "fallen-E"
-    # the one edit adds the barrier between d2 and d3
-    assert micro_proc(edits[0](state), census)["d3"] == "upright"
-
-
-def test_scenario_schema_errors():
-    with pytest.raises(SchemaError) as err:
-        scenario_from_dict({"grid": [2, 1], "dominoes": [{"id": "a"}]}, "s.json")
-    assert err.value.path == "dominoes[0].cell"
-
-
-def test_scenario_routing_objects():
-    data = {
-        "grid": [2, 2],
-        "dominoes": [
-            {"id": "a", "cell": [0, 0], "routing": {"E": "S"}},
-            {"id": "b", "cell": [1, 0], "routing": {}},
-        ],
-        "push": {"id": "a", "dir": "E"},
-        "actions": [{"action": "place", "id": "c", "cell": [1, 1],
-                     "routing": {"S": "W"}, "tag": "2"}],
-    }
-    state, edits = scenario_from_dict(data, "s.json")
-    assert state.domino("a").route("E") == "S"
-    assert state.domino("b").routing == IDENTITY_ROUTING
-    placed = edits[0](state).domino("c")
-    assert (placed.route("S"), placed.route("E"), placed.tag) == ("W", "E", "2")
-    for where, routing in (("dominoes", ["E", "S"]), ("dominoes", {"E": "up"}),
-                           ("actions", {"up": "E"})):
-        bad = json.loads(json.dumps(data))
-        bad[where][0]["routing"] = routing
-        with pytest.raises(SchemaError) as err:
-            scenario_from_dict(bad, "s.json")
-        assert err.value.path == f"{where}[0].routing"
-
-
-@pytest.mark.parametrize("tag", [1, {"a": [1]}, None], ids=["integer", "object", "null"])
-@pytest.mark.parametrize("where", ["dominoes", "actions"])
-def test_scenario_tag_must_be_a_string(where, tag):
-    domino = {"id": "a", "cell": [0, 0], "tag": tag}
-    data = {"grid": [2, 1], "dominoes": [], "actions": [{"action": "place", **domino}]}
-    if where == "dominoes":
-        data["dominoes"], data["actions"] = [domino], []
-    with pytest.raises(SchemaError) as err:
-        scenario_from_dict(data, "s.json")
-    assert err.value.path == f"{where}[0].tag"
 
 
 def test_family_layout_from_present_barriers_and_push():
