@@ -1,44 +1,24 @@
-"""The domino micro-world: simulation, chains, loops, and mechanisms.
+"""The domino micro-world: simulation, chains, and mechanisms.
 
-Dominoes stand on a grid; the process pushes the designated domino and
-lets everything fall.  Barriers block, gaps stop propagation, and routing
-functions let a falling domino change direction, which is enough to build
-loops.  On top of the simulator we enumerate a bounded family of states
-into an action model and interrogate the adjacency mechanism of a chain.
+Dominoes stand on a row of cells; a state is a label naming each domino's
+tag (or '-' for a gap), a bit per allowed barrier edge and the push
+designation.  The process pushes the designated domino and lets
+everything fall: barriers block and gaps stop propagation.  On top of
+the process we enumerate a bounded family of states into an action
+model and interrogate the adjacency mechanism of a chain.
 """
 
 from causalground import (
-    Domino,
-    MicroState,
     TotalMap,
     build_bounded_model,
     check_invariance,
     five_chain_family,
-    micro_proc,
 )
-from causalground.dominoes import add_barrier, choose_push, remove_domino
 
 family = five_chain_family()
-chain = choose_push(family.chain(), "d1", "E")
-print("push d1 east:        ", micro_proc(chain, family.ids))
-print("barrier between 3,4: ",
-      micro_proc(add_barrier(chain, family.edge(3)), family.ids))
-print("remove d2 first:     ",
-      micro_proc(remove_domino(chain, "d2"), family.ids))
-
-# A loop: routings turn each fall by ninety degrees, so pushing any
-# member topples all four, each in its own direction, exactly once.
-loop = MicroState(
-    (2, 2),
-    (
-        Domino("ne", (1, 0), ("S", "S", "S", "S")),
-        Domino("nw", (0, 0), ("E", "E", "E", "E")),
-        Domino("se", (1, 1), ("W", "W", "W", "W")),
-        Domino("sw", (0, 1), ("N", "N", "N", "N")),
-    ),
-    push=("nw", "E"),
-)
-print("2x2 loop:            ", micro_proc(loop))
+print("push d1 east:        ", family.process("00000/b0000/pd1E"))
+print("barrier between 3,4: ", family.process("00000/b0010/pd1E"))
+print("remove d2 first:     ", family.process("0-000/b0000/pd1E"))
 
 # Enumerate the 5-chain family (presence, barriers, push designation)
 # into micro and abstract action models.

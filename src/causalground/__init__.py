@@ -57,14 +57,11 @@ from .scm import (
     verify_scm_laws,
 )
 from .dominoes import (
-    Domino,
     LineFamily,
-    MicroState,
     build_bounded_model,
     five_chain_family,
     four_chain_family,
     line6_family,
-    micro_proc,
     three_chain_family,
 )
 

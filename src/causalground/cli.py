@@ -33,7 +33,7 @@ from .checkers import (
     discover_mechanisms,
 )
 from .core import CausalGroundError, UnknownVariableError, max_table_entries, outcome_map
-from .dominoes import build_bounded_model, micro_proc
+from .dominoes import build_bounded_model
 from .scm import encode_scm, random_scm, verify_scm_laws
 
 
@@ -210,7 +210,7 @@ def _cmd_simulate(args) -> tuple[int, dict]:
     if k is None:
         raise CausalGroundError(f"--state {args.state!r}: no micro state of {args.family}")
     state = micro.states.label(micro._compose(parse_list(args, "word"), [k])[0])
-    return 0, {"state": state, "outcome": micro_proc(family.decode(state), family.ids)}
+    return 0, {"state": state, "outcome": family.process(state)}
 
 
 def _cmd_build_model(args) -> tuple[int, dict]:

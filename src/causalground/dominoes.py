@@ -1,32 +1,35 @@
 """Deterministic domino micro-world and its bounded action models.
 
-The simulator is a pure function of a grid state: pushing the designated
-domino topples it in the push direction, and a falling domino knocks over
-the upright neighbour it falls onto, which falls in the direction given
-by its routing function, unless a barrier sits on the shared edge.  Each
-domino falls at most once, so propagation terminates.
+A state is a label ``<tag or - per id>/b<bit per barrier edge>/p<id><dir
+or ->``: dominoes stand at fixed home cells on one row, some allowed
+edges carry a barrier, and one domino may be designated to be pushed.
+The process is a pure function of the label: the pushed domino falls in
+the push direction, and an east or west fall knocks over the next domino
+along the row, which falls the same way, until a gap, a set barrier bit
+or the end of the row.  A north or south push topples only the pushed
+domino.
 
-Bounded model building enumerates a single-row family of states (home
-cells per domino id, optional nuisance tags, a set of allowed barrier
-edges and push designations), each held as its state label, into a micro
-action model, its tag-forgetting abstract model over per-domino status
-variables, and the morphism between them.  Nuisance tags exist purely so
-the state map is non-injective and naturality says something.
+Bounded model building enumerates a family of such labels (presence up
+to a cap, optional nuisance tags, the allowed barrier edges and push
+designations) into a micro action model, its tag-forgetting abstract
+model over per-domino status variables, and the morphism between them.
+Nuisance tags exist purely so the state map is non-injective and
+naturality says something.
 
 Resolution rules keeping every action total: removing an absent domino is
-a no-op; placing onto an occupied cell, an already-present id, or a full
-family is a no-op; choosing to push an absent domino clears the
-designation.  Removing a domino leaves an existing designation in place
-even when it now names the removed domino (the choice lives in agent
-memory, not on the table); the process then topples nothing.
+a no-op; placing an already-present id, or into a full family, is a
+no-op; choosing to push an absent domino clears the designation.
+Removing a domino leaves an existing designation in place even when it
+now names the removed domino (the choice lives in agent memory, not on
+the table); the process then topples nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import (
     ActionModel,
@@ -38,10 +41,6 @@ from .core import (
 from .abstraction import ModelMorphism
 
 DIRECTIONS = ("N", "E", "S", "W")
-_STEP = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
-
-#: Identity routing: a struck domino falls onward in the incoming direction.
-IDENTITY_ROUTING = DIRECTIONS
 
 #: Per-domino terminal statuses.  "upright" must stay first: it is the
 #: fill value for unconstrained witness entries in determination checks.
@@ -50,169 +49,21 @@ STATUSES = ("upright", "fallen-N", "fallen-E", "fallen-S", "fallen-W", "absent")
 #: Separator inside micro outcome labels (distinct from the factored SEP).
 OUTCOME_SEP = ";"
 
-Cell = tuple[int, int]
-Edge = tuple[Cell, Cell]
-
-
-def edge_between(a: Cell, b: Cell) -> Edge:
-    if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
-        raise ValueError(f"cells {a} and {b} are not adjacent")
-    return (a, b) if a <= b else (b, a)
-
-
-@dataclass(frozen=True)
-class Domino:
-    id: str
-    cell: Cell
-    routing: tuple[str, str, str, str] = IDENTITY_ROUTING
-    tag: str = "0"
-
-    def route(self, incoming: str) -> str:
-        return self.routing[DIRECTIONS.index(incoming)]
-
-
-@dataclass(frozen=True)
-class MicroState:
-    """One configuration of the domino world.
-
-    The push designation may name an id that is not on the grid; the
-    process treats that like no designation at all.
-    """
-
-    grid: tuple[int, int]
-    dominoes: tuple[Domino, ...]
-    barriers: frozenset[Edge] = frozenset()
-    push: Optional[tuple[str, str]] = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "dominoes", tuple(sorted(self.dominoes, key=lambda d: d.id))
-        )
-        object.__setattr__(self, "barriers", frozenset(self.barriers))
-        w, h = self.grid
-        cells = set()
-        ids = set()
-        for d in self.dominoes:
-            x, y = d.cell
-            if not (0 <= x < w and 0 <= y < h):
-                raise ValueError(f"domino {d.id!r} at {d.cell} is off the grid")
-            if d.cell in cells:
-                raise ValueError(f"two dominoes share cell {d.cell}")
-            if d.id in ids:
-                raise ValueError(f"duplicate domino id {d.id!r}")
-            cells.add(d.cell)
-            ids.add(d.id)
-        if self.push is not None and self.push[1] not in DIRECTIONS:
-            raise ValueError(f"bad push direction {self.push[1]!r}")
-
-    def domino(self, domino_id: str) -> Optional[Domino]:
-        for d in self.dominoes:
-            if d.id == domino_id:
-                return d
-        return None
-
-    def occupant(self, cell: Cell) -> Optional[Domino]:
-        for d in self.dominoes:
-            if d.cell == cell:
-                return d
-        return None
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(d.id for d in self.dominoes)
-
-
-def micro_proc(
-    state: MicroState, census: Optional[Sequence[str]] = None
-) -> dict[str, str]:
-    """Run the process: push the designated domino, let everything fall.
-
-    Returns a terminal status per census id (absent ids included).  With
-    no (valid) designation nothing falls.
-    """
-    ids = tuple(census) if census is not None else state.ids()
-    status = {i: "absent" for i in ids}
-    for d in state.dominoes:
-        if d.id in status:
-            status[d.id] = "upright"
-    if state.push is None:
-        return status
-    current = state.domino(state.push[0])
-    if current is None:
-        return status
-    direction = state.push[1]
-    fallen: set[str] = set()
-    while True:
-        fallen.add(current.id)
-        if current.id in status:
-            status[current.id] = f"fallen-{direction}"
-        dx, dy = _STEP[direction]
-        target = (current.cell[0] + dx, current.cell[1] + dy)
-        w, h = state.grid
-        if not (0 <= target[0] < w and 0 <= target[1] < h):
-            break
-        if edge_between(current.cell, target) in state.barriers:
-            break
-        struck = state.occupant(target)
-        if struck is None or struck.id in fallen:
-            break
-        direction = struck.route(direction)
-        current = struck
-    return status
-
-
-# --- total state edits -----------------------------------------------------
-
-def remove_domino(state: MicroState, domino_id: str) -> MicroState:
-    if state.domino(domino_id) is None:
-        return state
-    return MicroState(
-        state.grid,
-        tuple(d for d in state.dominoes if d.id != domino_id),
-        state.barriers,
-        state.push,
-    )
-
-
-def place_domino(state: MicroState, domino: Domino) -> MicroState:
-    if state.domino(domino.id) is not None:
-        return state
-    if state.occupant(domino.cell) is not None:
-        return state
-    return MicroState(
-        state.grid, state.dominoes + (domino,), state.barriers, state.push
-    )
-
-
-def choose_push(state: MicroState, domino_id: str, direction: str) -> MicroState:
-    push = (domino_id, direction) if state.domino(domino_id) is not None else None
-    return MicroState(state.grid, state.dominoes, state.barriers, push)
-
-
-def add_barrier(state: MicroState, edge: Edge) -> MicroState:
-    return MicroState(
-        state.grid, state.dominoes, state.barriers | {edge}, state.push
-    )
-
-
-def remove_barrier(state: MicroState, edge: Edge) -> MicroState:
-    return MicroState(
-        state.grid, state.dominoes, state.barriers - {edge}, state.push
-    )
-
 
 # --- bounded single-row families --------------------------------------------
 
 @dataclass(frozen=True)
 class LineFamily:
-    """An enumerable family of states on a 1 x length grid.
+    """An enumerable family of states on a 1 x length row of cells.
 
-    Domino ids have fixed home cells (the k-th id lives at x = k); states
-    vary presence (up to ``max_dominoes``), per-domino nuisance tags,
-    barriers on the allowed edges, and the push designation.  Barrier edge
-    ``i`` (1-based) separates the i-th and (i+1)-th cells and is labelled
-    ``add-barrier-i-(i+1)``.  A state's code is its label
-    ``<tag or - per id>/b<bit per edge>/p<id><dir or ->``, and each action
-    rewrites one field of it; ``decode`` gives the ``MicroState`` of a label.
+    Domino ids have fixed home cells (the k-th id lives in the k-th cell);
+    states vary presence (up to ``max_dominoes``), per-domino nuisance
+    tags, barriers on the allowed edges, and the push designation.  Barrier
+    edge ``i`` (1-based) separates the i-th and (i+1)-th cells and is
+    labelled ``add-barrier-i-(i+1)``.  A state is its label
+    ``<tag or - per id>/b<bit per edge>/p<id><dir or ->``, read at fixed
+    offsets (an id may hold '/'), and each action rewrites one field of
+    it.  A layout is a named state label.
     """
 
     length: int
@@ -221,13 +72,8 @@ class LineFamily:
     tags: tuple[str, ...] = ("0",)
     barrier_edges: tuple[int, ...] = ()
     push_dirs: tuple[str, ...] = ("E", "W")
-    layouts: tuple[tuple[str, MicroState], ...] = ()
+    layouts: tuple[tuple[str, str], ...] = ()
     actions: tuple[str, ...] = ()
-    # decode's shared parts: dominoes by (id, tag), their tuples by row,
-    # barrier sets by bits, pushes by push field
-    _parts: tuple[dict, dict, dict, dict] = field(
-        default_factory=lambda: ({}, {}, {}, {}), init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if len(self.ids) > self.length:
@@ -251,7 +97,7 @@ class LineFamily:
         if len(set(self.push_dirs)) != len(self.push_dirs):
             raise ValueError("push directions must be distinct")
         for name, layout in self.layouts:
-            if self.encode(layout) is None:
+            if not self._has(layout):
                 raise ValueError(f"layout {name!r} is not a state of the family")
         rewrites = self._rewrites()  # raises on a label two actions share
         for a in self.actions:
@@ -260,41 +106,11 @@ class LineFamily:
         if not self.actions:
             object.__setattr__(self, "actions", tuple(rewrites))
 
-    @property
-    def grid(self) -> tuple[int, int]:
-        return (self.length, 1)
-
-    def home_cell(self, domino_id: str) -> Cell:
-        return (self.ids.index(domino_id), 0)
-
-    def edge(self, position: int) -> Edge:
-        return edge_between((position - 1, 0), (position, 0))
-
-    def state(
-        self,
-        present: Mapping[str, str],
-        barriers: Iterable[int] = (),
-        push: Optional[tuple[str, str]] = None,
-    ) -> MicroState:
-        """Family state from an id->tag mapping plus barrier positions."""
-        unknown = [i for i in present if i not in self.ids]
-        if unknown:
-            raise ValueError(f"unknown domino id {unknown[0]!r}")
-        return MicroState(
-            self.grid,
-            tuple(
-                Domino(i, self.home_cell(i), IDENTITY_ROUTING, present[i])
-                for i in self.ids
-                if i in present
-            ),
-            frozenset(self.edge(i) for i in barriers),
-            push,
-        )
-
-    def chain(self, count: Optional[int] = None) -> MicroState:
+    def chain(self, count: Optional[int] = None) -> str:
         """The first ``count`` dominoes at home, no barriers, no push."""
         count = len(self.ids) if count is None else count
-        return self.state({i: self.tags[0] for i in self.ids[:count]})
+        row = self.tags[0] * count + "-" * (len(self.ids) - count)
+        return f"{row}/b{'0' * len(self.barrier_edges)}/p-"
 
     def state_count(self) -> int:
         n = len(self.ids)
@@ -326,42 +142,39 @@ class LineFamily:
         """Every state label, by row, then bits, then push."""
         return _labels(*self._fields())
 
-    def enumerate_states(self) -> list[MicroState]:
-        return [self.decode(code) for code in self.codes()]
-
-    def decode(self, label: str) -> MicroState:
-        """The state of a label, read at fixed offsets: an id may hold '/'.
-        Decoded states share their parts, each built on first use: one
-        ``Domino`` per (id, tag), one tuple of them per row field, one
-        barrier set per bits field and one push per push field."""
+    def _split(self, label: str) -> tuple[str, str, str]:
+        """The row, bits and push fields of a label, read at fixed offsets."""
         n, m = len(self.ids), len(self.barrier_edges)
-        row, bits, push = label[:n], label[n + 2:n + 2 + m], label[n + m + 4:]
-        dominoes, rows, barriers, pushes = self._parts
-        if row not in rows:
-            present = [(i, t) for i, t in zip(self.ids, row) if t != "-"]
-            for i, t in present:
-                if (i, t) not in dominoes:
-                    dominoes[i, t] = Domino(i, self.home_cell(i), IDENTITY_ROUTING, t)
-            rows[row] = tuple(map(dominoes.__getitem__, present))
-        if bits not in barriers:
-            edges = [e for e, b in zip(self.barrier_edges, bits) if b == "1"]
-            barriers[bits] = frozenset(map(self.edge, edges))
-        if push not in pushes:
-            pushes[push] = None if push == "-" else (push[:-1], push[-1])
-        return MicroState(self.grid, rows[row], barriers[bits], pushes[push])
+        return label[:n], label[n + 2:n + 2 + m], label[n + m + 4:]
 
-    def encode(self, state: MicroState) -> Optional[str]:
-        """The label (code) of ``state``, or None if it is not in the family."""
-        tags = {d.id: d.tag for d in state.dominoes}
-        pushes = [None, *product(self.ids, self.push_dirs)]
-        if len(tags) > self.max_dominoes or state.push not in pushes or any(
-            t not in self.tags for t in tags.values()
-        ):
-            return None
-        bits = "".join(str(int(self.edge(e) in state.barriers)) for e in self.barrier_edges)
-        push = "-" if state.push is None else state.push[0] + state.push[1]
-        label = f"{''.join(tags.get(i, '-') for i in self.ids)}/b{bits}/p{push}"
-        return label if self.decode(label) == state else None
+    def _has(self, label: str) -> bool:
+        """Is ``label`` a state of the family?  Checked field by field."""
+        row, bits, push = self._split(label)
+        return (
+            label == f"{row}/b{bits}/p{push}"
+            and all(t == "-" or t in self.tags for t in row)
+            and len(row) - row.count("-") <= self.max_dominoes
+            and set(bits) <= {"0", "1"}
+            and (push == "-" or push in [i + d for i in self.ids for d in self.push_dirs])
+        )
+
+    def process(self, label: str) -> dict[str, str]:
+        """The terminal status of every id in the state ``label``, by the
+        rules the module docstring states."""
+        row, bits, push = self._split(label)
+        status = {i: "upright" if t != "-" else "absent" for i, t in zip(self.ids, row)}
+        k = -1 if push == "-" else self.ids.index(push[:-1])
+        if k < 0 or row[k] == "-":
+            return status
+        walls = {e for e, b in zip(self.barrier_edges, bits) if b == "1"}
+        direction, step = push[-1], {"E": 1, "W": -1}.get(push[-1], 0)
+        while True:
+            status[self.ids[k]] = f"fallen-{direction}"
+            j = k + step
+            # edge i lies between the i-th and (i+1)-th cells
+            if j == k or not 0 <= j < len(row) or row[j] == "-" or max(k, j) in walls:
+                return status
+            k = j
 
     def _rewrites(self) -> dict[str, tuple[str, object]]:
         """Every registrable action label with what it does to a label:
@@ -379,7 +192,7 @@ class LineFamily:
         n, cap, tag = len(self.ids), self.max_dominoes, self.tags[0]
         add("id", "id")
         for name, layout in self.layouts:
-            add(f"init-{name}", "init", self.encode(layout))
+            add(f"init-{name}", "init", layout)
         for k, i in enumerate(self.ids):
             for d in self.push_dirs:
                 add(f"choose-push-{i}-{d}", "push",
@@ -462,7 +275,7 @@ def build_bounded_model(
     class_starts = [number[x] * block for x in xrows]
     x_codes = runs(class_starts, block)
     reps = runs([k * block for k in first.values()], block)
-    status = [micro_proc(family.decode(labels[k]), family.ids) for k in reps]
+    status = [family.process(labels[k]) for k in reps]
     names = [OUTCOME_SEP.join(s[i] for i in family.ids) for s in status]
 
     ybar = FiniteSet("Ybar", tuple(sorted(set(names))))

@@ -31,7 +31,7 @@ from .core import (
 )
 from .abstraction import ModelMorphism
 from .checkers import MechanismRecord
-from .dominoes import LineFamily
+from .dominoes import DIRECTIONS, LineFamily
 from .scm import DEFAULT_SLOT, Scm
 
 
@@ -439,21 +439,36 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
         path = f"family.layouts.{name}"
         _label_part(name, file, path, "layout name", False)
         _expect(layout_data, dict, file, path, "an object")
+        shape = ("chain",) if "chain" in layout_data else ("present", "barriers", "push")
+        extra = [key for key in layout_data if key not in shape]
+        if extra:
+            raise SchemaError(file, path, f"unexpected key {extra[0]!r} in a {shape[0]!r} layout")
         if "chain" in layout_data:
             count = _expect(layout_data["chain"], int, file, f"{path}.chain", "an integer")
             if not 0 <= count <= len(ids):
                 raise SchemaError(file, f"{path}.chain", f"must be in 0..{len(ids)}")
             layouts.append((name, family.chain(count)))
             continue
-        present_data = _string_map(layout_data.get("present"), file, f"{path}.present")
+        present = _string_map(layout_data.get("present"), file, f"{path}.present")
         barriers = _int_list(layout_data.get("barriers", []), file, f"{path}.barriers")
         push = layout_data.get("push")
         if push is not None:
-            push = tuple(_string_list(push, file, f"{path}.push"))
+            push = _string_list(push, file, f"{path}.push")
             if len(push) != 2:
                 raise SchemaError(file, f"{path}.push", "expected [id, dir]")
-        state = _build(file, path, family.state, present_data, barriers, push)
-        layouts.append((name, state))
+        unknown = [i for i in present if i not in ids]
+        if unknown:
+            raise SchemaError(file, path, f"unknown domino id {unknown[0]!r}")
+        if "-" in present.values():
+            raise SchemaError(file, f"{path}.present", "'-' marks an absent domino, not a tag")
+        bad = [e for e in barriers if e not in edges]
+        if bad:
+            raise SchemaError(file, f"{path}.barriers", f"edge {bad[0]} is not in barrier_edges")
+        if push is not None and push[1] not in DIRECTIONS:
+            raise SchemaError(file, path, f"bad push direction {push[1]!r}")
+        row = "".join(present.get(i, "-") for i in ids)
+        bits = "".join("1" if e in barriers else "0" for e in edges)
+        layouts.append((name, f"{row}/b{bits}/p{''.join(push or '-')}"))
 
     actions = tuple(_string_list(spec.get("actions", []), file, "family.actions"))
     return _build(file, "family", replace, family, layouts=tuple(layouts), actions=actions)

@@ -4,12 +4,15 @@ Each fixture patches one kernel function with ``monkeypatch`` for the
 length of a test (the compose and rows mutants patch ``_Image``, which
 would otherwise reuse, or leave behind, an image a model keeps);
 ``test_metamorphic.test_kernel_mutant_is_caught`` asserts that the oracle
-cross-check or a metamorphic relation catches each one.
+cross-check or a metamorphic relation catches each one.  The domino
+process mutant stays out of ``MUTANTS``: the reference family build
+catches it (``test_dominoes.test_process_mutant_is_caught_by_the_reference_build``).
 """
 
 import math
 
 from causalground import checkers
+from causalground.dominoes import LineFamily
 from causalground.core import (
     ID_LABEL,
     SEP,
@@ -236,6 +239,28 @@ def after_skips_the_last_reached_state(monkeypatch):
         return _rows(self.model, self.model._compose(word, self.reached[:-1]))
 
     monkeypatch.setattr(_Image, "after", after)
+
+
+def barrier_read_behind_the_falling_domino(monkeypatch):
+    """A fall from cell k to cell j is stopped by the barrier on the edge
+    behind cell k (``min(k, j)``), not on the edge it crosses."""
+
+    def process(self, label):
+        row, bits, push = self._split(label)
+        status = {i: "upright" if t != "-" else "absent" for i, t in zip(self.ids, row)}
+        k = -1 if push == "-" else self.ids.index(push[:-1])
+        if k < 0 or row[k] == "-":
+            return status
+        walls = {e for e, b in zip(self.barrier_edges, bits) if b == "1"}
+        direction, step = push[-1], {"E": 1, "W": -1}.get(push[-1], 0)
+        while True:
+            status[self.ids[k]] = f"fallen-{direction}"
+            j = k + step
+            if j == k or not 0 <= j < len(row) or row[j] == "-" or min(k, j) in walls:
+                return status
+            k = j
+
+    monkeypatch.setattr(LineFamily, "process", process)
 
 
 MUTANTS = {

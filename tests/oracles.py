@@ -3,7 +3,7 @@
 The determination oracle enumerates every candidate map between the
 variable subspaces instead of constructing a witness, so it shares no
 code path with the checker it validates.  The reference family build
-works on validated MicroStates instead of state codes.  The reference SCM
+works on grid MicroStates with its own simulator instead of state labels.  The reference SCM
 law suite evaluates words and structural functions by hand instead of
 running the checkers.  The brute-force SCM response enumerates every
 joint assignment instead of solving in topological order, and the
@@ -80,20 +80,7 @@ from causalground.scm import (
     set_label,
     slot_domain,
 )
-from causalground.dominoes import (
-    IDENTITY_ROUTING,
-    OUTCOME_SEP,
-    STATUSES,
-    Domino,
-    LineFamily,
-    MicroState,
-    add_barrier,
-    choose_push,
-    micro_proc,
-    place_domino,
-    remove_barrier,
-    remove_domino,
-)
+from causalground.dominoes import OUTCOME_SEP, STATUSES, LineFamily
 
 
 def split_values(space: FactoredSpace, element: str) -> tuple[str, ...]:
@@ -215,6 +202,115 @@ def all_subset_pairs(var_ids):
     return [(i, j) for i in subsets for j in subsets]
 
 
+# --- the reference domino world: dominoes on a grid ---------------------------
+
+_STEP = {"N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}
+
+Cell = tuple[int, int]
+Edge = tuple[Cell, Cell]
+
+
+def edge_between(a: Cell, b: Cell) -> Edge:
+    if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
+        raise ValueError(f"cells {a} and {b} are not adjacent")
+    return (a, b) if a <= b else (b, a)
+
+
+@dataclass(frozen=True)
+class Domino:
+    id: str
+    cell: Cell
+    tag: str = "0"
+
+
+@dataclass(frozen=True)
+class MicroState:
+    """One configuration of the grid world: dominoes (kept in id order),
+    barriers on edges between cells, and a push designation, which may
+    name an id that is not on the grid."""
+
+    grid: tuple[int, int]
+    dominoes: tuple[Domino, ...]
+    barriers: frozenset[Edge] = frozenset()
+    push: Optional[tuple[str, str]] = None
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "dominoes", tuple(sorted(self.dominoes, key=lambda d: d.id))
+        )
+
+    def domino(self, domino_id: str) -> Optional[Domino]:
+        return next((d for d in self.dominoes if d.id == domino_id), None)
+
+    def occupant(self, cell: Cell) -> Optional[Domino]:
+        return next((d for d in self.dominoes if d.cell == cell), None)
+
+
+def micro_proc(state: MicroState, census: Iterable[str]) -> dict[str, str]:
+    """Walk the grid from the designated domino: each falling domino
+    knocks over the domino in the next cell in its direction, which falls
+    the same way, unless a barrier sits on the shared edge.  Returns a
+    terminal status per census id (absent ids included)."""
+    status = {i: "absent" for i in census}
+    for d in state.dominoes:
+        status[d.id] = "upright"
+    current = state.domino(state.push[0]) if state.push else None
+    while current is not None:
+        status[current.id] = f"fallen-{state.push[1]}"
+        dx, dy = _STEP[state.push[1]]
+        target = (current.cell[0] + dx, current.cell[1] + dy)
+        w, h = state.grid
+        if not (0 <= target[0] < w and 0 <= target[1] < h):
+            break
+        if edge_between(current.cell, target) in state.barriers:
+            break
+        current = state.occupant(target)
+    return status
+
+
+def remove_domino(state: MicroState, domino_id: str) -> MicroState:
+    dominoes = tuple(d for d in state.dominoes if d.id != domino_id)
+    return MicroState(state.grid, dominoes, state.barriers, state.push)
+
+
+def place_domino(state: MicroState, domino: Domino) -> MicroState:
+    if state.domino(domino.id) is not None or state.occupant(domino.cell) is not None:
+        return state
+    return MicroState(state.grid, state.dominoes + (domino,), state.barriers, state.push)
+
+
+def choose_push(state: MicroState, domino_id: str, direction: str) -> MicroState:
+    push = (domino_id, direction) if state.domino(domino_id) is not None else None
+    return MicroState(state.grid, state.dominoes, state.barriers, push)
+
+
+def set_barrier(state: MicroState, edge: Edge, on: bool) -> MicroState:
+    barriers = state.barriers | {edge} if on else state.barriers - {edge}
+    return MicroState(state.grid, state.dominoes, barriers, state.push)
+
+
+def family_edge(position: int) -> Edge:
+    """Barrier edge ``position`` of a line family, between the
+    ``position``-th and the next cell of row 0."""
+    return edge_between((position - 1, 0), (position, 0))
+
+
+def reference_state(
+    family: LineFamily,
+    present: Mapping[str, str],
+    barriers: Iterable[int] = (),
+    push: Optional[tuple[str, str]] = None,
+) -> MicroState:
+    """The grid state of a family: each present id at its home cell, the
+    k-th id in column k of a 1 x length grid."""
+    return MicroState(
+        (family.length, 1),
+        tuple(Domino(i, (family.ids.index(i), 0), present[i]) for i in present),
+        frozenset(map(family_edge, barriers)),
+        push,
+    )
+
+
 def reference_states(family: LineFamily) -> list[MicroState]:
     """Every family state as a MicroState, in the family's enumeration order."""
     pushes = [None] + [(i, d) for i in family.ids for d in family.push_dirs]
@@ -230,7 +326,7 @@ def reference_states(family: LineFamily) -> list[MicroState]:
                 present = dict(zip(chosen, tags))
                 for edges in edge_sets:
                     for push in pushes:
-                        states.append(family.state(present, edges, push))
+                        states.append(reference_state(family, present, edges, push))
     return states
 
 
@@ -241,41 +337,48 @@ def reference_label(family: LineFamily, state: MicroState, abstract: bool) -> st
         for i in family.ids
     )
     bits = "".join(
-        "1" if family.edge(i) in state.barriers else "0"
+        "1" if family_edge(i) in state.barriers else "0"
         for i in family.barrier_edges
     )
     push = "-" if state.push is None else f"{state.push[0]}{state.push[1]}"
     return f"{tokens}/b{bits}/p{push}"
 
 
-def reference_action_transforms(family: LineFamily) -> dict:
-    """Every family action label with its transform on MicroStates."""
+def reference_action_transforms(
+    family: LineFamily, by_label: Optional[Mapping[str, MicroState]] = None
+) -> dict:
+    """Every family action label with its transform on MicroStates.  A
+    layout is a label: its init sends every state to the enumerated state
+    of that label (``by_label``, enumerated when not given), or to None
+    when no state has it."""
+    if by_label is None:
+        by_label = {reference_label(family, s, False): s for s in reference_states(family)}
     transforms = {"id": lambda s: s}
     for name, layout in family.layouts:
-        transforms[f"init-{name}"] = lambda s, t=layout: t
-    for i in family.ids:
+        transforms[f"init-{name}"] = lambda s, t=by_label.get(layout): t
+    for k, i in enumerate(family.ids):
         for d in family.push_dirs:
             transforms[f"choose-push-{i}-{d}"] = (
                 lambda s, i=i, d=d: choose_push(s, i, d)
             )
         transforms[f"remove-{i}"] = lambda s, i=i: remove_domino(s, i)
-        dom = Domino(i, family.home_cell(i), IDENTITY_ROUTING, family.tags[0])
+        dom = Domino(i, (k, 0), family.tags[0])
         transforms[f"place-{i}"] = lambda s, dom=dom: (
             s if len(s.dominoes) >= family.max_dominoes else place_domino(s, dom)
         )
     for i in family.barrier_edges:
-        edge = family.edge(i)
-        transforms[f"add-barrier-{i}-{i + 1}"] = lambda s, e=edge: add_barrier(s, e)
+        edge = family_edge(i)
+        transforms[f"add-barrier-{i}-{i + 1}"] = lambda s, e=edge: set_barrier(s, e, True)
         transforms[f"remove-barrier-{i}-{i + 1}"] = (
-            lambda s, e=edge: remove_barrier(s, e)
+            lambda s, e=edge: set_barrier(s, e, False)
         )
     return transforms
 
 
 def reference_build_bounded_model(family: LineFamily):
-    """(micro, abstract, morphism) built on validated MicroStates.
+    """(micro, abstract, morphism) built on grid MicroStates.
 
-    Runs the simulator on every micro state and once per variable of
+    Runs the grid simulator on every micro state and once per variable of
     every abstract state, and looks each action result up by state.
     """
     states = reference_states(family)
@@ -284,7 +387,7 @@ def reference_build_bounded_model(family: LineFamily):
     if len(index) != len(states):
         raise CausalGroundError("family state labels are not distinct")
 
-    transforms = reference_action_transforms(family)
+    transforms = reference_action_transforms(family, dict(zip(labels, states)))
     unknown = [a for a in family.actions if a not in transforms]
     if unknown:
         raise CausalGroundError(f"unknown family action label {unknown[0]!r}")

@@ -695,6 +695,18 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "family.layouts.pair"),
         (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), "V1"), "$"),
         (ENCODE, "scm_xor.json", _padded_noise_clash, "endogenous[0]"),
+        # a layout has exactly one shape: a chain count, or present,
+        # barriers and push; a key of the other shape or of none is no part
+        (BUILD, "family_tiny.json",
+         _set(("family", "layouts", "pair"), {"chain": 1, "present": {"d9": "0"}}),
+         "family.layouts.pair"),
+        (BUILD, "family_tiny.json",
+         _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "barrier": [1]}),
+         "family.layouts.pair"),
+        # a label has no bit for an edge outside barrier_edges
+        (BUILD, "family_tiny.json",
+         _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "barriers": [2]}),
+         "family.layouts.pair.barriers"),
     ],
     ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
          "invariant-under-empty-part", "violated-by-unknown-label",
@@ -710,7 +722,8 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
          "repeated-value", "repeated-variable-id", "no-variables", "no-state-map",
          "alphabet-map-unknown-value", "alphabet-map-not-covering", "no-endogenous",
          "layout-push-bad-dir", "shared-u-and-v-id",
-         "padded-noise-clash"],
+         "padded-noise-clash", "layout-chain-and-present", "layout-misspelled-key",
+         "layout-barrier-outside-edges"],
 )
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")

@@ -16,130 +16,95 @@ from causalground.checkers import (
 from causalground.core import CausalGroundError, compose, outcome_map
 from causalground.dominoes import (
     DIRECTIONS,
-    Domino,
     LineFamily,
-    MicroState,
     build_bounded_model,
-    choose_push,
     five_chain_family,
     four_chain_family,
     line6_family,
-    micro_proc,
-    place_domino,
-    remove_domino,
     three_chain_family,
 )
 from causalground.io import load_family, to_json
 
+from mutants import barrier_read_behind_the_falling_domino
 from oracles import (
+    micro_proc,
     model_to_dict,
     morphism_to_dict,
     reference_action_transforms,
     reference_build_bounded_model,
     reference_label,
+    reference_state,
     reference_states,
     reference_text,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
-
-def chain(n, push=None, barriers=()):
-    family = three_chain_family() if n == 3 else None
-    assert family is not None
-    state = family.state(
-        {i: "0" for i in family.ids[:n]}, barriers, push
-    )
-    return family, state
+# three dominoes on three cells, barrier edges 1 and 2, pushes E and W
+THREE = three_chain_family()
 
 
 def test_no_push_everything_upright():
-    family, state = chain(3)
-    assert micro_proc(state, family.ids) == {
+    assert THREE.process("000/b00/p-") == {
         "d1": "upright", "d2": "upright", "d3": "upright"
     }
 
 
 def test_straight_chain_falls_east():
-    family, state = chain(3, push=("d1", "E"))
-    assert micro_proc(state, family.ids) == {
+    assert THREE.process("000/b00/pd1E") == {
         "d1": "fallen-E", "d2": "fallen-E", "d3": "fallen-E"
     }
 
 
 def test_push_westmost_west_falls_alone():
-    family, state = chain(3, push=("d1", "W"))
-    assert micro_proc(state, family.ids)["d1"] == "fallen-W"
-    assert micro_proc(state, family.ids)["d2"] == "upright"
+    assert THREE.process("000/b00/pd1W")["d1"] == "fallen-W"
+    assert THREE.process("000/b00/pd1W")["d2"] == "upright"
 
 
 def test_barrier_blocks_propagation():
-    family, state = chain(3, push=("d1", "E"), barriers=(2,))
-    assert micro_proc(state, family.ids) == {
+    # the bit of edge 2, between d2 and d3, is set
+    assert THREE.process("000/b01/pd1E") == {
         "d1": "fallen-E", "d2": "fallen-E", "d3": "upright"
+    }
+    assert THREE.process("000/b10/pd3W") == {
+        "d1": "upright", "d2": "fallen-W", "d3": "fallen-W"
     }
 
 
 def test_gap_stops_propagation():
-    family, state = chain(3, push=("d1", "E"))
-    state = remove_domino(state, "d2")
-    assert micro_proc(state, family.ids) == {
+    assert THREE.process("0-0/b00/pd1E") == {
         "d1": "fallen-E", "d2": "absent", "d3": "upright"
     }
 
 
-def test_routing_cycle_all_fall_once():
-    # a 2x2 loop whose routings turn each fall by ninety degrees; pushing
-    # any member topples all four, each in its routed direction
-    state = MicroState(
-        (2, 2),
-        (
-            Domino("a", (0, 0), ("E", "E", "E", "E")),
-            Domino("b", (1, 0), ("S", "S", "S", "S")),
-            Domino("c", (1, 1), ("W", "W", "W", "W")),
-            Domino("d", (0, 1), ("N", "N", "N", "N")),
-        ),
-        frozenset(),
-        ("a", "E"),
-    )
-    assert micro_proc(state) == {
-        "a": "fallen-E", "b": "fallen-S", "c": "fallen-W", "d": "fallen-N"
+def test_a_north_or_south_push_topples_only_the_pushed_domino():
+    family = LineFamily(3, ("d1", "d2", "d3"), 3, push_dirs=("N", "S"))
+    assert family.process("000/b/pd2S") == {
+        "d1": "upright", "d2": "fallen-S", "d3": "upright"
     }
 
 
 def test_dangling_push_topples_nothing():
-    family, state = chain(3, push=("d1", "E"))
-    state = remove_domino(state, "d1")
-    assert state.push == ("d1", "E")
-    assert micro_proc(state, family.ids) == {
+    # removing the designated domino leaves the designation in place
+    micro = build_bounded_model(THREE)[0]
+    state = micro.generators["remove-d1"]("000/b00/pd1E")
+    assert state == "-00/b00/pd1E"
+    assert THREE.process(state) == {
         "d1": "absent", "d2": "upright", "d3": "upright"
     }
 
 
 def test_resolution_rules_keep_actions_total():
-    family, state = chain(3)
-    assert remove_domino(state, "d9") is state
-    # placing onto an occupied cell or an existing id is a no-op
-    assert place_domino(state, Domino("d1", (0, 0))) is state
-    assert place_domino(state, Domino("dx", (0, 0))) is state
+    g = build_bounded_model(THREE)[0].generators
+    assert g["remove-d2"]("0-0/b00/p-") == "0-0/b00/p-"
+    # placing an existing id is a no-op
+    assert g["place-d1"]("000/b00/p-") == "000/b00/p-"
     # choosing to push an absent domino clears the designation
-    chosen = choose_push(state, "d1", "E")
-    assert chosen.push == ("d1", "E")
-    cleared = choose_push(remove_domino(chosen, "d1"), "d1", "E")
-    assert cleared.push is None
+    assert g["choose-push-d1-E"]("000/b00/p-") == "000/b00/pd1E"
+    assert g["choose-push-d1-E"]("-00/b00/pd1E") == "-00/b00/p-"
     # the family cap turns overflowing placements into no-ops
     capped = LineFamily(3, ("d1", "d2"), 1)
-    small = capped.encode(capped.state({"d1": "0"}))
-    assert build_bounded_model(capped)[0].generators["place-d2"](small) == small
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        MicroState((2, 1), (Domino("a", (5, 0)),))
-    with pytest.raises(ValueError):
-        MicroState((2, 1), (Domino("a", (0, 0)), Domino("b", (0, 0))))
-    with pytest.raises(ValueError):
-        MicroState((2, 1), (Domino("a", (0, 0)), Domino("a", (1, 0))))
+    assert build_bounded_model(capped)[0].generators["place-d2"]("0-/b/p-") == "0-/b/p-"
 
 
 def test_family_counts_match_formula():
@@ -149,7 +114,7 @@ def test_family_counts_match_formula():
     n, t, dirs, edges = 3, 2, 1, 2
     expected = sum(comb(n, k) * t**k for k in range(3)) * (1 + n * dirs) * 2**edges
     assert family.state_count() == expected
-    assert len(family.enumerate_states()) == expected
+    assert len(family.codes()) == expected
 
 
 def test_a_domino_budget_past_the_ids_counts_no_larger_sets(monkeypatch):
@@ -278,7 +243,7 @@ def test_determination_of_next_by_previous(three_chain):
     assert result.witness.table["fallen-E"] == "fallen-E"
 
 
-# --- the code build against the MicroState reference build -----------------
+# --- the label build against the grid reference build -------------------------
 
 REFS = ("micro_model.json", "abstract_model.json")
 
@@ -326,45 +291,47 @@ def odd_ids_family() -> LineFamily:
     """Ids that a label parser splitting at '/' or '-', or reading a push
     token as the id's last letter, would misread: 3380 states."""
     family = LineFamily(5, ("d/1", "-", "xE", "b"), 3, ("0", "x"), (2, 4), ("E", "W", "N"))
-    layouts = (
-        ("chain", family.chain(3)),
-        ("odd", family.state({"-": "x", "b": "0"}, [4], ("-", "N"))),
-    )
+    # "-" and "b" present, the barrier on edge 4, "-" pushed north
+    layouts = (("chain", family.chain(3)), ("odd", "-x-0/b01/p-N"))
     return replace(family, layouts=layouts, actions=())
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        three_chain_family,
-        four_chain_family,
-        five_chain_family,
-        line6_family,
-        family_tiny_file,
-        odd_ids_family,
-    ],
-)
+NAMED = [
+    three_chain_family,
+    four_chain_family,
+    five_chain_family,
+    line6_family,
+    family_tiny_file,
+    odd_ids_family,
+]
+
+
+@pytest.mark.parametrize("make", NAMED)
 def test_named_families_match_reference(make):
     assert_matches_reference(make())
 
 
+@pytest.mark.parametrize("make", NAMED)
+def test_process_mutant_is_caught_by_the_reference_build(make, monkeypatch):
+    """The reference build runs its own grid simulator, so a process that
+    reads the barrier on the edge behind the falling domino disagrees with
+    it on every named family: each has a barrier edge a fall crosses."""
+    barrier_read_behind_the_falling_domino(monkeypatch)
+    with pytest.raises(AssertionError):
+        assert_matches_reference(make())
+
+
 @pytest.mark.parametrize("make", [family_tiny_file, odd_ids_family])
-def test_decode_matches_fresh_states_and_shares_their_parts(make):
+def test_labels_and_process_match_reference(make):
+    """The family's labels are those of the grid states the reference
+    enumerates, in its order, and the process of each label is the grid
+    simulator's outcome on its state."""
     family = make()
-    labels, states = family.codes(), reference_states(family)  # built by family.state
+    states = reference_states(family)
+    labels = family.codes()
     assert labels == [reference_label(family, s, False) for s in states]
-    decoded = [family.decode(label) for label in labels]
-    assert decoded == states
-    dominoes, barriers, pushes = {}, {}, {}
-    for label, state in zip(labels, decoded):
-        for d in state.dominoes:
-            assert dominoes.setdefault((d.id, d.tag), d) is d, label
-        assert barriers.setdefault(state.barriers, state.barriers) is state.barriers, label
-        assert pushes.setdefault(state.push, state.push) is state.push, label
-    assert len(dominoes) == len(family.ids) * len(family.tags)
-    # the shared parts are a cache: a copy has its own, and equality ignores them
-    copy = replace(family)
-    assert copy == family and copy._parts[0] is not family._parts[0]
+    for label, state in zip(labels, states):
+        assert family.process(label) == micro_proc(state, family.ids), label
 
 
 def test_build_calls_each_rewrite_once_per_field_value(monkeypatch):
@@ -413,7 +380,8 @@ def random_family(rng: random.Random, max_dominoes: int, base: LineFamily):
         push = rng.choice(
             [None] + [(i, d) for i in family.ids for d in family.push_dirs]
         )
-        layouts.append((f"l{n}", family.state(present, barriers, push)))
+        state = reference_state(family, present, barriers, push)
+        layouts.append((f"l{n}", reference_label(family, state, False)))
     return replace(family, layouts=tuple(layouts), actions=())
 
 
@@ -448,21 +416,15 @@ BASE = LineFamily(3, ("d1", "d2"), 1, ("0",), (1,), ("E",))
 
 @pytest.mark.parametrize(
     "layout",
-    [
-        BASE.state({"d1": "7"}),
-        BASE.state({}, barriers=[2]),
-        BASE.state({"d1": "0"}, push=("d1", "N")),
-        BASE.state({"d1": "0", "d2": "0"}),
-        MicroState((3, 1), (Domino("d1", (1, 0)),)),
-        MicroState((3, 1), (Domino("d1", (0, 0), ("S", "E", "S", "W")),)),
-    ],
-    ids=["foreign-tag", "disallowed-edge", "north-push", "too-many",
-         "off-home", "routing"],
+    ["7-/b0/p-", "--/b01/p-", "0-/b0/pd1N", "00/b0/p-"],
+    ids=["foreign-tag", "disallowed-edge", "north-push", "too-many"],
 )
 def test_layout_outside_family_is_a_closure_error(layout):
-    """The family rejects a layout that is not one of its states; the
-    reference, built on the same fields without that check, confirms that
-    its init action would leave the family."""
+    """The family rejects a layout that is not one of its states (a tag it
+    lacks, a bit for edge 2, which allows no barrier, a push direction it
+    lacks, two dominoes past a cap of one); the reference, built on the
+    same fields without that check, confirms that its init action would
+    leave the family."""
     with pytest.raises(ValueError, match="layout 'bad' is not a state of the family"):
         replace(BASE, layouts=(("bad", layout),))
     unchecked = replace(BASE, actions=("id", "remove-d1"))

@@ -174,8 +174,7 @@ def test_family_layout_from_present_barriers_and_push():
     spec = {"length": 3, "ids": ["d1", "d2"], "barrier_edges": [1],
             "layouts": {"set": layout}}
     family = family_from_dict({"family": spec}, "f.json")
-    expected = family.state({"d1": "0", "d2": "0"}, [1], ("d1", "E"))
-    assert dict(family.layouts)["set"] == expected
+    assert dict(family.layouts)["set"] == "00/b1/pd1E"
     _, abstract, _ = build_bounded_model(family)
     # from any state, init-set then the process: d1 falls, the barrier
     # keeps d2 up
@@ -184,6 +183,10 @@ def test_family_layout_from_present_barriers_and_push():
     for edit, path in (
         ({"push": ["d1"]}, "family.layouts.set.push"),
         ({"present": {"d9": "0"}}, "family.layouts.set"),
+        # "-" marks an absent domino in a label, so it is no tag
+        ({"present": {"d1": "-"}}, "family.layouts.set.present"),
+        # edge 2 allows no barrier, and a label has no bit for it
+        ({"barriers": [2]}, "family.layouts.set.barriers"),
     ):
         spec["layouts"]["set"] = {**layout, **edit}
         with pytest.raises(SchemaError) as err:
@@ -194,15 +197,16 @@ def test_family_layout_from_present_barriers_and_push():
 def test_family_load_and_build():
     family = load_family(data_path("family_tiny.json"))
     assert family.ids == ("d1", "d2")
-    assert dict(family.layouts)["pair"].dominoes[0].id == "d1"
+    assert dict(family.layouts)["pair"] == "00/b0/p-"
     micro, abstract, morphism = build_bounded_model(family)
     assert check_naturality(morphism).natural
 
 
 def test_family_unknown_layout_shortcut():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError) as err:
         family_from_dict({"family": {"length": 2, "ids": ["d1"],
                                      "layouts": {"x": {"bogus": 1}}}}, "f.json")
+    assert err.value.path == "family.layouts.x"
 
 
 def test_family_layouts_must_be_an_object():
