@@ -138,7 +138,7 @@ class LineFamily:
         pushes = ["-"] + [i + d for i in self.ids for d in self.push_dirs]
         return rows, bit_rows, pushes
 
-    def codes(self) -> list[str]:
+    def enumerate_states(self) -> list[str]:
         """Every state label, by row, then bits, then push."""
         return _labels(*self._fields())
 
@@ -159,22 +159,8 @@ class LineFamily:
         )
 
     def process(self, label: str) -> dict[str, str]:
-        """The terminal status of every id in the state ``label``, by the
-        rules the module docstring states."""
-        row, bits, push = self._split(label)
-        status = {i: "upright" if t != "-" else "absent" for i, t in zip(self.ids, row)}
-        k = -1 if push == "-" else self.ids.index(push[:-1])
-        if k < 0 or row[k] == "-":
-            return status
-        walls = {e for e, b in zip(self.barrier_edges, bits) if b == "1"}
-        direction, step = push[-1], {"E": 1, "W": -1}.get(push[-1], 0)
-        while True:
-            status[self.ids[k]] = f"fallen-{direction}"
-            j = k + step
-            # edge i lies between the i-th and (i+1)-th cells
-            if j == k or not 0 <= j < len(row) or row[j] == "-" or max(k, j) in walls:
-                return status
-            k = j
+        """The terminal status of every id in the state ``label``."""
+        return micro_proc(self, label)
 
     def _rewrites(self) -> dict[str, tuple[str, object]]:
         """Every registrable action label with what it does to a label:
@@ -206,6 +192,24 @@ class LineFamily:
                 add(f"{verb}-barrier-{i}-{i + 1}", "bits",
                     lambda b, j=j, bit=bit: b[:j] + bit + b[j + 1:])
         return rewrites
+
+
+def micro_proc(family: LineFamily, label: str) -> dict[str, str]:
+    """The terminal status of every id of ``family`` in the state ``label``,
+    by the module docstring's rules (the bench tracer counts its calls)."""
+    row, bits, push = family._split(label)
+    status = {i: "upright" if t != "-" else "absent" for i, t in zip(family.ids, row)}
+    k = -1 if push == "-" else family.ids.index(push[:-1])
+    if k < 0 or row[k] == "-":
+        return status
+    walls = {e for e, b in zip(family.barrier_edges, bits) if b == "1"}
+    direction, step = push[-1], {"E": 1, "W": -1}.get(push[-1], 0)
+    while True:
+        status[family.ids[k]] = f"fallen-{direction}"
+        j = k + step  # the fall crosses edge max(k, j), between cells k and j
+        if j == k or not 0 <= j < len(row) or row[j] == "-" or max(k, j) in walls:
+            return status
+        k = j
 
 
 def _labels(rows: Iterable[str], bit_rows: list[str], pushes: list[str]) -> list[str]:
@@ -275,7 +279,7 @@ def build_bounded_model(
     class_starts = [number[x] * block for x in xrows]
     x_codes = runs(class_starts, block)
     reps = runs([k * block for k in first.values()], block)
-    status = [family.process(labels[k]) for k in reps]
+    status = [micro_proc(family, labels[k]) for k in reps]
     names = [OUTCOME_SEP.join(s[i] for i in family.ids) for s in status]
 
     ybar = FiniteSet("Ybar", tuple(sorted(set(names))))

@@ -459,8 +459,8 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
         unknown = [i for i in present if i not in ids]
         if unknown:
             raise SchemaError(file, path, f"unknown domino id {unknown[0]!r}")
-        if "-" in present.values():
-            raise SchemaError(file, f"{path}.present", "'-' marks an absent domino, not a tag")
+        if any(len(t) != 1 or t == "-" for t in present.values()):
+            raise SchemaError(file, f"{path}.present", "a tag is one character other than '-'")
         bad = [e for e in barriers if e not in edges]
         if bad:
             raise SchemaError(file, f"{path}.barriers", f"edge {bad[0]} is not in barrier_edges")

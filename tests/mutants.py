@@ -11,8 +11,7 @@ catches it (``test_dominoes.test_process_mutant_is_caught_by_the_reference_build
 
 import math
 
-from causalground import checkers
-from causalground.dominoes import LineFamily
+from causalground import checkers, dominoes
 from causalground.core import (
     ID_LABEL,
     SEP,
@@ -245,22 +244,23 @@ def barrier_read_behind_the_falling_domino(monkeypatch):
     """A fall from cell k to cell j is stopped by the barrier on the edge
     behind cell k (``min(k, j)``), not on the edge it crosses."""
 
-    def process(self, label):
-        row, bits, push = self._split(label)
-        status = {i: "upright" if t != "-" else "absent" for i, t in zip(self.ids, row)}
-        k = -1 if push == "-" else self.ids.index(push[:-1])
+    def micro_proc(family, label):
+        row, bits, push = family._split(label)
+        ids = family.ids
+        status = {i: "upright" if t != "-" else "absent" for i, t in zip(ids, row)}
+        k = -1 if push == "-" else ids.index(push[:-1])
         if k < 0 or row[k] == "-":
             return status
-        walls = {e for e, b in zip(self.barrier_edges, bits) if b == "1"}
+        walls = {e for e, b in zip(family.barrier_edges, bits) if b == "1"}
         direction, step = push[-1], {"E": 1, "W": -1}.get(push[-1], 0)
         while True:
-            status[self.ids[k]] = f"fallen-{direction}"
+            status[ids[k]] = f"fallen-{direction}"
             j = k + step
             if j == k or not 0 <= j < len(row) or row[j] == "-" or min(k, j) in walls:
                 return status
             k = j
 
-    monkeypatch.setattr(LineFamily, "process", process)
+    monkeypatch.setattr(dominoes, "micro_proc", micro_proc)
 
 
 MUTANTS = {

@@ -345,14 +345,11 @@ def reference_label(family: LineFamily, state: MicroState, abstract: bool) -> st
 
 
 def reference_action_transforms(
-    family: LineFamily, by_label: Optional[Mapping[str, MicroState]] = None
+    family: LineFamily, by_label: Mapping[str, MicroState]
 ) -> dict:
     """Every family action label with its transform on MicroStates.  A
     layout is a label: its init sends every state to the enumerated state
-    of that label (``by_label``, enumerated when not given), or to None
-    when no state has it."""
-    if by_label is None:
-        by_label = {reference_label(family, s, False): s for s in reference_states(family)}
+    of that label in ``by_label``, or to None when no state has it."""
     transforms = {"id": lambda s: s}
     for name, layout in family.layouts:
         transforms[f"init-{name}"] = lambda s, t=by_label.get(layout): t

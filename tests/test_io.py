@@ -185,6 +185,10 @@ def test_family_layout_from_present_barriers_and_push():
         ({"present": {"d9": "0"}}, "family.layouts.set"),
         # "-" marks an absent domino in a label, so it is no tag
         ({"present": {"d1": "-"}}, "family.layouts.set.present"),
+        # a tag fills one row character: "00" and "" would join to the
+        # valid row "00", with d2's tag taken from d1
+        ({"present": {"d1": "00", "d2": ""}}, "family.layouts.set.present"),
+        ({"present": {"d1": "00"}}, "family.layouts.set.present"),
         # edge 2 allows no barrier, and a label has no bit for it
         ({"barriers": [2]}, "family.layouts.set.barriers"),
     ):
