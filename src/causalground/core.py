@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import Callable, Iterable, Optional, Sequence
 
 #: Reserved separator used to serialize tuples of a factored space into
@@ -136,19 +136,17 @@ class FiniteSet:
         object.__setattr__(self, "position", positions.get)  # one C-level lookup
 
     def __eq__(self, other) -> bool:
-        """Equal labels in equal order.  Two products compare by their
-        domains, a product and a plain set label by label: comparing
-        never builds a product's labels."""
+        """Equal labels in equal order.  Two products of one label rule
+        compare by their domains, any other pair with a product label by
+        label: comparing never builds a product's labels."""
         if self is other:
             return True
         if not isinstance(other, FiniteSet):
             return NotImplemented
         if len(self) != len(other):
             return False
-        if self.domains is None and other.domains is None:
-            return self.elements == other.elements
-        if self.domains is not None and other.domains is not None:
-            return self.domains == other.domains
+        if type(self) is type(other):  # one label rule: products compare their domains
+            return (self.domains or self.elements) == (other.domains or other.elements)
         return all(self.label(k) == other.label(k) for k in range(len(self)))
 
     def __hash__(self) -> int:  # equal sets share these three
@@ -166,34 +164,38 @@ class FiniteSet:
 
 
 class _Product(FiniteSet):
-    """The product of a space's domains, read off its layout table: value
-    i of position k is ``k // stride % radix`` of the i-th entry, joined
-    with ``SEP``.  A view: its length is known at once, ``label`` and
+    """The product of domains.  Its layout table, built here, holds each
+    domain's (domain, stride, radix), the last fastest: value i of position
+    k is ``k // stride % radix`` of the i-th entry, and ``_join`` (inverse
+    ``_split``) joins values with ``SEP``.  A view: ``label`` and
     ``position`` work value by value, and its elements are built on first
-    read, where the enumeration limit applies.  No other code splits a joint label."""
+    read, where the enumeration limit applies."""
 
-    def __init__(self, id: str, layout: tuple[tuple[FiniteSet, int, int], ...]):
+    _join, _split = SEP.join, methodcaller("split", SEP)  # the label rule and its inverse
+
+    def __init__(self, id: str, domains: Sequence[FiniteSet]):
+        strides = [prod(map(len, domains[i + 1:])) for i in range(len(domains))]
         object.__setattr__(self, "id", id)
-        object.__setattr__(self, "_layout", layout)
-        object.__setattr__(self, "domains", tuple(dom for dom, _, _ in layout))
+        object.__setattr__(self, "_layout", tuple(zip(domains, strides, map(len, domains))))
+        object.__setattr__(self, "domains", tuple(domains))
 
     @cached_property
     def elements(self) -> tuple[str, ...]:
         check_enumeration_bound(len(self), f"finite set {self.id!r}")
-        return tuple(map(SEP.join, product(*(d.elements for d in self.domains))))
+        return tuple(map(self._join, product(*(d.elements for d in self.domains))))
 
     def __len__(self) -> int:
         _, stride, radix = self._layout[0]  # the first variable is the slowest
         return stride * radix
 
     def __repr__(self) -> str:  # names the factors: no labels are built
-        return f"_Product(id={self.id!r}, domains={self.domains!r})"
+        return f"{type(self).__name__}(id={self.id!r}, domains={self.domains!r})"
 
     def label(self, k: int) -> str:
-        return SEP.join([dom.elements[k // s % r] for dom, s, r in self._layout])
+        return self._join([dom.elements[k // s % r] for dom, s, r in self._layout])
 
     def position(self, element: str) -> Optional[int]:
-        values = element.split(SEP) if isinstance(element, str) else ()
+        values = self._split(element) if isinstance(element, str) else ()
         if len(values) != len(self._layout):
             return None
         k = 0
@@ -316,8 +318,9 @@ class FactoredSpace:
     The total set is every joint assignment (variable order is the
     declared order, values iterate in their domain order), serialized with
     the reserved separator; it is a view whose labels are built on first
-    read.  Projections exist for every subset of the variables, including
-    the empty subset whose target is the unit set.
+    read; ``_layout`` is its layout table by variable id.  Projections
+    exist for every subset of the variables, including the empty subset
+    whose target is the unit set.
     """
 
     variables: tuple[tuple[str, FiniteSet], ...]
@@ -330,10 +333,8 @@ class FactoredSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        layout, size = {}, 1  # each variable's (domain, stride, radix) in ``total``
-        for var_id, dom in reversed(self.variables):
-            layout[var_id], size = (dom, size, len(dom)), size * len(dom)
-        if len(layout) != len(self.variables):
+        ids = [v for v, _ in self.variables]
+        if len(set(ids)) != len(ids):
             raise ValueError("factored space has duplicate variable ids")
         for var_id, dom in self.variables:
             for value in dom.elements:
@@ -342,10 +343,9 @@ class FactoredSpace:
                         f"value {value!r} of variable {var_id!r} contains the "
                         f"reserved separator {SEP!r}"
                     )
-        layout = dict(reversed(layout.items()))
-        object.__setattr__(self, "_layout", layout)
-        object.__setattr__(self, "var_ids", tuple(layout))
-        total = _Product("x".join(layout), tuple(layout.values())) if layout else unit_set()
+        total = _Product("x".join(ids), [d for _, d in self.variables]) if ids else unit_set()
+        object.__setattr__(self, "_layout", dict(zip(ids, total._layout)) if ids else {})
+        object.__setattr__(self, "var_ids", tuple(ids))
         object.__setattr__(self, "total", total)
 
     def domain_of(self, var_id: str) -> FiniteSet:

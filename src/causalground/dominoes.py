@@ -3,14 +3,15 @@
 A state is a label ``<tag or - per id>/b<bit per barrier edge>/p<id><dir
 or ->``: dominoes stand at fixed home cells on one row, some allowed
 edges carry a barrier, and one domino may be designated to be pushed.
-The process is a pure function of the label: the pushed domino falls in
-the push direction, and an east or west fall knocks over the next domino
-along the row, which falls the same way, until a gap, a set barrier bit
-or the end of the row.  A north or south push topples only the pushed
-domino.
+A family's state set is a view over the row, bits and push fields, which
+joins and splits every label.  The process reads the fields: the pushed
+domino falls in the push direction, and an east or west fall knocks over
+the next domino along the row, which falls the same way, until a gap, a
+set barrier bit or the end of the row.  A north or south push topples
+only the pushed domino.
 
-Bounded model building enumerates a family of such labels (presence up
-to a cap, optional nuisance tags, the allowed barrier edges and push
+Bounded model building turns the fields of a family (presence up to a
+cap, optional nuisance tags, the allowed barrier edges and push
 designations) into a micro action model, its tag-forgetting abstract
 model over per-domino status variables, and the morphism between them.
 Nuisance tags exist purely so the state map is non-injective and
@@ -27,15 +28,17 @@ the table); the process then topples nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     ActionModel,
     FactoredSpace,
     FiniteSet,
     TotalMap,
+    _Product,
     check_enumeration_bound,
 )
 from .abstraction import ModelMorphism
@@ -52,6 +55,27 @@ OUTCOME_SEP = ";"
 
 # --- bounded single-row families --------------------------------------------
 
+class _States(_Product):
+    """A family's states, each labelled ``<row>/b<bits>/p<push>``: the
+    product of its rows, bit rows and pushes, the push fastest.  ``_split``
+    reads the fields at fixed offsets (an id or a tag may hold '/') and
+    checks both markers: the one code that joins or splits a family label."""
+
+    def __init__(self, id: str, *fields: Sequence[str]):  # rows, bit rows, pushes
+        super().__init__(id, [FiniteSet(id, f) for f in fields])
+        object.__setattr__(self, "_widths", (len(fields[0][0]), len(fields[1][0])))
+
+    @staticmethod
+    def _join(fields: Sequence[str]) -> str:
+        row, bits, push = fields  # an f-string: str.format would double the cost of elements
+        return f"{row}/b{bits}/p{push}"
+
+    def _split(self, label: str) -> Sequence[str]:
+        n, m = self._widths
+        marked = label[n:n + 2] == "/b" and label[n + m + 2:n + m + 4] == "/p"
+        return (label[:n], label[n + 2:n + m + 2], label[n + m + 4:]) if marked else ()
+
+
 @dataclass(frozen=True)
 class LineFamily:
     """An enumerable family of states on a 1 x length row of cells.
@@ -60,10 +84,10 @@ class LineFamily:
     states vary presence (up to ``max_dominoes``), per-domino nuisance
     tags, barriers on the allowed edges, and the push designation.  Barrier
     edge ``i`` (1-based) separates the i-th and (i+1)-th cells and is
-    labelled ``add-barrier-i-(i+1)``.  A state is its label
-    ``<tag or - per id>/b<bit per edge>/p<id><dir or ->``, read at fixed
-    offsets (an id may hold '/'), and each action rewrites one field of
-    it.  A layout is a named state label.
+    labelled ``add-barrier-i-(i+1)``.  A state is its label, an element
+    of ``states``, and each action rewrites one field of it.  ``states``
+    is built on first read, where the enumeration limit applies, so at
+    once in a family with layouts: each layout is a named state label.
     """
 
     length: int
@@ -97,7 +121,7 @@ class LineFamily:
         if len(set(self.push_dirs)) != len(self.push_dirs):
             raise ValueError("push directions must be distinct")
         for name, layout in self.layouts:
-            if not self._has(layout):
+            if layout not in self.states:
                 raise ValueError(f"layout {name!r} is not a state of the family")
         rewrites = self._rewrites()  # raises on a label two actions share
         for a in self.actions:
@@ -106,11 +130,10 @@ class LineFamily:
         if not self.actions:
             object.__setattr__(self, "actions", tuple(rewrites))
 
-    def chain(self, count: Optional[int] = None) -> str:
+    def chain(self, count: int) -> str:
         """The first ``count`` dominoes at home, no barriers, no push."""
-        count = len(self.ids) if count is None else count
         row = self.tags[0] * count + "-" * (len(self.ids) - count)
-        return f"{row}/b{'0' * len(self.barrier_edges)}/p-"
+        return _States._join((row, "0" * len(self.barrier_edges), "-"))
 
     def state_count(self) -> int:
         n = len(self.ids)
@@ -120,9 +143,10 @@ class LineFamily:
         pushes = 1 + n * len(self.push_dirs)
         return presence * pushes * 2 ** len(self.barrier_edges)
 
-    def _fields(self) -> tuple[list[str], list[str], list[str]]:
-        """The row, bits and push values of the labels, each in enumeration
-        order: rows by presence size, then ids, then tags."""
+    @cached_property
+    def states(self) -> _States:
+        """Every state label: the product of the row, bits and push values,
+        each in enumeration order, rows by presence size, then ids, then tags."""
         check_enumeration_bound(self.state_count(), "line family state set")
         rows = []
         for k in range(min(self.max_dominoes, len(self.ids)) + 1):
@@ -136,27 +160,11 @@ class LineFamily:
             for edges in combinations(self.barrier_edges, k)
         ]
         pushes = ["-"] + [i + d for i in self.ids for d in self.push_dirs]
-        return rows, bit_rows, pushes
+        return _States("Xbar", rows, bit_rows, pushes)
 
     def enumerate_states(self) -> list[str]:
         """Every state label, by row, then bits, then push."""
-        return _labels(*self._fields())
-
-    def _split(self, label: str) -> tuple[str, str, str]:
-        """The row, bits and push fields of a label, read at fixed offsets."""
-        n, m = len(self.ids), len(self.barrier_edges)
-        return label[:n], label[n + 2:n + 2 + m], label[n + m + 4:]
-
-    def _has(self, label: str) -> bool:
-        """Is ``label`` a state of the family?  Checked field by field."""
-        row, bits, push = self._split(label)
-        return (
-            label == f"{row}/b{bits}/p{push}"
-            and all(t == "-" or t in self.tags for t in row)
-            and len(row) - row.count("-") <= self.max_dominoes
-            and set(bits) <= {"0", "1"}
-            and (push == "-" or push in [i + d for i in self.ids for d in self.push_dirs])
-        )
+        return list(self.states.elements)
 
     def process(self, label: str) -> dict[str, str]:
         """The terminal status of every id in the state ``label``."""
@@ -197,7 +205,7 @@ class LineFamily:
 def micro_proc(family: LineFamily, label: str) -> dict[str, str]:
     """The terminal status of every id of ``family`` in the state ``label``,
     by the module docstring's rules (the bench tracer counts its calls)."""
-    row, bits, push = family._split(label)
+    row, bits, push = family.states._split(label)
     status = {i: "upright" if t != "-" else "absent" for i, t in zip(family.ids, row)}
     k = -1 if push == "-" else family.ids.index(push[:-1])
     if k < 0 or row[k] == "-":
@@ -212,11 +220,6 @@ def micro_proc(family: LineFamily, label: str) -> dict[str, str]:
         k = j
 
 
-def _labels(rows: Iterable[str], bit_rows: list[str], pushes: list[str]) -> list[str]:
-    """The label of every (row, bits, push), the push fastest."""
-    return [f"{r}/b{b}/p{p}" for r in rows for b in bit_rows for p in pushes]
-
-
 def build_bounded_model(
     family: LineFamily,
 ) -> tuple[ActionModel, ActionModel, ModelMorphism]:
@@ -228,14 +231,12 @@ def build_bounded_model(
     factored per-domino status space, on which impossible joint outcomes
     become visible.
     """
-    rows, bit_rows, pushes = family._fields()
-    labels = _labels(rows, bit_rows, pushes)
-    width, block = len(pushes), len(bit_rows) * len(pushes)  # states per bits, per row
-    micro_states = FiniteSet("Xbar", labels)
-    # The state at (row, bits, push) sits at (row * len(bit_rows) + bits) *
-    # width + push.  Every table entry is one of these shared int objects.
-    shared = list(micro_states._positions.values())
-    count = len(shared)
+    micro_states = family.states
+    # The state at (row, bits, push) sits at row * block + bits * width +
+    # push.  Every table entry is one of these shared int objects.
+    (rows, block, _), (bits, width, _), (pushes, _, _) = micro_states._layout
+    count = len(micro_states)
+    shared = list(range(count))
 
     def runs(starts: Iterable[int], length: int, source: list[int] = shared) -> list[int]:
         """The ``length``-long runs of ``source`` at ``starts``, joined."""
@@ -244,24 +245,20 @@ def build_bounded_model(
             table += source[start:start + length]
         return table
 
-    # Each rewrite runs once per distinct value of the field it reads.
-    row_at, bits_at, push_at = (
-        {v: k for k, v in enumerate(f)} for f in (rows, bit_rows, pushes)
-    )
-
     def expand(kind: str, how) -> list[int]:
+        """A rewrite's table: it runs once per value of the field it reads."""
         if kind == "id":
             return shared
         if kind == "init":
             return [shared[micro_states.position(how)]] * count
         if kind == "row":
-            return runs([row_at[how(r)] * block for r in rows], block)
+            return runs([rows.position(how(r)) * block for r in rows.elements], block)
         row_starts = range(0, count, block)
         if kind == "bits":
-            offsets = [bits_at[how(b)] * width for b in bit_rows]
+            offsets = [bits.position(how(b)) * width for b in bits.elements]
             return runs([start + o for start in row_starts for o in offsets], width)
         table: list[int] = []
-        for start, p in zip(row_starts, [push_at[how(r)] for r in rows]):
+        for start, p in zip(row_starts, [pushes.position(how(r)) for r in rows.elements]):
             for k in range(start + p, start + block, width):
                 table += [shared[k]] * width
         return table
@@ -271,7 +268,7 @@ def build_bounded_model(
     # micro state enumerated in it.  The process never reads tags, so it
     # runs once per class.
     forget = str.maketrans(dict.fromkeys(family.tags, "x"))
-    xrows = [r.translate(forget) for r in rows]
+    xrows = [r.translate(forget) for r in rows.elements]
     first: dict[str, int] = {}  # tag-forgotten row -> its first row
     for k, x in enumerate(xrows):
         first.setdefault(x, k)
@@ -279,7 +276,9 @@ def build_bounded_model(
     class_starts = [number[x] * block for x in xrows]
     x_codes = runs(class_starts, block)
     reps = runs([k * block for k in first.values()], block)
-    status = [micro_proc(family, labels[k]) for k in reps]
+    rep_rows = [rows.elements[k] for k in first.values()]
+    status = [micro_proc(family, _States._join(f))
+              for f in product(rep_rows, bits.elements, pushes.elements)]
     names = [OUTCOME_SEP.join(s[i] for i in family.ids) for s in status]
 
     ybar = FiniteSet("Ybar", tuple(sorted(set(names))))
@@ -296,7 +295,7 @@ def build_bounded_model(
                      runs(class_starts, block, micro_space._code([names]))),
     )
 
-    abstract_states = FiniteSet("X", _labels(first, bit_rows, pushes))
+    abstract_states = _States("X", list(first), bits.elements, pushes.elements)
     abstract_space = FactoredSpace(
         tuple((i, FiniteSet(f"Y({i})", STATUSES)) for i in family.ids)
     )

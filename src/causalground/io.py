@@ -31,7 +31,7 @@ from .core import (
 )
 from .abstraction import ModelMorphism
 from .checkers import MechanismRecord
-from .dominoes import DIRECTIONS, LineFamily
+from .dominoes import LineFamily, _States
 from .scm import DEFAULT_SLOT, Scm
 
 
@@ -443,12 +443,11 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
         extra = [key for key in layout_data if key not in shape]
         if extra:
             raise SchemaError(file, path, f"unexpected key {extra[0]!r} in a {shape[0]!r} layout")
-        if "chain" in layout_data:
+        if "chain" in layout_data:  # the first ``chain`` ids at home
             count = _expect(layout_data["chain"], int, file, f"{path}.chain", "an integer")
             if not 0 <= count <= len(ids):
                 raise SchemaError(file, f"{path}.chain", f"must be in 0..{len(ids)}")
-            layouts.append((name, family.chain(count)))
-            continue
+            layout_data = {"present": dict.fromkeys(ids[:count], tags[0])}
         present = _string_map(layout_data.get("present"), file, f"{path}.present")
         barriers = _int_list(layout_data.get("barriers", []), file, f"{path}.barriers")
         push = layout_data.get("push")
@@ -464,11 +463,13 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
         bad = [e for e in barriers if e not in edges]
         if bad:
             raise SchemaError(file, f"{path}.barriers", f"edge {bad[0]} is not in barrier_edges")
-        if push is not None and push[1] not in DIRECTIONS:
-            raise SchemaError(file, path, f"bad push direction {push[1]!r}")
         row = "".join(present.get(i, "-") for i in ids)
         bits = "".join("1" if e in barriers else "0" for e in edges)
-        layouts.append((name, f"{row}/b{bits}/p{''.join(push or '-')}"))
+        label = _States._join((row, bits, "".join(push or "-")))
+        # the family's states are built here: one over the limit fails at family
+        if label not in _build(file, "family", getattr, family, "states"):
+            raise SchemaError(file, path, f"layout {name!r} is not a state of the family")
+        layouts.append((name, label))
 
     actions = tuple(_string_list(spec.get("actions", []), file, "family.actions"))
     return _build(file, "family", replace, family, layouts=tuple(layouts), actions=actions)

@@ -5,8 +5,9 @@ length of a test (the compose and rows mutants patch ``_Image``, which
 would otherwise reuse, or leave behind, an image a model keeps);
 ``test_metamorphic.test_kernel_mutant_is_caught`` asserts that the oracle
 cross-check or a metamorphic relation catches each one.  The domino
-process mutant stays out of ``MUTANTS``: the reference family build
-catches it (``test_dominoes.test_process_mutant_is_caught_by_the_reference_build``).
+process and family label mutants stay out of ``MUTANTS``: the reference
+family build catches them (``test_dominoes.test_process_mutant_is_caught_by_the_reference_build``
+and ``test_dominoes.test_family_label_mutant_is_caught_by_the_reference_build``).
 """
 
 import math
@@ -112,7 +113,9 @@ def layout_first_variable_fastest(monkeypatch):
             layout[v], stride = (dom, stride, radix), stride * radix
         object.__setattr__(self, "_layout", layout)
         if layout:
-            object.__setattr__(self, "total", _Product(self.total.id, tuple(layout.values())))
+            total = _Product(self.total.id, [dom for dom, _, _ in layout.values()])
+            object.__setattr__(total, "_layout", tuple(layout.values()))
+            object.__setattr__(self, "total", total)
 
     def subspace(self, var_ids):
         ids = self.normalize_vars(var_ids)
@@ -245,7 +248,7 @@ def barrier_read_behind_the_falling_domino(monkeypatch):
     behind cell k (``min(k, j)``), not on the edge it crosses."""
 
     def micro_proc(family, label):
-        row, bits, push = family._split(label)
+        row, bits, push = family.states._split(label)
         ids = family.ids
         status = {i: "upright" if t != "-" else "absent" for i, t in zip(ids, row)}
         k = -1 if push == "-" else ids.index(push[:-1])
@@ -261,6 +264,19 @@ def barrier_read_behind_the_falling_domino(monkeypatch):
             k = j
 
     monkeypatch.setattr(dominoes, "micro_proc", micro_proc)
+
+
+def family_labels_bits_fastest(monkeypatch):
+    """A family state's label is decoded from its position with the bits
+    field varying fastest, not the push."""
+
+    def label(self, k):
+        (rows, _, _), (bits, _, bit_count), (pushes, _, push_count) = self._layout
+        k, b = divmod(k, bit_count)
+        r, p = divmod(k, push_count)
+        return self._join((rows.elements[r], bits.elements[b], pushes.elements[p]))
+
+    monkeypatch.setattr(dominoes._States, "label", label)
 
 
 MUTANTS = {

@@ -344,6 +344,13 @@ def reference_label(family: LineFamily, state: MicroState, abstract: bool) -> st
     return f"{tokens}/b{bits}/p{push}"
 
 
+def reference_family_labels(family: LineFamily, abstract: bool) -> list[str]:
+    """The family's micro state labels in the reference's enumeration
+    order, or its abstract labels in first-occurrence order."""
+    labels = [reference_label(family, s, abstract) for s in reference_states(family)]
+    return list(dict.fromkeys(labels))
+
+
 def reference_action_transforms(
     family: LineFamily, by_label: Mapping[str, MicroState]
 ) -> dict:

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from causalground.checkers import check_effectiveness, discover_mechanisms
-from causalground import checkers, cli
+from causalground import checkers, cli, dominoes
 from causalground.cli import build_parser, run
 from causalground.core import SEP, outcome_map
 from causalground.dominoes import OUTCOME_SEP, build_bounded_model
@@ -351,7 +351,10 @@ def test_simulate_matches_the_micro_tables(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "label", ["nope", "xx/b0/pd1E", "01/b00/pd1E"], ids=["unknown", "abstract", "wide-bits"]
+    "label",
+    ["nope", "xx/b0/pd1E", "01/b00/pd1E", "00xb0/p-", "00/b0xp-", "00/b0/p-x", "00/b0/pd/1E"],
+    ids=["unknown", "abstract", "wide-bits", "bits-marker", "push-marker", "trailing",
+         "slash-in-id"],
 )
 def test_simulate_rejects_a_label_that_is_no_micro_state(workspace, capsys, label):
     assert run(SIMULATE + ["--state", label]) == 2
@@ -533,31 +536,32 @@ def test_check_surgical_context_mismatch_exits_two(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "change, reason",
+    "change, path, reason",
     [
-        ({"tags": ["0", "-"]}, "other than '-'"),
-        ({"ids": ["d1", "d1"]}, "ids must be distinct"),
-        ({"max_dominoes": -1}, "max_dominoes must be non-negative"),
-        ({"barrier_edges": [1, 1]}, "barrier edges must be distinct"),
-        ({"push_dirs": ["E", "E"]}, "push directions must be distinct"),
-        ({"actions": ["id", "remove-d9"]}, "unknown family action label 'remove-d9'"),
-        # a layout that is not a state of the family: a foreign tag, more
-        # dominoes than max_dominoes, a push direction outside push_dirs
+        ({"tags": ["0", "-"]}, "family", "other than '-'"),
+        ({"ids": ["d1", "d1"]}, "family", "ids must be distinct"),
+        ({"max_dominoes": -1}, "family", "max_dominoes must be non-negative"),
+        ({"barrier_edges": [1, 1]}, "family", "barrier edges must be distinct"),
+        ({"push_dirs": ["E", "E"]}, "family", "push directions must be distinct"),
+        ({"actions": ["id", "remove-d9"]}, "family", "unknown family action label 'remove-d9'"),
+        # a layout that is not a state of the family is named at its own
+        # path: a foreign tag, more dominoes than max_dominoes, a push
+        # direction outside push_dirs
         ({"layouts": {"p": {"present": {"d1": "7"}}}, "actions": ["id"]},
-         "layout 'p' is not a state of the family"),
-        ({"max_dominoes": 1}, "layout 'pair' is not a state of the family"),
+         "family.layouts.p", "layout 'p' is not a state of the family"),
+        ({"max_dominoes": 1}, "family.layouts.pair", "layout 'pair' is not a state of the family"),
         ({"layouts": {"p": {"present": {"d1": "0"}, "push": ["d1", "W"]}}},
-         "layout 'p' is not a state of the family"),
-        ({"length": 1}, "more domino ids than cells"),
-        ({"barrier_edges": [9]}, "barrier edge 9 out of range"),
-        ({"push_dirs": ["Q"]}, "bad push direction 'Q'"),
+         "family.layouts.p", "layout 'p' is not a state of the family"),
+        ({"length": 1}, "family", "more domino ids than cells"),
+        ({"barrier_edges": [9]}, "family", "barrier edge 9 out of range"),
+        ({"push_dirs": ["Q"]}, "family", "bad push direction 'Q'"),
     ],
     ids=["absent-marker-tag", "duplicate-ids", "negative-max-dominoes",
          "repeated-barrier-edge", "repeated-push-dir", "unknown-action",
          "layout-foreign-tag", "layout-too-many", "layout-push-outside-push-dirs",
          "too-short", "barrier-edge-out-of-range", "bad-push-dir"],
 )
-def test_malformed_family_exits_two(workspace, capsys, change, reason):
+def test_malformed_family_exits_two(workspace, capsys, change, path, reason):
     with open("family_tiny.json") as fh:
         data = json.load(fh)
     data["family"].update(change)
@@ -566,7 +570,27 @@ def test_malformed_family_exits_two(workspace, capsys, change, reason):
     code = run(["build-model", "--family", "bad_family.json", "--out", "models"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "bad_family.json: at family:" in err and reason in err
+    assert f"bad_family.json: at {path}: " in err and reason in err
+
+
+def test_a_family_over_the_limit_with_a_layout_fails_at_load_enumerating_no_row(
+    workspace, capsys, monkeypatch
+):
+    """The family checks its layouts against its states, so it counts them
+    at load: one over the limit exits 2 naming the limit, and no presence
+    set is enumerated."""
+    ids = [f"d{i}" for i in range(1, 31)]
+    family = {"family": {"length": 30, "ids": ids, "tags": ["0", "1", "2"],
+                         "layouts": {"all": {"chain": 30}}}}
+    with open("wide_family.json", "w") as fh:
+        json.dump(family, fh)
+    calls = []
+    monkeypatch.setattr(dominoes, "combinations", lambda *args: calls.append(args))
+    code = run(["build-model", "--family", "wide_family.json", "--out", "models"])
+    err = capsys.readouterr().err
+    assert code == 2 and calls == []
+    assert err.startswith("error: wide_family.json: at family: line family state set would need ")
+    assert "over the limit of 1000000" in err
 
 
 def _set(path, value):

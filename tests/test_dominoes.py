@@ -1,3 +1,4 @@
+import json
 import os
 import random
 from dataclasses import replace
@@ -7,13 +8,14 @@ from math import comb
 import pytest
 
 from causalground import dominoes
+from causalground.abstraction import check_naturality, check_surjectivity_assumptions
 from causalground.checkers import (
     check_commute,
     check_determination,
     check_effectiveness,
     check_overwrite,
 )
-from causalground.core import compose, outcome_map
+from causalground.core import FactoredSpace, FiniteSet, compose, outcome_map
 from causalground.dominoes import (
     DIRECTIONS,
     LineFamily,
@@ -23,9 +25,9 @@ from causalground.dominoes import (
     line6_family,
     three_chain_family,
 )
-from causalground.io import load_family, to_json
+from causalground.io import load_family, model_from_dict, to_json
 
-from mutants import barrier_read_behind_the_falling_domino
+from mutants import barrier_read_behind_the_falling_domino, family_labels_bits_fastest
 from oracles import (
     micro_proc,
     model_to_dict,
@@ -145,8 +147,6 @@ def test_zero_domino_family_is_trivial():
     family = LineFamily(2, (), 0, ("0",), (), ("E",))
     micro, abstract, morphism = build_bounded_model(family)
     assert len(micro.states) == 1
-    from causalground.abstraction import check_naturality
-
     assert check_naturality(morphism).natural
 
 
@@ -321,22 +321,35 @@ def test_process_mutant_is_caught_by_the_reference_build(make, monkeypatch):
         assert_matches_reference(make())
 
 
+@pytest.mark.parametrize("make", NAMED)
+def test_family_label_mutant_is_caught_by_the_reference_build(make, monkeypatch):
+    """A state set that decodes a position with the bits field fastest
+    names the states in another order than the reference: each named
+    family has two bit rows and two pushes at least."""
+    family_labels_bits_fastest(monkeypatch)
+    with pytest.raises(AssertionError):
+        assert_matches_reference(make())
+
+
 @pytest.mark.parametrize("make", [family_tiny_file, odd_ids_family])
 def test_labels_and_process_match_reference(make):
     """The family's labels are those of the grid states the reference
-    enumerates, in its order, and the process of each label is the grid
-    simulator's outcome on its state."""
+    enumerates, in its order, each found at its own position, and the
+    process of each label is the grid simulator's outcome on its state."""
     family = make()
     states = reference_states(family)
     labels = family.enumerate_states()
     assert labels == [reference_label(family, s, False) for s in states]
+    view = family.states
+    assert [view.label(k) for k in range(len(view))] == labels
+    assert list(map(view.position, labels)) == list(range(len(labels)))
     for label, state in zip(labels, states):
         assert family.process(label) == micro_proc(state, family.ids), label
 
 
 def test_build_calls_each_rewrite_once_per_field_value(monkeypatch):
     family = odd_ids_family()
-    rows, bit_rows, pushes = family._fields()
+    rows, bit_rows, pushes = (dom.elements for dom in family.states.domains)
     rewrites, calls = family._rewrites(), {}
 
     def counted(label, kind, how):
@@ -358,6 +371,35 @@ def test_build_calls_each_rewrite_once_per_field_value(monkeypatch):
         for a, (kind, how) in rewrites.items() if callable(how)
     }
     assert len(rows) * 2 < family.state_count()
+
+
+def test_a_family_view_and_a_joined_product_of_its_fields_differ():
+    """Both are products of the same three domains under two label rules,
+    so they compare label by label, and differ; the view equals the plain
+    set of its labels."""
+    states = three_chain_family().states
+    rows, bits, pushes = states.domains
+    joined = FactoredSpace((("r", rows), ("b", bits), ("p", pushes))).total
+    assert len(joined) == len(states) and joined.domains == states.domains
+    assert states != joined and joined != states
+    assert "elements" not in vars(states)
+    plain = FiniteSet("Xbar", THREE.enumerate_states())
+    assert states == plain and plain == states and hash(states) == hash(plain)
+
+
+def test_loaded_models_equal_the_built_ones():
+    """A loaded state set is a plain set, compared with the view label by label."""
+    for model in build_bounded_model(five_chain_family())[:2]:
+        loaded = model_from_dict(json.loads(to_json(model)))
+        assert loaded.states.domains is None
+        assert loaded == model and model == loaded
+
+
+def test_naturality_on_line6_builds_no_state_labels():
+    micro, abstract, morphism = build_bounded_model(line6_family())
+    assert check_naturality(morphism).natural
+    assert check_surjectivity_assumptions(morphism).state_map_surjective
+    assert "elements" not in vars(micro.states) and "elements" not in vars(abstract.states)
 
 
 def test_micro_generator_tables_share_one_int_per_state():

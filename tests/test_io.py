@@ -191,11 +191,20 @@ def test_family_layout_from_present_barriers_and_push():
         ({"present": {"d1": "00"}}, "family.layouts.set.present"),
         # edge 2 allows no barrier, and a label has no bit for it
         ({"barriers": [2]}, "family.layouts.set.barriers"),
+        # a push id or direction the family lacks makes no state of it
+        ({"push": ["d9", "E"]}, "family.layouts.set"),
+        ({"push": ["d1", "Q"]}, "family.layouts.set"),
     ):
         spec["layouts"]["set"] = {**layout, **edit}
         with pytest.raises(SchemaError) as err:
             family_from_dict({"family": spec}, "f.json")
         assert err.value.path == path
+    # a chain of two dominoes past a cap of one is no state either
+    spec["layouts"]["set"], spec["max_dominoes"] = {"chain": 2}, 1
+    with pytest.raises(SchemaError) as err:
+        family_from_dict({"family": spec}, "f.json")
+    assert err.value.path == "family.layouts.set"
+    assert err.value.reason == "layout 'set' is not a state of the family"
 
 
 def test_family_load_and_build():

@@ -69,6 +69,7 @@ from oracles import (
     random_word,
     reference_check_naturality,
     reference_check_surjectivity_assumptions,
+    reference_family_labels,
     reference_labels,
     reference_probe_record,
     reference_verify_scm_laws,
@@ -138,9 +139,13 @@ def test_seeded_scms_match_reference(seed):
     assert_kernel_agrees(model, (), random.Random(seed), 2, pairs=8)
 
 
+CHAIN_FAMILIES = (three_chain_family, four_chain_family, five_chain_family, line6_family)
+
+
 def test_positions_invert_labels(model_corpus, three_chain, four_chain, five_chain):
     """``position`` finds every label ``label`` names, and no non-element,
-    on every space and subspace, and on the state set of an encoded SCM."""
+    on every space and subspace, on the state set of an encoded SCM, and on
+    the micro and abstract state sets of the chain families."""
     for model, _ in model_corpus:
         assert_positions_invert_labels(model.outcomes)
     for seed in range(20):
@@ -151,6 +156,8 @@ def test_positions_invert_labels(model_corpus, three_chain, four_chain, five_cha
     for micro, abstract, _ in (three_chain, four_chain, five_chain, line6):
         assert_positions_invert_labels(micro.outcomes)
         assert_positions_invert_labels(abstract.outcomes)
+        assert_position_inverts_label(micro.states)
+        assert_position_inverts_label(abstract.states)
 
 
 @pytest.mark.parametrize(
@@ -171,7 +178,8 @@ def test_domino_families_match_reference(family):
 
 def test_decoded_labels_match_reference(model_corpus, three_chain, four_chain, five_chain):
     """Every position of every space's and subspace's ``total`` decodes to
-    the eagerly enumerated label, as does every state of an encoded SCM."""
+    the eagerly enumerated label, as does every state of an encoded SCM and
+    every micro and abstract state of the chain families."""
     for model, _ in model_corpus:
         assert_labels_decode(model.outcomes)
     for seed in range(20):
@@ -182,9 +190,16 @@ def test_decoded_labels_match_reference(model_corpus, three_chain, four_chain, f
             reference_labels(states.domains)
         ), seed
     line6 = build_bounded_model(line6_family())
-    for micro, abstract, _ in (three_chain, four_chain, five_chain, line6):
+    for make, (micro, abstract, _) in zip(
+        CHAIN_FAMILIES, (three_chain, four_chain, five_chain, line6)
+    ):
         assert_labels_decode(micro.outcomes)
         assert_labels_decode(abstract.outcomes)
+        for model, forgets_tags in ((micro, False), (abstract, True)):
+            states = model.states
+            assert [states.label(k) for k in range(len(states))] == reference_family_labels(
+                make(), forgets_tags
+            ), make.__name__
 
 
 @pytest.mark.parametrize(
