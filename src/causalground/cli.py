@@ -24,6 +24,7 @@ from . import io as cgio
 from .abstraction import check_naturality, check_surjectivity_assumptions
 from .checkers import (
     BaseDeterminationError,
+    PreconditionError,
     check_commute,
     check_determination,
     check_effectiveness,
@@ -116,8 +117,8 @@ def _cmd_check_invariance(args) -> tuple[int, dict]:
         base_result = check_determination(model, base, vars_i, vars_j)
         if not base_result.holds:
             raise BaseDeterminationError(
-                "no witness given and the base determination does not hold: "
-                f"counterexample {base_result.counterexample}"
+                f"--context {args.context!r}: no witness given and the base "
+                f"determination does not hold: counterexample {base_result.counterexample}"
             )
         witness = base_result.witness
     result = check_invariance(
@@ -160,7 +161,11 @@ def _cmd_check_surgical(args) -> tuple[int, dict]:
     if isinstance(data, dict) and "mechanisms" in data:
         data = data["mechanisms"]
     records = cgio.records_from_dict(data, model, args.mechanisms)
-    verdict = check_surgical(model, labels[0], records, parse_list(args, "context"))
+    try:
+        verdict = check_surgical(model, labels[0], records, parse_list(args, "context"))
+    except PreconditionError as exc:  # loaded records are well shaped: the set or its context
+        flag = f"--context {args.context!r}" if records else f"--mechanisms {args.mechanisms}"
+        raise PreconditionError(f"{flag}: {exc}") from None
     return (0 if verdict.surgical else 1), cgio.serialize(verdict)
 
 
@@ -176,9 +181,10 @@ def _cmd_check_naturality(args) -> tuple[int, dict]:
 
 def _cmd_discover(args) -> tuple[int, dict]:
     model = cgio.load_model(args.model)
-    records = discover_mechanisms(
-        model, parse_list(args, "context"), args.max_parents
-    )
+    try:
+        records = discover_mechanisms(model, parse_list(args, "context"), args.max_parents)
+    except PreconditionError as exc:  # the one precondition: the parent budget
+        raise PreconditionError(f"--max-parents {args.max_parents}: {exc}") from None
     return 0, {"mechanisms": cgio.serialize(records)}
 
 

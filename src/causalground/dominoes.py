@@ -37,6 +37,7 @@ from .core import (
     ActionModel,
     FactoredSpace,
     FiniteSet,
+    MapTableError,
     TotalMap,
     _Product,
     check_enumeration_bound,
@@ -120,9 +121,9 @@ class LineFamily:
                 raise ValueError(f"bad push direction {d!r}")
         if len(set(self.push_dirs)) != len(self.push_dirs):
             raise ValueError("push directions must be distinct")
-        for name, layout in self.layouts:
+        for name, layout in self.layouts:  # a map from names into the states
             if layout not in self.states:
-                raise ValueError(f"layout {name!r} is not a state of the family")
+                raise MapTableError(name, f"layout {name!r} is not a state of the family")
         rewrites = self._rewrites()  # raises on a label two actions share
         for a in self.actions:
             if a not in rewrites:

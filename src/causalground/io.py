@@ -57,8 +57,9 @@ def load_json(path: str) -> Any:
 
 def dump_json(data: Any, path: str, *refs: str) -> None:
     # Rendered before the file is opened, so a render error leaves it as it
-    # was.  Each table is rendered as one string and the file is written
-    # piece by piece, so the whole text is never held at once.
+    # was.  Each table is rendered as one string, and every piece is held
+    # until the last is written, so the whole text is held at once (the
+    # line7 item of ROADMAP.md plans a temporary file instead).
     pieces = _pieces(data, *refs)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(pieces)
@@ -465,14 +466,15 @@ def family_from_dict(data: Any, file: str = "<inline>") -> LineFamily:
             raise SchemaError(file, f"{path}.barriers", f"edge {bad[0]} is not in barrier_edges")
         row = "".join(present.get(i, "-") for i in ids)
         bits = "".join("1" if e in barriers else "0" for e in edges)
-        label = _States._join((row, bits, "".join(push or "-")))
-        # the family's states are built here: one over the limit fails at family
-        if label not in _build(file, "family", getattr, family, "states"):
-            raise SchemaError(file, path, f"layout {name!r} is not a state of the family")
-        layouts.append((name, label))
+        layouts.append((name, _States._join((row, bits, "".join(push or "-")))))
 
     actions = tuple(_string_list(spec.get("actions", []), file, "family.actions"))
-    return _build(file, "family", replace, family, layouts=tuple(layouts), actions=actions)
+    try:  # the family checks its layouts against its states, built once
+        return replace(family, layouts=tuple(layouts), actions=actions)
+    except MapTableError as exc:  # a layout outside the states, named by its key
+        raise SchemaError(file, f"family.layouts.{exc.element}", str(exc)) from None
+    except (ValueError, CausalGroundError) as exc:  # one over the limit fails at family
+        raise SchemaError(file, "family", str(exc)) from None
 
 
 def load_family(path: str) -> LineFamily:

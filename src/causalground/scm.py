@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .core import (
     ID_LABEL,
@@ -167,19 +167,6 @@ class Scm:
             raise ValueError(f"unknown endogenous variable {vid!r}") from None
 
 
-def _check_assignment(
-    what: str, assignment: Mapping[str, str], doms: Sequence[tuple[str, FiniteSet]]
-):
-    for vid, dom in doms:
-        if vid not in assignment:
-            raise ValueError(f"{what} assignment is missing {vid!r}")
-        if assignment[vid] != DEFAULT_SLOT and assignment[vid] not in dom:
-            raise ValueError(
-                f"{what} assignment sets {vid!r} to {assignment[vid]!r}, "
-                f"outside its domain"
-            )
-
-
 def potential_response(
     scm: Scm, slots: Mapping[str, str], u: Mapping[str, str]
 ) -> dict[str, str]:
@@ -189,7 +176,13 @@ def potential_response(
     token (use the structural function).  Evaluation runs in topological
     order, which exists by construction.
     """
-    _check_assignment("slot", slots, scm.endogenous)
+    for vid, dom in scm.endogenous:
+        if vid not in slots:
+            raise ValueError(f"slot assignment is missing {vid!r}")
+        if slots[vid] != DEFAULT_SLOT and slots[vid] not in dom:
+            raise ValueError(
+                f"slot assignment sets {vid!r} to {slots[vid]!r}, outside its domain"
+            )
     for uid, dom in scm.exogenous:
         if uid not in u or u[uid] not in dom:
             raise ValueError(f"exogenous assignment is missing or invalid for {uid!r}")
@@ -275,19 +268,16 @@ def _mechanism_witness(
     """The mechanism a slot makes active for vid, as a map on outcomes.
 
     Its domain is the outcome subspace of vid's paired noise and parents
-    (in declared order), its codomain vid's own subspace: vid's solution
-    under ``slot`` over that subspace's columns, every other variable held
-    by a value slot.  A value slot is kept as it is, so it gives the
-    constant map.
+    (in declared order), its codomain vid's own subspace: vid's function
+    table read over that subspace's columns, or the slot's value as the
+    constant map.  No solver runs, so the laws check the encoder's solve
+    against the tables.
     """
     sub = space.subspace((scm.noise_id(vid),) + scm.parents[vid])
-    target = space.subspace((vid,))
-    n = len(sub.total)
-    columns = {v: [dom.elements[0]] * n for v, dom in scm.exogenous + scm.endogenous}
-    columns |= sub._columns()
-    columns[vid] = [slot] * n
-    _solve(scm, columns)
-    return TotalMap._of(sub.total, target.total, target._code([columns[vid]]))
+    target, f, columns = space.subspace((vid,)), scm.functions[vid], sub._columns()
+    keys = zip(*(columns[p] for p in scm.parents[vid]), columns[scm.noise_id(vid)])
+    values = [f[k] if slot == DEFAULT_SLOT else slot for k in keys]
+    return TotalMap._of(sub.total, target.total, target._code([values]))
 
 
 def verify_scm_laws(model: ActionModel, scm: Scm) -> LawReport:

@@ -4,7 +4,10 @@ Each fixture patches one kernel function with ``monkeypatch`` for the
 length of a test (the compose and rows mutants patch ``_Image``, which
 would otherwise reuse, or leave behind, an image a model keeps);
 ``test_metamorphic.test_kernel_mutant_is_caught`` asserts that the oracle
-cross-check or a metamorphic relation catches each one.  The domino
+cross-check or a metamorphic relation catches each one.  The SCM solver
+mutant patches ``scm._solve``, which only the encoder and
+``potential_response`` call: the SCM law suite and the reference
+encoding, neither of which runs it, must both catch it.  The domino
 process and family label mutants stay out of ``MUTANTS``: the reference
 family build catches them (``test_dominoes.test_process_mutant_is_caught_by_the_reference_build``
 and ``test_dominoes.test_family_label_mutant_is_caught_by_the_reference_build``).
@@ -12,7 +15,7 @@ and ``test_dominoes.test_family_label_mutant_is_caught_by_the_reference_build``)
 
 import math
 
-from causalground import checkers, dominoes
+from causalground import checkers, dominoes, scm
 from causalground.core import (
     ID_LABEL,
     SEP,
@@ -279,6 +282,25 @@ def family_labels_bits_fastest(monkeypatch):
     monkeypatch.setattr(dominoes._States, "label", label)
 
 
+def interventions_do_not_propagate(monkeypatch):
+    """An intervened variable takes its slot's value, but its children
+    read the value its structural function gives: the solver solves
+    every child as if no variable were intervened."""
+
+    def solve(equations, columns):
+        structural = {}
+        for vid in equations.topo_order:
+            parents, noise = equations.parents[vid], columns[equations.noise_id(vid)]
+            keys = zip(*(structural[p] for p in parents), noise)
+            structural[vid] = [equations.functions[vid][k] for k in keys]
+            slots = columns[vid]
+            columns[vid] = [
+                x if s == scm.DEFAULT_SLOT else s for s, x in zip(slots, structural[vid])
+            ]
+
+    monkeypatch.setattr(scm, "_solve", solve)
+
+
 MUTANTS = {
     mutant.__name__: mutant
     for mutant in (
@@ -295,5 +317,6 @@ MUTANTS = {
         counterexample_from_last_reacher,
         binds_last_j_code,
         after_skips_the_last_reached_state,
+        interventions_do_not_propagate,
     )
 }

@@ -11,7 +11,8 @@ naturality closure check composes whole words instead of single
 generator squares.  The reference checkers run on label tables (the
 string kernel the library used before its integer coding), one state at a
 time.  The reference SCM encoding builds every table from split labels
-instead of writing positions.  The reference labels of a product enumerate
+instead of writing positions, and solves each state by recursive evaluation
+instead of the library's solver.  The reference labels of a product enumerate
 every joint assignment at once, where the library decodes one position at
 a time, and the reference naturality and surjectivity reports are read
 off label tables.  The barrier-blind morphism is a sabotage fixture that
@@ -76,7 +77,6 @@ from causalground.scm import (
     LawReport,
     LawViolation,
     Scm,
-    potential_response,
     set_label,
     slot_domain,
 )
@@ -473,10 +473,30 @@ def reference_build_bounded_model(family: LineFamily):
     return micro, abstract, morphism
 
 
+def recursive_response(
+    scm: Scm, slots: Mapping[str, str], u: Mapping[str, str]
+) -> dict[str, str]:
+    """The potential response by recursive evaluation: a variable is its
+    slot's value, or its structural function at its parents' responses,
+    each evaluated on demand.  It follows no topological order and runs
+    no library solver."""
+    response: dict[str, str] = {}
+
+    def value(vid: str) -> str:
+        if vid not in response:
+            response[vid] = slots[vid]
+            if slots[vid] == DEFAULT_SLOT:
+                key = tuple(value(p) for p in scm.parents[vid]) + (u[scm.noise_id(vid)],)
+                response[vid] = scm.functions[vid][key]
+        return response[vid]
+
+    return {vid: value(vid) for vid in scm.endo_ids}
+
+
 def reference_encode_scm(scm: Scm) -> ActionModel:
     """The SCM encoding built as label tables, one state at a time: the
-    process joins u with the potential response, and each generator
-    rewrites the split state label."""
+    process joins u with the recursively evaluated potential response, and
+    each generator rewrites the split state label."""
     endo, exo = scm.endo_ids, scm.exo_ids
     space = FactoredSpace(
         tuple((vid, slot_domain(scm, vid)) for vid in endo) + scm.exogenous
@@ -488,7 +508,7 @@ def reference_encode_scm(scm: Scm) -> ActionModel:
     process_table = {}
     for label, row in rows.items():
         slots, u = dict(zip(endo, row[:n])), dict(zip(exo, row[n:]))
-        response = potential_response(scm, slots, u)
+        response = recursive_response(scm, slots, u)
         process_table[label] = join_values(row[n:] + tuple(response[v] for v in endo))
     process = TotalMap(states, outcomes.total, process_table)
 

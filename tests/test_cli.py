@@ -520,7 +520,8 @@ def test_exit_code_two_cases(workspace, capsys):
 def test_discover_negative_parent_budget_exits_two(workspace, capsys):
     code = run(["discover", "--model", "model_pair.json", "--max-parents", "-1"])
     assert code == 2
-    assert "max_parents must be non-negative" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: --max-parents -1: max_parents must be non-negative\n"
 
 
 def test_check_surgical_context_mismatch_exits_two(workspace, capsys):
@@ -532,7 +533,27 @@ def test_check_surgical_context_mismatch_exits_two(workspace, capsys):
     code = run(["check-surgical", "--model", "model_pair.json", "--word", "swap",
                 "--mechanisms", "const.json", "--context", "swap"])
     assert code == 2
-    assert "was built in context" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: --context 'swap': record ") and "was built in context" in err
+
+
+def test_check_surgical_on_an_empty_mechanism_file_names_the_file(workspace, capsys):
+    with open("none.json", "w") as fh:
+        json.dump({"mechanisms": []}, fh)
+    code = run(["check-surgical", "--model", "model_pair.json", "--word", "swap",
+                "--mechanisms", "none.json"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --mechanisms none.json: surgicality is relative to a non-empty mechanism set\n"
+    )
+
+
+def test_check_invariance_without_a_witness_names_the_context(workspace, capsys):
+    code = run(["check-invariance", "--model", "model_nodet.json", "--word", "id",
+                "--vars-i", "v1", "--vars-j", "v2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --context '': no witness given and the base determination")
 
 
 @pytest.mark.parametrize(

@@ -317,6 +317,16 @@ def test_a_product_compares_and_hashes_without_building_its_labels():
     assert "elements" not in vars(total) and "_positions" not in vars(total)
 
 
+def test_a_set_is_unequal_to_a_string_or_a_tuple_of_its_labels():
+    plain = FiniteSet("a", ("0", "1"))
+    total = FactoredSpace((("a", plain), ("b", plain))).total
+    for s in (plain, total):
+        labels = tuple(map(s.label, range(len(s))))
+        for other in (labels, labels[0], SEP.join(labels)):
+            assert s != other and other != s
+            assert not s == other and not other == s
+
+
 def test_model_synthesizes_identity(pair_model):
     assert "id" in pair_model.generators
     assert pair_model.generators["id"] == TotalMap.identity(pair_model.states)

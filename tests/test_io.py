@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from causalground import io as cgio
+from causalground import dominoes, io as cgio
 from causalground.abstraction import check_naturality
 from causalground.checkers import (
     check_determination,
@@ -213,6 +213,19 @@ def test_family_load_and_build():
     assert dict(family.layouts)["pair"] == "00/b0/p-"
     micro, abstract, morphism = build_bounded_model(family)
     assert check_naturality(morphism).natural
+
+
+def test_a_family_load_builds_one_state_view(monkeypatch):
+    # the family checks its layouts against its own states; the loader
+    # builds no view of them
+    views = []
+    init = dominoes._States.__init__
+    monkeypatch.setattr(
+        dominoes._States, "__init__", lambda self, *a: views.append(a) or init(self, *a)
+    )
+    family = load_family(data_path("family_tiny.json"))
+    assert "00/b0/p-" in family.states
+    assert len(views) == 1
 
 
 def test_family_unknown_layout_shortcut():

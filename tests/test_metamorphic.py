@@ -47,7 +47,7 @@ from causalground.core import (  # noqa: E402
     _Image,
     outcome_map,
 )
-from causalground.scm import encode_scm, random_scm  # noqa: E402
+from causalground.scm import encode_scm, random_scm, verify_scm_laws  # noqa: E402
 from mutants import MUTANTS  # noqa: E402
 from oracles import (  # noqa: E402
     all_subset_pairs,
@@ -409,6 +409,14 @@ def _scm_oracle(n_scms: int = 5) -> None:
         assert encode_scm(scm) == reference_encode_scm(scm), seed
 
 
+def _scm_laws(n_scms: int = 8) -> None:
+    """The SCM law suite on encoded SCMs: its witnesses read the function
+    tables, so a solver fault in the encoding breaks a law."""
+    for seed in range(n_scms):
+        scm = random_scm(seed)
+        assert verify_scm_laws(encode_scm(scm), scm).ok, seed
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
     MUTANTS[name](monkeypatch)
@@ -416,6 +424,7 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         "oracle": _fails(lambda: _oracle(model_corpus[:200])),
         "relations": _fails(lambda: _relations(100)),
         "scm": _fails(_scm_oracle),
+        "laws": _fails(_scm_laws),
         "labels": _fails(lambda: _label_oracle(model_corpus[:200])),
         "positions": _fails(lambda: _position_oracle(model_corpus[:200])),
     }
@@ -444,6 +453,10 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         # A label table is validated through ``position``: the oracle's
         # witness tables land on other codes.
         assert caught["positions"] and caught["oracle"]
+    if name == "interventions_do_not_propagate":
+        # The law witnesses read the tables, and the reference encoding
+        # solves by recursive evaluation: neither runs the solver.
+        assert caught["laws"] and caught["scm"]
     if name == "projection_first_variable_fastest":
         # Decoding positions is checked against the oracle's label
         # tables, which split each outcome label instead.
