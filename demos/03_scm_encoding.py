@@ -13,7 +13,7 @@ from causalground import (
     check_surgical,
     default_mechanism_records,
     encode_scm,
-    potential_response,
+    outcome_map,
     random_scm,
     verify_scm_laws,
 )
@@ -32,15 +32,18 @@ scm = Scm(
     },
 )
 
-defaults = {"V1": DEFAULT_SLOT, "V2": DEFAULT_SLOT}
-u = {"U1": "1", "U2": "0"}
-print("potential response, no intervention, u=(1,0):",
-      potential_response(scm, defaults, u))
-print("response under do(V1=0), u=(1,1):",
-      potential_response(scm, {"V1": "0", "V2": DEFAULT_SLOT},
-                         {"U1": "1", "U2": "1"}))
-
 model = encode_scm(scm)
+
+
+def response(word, u):
+    """Y(u) after a word: the outcome of the all-default state carrying u."""
+    state = "|".join([DEFAULT_SLOT] * len(scm.endo_ids) + list(u))
+    values = outcome_map(model, word, scm.endo_ids)(state).split("|")
+    return dict(zip(scm.endo_ids, values))
+
+
+print("potential response, no intervention, u=(1,0):", response((), ("1", "0")))
+print("response under do(V1=0), u=(1,1):", response(("set-V1=0",), ("1", "1")))
 print("\nencoded model:", len(model.states), "states,",
       len(model.generators), "generators:", ", ".join(sorted(model.generators)))
 

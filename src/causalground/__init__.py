@@ -52,7 +52,6 @@ from .scm import (
     Scm,
     default_mechanism_records,
     encode_scm,
-    potential_response,
     random_scm,
     verify_scm_laws,
 )

@@ -26,7 +26,10 @@ from .core import (
 
 
 class BaseDeterminationError(CausalGroundError):
-    """The determination a check builds on does not actually hold."""
+    """The determination a check builds on does not actually hold.
+    ``record`` is the position of the mechanism record it failed for, if any."""
+
+    record: Optional[int] = None
 
 
 class PreconditionError(CausalGroundError, ValueError):
@@ -381,7 +384,7 @@ def check_surgical(
     model.generator(action)
     image = _Image(model, context)
     predictions = []
-    for record in mechanisms:
+    for k, record in enumerate(mechanisms):
         name = record.describe()
         if record.context != image.word:
             raise PreconditionError(
@@ -391,7 +394,11 @@ def check_surgical(
             prediction = _Prediction(model, record.parents, (record.target,), record.map)
         except PreconditionError as exc:
             raise PreconditionError(f"record {name}: {exc}") from None
-        prediction.require(image, f"record {name} does not hold in its own context")
+        try:
+            prediction.require(image, f"record {name} does not hold in its own context")
+        except BaseDeterminationError as exc:
+            exc.record = k
+            raise
         predictions.append(prediction)
 
     new_image = _Image(model, (action,) + image.word)

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 import time
-from functools import cache, partial
+from functools import cache
 from typing import Optional, Sequence
 
 from . import io as cgio
@@ -166,6 +166,10 @@ def _cmd_check_surgical(args) -> tuple[int, dict]:
     except PreconditionError as exc:  # loaded records are well shaped: the set or its context
         flag = f"--context {args.context!r}" if records else f"--mechanisms {args.mechanisms}"
         raise PreconditionError(f"{flag}: {exc}") from None
+    except BaseDeterminationError as exc:  # a record that fails in its own context
+        raise BaseDeterminationError(
+            f"--mechanisms {args.mechanisms}: at [{exc.record}]: {exc}"
+        ) from None
     return (0 if verdict.surgical else 1), cgio.serialize(verdict)
 
 
@@ -188,14 +192,12 @@ def _cmd_discover(args) -> tuple[int, dict]:
     return 0, {"mechanisms": cgio.serialize(records)}
 
 
-def _cmd_scm(args, write_model: bool = False) -> tuple[int, dict]:
-    """Encode the --scm file or --seed SCM and verify its laws; with
-    ``write_model`` also write the encoded model to --out."""
+def _cmd_scm(args) -> tuple[int, dict]:
+    """Encode the --scm file or --seed SCM and verify its laws; with --out
+    also write the encoded model there."""
     if bool(args.scm) == (args.seed is not None):
         raise CausalGroundError("provide exactly one of --scm FILE or --seed N")
     scm = cgio.load_scm(args.scm) if args.scm else random_scm(args.seed)
-    if write_model and not args.out:
-        raise CausalGroundError("encode-scm requires --out for the model file")
     model = encode_scm(scm)
     laws = verify_scm_laws(model, scm)
     payload = {
@@ -203,7 +205,7 @@ def _cmd_scm(args, write_model: bool = False) -> tuple[int, dict]:
         "states": len(model.states),
         "laws": {**cgio.serialize(laws), "checked": dict(laws.checked)},
     }
-    if write_model:
+    if args.out:
         cgio.dump_json(model, args.out)
         payload.update(model_file=args.out, generators=len(model.generators))
     return (0 if laws.ok else 1), payload
@@ -211,11 +213,9 @@ def _cmd_scm(args, write_model: bool = False) -> tuple[int, dict]:
 
 def _cmd_simulate(args) -> tuple[int, dict]:
     family = cgio.load_family(args.family)
-    micro = build_bounded_model(family)[0]
-    k = micro.states.position(args.state)
-    if k is None:
+    if family.states.position(args.state) is None:
         raise CausalGroundError(f"--state {args.state!r}: no micro state of {args.family}")
-    state = micro.states.label(micro._compose(parse_list(args, "word"), [k])[0])
+    state = family._run(parse_list(args, "word"), args.state)
     return 0, {"state": state, "outcome": family.process(state)}
 
 
@@ -302,11 +302,7 @@ _COMMANDS = {
         _cmd_discover, "search for mechanisms active in a context",
         ("model", "context", "max-parents")),
     "encode-scm": (
-        partial(_cmd_scm, write_model=True),
-        "encode an SCM as a model file and verify its laws",
-        ("scm", "seed")),
-    "verify-scm-laws": (
-        _cmd_scm, "encode an SCM in memory and verify its laws",
+        _cmd_scm, "encode an SCM and verify its laws; --out writes the model",
         ("scm", "seed")),
     "simulate": (
         _cmd_simulate, "run the domino process on a family state after --word",

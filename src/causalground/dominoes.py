@@ -34,11 +34,13 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    ID_LABEL,
     ActionModel,
     FactoredSpace,
     FiniteSet,
     MapTableError,
     TotalMap,
+    UnknownLabelError,
     _Product,
     check_enumeration_bound,
 )
@@ -170,6 +172,23 @@ class LineFamily:
     def process(self, label: str) -> dict[str, str]:
         """The terminal status of every id in the state ``label``."""
         return micro_proc(self, label)
+
+    def _run(self, word: Sequence[str], label: str) -> str:
+        """The state that ``word`` (rightmost first) reaches from the state
+        ``label``: each action's rewrite applied to the label's fields,
+        the rules ``build_bounded_model`` tabulates, so no model is built."""
+        known, rewrites = {ID_LABEL, *self.actions}, self._rewrites()
+        for a in word:
+            if a not in known:
+                raise UnknownLabelError(a, known)
+        for kind, how in map(rewrites.get, reversed(word)):
+            if kind == "init":
+                label = how
+            elif kind != "id":
+                fields = dict(zip(("row", "bits", "push"), self.states._split(label)))
+                fields[kind] = how(fields["bits" if kind == "bits" else "row"])
+                label = _States._join(fields.values())
+        return label
 
     def _rewrites(self) -> dict[str, tuple[str, object]]:
         """Every registrable action label with what it does to a label:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from .core import (
     ID_LABEL,
@@ -167,30 +167,6 @@ class Scm:
             raise ValueError(f"unknown endogenous variable {vid!r}") from None
 
 
-def potential_response(
-    scm: Scm, slots: Mapping[str, str], u: Mapping[str, str]
-) -> dict[str, str]:
-    """Solve the equations indicated by a mechanism-slot assignment.
-
-    Slots are either a value of the variable (intervened) or the default
-    token (use the structural function).  Evaluation runs in topological
-    order, which exists by construction.
-    """
-    for vid, dom in scm.endogenous:
-        if vid not in slots:
-            raise ValueError(f"slot assignment is missing {vid!r}")
-        if slots[vid] != DEFAULT_SLOT and slots[vid] not in dom:
-            raise ValueError(
-                f"slot assignment sets {vid!r} to {slots[vid]!r}, outside its domain"
-            )
-    for uid, dom in scm.exogenous:
-        if uid not in u or u[uid] not in dom:
-            raise ValueError(f"exogenous assignment is missing or invalid for {uid!r}")
-    columns = {v: [slots[v]] for v in scm.endo_ids} | {v: [u[v]] for v in scm.exo_ids}
-    _solve(scm, columns)
-    return {vid: columns[vid][0] for vid in scm.endo_ids}
-
-
 def _solve(scm: Scm, columns: dict[str, list[str]]) -> None:
     """Replace, in topological order, each endogenous variable's column of
     valid slots with its values, read off the parent and noise columns."""
@@ -211,7 +187,8 @@ def encode_scm(scm: Scm) -> ActionModel:
     ``total`` of the product of one slot variable per endogenous variable,
     then the exogenous variables.  The outcome space is the
     exogenous variables followed by the endogenous ones; the process
-    records u together with the potential response.
+    records u together with the potential response, so Y_x(u) is the
+    outcome after ``set-X=x`` on the all-default state carrying u.
     Generators: the identity, ``init`` (reset every slot to default,
     keeping u), and one ``set-V=v`` per endogenous value (replace that
     slot, keeping u and the other slots).  No generator touches u; the

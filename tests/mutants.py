@@ -5,9 +5,9 @@ length of a test (the compose and rows mutants patch ``_Image``, which
 would otherwise reuse, or leave behind, an image a model keeps);
 ``test_metamorphic.test_kernel_mutant_is_caught`` asserts that the oracle
 cross-check or a metamorphic relation catches each one.  The SCM solver
-mutant patches ``scm._solve``, which only the encoder and
-``potential_response`` call: the SCM law suite and the reference
-encoding, neither of which runs it, must both catch it.  The domino
+mutant patches ``scm._solve``, which only the encoder calls: the SCM
+law suite, the reference encoding and the response oracle, none of which
+runs it, must each catch it.  The domino
 process and family label mutants stay out of ``MUTANTS``: the reference
 family build catches them (``test_dominoes.test_process_mutant_is_caught_by_the_reference_build``
 and ``test_dominoes.test_family_label_mutant_is_caught_by_the_reference_build``).

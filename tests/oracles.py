@@ -493,6 +493,26 @@ def recursive_response(
     return {vid: value(vid) for vid in scm.endo_ids}
 
 
+def assert_responses_read_off(model: ActionModel, scm: Scm) -> None:
+    """The potential response Y_x(u) read off ``scm``'s encoded ``model``,
+    against recursive evaluation: for every u, the endogenous outcome of
+    the all-default state carrying u is the unintervened response, and
+    after ``set-V=v`` it is the response with V's slot set to v."""
+    endo = scm.endo_ids
+    defaults = dict.fromkeys(endo, DEFAULT_SLOT)
+    words = [((), defaults)] + [
+        ((set_label(vid, v),), {**defaults, vid: v})
+        for vid, dom in scm.endogenous
+        for v in dom.elements
+    ]
+    for word, slots in words:
+        response = outcome_map(model, word, endo)
+        for values in product(*(dom.elements for _, dom in scm.exogenous)):
+            state = SEP.join([DEFAULT_SLOT] * len(endo) + list(values))
+            expected = recursive_response(scm, slots, dict(zip(scm.exo_ids, values)))
+            assert response(state) == SEP.join(expected.values()), (word, state)
+
+
 def reference_encode_scm(scm: Scm) -> ActionModel:
     """The SCM encoding built as label tables, one state at a time: the
     process joins u with the recursively evaluated potential response, and
@@ -674,7 +694,7 @@ def brute_force_response(
 ) -> list[dict[str, str]]:
     """All endogenous assignments satisfying the equations indicated by slots.
 
-    Independent oracle for potential_response: it enumerates every joint
+    Independent oracle for the encoded process: it enumerates every joint
     assignment instead of solving.  For acyclic SCMs the result is a
     singleton.
     """

@@ -16,12 +16,11 @@ import pytest
 from causalground.abstraction import check_naturality
 from causalground.checkers import check_determination, check_invariance
 from causalground.cli import run as cli_run
-from causalground.core import TotalMap, outcome_map
+from causalground.core import SEP, TotalMap, outcome_map
 from causalground.dominoes import build_bounded_model, line6_family
 from causalground.scm import (
     DEFAULT_SLOT,
     encode_scm,
-    potential_response,
     random_scm,
     verify_scm_laws,
 )
@@ -72,9 +71,11 @@ def test_criterion_1_scm_law_suite(scm_corpus):
     report(f"1 scm-law-suite ({len(scm_corpus)} SCMs, {elapsed:.1f}s)")
 
 
-def test_criterion_2_potential_response_oracle(scm_corpus):
+def test_criterion_2_encoded_response_oracle(scm_corpus):
+    # the encoded process at each state (m, u) records u and the response
     pairs = 0
     for seed, scm in enumerate(scm_corpus):
+        process = encode_scm(scm).process
         slot_options = [
             (DEFAULT_SLOT,) + scm.domain_of(vid).elements for vid in scm.endo_ids
         ]
@@ -85,7 +86,8 @@ def test_criterion_2_potential_response_oracle(scm_corpus):
                 u = dict(zip(scm.exo_ids, exo_combo))
                 solutions = brute_force_response(scm, slots, u)
                 assert len(solutions) == 1, f"seed {seed}: not a singleton"
-                assert solutions[0] == potential_response(scm, slots, u)
+                outcome = process(SEP.join(slot_combo + exo_combo))
+                assert outcome == SEP.join(exo_combo + tuple(solutions[0].values()))
                 pairs += 1
     report(f"2 potential-response-oracle ({pairs} (m,u) pairs, 100% agreement)")
 
@@ -282,7 +284,7 @@ def test_criterion_9_cli_determinism(tmp_path, monkeypatch, capsys):
         ["discover", "--model", "model_pair.json", "--context", "const",
          "--max-parents", "1"],
         ["encode-scm", "--scm", "scm_xor.json", "--out", "xor_model2.json"],
-        ["verify-scm-laws", "--seed", "11"],
+        ["encode-scm", "--seed", "11"],
         ["simulate", "--family", "family_tiny.json", "--state", "01/b0/pd1E",
          "--word", "add-barrier-1-2"],
         ["build-model", "--family", "family_tiny.json", "--out", "models2"],

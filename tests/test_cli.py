@@ -4,13 +4,14 @@ import random
 import shutil
 import subprocess
 import sys
+from itertools import takewhile
 
 import pytest
 
 from causalground.checkers import check_effectiveness, discover_mechanisms
 from causalground import checkers, cli, dominoes
 from causalground.cli import build_parser, run
-from causalground.core import SEP, outcome_map
+from causalground.core import SEP, UnknownLabelError, outcome_map
 from causalground.dominoes import OUTCOME_SEP, build_bounded_model
 from causalground.io import (
     dump_json,
@@ -178,17 +179,17 @@ def test_encode_scm_and_verify(workspace, capsys):
 
 def test_verify_scm_laws_seeded(workspace, capsys):
     code, out = run_twice_and_compare(
-        ["verify-scm-laws", "--seed", "7", "--format", "json"], capsys
+        ["encode-scm", "--seed", "7", "--format", "json"], capsys
     )
     assert code == 0
     assert json.loads(out)["inputs"]["seed"] == 7
-    check_golden("verify_scm_laws_seed7.json", out)
+    check_golden("encode_scm_seed7.json", out)
 
 
 def test_verify_needs_exactly_one_source(workspace, capsys):
-    assert invoke(["verify-scm-laws"], capsys)[0] == 2
+    assert invoke(["encode-scm"], capsys)[0] == 2
     assert invoke(
-        ["verify-scm-laws", "--scm", "scm_xor.json", "--seed", "1"], capsys
+        ["encode-scm", "--scm", "scm_xor.json", "--seed", "1"], capsys
     )[0] == 2
 
 
@@ -402,6 +403,54 @@ def test_simulate_runs_every_action_kind(workspace, capsys):
         assert outcome(fewer) != outcome(EVERY_ACTION), EVERY_ACTION[k]
 
 
+def test_simulate_builds_no_model(workspace, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_bounded_model", lambda *a: built.append(a))
+    report = simulate(["--state=01/b0/pd1E", "--word", "add-barrier-1-2,init-pair"], capsys)
+    assert report["state"] == "00/b1/p-"
+    assert built == []
+
+
+@pytest.mark.parametrize("family", ["family_tiny.json", "three_chain"])
+def test_a_word_rewrites_the_label_as_the_micro_tables_map_it(family):
+    family = (dominoes.three_chain_family() if family == "three_chain"
+              else load_family(os.path.join(DATA, family)))
+    micro = build_bounded_model(family)[0]
+    labels = micro.states.elements
+    words = [(a,) for a in family.actions]
+    if len(labels) < 100:  # every two-letter word too
+        words += [(a, b) for a in family.actions for b in family.actions]
+    for word in words:
+        reached = [labels[k] for k in micro._compose(word)]
+        assert [family._run(word, x) for x in labels] == reached, word
+
+
+@pytest.mark.parametrize(
+    "word, label",
+    [("nope", "nope"), ("place-d1,id", "place-d1"), ("id,zz,place-d1", "zz")],
+    ids=["unknown", "not-an-action", "first-from-the-left"],
+)
+def test_simulate_names_an_unknown_word_label_as_the_micro_model_does(
+    workspace, capsys, word, label
+):
+    # place-d1 is a rewrite of the family but not one of its actions
+    micro = build_bounded_model(load_family("family_tiny.json"))[0]
+    assert run(SIMULATE + ["--state=01/b0/pd1E", "--word", word]) == 2
+    with pytest.raises(UnknownLabelError) as exc:
+        micro._compose(word.split(","))
+    assert exc.value.label == label
+    assert capsys.readouterr().err == f"error: --word: {exc.value}\n"
+
+
+def test_the_readme_command_table_lists_every_command():
+    # the table's rows, in order, are exactly the CLI's commands
+    readme = os.path.join(os.path.dirname(DATA), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().split("| command | purpose | key flags |\n")[1].splitlines()
+    rows = [line.split("|")[1].strip() for line in takewhile(str.strip, lines[1:])]
+    assert rows == [f"`{name}`" for name in cli._COMMANDS]
+
+
 def test_text_format_renders_empty_objects():
     assert cli._render_text({"outcome": {}}) == ["outcome: {}"]
 
@@ -548,6 +597,29 @@ def test_check_surgical_on_an_empty_mechanism_file_names_the_file(workspace, cap
     )
 
 
+def test_check_surgical_names_the_record_that_fails_in_its_own_context(workspace, capsys):
+    # after const every state is x1, where v1 is 0: a record whose table
+    # says 1 does not hold in its own context
+    assert invoke(
+        ["discover", "--model", "model_pair.json", "--context", "const",
+         "--format", "json", "--out", "mechs.json"],
+        capsys,
+    )[0] == 0
+    with open("mechs.json") as fh:
+        data = json.load(fh)
+    assert data["mechanisms"][0]["target"] == "v1"
+    data["mechanisms"][0]["map"]["table"] = {"*": "1"}
+    with open("mechs_bad.json", "w") as fh:
+        json.dump(data, fh)
+    code = run(["check-surgical", "--model", "model_pair.json", "--word", "swap",
+                "--context", "const", "--mechanisms", "mechs_bad.json"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --mechanisms mechs_bad.json: at [0]: record v1~(none) does not hold "
+        "in its own context: at state 'x1' the witness predicts '1' but the outcome is '0'\n"
+    )
+
+
 def test_check_invariance_without_a_witness_names_the_context(workspace, capsys):
     code = run(["check-invariance", "--model", "model_nodet.json", "--word", "id",
                 "--vars-i", "v1", "--vars-j", "v2"])
@@ -646,7 +718,7 @@ NATURALITY = ["check-naturality", "--morphism", "morphism.json"]
 ENCODE = ["encode-scm", "--scm", "scm_xor.json", "--out", "xor_model.json"]
 DETERMINATION = ["check-determination", "--model", "model_pair.json",
                  "--vars-i", "v1", "--vars-j", "v2"]
-LAWS = ["verify-scm-laws", "--seed", "1"]
+LAWS = ["encode-scm", "--seed", "1"]
 INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "const",
               "--word", "swap", "--vars-i", "v1", "--vars-j", "v2",
               "--witness", "witness.json"]
@@ -853,7 +925,6 @@ def test_unknown_label_or_id_names_its_flag(workspace, capsys, argv, flag, messa
 @pytest.mark.parametrize(
     "argv, limit, message",
     [
-        (ENCODE[:-2], None, "error: encode-scm requires --out for the model file"),
         (BUILD[:-2], None, "error: build-model requires --out DIRECTORY"),
         # a bad limit is read before any file, so no file or path is blamed
         (DETERMINATION, "0", "error: CAUSAL_GROUND_MAX_TABLE must be positive, got 0"),
@@ -866,10 +937,9 @@ def test_unknown_label_or_id_names_its_flag(workspace, capsys, argv, flag, messa
          "error: model_pair.json: at states: finite set 'X' would need 2 table entries"),
         # an SCM's 36 states are counted before their columns are built
         (ENCODE, "20", "error: factored space total set would need 36 table entries"),
-        (["verify-scm-laws", "--scm", "scm_xor.json"], "20",
-         "error: factored space total set would need 36 table entries"),
+        (ENCODE[:-2], "20", "error: factored space total set would need 36 table entries"),
     ],
-    ids=["encode-without-out", "build-without-out", "limit-zero", "limit-bogus",
+    ids=["build-without-out", "limit-zero", "limit-bogus",
          "laws-limit-zero", "laws-limit-bogus", "limit-at-states", "encode-limit-at-total",
          "laws-limit-at-total"],
 )
@@ -878,6 +948,17 @@ def test_usage_or_limit_error_exits_two(workspace, capsys, monkeypatch, argv, li
         monkeypatch.setenv("CAUSAL_GROUND_MAX_TABLE", limit)
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_encode_scm_without_out_writes_nothing(workspace, capsys):
+    # without --out the model is encoded and its laws verified in memory
+    before = sorted(os.listdir(workspace))
+    code, out = invoke(ENCODE[:-2] + ["--format", "json"], capsys)
+    assert code == 0
+    assert sorted(os.listdir(workspace)) == before
+    report = json.loads(out)
+    assert report["laws"]["ok"] is True and report["states"] == 36
+    assert "model_file" not in report and "generators" not in report
 
 
 PARITY_IDS = [f"v{i:02d}" for i in range(1, 13)]
@@ -931,21 +1012,21 @@ def test_the_parent_set_search_scans_no_candidate_with_more_i_codes_than_rows(mo
 
 
 @pytest.mark.parametrize(
-    "command, section, index, value",
+    "argv, section, index, value",
     [
-        ("verify-scm-laws", "endogenous", 1, "default"),
-        ("encode-scm", "endogenous", 1, "2|3"),
-        ("verify-scm-laws", "exogenous", 0, "1|1"),
+        (ENCODE[:-2], "endogenous", 1, "default"),
+        (ENCODE, "endogenous", 1, "2|3"),
+        (ENCODE[:-2], "exogenous", 0, "1|1"),
     ],
     ids=["slot-token", "endogenous-separator", "exogenous-separator"],
 )
-def test_reserved_scm_value_exits_two(workspace, capsys, command, section, index, value):
+def test_reserved_scm_value_exits_two(workspace, capsys, argv, section, index, value):
     with open("scm_xor.json") as fh:
         data = json.load(fh)
     data[section][index]["values"].append(value)
     with open("scm_xor.json", "w") as fh:
         json.dump(data, fh)
-    code = run([command, "--scm", "scm_xor.json", "--out", "xor_model.json"])
+    code = run(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert f"scm_xor.json: at {section}[{index}].values: value {value!r}" in err
@@ -978,7 +1059,7 @@ def test_repeated_scm_parent_exits_two(workspace, capsys):
     })
     with open("scm_xor.json", "w") as fh:
         json.dump(data, fh)
-    code = run(["verify-scm-laws", "--scm", "scm_xor.json"])
+    code = run(ENCODE[:-2])
     err = capsys.readouterr().err
     assert code == 2
     assert "scm_xor.json: at $: parent 'V1' of 'V2' is listed twice" in err

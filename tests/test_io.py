@@ -33,7 +33,7 @@ from causalground.io import (
     to_json,
     witness_from_dict,
 )
-from causalground.scm import encode_scm, potential_response, verify_scm_laws
+from causalground.scm import encode_scm, verify_scm_laws
 from oracles import join_values, scm_to_dict
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -156,9 +156,8 @@ def test_scm_round_trip_and_padding(xor_scm):
     padded = scm_from_dict(data)
     assert padded.exo_ids == ("U1", "U_V2")
     assert padded.noise_of("V2").elements == ("*",)
-    assert potential_response(
-        padded, {"V1": "default", "V2": "default"}, {"U1": "1", "U_V2": "*"}
-    ) == {"V1": "1", "V2": "1"}
+    # the all-default state with u = (1, *) solves to V1 = V2 = 1
+    assert encode_scm(padded).process("default|default|1|*") == "1|*|1|1"
 
 
 def test_scm_bad_function_key():

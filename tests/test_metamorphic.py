@@ -54,6 +54,7 @@ from oracles import (  # noqa: E402
     assert_kernel_agrees,
     assert_labels_decode,
     assert_positions_invert_labels,
+    assert_responses_read_off,
     random_action_model,
     random_word,
     reference_encode_scm,
@@ -417,6 +418,14 @@ def _scm_laws(n_scms: int = 8) -> None:
         assert verify_scm_laws(encode_scm(scm), scm).ok, seed
 
 
+def _scm_responses(n_scms: int = 8) -> None:
+    """Y_x(u) read off encoded SCMs against recursive evaluation, which
+    runs no library solver."""
+    for seed in range(n_scms):
+        scm = random_scm(seed)
+        assert_responses_read_off(encode_scm(scm), scm)
+
+
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
     MUTANTS[name](monkeypatch)
@@ -425,6 +434,7 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         "relations": _fails(lambda: _relations(100)),
         "scm": _fails(_scm_oracle),
         "laws": _fails(_scm_laws),
+        "responses": _fails(_scm_responses),
         "labels": _fails(lambda: _label_oracle(model_corpus[:200])),
         "positions": _fails(lambda: _position_oracle(model_corpus[:200])),
     }
@@ -455,8 +465,9 @@ def test_kernel_mutant_is_caught(name, monkeypatch, model_corpus):
         assert caught["positions"] and caught["oracle"]
     if name == "interventions_do_not_propagate":
         # The law witnesses read the tables, and the reference encoding
-        # solves by recursive evaluation: neither runs the solver.
-        assert caught["laws"] and caught["scm"]
+        # and the response oracle solve by recursive evaluation: none of
+        # them runs the solver.
+        assert caught["laws"] and caught["scm"] and caught["responses"]
     if name == "projection_first_variable_fastest":
         # Decoding positions is checked against the oracle's label
         # tables, which split each outcome label instead.

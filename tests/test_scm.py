@@ -6,14 +6,13 @@ import pytest
 
 from causalground.checkers import check_commute, check_determination, check_surgical
 from causalground import scm as scm_module
-from causalground.core import ActionModel, FiniteSet, SEP, TotalMap, _Image
+from causalground.core import ActionModel, FiniteSet, SEP, TotalMap, _Image, outcome_map
 from causalground.scm import (
     DEFAULT_SLOT,
     CyclicScmError,
     Scm,
     default_mechanism_records,
     encode_scm,
-    potential_response,
     random_scm,
     set_label,
     verify_scm_laws,
@@ -21,8 +20,10 @@ from causalground.scm import (
 from causalground.io import to_json
 
 from oracles import (
+    assert_responses_read_off,
     brute_force_response,
     model_to_dict,
+    recursive_response,
     reference_encode_scm,
     reference_text,
     reference_verify_scm_laws,
@@ -119,16 +120,9 @@ def _rebuilt(scm, **changes):
          "value '1,0' of 'V2' must not contain ','"),
         (lambda s: s.domain_of("W"), "unknown SCM variable 'W'"),
         (lambda s: s.noise_id("U1"), "unknown endogenous variable 'U1'"),
-        (lambda s: potential_response(s, {"V1": "0"}, {"U1": "0", "U2": "0"}),
-         "slot assignment is missing 'V2'"),
-        (lambda s: potential_response(s, {"V1": "0", "V2": "2"}, {"U1": "0", "U2": "0"}),
-         "slot assignment sets 'V2' to '2', outside its domain"),
-        (lambda s: potential_response(s, {"V1": "0", "V2": "0"}, {"U1": "0", "U2": "2"}),
-         "exogenous assignment is missing or invalid for 'U2'"),
     ],
     ids=["unpaired-noise", "no-parent-list", "repeated-parent", "no-function-table",
-         "comma-in-id", "comma-in-value", "unknown-domain",
-         "unknown-noise", "missing-slot", "slot-outside-domain", "bad-exogenous-value"],
+         "comma-in-id", "comma-in-value", "unknown-domain", "unknown-noise"],
 )
 def test_scm_rejects_a_broken_rule(xor_scm, call, message):
     with pytest.raises(ValueError) as err:
@@ -136,25 +130,30 @@ def test_scm_rejects_a_broken_rule(xor_scm, call, message):
     assert str(err.value) == message
 
 
-def test_potential_response_full_intervention_ignores_functions(xor_scm):
-    result = potential_response(
-        xor_scm, {"V1": "1", "V2": "0"}, {"U1": "0", "U2": "0"}
-    )
-    assert result == {"V1": "1", "V2": "0"}
+def read_response(model, scm, word, u):
+    """Y(u) after ``word``, read off the encoded model at the all-default
+    state carrying u."""
+    state = SEP.join([DEFAULT_SLOT] * len(scm.endo_ids) + [u[x] for x in scm.exo_ids])
+    return dict(zip(scm.endo_ids, outcome_map(model, word, scm.endo_ids)(state).split(SEP)))
 
 
-def test_potential_response_xor_cases(xor_scm):
+def test_full_intervention_ignores_functions(xor_scm):
+    # both slots hold values: the process reads no function table
+    outcome = encode_scm(xor_scm).process(SEP.join(["1", "0", "0", "0"]))
+    assert outcome == SEP.join(["0", "0", "1", "0"])
+
+
+def test_xor_responses_on_the_encoded_model(xor_scm):
     # oracle-confirmed values: enumerate all four endogenous assignments and
     # keep the one satisfying both equations
-    assert potential_response(
-        xor_scm, {"V1": DEFAULT_SLOT, "V2": DEFAULT_SLOT}, {"U1": "1", "U2": "0"}
-    ) == {"V1": "1", "V2": "1"}
+    model = encode_scm(xor_scm)
+    assert read_response(model, xor_scm, (), {"U1": "1", "U2": "0"}) == {"V1": "1", "V2": "1"}
     assert brute_force_response(
         xor_scm, {"V1": DEFAULT_SLOT, "V2": DEFAULT_SLOT}, {"U1": "1", "U2": "0"}
     ) == [{"V1": "1", "V2": "1"}]
-    assert potential_response(
-        xor_scm, {"V1": "0", "V2": DEFAULT_SLOT}, {"U1": "1", "U2": "1"}
-    ) == {"V1": "0", "V2": "1"}
+    assert read_response(model, xor_scm, ("set-V1=0",), {"U1": "1", "U2": "1"}) == {
+        "V1": "0", "V2": "1"
+    }
 
 
 def test_brute_force_singleton_for_full_intervention(xor_scm):
@@ -165,11 +164,22 @@ def test_brute_force_singleton_for_full_intervention(xor_scm):
 
 
 def test_oracle_agreement_every_slot_and_u(xor_scm):
+    process = encode_scm(xor_scm).process
     for slots in all_slot_assignments(xor_scm):
         for u in all_exo_assignments(xor_scm):
             solutions = brute_force_response(xor_scm, slots, u)
             assert len(solutions) == 1
-            assert solutions[0] == potential_response(xor_scm, slots, u)
+            outcome = process(SEP.join([*slots.values(), *u.values()]))
+            assert outcome == SEP.join([*u.values(), *solutions[0].values()])
+
+
+def test_set_on_the_default_state_gives_y_x_of_u():
+    # Y_{V=v}(u) is the outcome after set-V=v on the all-default state
+    # carrying u, and Y(u) that state's own outcome, against recursive
+    # evaluation
+    scms = [random_scm(s) for s in range(60)] + [random_scm(s, 5, 3, 3) for s in range(20)]
+    for scm in scms:
+        assert_responses_read_off(encode_scm(scm), scm)
 
 
 def test_encode_single_copy_variable_counts():
@@ -323,7 +333,7 @@ def test_init_establishes_default_context(xor_scm):
     for label in model.states.elements:
         _, u = decode_state(xor_scm, label)
         outcome = model.process.table[init.table[label]]
-        response = potential_response(xor_scm, defaults, u)
+        response = recursive_response(xor_scm, defaults, u)
         expected = SEP.join(
             [u[uid] for uid in xor_scm.exo_ids]
             + [response[vid] for vid in xor_scm.endo_ids]
