@@ -26,10 +26,7 @@ from .core import (
 
 
 class BaseDeterminationError(CausalGroundError):
-    """The determination a check builds on does not actually hold.
-    ``record`` is the position of the mechanism record it failed for, if any."""
-
-    record: Optional[int] = None
+    """The determination a check builds on does not actually hold."""
 
 
 class PreconditionError(CausalGroundError, ValueError):
@@ -318,6 +315,19 @@ def probe_record(
     return _probe(prediction, image)
 
 
+def _holds(model: ActionModel, record: MechanismRecord) -> _Prediction:
+    """The prediction of a record, required in the record's own context.  A
+    map off the record's subspaces is a ``PreconditionError`` naming it."""
+    name = record.describe()
+    try:
+        prediction = _Prediction(model, record.parents, (record.target,), record.map)
+    except PreconditionError as exc:
+        raise PreconditionError(f"record {name}: {exc}") from None
+    image = _Image(model, record.context)
+    prediction.require(image, f"record {name} does not hold in its own context")
+    return prediction
+
+
 def _minimal_mechanism(
     image: _Image, target: str, max_parents: int
 ) -> Optional[MechanismRecord]:
@@ -384,22 +394,13 @@ def check_surgical(
     model.generator(action)
     image = _Image(model, context)
     predictions = []
-    for k, record in enumerate(mechanisms):
+    for record in mechanisms:
         name = record.describe()
         if record.context != image.word:
             raise PreconditionError(
                 f"record {name} was built in context {record.context!r}, not {image.word!r}"
             )
-        try:
-            prediction = _Prediction(model, record.parents, (record.target,), record.map)
-        except PreconditionError as exc:
-            raise PreconditionError(f"record {name}: {exc}") from None
-        try:
-            prediction.require(image, f"record {name} does not hold in its own context")
-        except BaseDeterminationError as exc:
-            exc.record = k
-            raise
-        predictions.append(prediction)
+        predictions.append(_holds(model, record))
 
     new_image = _Image(model, (action,) + image.word)
     broken: list[MechanismRecord] = []

@@ -121,9 +121,11 @@ def _cmd_check_invariance(args) -> tuple[int, dict]:
                 f"determination does not hold: counterexample {base_result.counterexample}"
             )
         witness = base_result.witness
-    result = check_invariance(
-        model, base, witness, vars_i, vars_j, parse_list(args, "word")
-    )
+    try:
+        result = check_invariance(model, base, witness, vars_i, vars_j, parse_list(args, "word"))
+    except BaseDeterminationError as exc:  # only a --witness can fail: a found one holds
+        flag = f"--witness {args.witness} in --context {args.context!r}"
+        raise BaseDeterminationError(f"{flag}: {exc}") from None
     payload = cgio.serialize(result)
     payload["witness"] = cgio.serialize(witness)
     return (0 if result.holds else 1), payload
@@ -157,19 +159,12 @@ def _cmd_check_surgical(args) -> tuple[int, dict]:
     labels = parse_list(args, "word")
     if len(labels) != 1:
         raise CausalGroundError("--word must name exactly one generator")
-    data = cgio.load_json(args.mechanisms)
-    if isinstance(data, dict) and "mechanisms" in data:
-        data = data["mechanisms"]
-    records = cgio.records_from_dict(data, model, args.mechanisms)
+    records = cgio.records_from_dict(cgio.load_json(args.mechanisms), model, args.mechanisms)
     try:
         verdict = check_surgical(model, labels[0], records, parse_list(args, "context"))
-    except PreconditionError as exc:  # loaded records are well shaped: the set or its context
+    except PreconditionError as exc:  # loaded records hold: the set or its context
         flag = f"--context {args.context!r}" if records else f"--mechanisms {args.mechanisms}"
         raise PreconditionError(f"{flag}: {exc}") from None
-    except BaseDeterminationError as exc:  # a record that fails in its own context
-        raise BaseDeterminationError(
-            f"--mechanisms {args.mechanisms}: at [{exc.record}]: {exc}"
-        ) from None
     return (0 if verdict.surgical else 1), cgio.serialize(verdict)
 
 

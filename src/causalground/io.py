@@ -30,7 +30,7 @@ from .core import (
     _gather,
 )
 from .abstraction import ModelMorphism
-from .checkers import MechanismRecord
+from .checkers import MechanismRecord, _holds
 from .dominoes import LineFamily, _States
 from .scm import DEFAULT_SLOT, Scm
 
@@ -531,44 +531,46 @@ def _words(
 def records_from_dict(
     data: Any, model: ActionModel, file: str = "<inline>"
 ) -> list[MechanismRecord]:
-    entries = _expect(data, list, file, "$", "a list of mechanism records")
+    """Records from a list of them, or from a discover report holding one at
+    ``mechanisms``, each fault named at its path from the file's root.  Once
+    all are well formed, a record that fails in its own context is rejected."""
+    root = "mechanisms" if isinstance(data, dict) and "mechanisms" in data else ""
+    entries = data[root] if root else data
+    _expect(entries, list, file, root or "$", "a list of mechanism records")
     space = model.outcomes
     records = []
     for i, entry in enumerate(entries):
-        _expect(entry, dict, file, f"[{i}]", "an object")
-        target = _string(entry.get("target"), file, f"[{i}].target")
-        parents = tuple(_string_list(entry.get("parents", []), file, f"[{i}].parents"))
-        declared = _build(file, f"[{i}]", space.normalize_vars, parents)
-        domain = _build(file, f"[{i}]", space.subspace, parents).total
-        codomain = _build(file, f"[{i}]", space.subspace, (target,)).total
+        at = f"{root}[{i}]"
+        _expect(entry, dict, file, at, "an object")
+        target = _string(entry.get("target"), file, f"{at}.target")
+        parents = tuple(_string_list(entry.get("parents", []), file, f"{at}.parents"))
+        declared = _build(file, at, space.normalize_vars, parents)
+        domain = _build(file, at, space.subspace, parents).total
+        codomain = _build(file, at, space.subspace, (target,)).total
         if parents != declared:  # the map's keys list the parents in this order
             reason = f"parents must be distinct and in declared order {list(declared)}"
-            raise SchemaError(file, f"[{i}].parents", reason)
+            raise SchemaError(file, f"{at}.parents", reason)
         if target in parents:
             reason = f"parents must not include the target {target!r}"
-            raise SchemaError(file, f"[{i}].parents", reason)
-        map_data = _expect(entry.get("map"), dict, file, f"[{i}].map", "an object")
-        witness = _table(
-            map_data.get("table"), domain, codomain, file, f"[{i}].map.table"
-        )
-        context = _words(entry.get("context", []), model, file, f"[{i}].context", "")
-        invariant = _words(
-            entry.get("invariant_under", []), model, file, f"[{i}].invariant_under"
-        )
+            raise SchemaError(file, f"{at}.parents", reason)
+        map_data = _expect(entry.get("map"), dict, file, f"{at}.map", "an object")
+        witness = _table(map_data.get("table"), domain, codomain, file, f"{at}.map.table")
+        context = _words(entry.get("context", []), model, file, f"{at}.context", "")
+        invariant = _words(entry.get("invariant_under", []), model, file, f"{at}.invariant_under")
         violated = []
-        violated_data = _expect(
-            entry.get("violated_by", []), list, file, f"[{i}].violated_by", "a list"
-        )
-        for j, pair in enumerate(violated_data):
-            pair = _string_list(pair, file, f"[{i}].violated_by[{j}]")
+        pairs = _expect(entry.get("violated_by", []), list, file, f"{at}.violated_by", "a list")
+        for j, pair in enumerate(pairs):
+            pair = _string_list(pair, file, f"{at}.violated_by[{j}]")
             if len(pair) != 2:
-                raise SchemaError(file, f"[{i}].violated_by[{j}]", "expected [word, state]")
+                raise SchemaError(file, f"{at}.violated_by[{j}]", "expected [word, state]")
             if pair[1] not in model.states:
                 reason = f"unknown state {pair[1]!r}"
-                raise SchemaError(file, f"[{i}].violated_by[{j}]", reason)
+                raise SchemaError(file, f"{at}.violated_by[{j}]", reason)
             violated.append((pair[0], pair[1]))
-        _words([word for word, _ in violated], model, file, f"[{i}].violated_by")
+        _words([word for word, _ in violated], model, file, f"{at}.violated_by")
         records.append(
             MechanismRecord(target, parents, witness, context, invariant, tuple(violated))
         )
+    for i, record in enumerate(records):
+        _build(file, f"{root}[{i}]", _holds, model, record)
     return records

@@ -615,8 +615,24 @@ def test_check_surgical_names_the_record_that_fails_in_its_own_context(workspace
                 "--context", "const", "--mechanisms", "mechs_bad.json"])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: --mechanisms mechs_bad.json: at [0]: record v1~(none) does not hold "
+        "error: mechs_bad.json: at mechanisms[0]: record v1~(none) does not hold "
         "in its own context: at state 'x1' the witness predicts '1' but the outcome is '0'\n"
+    )
+
+
+def test_check_invariance_with_a_failing_witness_names_the_file_and_the_context(
+    workspace, capsys
+):
+    # after const every state is x1, where v1 and v2 are 0: the witness
+    # sends v1 = 0 to v2 = 1
+    with open("w.json", "w") as fh:
+        json.dump({"table": {"0": "1", "1": "0"}}, fh)
+    code = run(["check-invariance", "--model", "model_pair.json", "--context", "const",
+                "--word", "swap", "--vars-i", "v1", "--vars-j", "v2", "--witness", "w.json"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --witness w.json in --context 'const': base determination does not "
+        "hold: at state 'x1' the witness predicts '1' but the outcome is '0'\n"
     )
 
 
@@ -724,124 +740,142 @@ INVARIANCE = ["check-invariance", "--model", "model_pair.json", "--context", "co
               "--witness", "witness.json"]
 
 
-@pytest.mark.parametrize(
-    "argv, name, edit, path",
-    [
-        (SURGICAL, "mechs.json", _set((0, "violated_by"), 5), "[0].violated_by"),
-        (SURGICAL, "mechs.json", _set((0, "map", "table", "*"), "7"), "[0].map.table.*"),
-        # every part of a recorded word must be a generator of the model
-        (SURGICAL, "mechs.json", _set((0, "invariant_under", 1), "nope"),
-         "[0].invariant_under[1]"),
-        (SURGICAL, "mechs.json", _set((0, "invariant_under", 0), "const,"),
-         "[0].invariant_under[0]"),
-        (SURGICAL, "mechs.json", _set((0, "violated_by", 0, 0), "swap,nope"),
-         "[0].violated_by[0]"),
-        # the state of a [word, state] pair must be a state of the model
-        (SURGICAL, "mechs.json", _set((0, "violated_by", 0, 1), "no-such-state"),
-         "[0].violated_by[0]"),
-        # a context lists one label per entry
-        (SURGICAL, "mechs.json", _set((0, "context", 0), "const,id"), "[0].context[0]"),
-        (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), ["x"]),
-         "family.barrier_edges[0]"),
-        (BUILD, "family_tiny.json",
-         _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "barriers": ["q"]}),
-         "family.layouts.pair.barriers[0]"),
-        (NATURALITY, "morphism.json", _set(("state_map", "x1"), ["x1"]),
-         "state_map.x1"),
-        (NATURALITY, "morphism.json", _set(("alphabet_map", "swap"), ["swap"]),
-         "alphabet_map.swap"),
-        # every key must be a generator of the source model
-        (NATURALITY, "morphism.json", _set(("alphabet_map", "no-such-label"), "id"),
-         "alphabet_map.no-such-label"),
-        (INVARIANCE, "witness.json", _set(("table", "0"), ["0"]), "table.0"),
-        # one |-joined string is not one value per target variable
-        (NATURALITY, "morphism.json", _set(("outcome_map", "0|1"), ["0|1"]),
-         "outcome_map.0|1"),
-        # a chain count outside 0..len(ids) names no prefix of the ids
-        (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), -1),
-         "family.layouts.pair.chain"),
-        (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), 3),
-         "family.layouts.pair.chain"),
-        # a JSON true is not an integer, though Python's bool subclasses int
-        (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), True),
-         "family.layouts.pair.chain"),
-        (BUILD, "family_tiny.json", _set(("family", "length"), True), "family.length"),
-        (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), [True]),
-         "family.barrier_edges[0]"),
-        # a family without dominoes writes a model with no outcome variables
-        (BUILD, "family_tiny.json", _set(("family",), {"length": 2, "ids": []}),
-         "family.ids"),
-        # "remove-barrier-1-2" would remove the domino and clear the barrier
-        (BUILD, "family_tiny.json",
-         _set(("family",), {"length": 3, "ids": ["barrier-1-2", "d2"], "barrier_edges": [1]}),
-         "family"),
-        # --vars-i and --vars-j are comma-split, so no flag could name these
-        (DETERMINATION, "model_pair.json", _set(("variables", 0, "id"), "a,b"),
-         "variables[0].id"),
-        (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), "U,1"), "exogenous[0].id"),
-        # a NUL character names no file
-        (NATURALITY, "morphism.json", _set(("source_model",), "a\u0000b.json"),
-         "source_model"),
-        # --word "" is the empty word and --vars-i "" the empty subset, so no
-        # flag could name an empty label or id
-        (DETERMINATION, "model_pair.json", _set(("generators", ""), {"x1": "x1", "x2": "x2"}),
-         "generators."),
-        (DETERMINATION, "model_pair.json", _set(("variables", 0, "id"), ""),
-         "variables[0].id"),
-        (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), ""), "exogenous[0].id"),
-        (ENCODE, "scm_xor.json", _set(("endogenous", 0, "id"), ""), "endogenous[0].id"),
-        (BUILD, "family_tiny.json", _set(("family", "ids", 0), ""), "family.ids[0]"),
-        # a record's map keys list its parents in declared order, once each
-        (SURGICAL, "mechs.json", _set((0, "parents"), ["v2", "v2"]), "[0].parents"),
-        # a mechanism does not determine its target from the target itself
-        (SURGICAL, "mechs.json", _set((0,), {"target": "v2", "parents": ["v2"],
-                                          "map": {"table": {"0": "0", "1": "1"}}}),
-         "[0].parents"),
-        (SURGICAL, "mechs.json", _set((0, "target"), "v9"), "[0]"),
-        (SURGICAL, "mechs.json", _set((0, "parents"), ["v9"]), "[0]"),
-        (DETERMINATION, "model_pair.json", _set(("variables", 0, "values"), ["0", "0"]),
-         "variables[0].values"),
-        (DETERMINATION, "model_pair.json", _set(("variables", 1, "id"), "v1"), "variables"),
-        (DETERMINATION, "model_pair.json", _set(("variables",), []), "variables"),
-        (NATURALITY, "morphism.json", _drop(("state_map",)), "$.state_map"),
-        (NATURALITY, "morphism.json", _set(("alphabet_map", "swap"), "warp"), "$"),
-        (NATURALITY, "morphism.json", _drop(("alphabet_map", "const")), "$"),
-        (ENCODE, "scm_xor.json", _set(("endogenous",), []), "endogenous"),
-        (BUILD, "family_tiny.json",
-         _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "push": ["d1", "Q"]}),
-         "family.layouts.pair"),
-        (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), "V1"), "$"),
-        (ENCODE, "scm_xor.json", _padded_noise_clash, "endogenous[0]"),
-        # a layout has exactly one shape: a chain count, or present,
-        # barriers and push; a key of the other shape or of none is no part
-        (BUILD, "family_tiny.json",
-         _set(("family", "layouts", "pair"), {"chain": 1, "present": {"d9": "0"}}),
-         "family.layouts.pair"),
-        (BUILD, "family_tiny.json",
-         _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "barrier": [1]}),
-         "family.layouts.pair"),
-        # a label has no bit for an edge outside barrier_edges
-        (BUILD, "family_tiny.json",
-         _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "barriers": [2]}),
-         "family.layouts.pair.barriers"),
-    ],
-    ids=["violated-by", "record-map-table", "invariant-under-unknown-label",
-         "invariant-under-empty-part", "violated-by-unknown-label",
-         "violated-by-unknown-state",
-         "context-joined-labels", "barrier-edges", "layout-barriers",
-         "state-map", "alphabet-map", "alphabet-map-unknown-label", "witness-table", "outcome-map-arity",
-         "negative-chain", "chain-beyond-ids", "bool-chain",
-         "bool-length", "bool-barrier-edge", "empty-ids",
-         "shared-action-label", "comma-model-variable-id", "comma-exogenous-id",
-         "nul-reference", "empty-generator-label", "empty-model-variable-id",
-         "empty-exogenous-id", "empty-endogenous-id", "empty-family-id",
-         "repeated-parent", "target-among-parents", "unknown-target", "unknown-parent",
-         "repeated-value", "repeated-variable-id", "no-variables", "no-state-map",
-         "alphabet-map-unknown-value", "alphabet-map-not-covering", "no-endogenous",
-         "layout-push-bad-dir", "shared-u-and-v-id",
-         "padded-noise-clash", "layout-chain-and-present", "layout-misspelled-key",
-         "layout-barrier-outside-edges"],
-)
+def _edits(*edits):
+    """An edit that applies each of ``edits`` in turn."""
+    def edit(doc):
+        for each in edits:
+            each(doc)
+    return edit
+
+
+# After const every state is x1, where v1 is 0: record 0, v1~(none),
+# does not hold in its own context once its table says 1.
+_OWN_CONTEXT = _set((0, "map", "table"), {"*": "1"})
+
+MALFORMED = [
+    (SURGICAL, "mechs.json", _set((0, "violated_by"), 5), "[0].violated_by"),
+    (SURGICAL, "mechs.json", _set((0, "map", "table", "*"), "7"), "[0].map.table.*"),
+    # every part of a recorded word must be a generator of the model
+    (SURGICAL, "mechs.json", _set((0, "invariant_under", 1), "nope"),
+     "[0].invariant_under[1]"),
+    (SURGICAL, "mechs.json", _set((0, "invariant_under", 0), "const,"),
+     "[0].invariant_under[0]"),
+    (SURGICAL, "mechs.json", _set((0, "violated_by", 0, 0), "swap,nope"),
+     "[0].violated_by[0]"),
+    # the state of a [word, state] pair must be a state of the model
+    (SURGICAL, "mechs.json", _set((0, "violated_by", 0, 1), "no-such-state"),
+     "[0].violated_by[0]"),
+    # a context lists one label per entry
+    (SURGICAL, "mechs.json", _set((0, "context", 0), "const,id"), "[0].context[0]"),
+    (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), ["x"]),
+     "family.barrier_edges[0]"),
+    (BUILD, "family_tiny.json",
+     _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "barriers": ["q"]}),
+     "family.layouts.pair.barriers[0]"),
+    (NATURALITY, "morphism.json", _set(("state_map", "x1"), ["x1"]),
+     "state_map.x1"),
+    (NATURALITY, "morphism.json", _set(("alphabet_map", "swap"), ["swap"]),
+     "alphabet_map.swap"),
+    # every key must be a generator of the source model
+    (NATURALITY, "morphism.json", _set(("alphabet_map", "no-such-label"), "id"),
+     "alphabet_map.no-such-label"),
+    (INVARIANCE, "witness.json", _set(("table", "0"), ["0"]), "table.0"),
+    # one |-joined string is not one value per target variable
+    (NATURALITY, "morphism.json", _set(("outcome_map", "0|1"), ["0|1"]),
+     "outcome_map.0|1"),
+    # a chain count outside 0..len(ids) names no prefix of the ids
+    (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), -1),
+     "family.layouts.pair.chain"),
+    (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), 3),
+     "family.layouts.pair.chain"),
+    # a JSON true is not an integer, though Python's bool subclasses int
+    (BUILD, "family_tiny.json", _set(("family", "layouts", "pair", "chain"), True),
+     "family.layouts.pair.chain"),
+    (BUILD, "family_tiny.json", _set(("family", "length"), True), "family.length"),
+    (BUILD, "family_tiny.json", _set(("family", "barrier_edges"), [True]),
+     "family.barrier_edges[0]"),
+    # a family without dominoes writes a model with no outcome variables
+    (BUILD, "family_tiny.json", _set(("family",), {"length": 2, "ids": []}),
+     "family.ids"),
+    # "remove-barrier-1-2" would remove the domino and clear the barrier
+    (BUILD, "family_tiny.json",
+     _set(("family",), {"length": 3, "ids": ["barrier-1-2", "d2"], "barrier_edges": [1]}),
+     "family"),
+    # --vars-i and --vars-j are comma-split, so no flag could name these
+    (DETERMINATION, "model_pair.json", _set(("variables", 0, "id"), "a,b"),
+     "variables[0].id"),
+    (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), "U,1"), "exogenous[0].id"),
+    # a NUL character names no file
+    (NATURALITY, "morphism.json", _set(("source_model",), "a\u0000b.json"),
+     "source_model"),
+    # --word "" is the empty word and --vars-i "" the empty subset, so no
+    # flag could name an empty label or id
+    (DETERMINATION, "model_pair.json", _set(("generators", ""), {"x1": "x1", "x2": "x2"}),
+     "generators."),
+    (DETERMINATION, "model_pair.json", _set(("variables", 0, "id"), ""),
+     "variables[0].id"),
+    (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), ""), "exogenous[0].id"),
+    (ENCODE, "scm_xor.json", _set(("endogenous", 0, "id"), ""), "endogenous[0].id"),
+    (BUILD, "family_tiny.json", _set(("family", "ids", 0), ""), "family.ids[0]"),
+    # a record's map keys list its parents in declared order, once each
+    (SURGICAL, "mechs.json", _set((0, "parents"), ["v2", "v2"]), "[0].parents"),
+    # a mechanism does not determine its target from the target itself
+    (SURGICAL, "mechs.json", _set((0,), {"target": "v2", "parents": ["v2"],
+                                      "map": {"table": {"0": "0", "1": "1"}}}),
+     "[0].parents"),
+    (SURGICAL, "mechs.json", _set((0, "target"), "v9"), "[0]"),
+    (SURGICAL, "mechs.json", _set((0, "parents"), ["v9"]), "[0]"),
+    (DETERMINATION, "model_pair.json", _set(("variables", 0, "values"), ["0", "0"]),
+     "variables[0].values"),
+    (DETERMINATION, "model_pair.json", _set(("variables", 1, "id"), "v1"), "variables"),
+    (DETERMINATION, "model_pair.json", _set(("variables",), []), "variables"),
+    (NATURALITY, "morphism.json", _drop(("state_map",)), "$.state_map"),
+    (NATURALITY, "morphism.json", _set(("alphabet_map", "swap"), "warp"), "$"),
+    (NATURALITY, "morphism.json", _drop(("alphabet_map", "const")), "$"),
+    (ENCODE, "scm_xor.json", _set(("endogenous",), []), "endogenous"),
+    (BUILD, "family_tiny.json",
+     _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "push": ["d1", "Q"]}),
+     "family.layouts.pair"),
+    (ENCODE, "scm_xor.json", _set(("exogenous", 0, "id"), "V1"), "$"),
+    (ENCODE, "scm_xor.json", _padded_noise_clash, "endogenous[0]"),
+    # a layout has exactly one shape: a chain count, or present,
+    # barriers and push; a key of the other shape or of none is no part
+    (BUILD, "family_tiny.json",
+     _set(("family", "layouts", "pair"), {"chain": 1, "present": {"d9": "0"}}),
+     "family.layouts.pair"),
+    (BUILD, "family_tiny.json",
+     _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "barrier": [1]}),
+     "family.layouts.pair"),
+    # a label has no bit for an edge outside barrier_edges
+    (BUILD, "family_tiny.json",
+     _set(("family", "layouts", "pair"), {"present": {"d1": "0"}, "barriers": [2]}),
+     "family.layouts.pair.barriers"),
+    # a well-formed record that fails in its own context is rejected at
+    # load, but only once every record has passed its schema checks
+    (SURGICAL, "mechs.json", _OWN_CONTEXT, "[0]"),
+    (SURGICAL, "mechs.json", _edits(_OWN_CONTEXT, _set((1, "target"), "v9")), "[1]"),
+]
+MALFORMED_IDS = ["violated-by", "record-map-table", "invariant-under-unknown-label",
+                 "invariant-under-empty-part", "violated-by-unknown-label",
+                 "violated-by-unknown-state",
+                 "context-joined-labels", "barrier-edges", "layout-barriers",
+                 "state-map", "alphabet-map", "alphabet-map-unknown-label", "witness-table",
+                 "outcome-map-arity",
+                 "negative-chain", "chain-beyond-ids", "bool-chain",
+                 "bool-length", "bool-barrier-edge", "empty-ids",
+                 "shared-action-label", "comma-model-variable-id", "comma-exogenous-id",
+                 "nul-reference", "empty-generator-label", "empty-model-variable-id",
+                 "empty-exogenous-id", "empty-endogenous-id", "empty-family-id",
+                 "repeated-parent", "target-among-parents", "unknown-target", "unknown-parent",
+                 "repeated-value", "repeated-variable-id", "no-variables", "no-state-map",
+                 "alphabet-map-unknown-value", "alphabet-map-not-covering", "no-endogenous",
+                 "layout-push-bad-dir", "shared-u-and-v-id",
+                 "padded-noise-clash", "layout-chain-and-present", "layout-misspelled-key",
+                 "layout-barrier-outside-edges", "record-fails-in-its-context",
+                 "schema-fault-before-context-failure"]
+
+
+@pytest.mark.parametrize("argv, name, edit, path", MALFORMED, ids=MALFORMED_IDS)
 def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     model = load_model("model_pair.json")
     docs = {
@@ -867,6 +901,30 @@ def test_malformed_input_exits_two(workspace, capsys, argv, name, edit, path):
     err = capsys.readouterr().err
     assert code == 2
     assert f"{name}: at {path}:" in err
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [pytest.param(lambda doc, edit=edit: edit(doc["mechanisms"]), "mechanisms" + path, id=i)
+     for (argv, _, edit, path), i in zip(MALFORMED, MALFORMED_IDS) if argv is SURGICAL]
+    + [pytest.param(_set(("mechanisms",), 5), "mechanisms", id="not-a-list")],
+)
+def test_malformed_report_exits_two(workspace, capsys, edit, path):
+    """The record rows of test_malformed_input_exits_two on a discover
+    report: each fault is named at its path from the report's root."""
+    assert invoke(
+        ["discover", "--model", "model_pair.json", "--context", "const",
+         "--max-parents", "1", "--format", "json", "--out", "mechs.json"],
+        capsys,
+    )[0] == 0
+    with open("mechs.json") as fh:
+        report = json.load(fh)
+    assert [r["target"] for r in report["mechanisms"]] == ["v1", "v2"]
+    edit(report)
+    with open("mechs.json", "w") as fh:
+        json.dump(report, fh)
+    assert run(SURGICAL) == 2
+    assert f"mechs.json: at {path}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 MODEL = "model_pair.json"
 WITNESS = "witness.json"
 MECHANISMS = "mechanisms.json"
+REPORT = "mechanisms_report.json"
 MORPHISM = "morphism.json"
 
 # (name, file the command reads that gets mutated, argv with {file}
@@ -52,6 +53,10 @@ CASES = [
     ("check-surgical", MECHANISMS,
      ["check-surgical", "--model", "{model_pair.json}", "--word", "swap",
       "--mechanisms", "{mechanisms.json}", "--context", "const"]),
+    # the records as discover --out writes them: a report, its list at mechanisms
+    ("check-surgical-report", REPORT,
+     ["check-surgical", "--model", "{model_pair.json}", "--word", "swap",
+      "--mechanisms", "{mechanisms_report.json}", "--context", "const"]),
     ("check-naturality", MORPHISM,
      ["check-naturality", "--morphism", "{morphism.json}"]),
     ("discover", MODEL,
@@ -90,7 +95,7 @@ FLAG_VALUES = ["", "x", "|", ",", "a,,b", "v1,v1", "x1", "id,id", "swap", "-1",
 
 
 @pytest.fixture(scope="module")
-def inputs() -> dict:
+def inputs(tmp_path_factory) -> dict:
     """The unmutated JSON documents, by file name."""
     docs = {}
     for name in (MODEL, "scm_xor.json", "family_tiny.json"):
@@ -99,6 +104,11 @@ def inputs() -> dict:
     records = discover_mechanisms(load_model(os.path.join(DATA, MODEL)), ("const",), 1)
     docs[WITNESS] = {"table": {"0": "0", "1": "1"}}
     docs[MECHANISMS] = [serialize(r) for r in records]
+    report = tmp_path_factory.mktemp("discover") / REPORT
+    assert run(["discover", "--model", os.path.join(DATA, MODEL), "--context", "const",
+                "--max-parents", "1", "--format", "json", "--out", str(report)]) == 0
+    docs[REPORT] = json.loads(report.read_text())
+    assert docs[REPORT]["mechanisms"] == docs[MECHANISMS]
     docs[MORPHISM] = {
         "source_model": MODEL,
         "target_model": docs[MODEL],
