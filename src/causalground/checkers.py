@@ -125,6 +125,9 @@ class _Prediction:
 
     A witness not from the I- to the J-subspace raises ``PreconditionError``.
     ``predicted[c]`` is the J-code the witness gives I-code c; ``label`` names one.
+    Whether a row breaks the witness depends on the row alone, so each row
+    is judged once: ``judged`` holds the rows judged so far, ``bad`` the
+    (predicted, actual) J-codes of those that break it.
     """
 
     def __init__(
@@ -150,19 +153,30 @@ class _Prediction:
         self.witness = witness
         self.label = codomain.label
         self.predicted = witness._codes
+        self.judged: set[int] = set()
+        self.bad: dict[int, tuple[int, int]] = {}
 
     def violation(self, image: _Image, word: Word) -> Optional[tuple[str, str, str]]:
         """First (state, predicted, actual) where doing ``word`` after the
-        context of ``image`` breaks the witness, or None."""
-        space = image.model.outcomes
-        codes, rows = image.after(word)
-        predicted = [self.predicted[c] for c in space._project(self.ids_i, rows)]
-        actual = space._project(self.ids_j, rows)
-        k = _first_mismatch(predicted, actual)
-        if k is None:
+        context of ``image`` breaks the witness, or None.  Only rows not
+        judged before are projected; the first reached state whose row is
+        bad is the first state the scan of every distinct row would name."""
+        codes = image.after(word)
+        fresh = list(set(codes).difference(self.judged))
+        if fresh:
+            space = image.model.outcomes
+            predicted = [self.predicted[c] for c in space._project(self.ids_i, fresh)]
+            actual = space._project(self.ids_j, fresh)
+            if predicted != actual:
+                pairs = zip(fresh, predicted, actual)
+                self.bad.update((c, (p, a)) for c, p, a in pairs if p != a)
+            self.judged.update(fresh)
+        bad = self.bad
+        if not bad or bad.keys().isdisjoint(codes):
             return None
-        state = image.state(codes.index(rows[k]))
-        return state, self.label(predicted[k]), self.label(actual[k])
+        k = next(k for k, c in enumerate(codes) if c in bad)
+        predicted, actual = bad[codes[k]]
+        return image.state(k), self.label(predicted), self.label(actual)
 
     def require(self, image: _Image, what: str) -> None:
         """Raise ``BaseDeterminationError`` opening with ``what`` unless

@@ -503,9 +503,10 @@ class _Image:
     """The context ``word`` and the distinct states it reaches, and their
     rows, in first-occurrence order.
 
-    ``table`` is the context composed on every state; ``after`` composes
-    a later word on ``reached`` only.  ``codes`` is the row of each
-    reached state, and an outcome check scans the distinct ``rows`` only.
+    ``table`` is the context composed on every state; ``after``, the only
+    code that composes a later word after a context, composes it on
+    ``reached`` only.  ``codes`` is the row of each reached state, and an
+    outcome check scans the distinct ``rows`` only.
     Position k names the first state that reaches ``reached[k]``, as a
     scan of every state does.  The model keeps the lists of the last
     context it was imaged in, so consecutive checks in one context
@@ -522,10 +523,13 @@ class _Image:
             object.__setattr__(model, "_last_image", last)
         self.word, self.table, self.reached, self.codes, self.rows = last
 
-    def after(self, word: Word) -> tuple[list[int], list[int]]:
+    def after(self, word: Word) -> list[int]:
         """The row of each reached state once ``word`` acts after the
-        context, and the distinct ones in order."""
-        return _rows(self.model, self.model._compose(word, self.reached))
+        context."""
+        if not word:
+            return self.codes
+        process = self.model.process._codes
+        return [process[y] for y in self.model._compose(word, self.reached)]
 
     def state(self, k: int) -> str:
         """The first state whose image under the context is ``reached[k]``."""

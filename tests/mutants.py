@@ -241,9 +241,24 @@ def after_skips_the_last_reached_state(monkeypatch):
     """A later word acts on every state the context reaches but the last."""
 
     def after(self, word):
-        return _rows(self.model, self.model._compose(word, self.reached[:-1]))
+        process = self.model.process._codes
+        return [process[y] for y in self.model._compose(word, self.reached[:-1])]
 
     monkeypatch.setattr(_Image, "after", after)
+
+
+def judged_rows_never_break_again(monkeypatch):
+    """A witness's verdict memo forgets its bad rows after each probe, so a
+    row judged once is never marked bad again: a later probe that reaches
+    it passes."""
+    violation = checkers._Prediction.violation
+
+    def forgetful(self, image, word):
+        hit = violation(self, image, word)
+        self.bad.clear()
+        return hit
+
+    monkeypatch.setattr(checkers._Prediction, "violation", forgetful)
 
 
 def barrier_read_behind_the_falling_domino(monkeypatch):
@@ -317,6 +332,7 @@ MUTANTS = {
         counterexample_from_last_reacher,
         binds_last_j_code,
         after_skips_the_last_reached_state,
+        judged_rows_never_break_again,
         interventions_do_not_propagate,
     )
 }

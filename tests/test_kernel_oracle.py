@@ -5,7 +5,9 @@ Every checker's result object must equal the one its reference in
 effectiveness, invariance, commute/overwrite, discovery, surgicality,
 mechanism records and the SCM law report.  Errors must match in type and
 message.  A model keeps the image of the last context it was checked in;
-checks on one shared model must equal the same checks on fresh copies.
+checks on one shared model must equal the same checks on fresh copies, and
+a witness that judges each row once must judge each probe as a fresh
+witness does.
 """
 
 import dataclasses
@@ -354,6 +356,62 @@ def test_a_checked_model_is_freed_without_the_cycle_collector():
             gc.enable()
 
 
+# --- probes -------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def probed_models(model_corpus, three_chain, four_chain, five_chain):
+    """Seeded SCMs, corpus models and the abstract models of the four
+    domino families."""
+    models = [encode_scm(random_scm(seed, 5, 3, 3)) for seed in range(6)]
+    models += [model for model, _ in model_corpus[:80]]
+    triples = (three_chain, four_chain, five_chain, build_bounded_model(line6_family()))
+    return models + [abstract for _, abstract, _ in triples]
+
+
+def random_witness(rng: random.Random, model: ActionModel, vars_i, vars_j) -> TotalMap:
+    domain, codomain = (model.outcomes.subspace(ids).total for ids in (vars_i, vars_j))
+    codes = [rng.randrange(len(codomain)) for _ in range(len(domain))]
+    return TotalMap._of(domain, codomain, codes)
+
+
+def test_a_reused_prediction_judges_each_probe_as_a_fresh_one(probed_models):
+    """A witness judges each row once, across images and words: one
+    prediction probed in several contexts with several later words gives,
+    probe for probe, the hit a fresh prediction gives, failing probes and
+    the state they name included, and it keeps every row it has judged."""
+    rng = random.Random(31)
+    verdicts, repeated = set(), 0
+    for model in probed_models:
+        space = model.outcomes
+        pairs = [p for p in all_subset_pairs(space.var_ids) if space._count(p[0]) <= 729]
+        images = [_Image(model, ())] + [
+            _Image(model, random_word(rng, model)) for _ in range(3)
+        ]
+        words = [()] + [random_word(rng, model) for _ in range(4)]
+        for vars_i, vars_j in rng.sample(pairs, min(3, len(pairs))):
+            witnesses = [random_witness(rng, model, vars_i, vars_j)]
+            result = check_determination(model, images[-1].word, vars_i, vars_j)
+            witnesses += [result.witness] if result.holds else []
+            for witness in witnesses:
+                shared = checkers._Prediction(model, vars_i, vars_j, witness)
+                seen = set()
+                for image in images:
+                    for word in words:
+                        seen.update(image.after(word))
+                        bad = set(shared.bad)
+                        hit = shared.violation(image, word)
+                        fresh = checkers._Prediction(model, vars_i, vars_j, witness)
+                        assert hit == fresh.violation(image, word), (image.word, word)
+                        verdicts.add(hit is None)
+                        # A failing probe that found no new bad row: it
+                        # failed on rows judged by earlier probes.
+                        repeated += hit is not None and shared.bad.keys() == bad
+                assert shared.judged == seen
+    assert verdicts == {True, False}
+    assert repeated
+
+
 # --- the kernel contract -------------------------------------------------------
 
 
@@ -480,8 +538,7 @@ def test_each_kernel_returns_the_type_it_promises(tmp_path, model_corpus, three_
         image = _Image(model, word)
         for name in KEPT:
             assert_ints(getattr(image, name), name)
-        for codes in image.after(random_word(rng, model)):
-            assert_ints(codes, "after")
+        assert_ints(image.after(random_word(rng, model)), "after")
         assert_ints(space._project(space.var_ids[:2], image.rows), "_project")
         if len(space.total) <= 5_000:
             columns = space._columns()
